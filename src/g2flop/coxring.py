@@ -15,7 +15,7 @@ All series are explicit truncations; no closed forms.
 
 from __future__ import annotations
 
-from .rootdata import RootSystem, g2
+from .rootdata import RootSystem
 from .weylbott import parabolic_cohomology, weyl_dim
 
 
@@ -113,7 +113,3 @@ def hilbert_table(
     else:
         raise ValueError(f"unknown table kind {kind!r}")
     return {"grading": grading, "truncation": trunc, "entries": entries}
-
-
-def default_root_system() -> RootSystem:
-    return g2()

@@ -3,7 +3,8 @@
 Everything is integer or Fraction arithmetic on plain tuples; weights live in
 fundamental-weight coordinates throughout, so a weight ``(a, b)`` means
 ``a*omega_1 + b*omega_2``.  Roots carry both simple-root and fundamental-weight
-coordinates so that all coroot pairings stay exact.
+coordinates, and every root has an integer coroot, so that all coroot pairings
+are exact integer dot products.  Weyl group elements are reduced words.
 
 The engine accepts any finite-type generalized Cartan matrix (A1/A2/B2
 instances serve as independent sanity oracles in the test suite), but the rest
@@ -16,10 +17,11 @@ alpha_2 = (-1, 2) in fundamental-weight coordinates.  The fundamental weight
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 Weight = tuple[int, ...]
 
@@ -48,7 +50,7 @@ class Root:
 
     simple_coords: tuple[int, ...]
     weight_coords: Weight
-    length_sq: Fraction
+    length_sq: int
 
     def __neg__(self) -> "Root":
         return Root(wneg(self.simple_coords), wneg(self.weight_coords), self.length_sq)
@@ -60,34 +62,41 @@ class Root:
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Weyl group element: reduced word, matrix on weight coordinates, length."""
+    """Weyl group element given by a reduced word in the simple reflections.
+
+    ``word[0]`` is the leftmost factor: ``apply`` reflects by the letters from
+    the last to the first.
+    """
 
     word: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    system: "RootSystem" = field(repr=False)
 
     @property
     def length(self) -> int:
         return len(self.word)
 
     def apply(self, w: Weight) -> Weight:
-        return tuple(sum(row[j] * w[j] for j in range(len(w))) for row in self.matrix)
+        for i in reversed(self.word):
+            w = self.system.reflect(i, w)
+        return w
 
-
-def _identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Matrix on weight coordinates; column j is the image of omega_j."""
+        n = self.system.rank
+        columns = [self.apply(tuple(int(i == j) for i in range(n))) for j in range(n)]
+        return tuple(zip(*columns))
 
 
 @dataclass(frozen=True, eq=False)
 class RootSystem:
-    """Immutable finite root system; safe to share between threads."""
+    """Immutable finite root system; safe to share between threads.
+
+    ``coroots`` maps the simple coordinates of every root, positive and
+    negative, to the integer coordinates of its coroot in the basis of simple
+    coroots, so a coroot pairing is a dot product with fundamental-weight
+    coordinates.
+    """
 
     rank: int
     cartan: tuple[tuple[int, ...], ...]
@@ -95,24 +104,21 @@ class RootSystem:
     simple_roots: tuple[Root, ...]
     positive_roots: tuple[Root, ...]
     rho: Weight
-    elements: tuple[WeylElement, ...]
-    _by_matrix: dict
-    _pos_coords: frozenset
+    weyl_order: int
+    coroots: dict
+    _positive_coroots: tuple[tuple[int, ...], ...]
 
     @property
-    def weyl_order(self) -> int:
-        return len(self.elements)
+    def elements(self) -> Iterator[WeylElement]:
+        """Every Weyl group element once, by increasing length, made on demand."""
+        simple_weights = [r.weight_coords for r in self.simple_roots]
+        for _, word in _rho_orbit(simple_weights, self.rho):
+            yield WeylElement(word, self)
 
     @property
     def longest_element(self) -> WeylElement:
-        return max(self.elements, key=lambda w: w.length)
-
-    @property
-    def identity(self) -> WeylElement:
-        return self.elements[0]
-
-    def element_from_matrix(self, matrix) -> WeylElement:
-        return self._by_matrix[matrix]
+        # w0 is the unique element sending -rho to the dominant rho.
+        return self.to_dominant(wneg(self.rho))[1]
 
     def reflect(self, i: int, mu: Weight) -> Weight:
         """Simple reflection s_i(mu) = mu - <mu, alpha_i^v> alpha_i."""
@@ -121,23 +127,34 @@ class RootSystem:
         alpha = self.simple_roots[i].weight_coords
         return tuple(mu[k] - mu[i] * alpha[k] for k in range(self.rank))
 
+    def to_dominant(self, mu: Weight) -> tuple[Weight, WeylElement]:
+        """Walk mu into the dominant chamber; returns (w(mu), w).
+
+        Each step reflects in a simple root on which mu pairs negatively,
+        which removes exactly one positive root from those pairing negatively
+        with mu.  The word therefore grows by one letter per step, stays
+        reduced for regular mu, and can never outgrow the positive roots.
+        """
+        steps: list[int] = []
+        bound = len(self.positive_roots)
+        while True:
+            i = next((k for k, c in enumerate(mu) if c < 0), None)
+            if i is None:
+                return mu, WeylElement(tuple(reversed(steps)), self)
+            mu = self.reflect(i, mu)
+            steps.append(i)
+            if len(steps) > bound:
+                raise RuntimeError("dominance walk failed to terminate")
+
     def pairing(self, mu: Weight, alpha: Root) -> int:
         """Coroot pairing <mu, alpha^v> = 2(mu, alpha)/(alpha, alpha)."""
-        self._check_root(alpha)
-        d = self.symmetrizer
-        form = sum(c * d[j] * mu[j] for j, c in enumerate(alpha.simple_coords))
-        value = Fraction(2 * form) / alpha.length_sq
-        if value.denominator != 1:
-            raise RootSystemError(f"non-integral pairing for {mu} and {alpha}")
-        return int(value)
-
-    def _check_root(self, alpha: Root) -> None:
-        coords = alpha.simple_coords
-        if coords not in self._pos_coords and wneg(coords) not in self._pos_coords:
-            raise ValueError(f"{coords} is not a root of this system")
+        coroot = self.coroots.get(alpha.simple_coords)
+        if coroot is None:
+            raise ValueError(f"{alpha.simple_coords} is not a root of this system")
+        return sum(map(mul, coroot, mu))
 
     def coroot_pairings(self, mu: Weight) -> tuple[int, ...]:
-        return tuple(self.pairing(mu, alpha) for alpha in self.positive_roots)
+        return tuple(sum(map(mul, coroot, mu)) for coroot in self._positive_coroots)
 
     def is_dominant(self, mu: Weight) -> bool:
         return all(c >= 0 for c in mu)
@@ -231,13 +248,38 @@ def _is_positive_definite(b: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
+def _rho_orbit(simple_weights: Sequence[Weight], rho: Weight):
+    """Breadth-first walk over the orbit of rho, one Weyl length at a time.
+
+    Yields ``(w(rho), word of w)`` once for every Weyl group element w: rho is
+    regular, so its orbit is free.  s_i w is longer than w exactly when
+    <w(rho), alpha_i^v> > 0, so stepping only along such i leads from length
+    l to length l+1, and prepending i to a reduced word keeps it reduced.
+    """
+    level = {rho: ()}
+    while level:
+        yield from level.items()
+        nxt: dict[Weight, tuple[int, ...]] = {}
+        for mu, word in level.items():
+            for i, alpha in enumerate(simple_weights):
+                c = mu[i]
+                if c > 0:
+                    nu = tuple(m - c * a for m, a in zip(mu, alpha))
+                    if nu not in nxt:
+                        nxt[nu] = (i,) + word
+        level = nxt
+
+
 def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
-    """Build the full root system and Weyl group of a finite-type Cartan matrix.
+    """Build the root system of a finite-type Cartan matrix.
 
     Rejects non-symmetrizable and non-finite-type input with a diagnostic.
-    Positive roots are enumerated by root-string closure, the Weyl group by
-    breadth-first closure over simple reflections (so stored words are
-    reduced).
+    Positive roots are enumerated by root-string closure, and every root gets
+    its coroot as integer coordinates c_j = 2 k_j d_j / (alpha, alpha) in the
+    simple coroots (k the simple coordinates, d the symmetrizer); a
+    non-integral one is rejected.  The Weyl group is never stored: its order
+    is the size of the free orbit of rho, counted here up to a cap, and its
+    elements are generated from that orbit when asked for.
     """
     rows = _validate_gcm(cartan)
     n = len(rows)
@@ -251,12 +293,9 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     def weight_coords(simple: tuple[int, ...]) -> Weight:
         return tuple(sum(rows[r][j] * simple[j] for j in range(n)) for r in range(n))
 
-    def length_sq(simple: tuple[int, ...]) -> Fraction:
-        wc = weight_coords(simple)
-        return Fraction(sum(c * d[j] * wc[j] for j, c in enumerate(simple)))
-
     def make_root(simple: tuple[int, ...]) -> Root:
-        return Root(simple, weight_coords(simple), length_sq(simple))
+        wc = weight_coords(simple)
+        return Root(simple, wc, sum(c * d[j] * wc[j] for j, c in enumerate(simple)))
 
     # Root-string closure over positive roots, by increasing height.
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
@@ -290,32 +329,22 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     )
     simple_roots = tuple(make_root(c) for c in simples)
 
-    # Weyl group BFS over the simple-reflection generators.
-    refl = []
-    for i in range(n):
-        alpha = simple_roots[i].weight_coords
-        refl.append(
-            tuple(
-                tuple(int(r == c) - (alpha[r] if c == i else 0) for c in range(n))
-                for r in range(n)
-            )
-        )
-    ident = _identity(n)
-    by_matrix: dict = {ident: WeylElement((), ident)}
-    order = [by_matrix[ident]]
-    frontier_w = [by_matrix[ident]]
-    while frontier_w:
-        nxt_w = []
-        for w in frontier_w:
-            for i in range(n):
-                m = _matmul(w.matrix, refl[i])
-                if m not in by_matrix:
-                    elem = WeylElement(w.word + (i,), m)
-                    by_matrix[m] = elem
-                    order.append(elem)
-                    nxt_w.append(elem)
-        frontier_w = nxt_w
-        if len(order) > _WEYL_ORDER_CAP:
+    coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for root in positive:
+        coroot = []
+        for j, k in enumerate(root.simple_coords):
+            c, r = divmod(2 * k * d[j], root.length_sq)
+            if r:
+                raise RootSystemError(f"coroot of {root.simple_coords} is not integral")
+            coroot.append(c)
+        coroots[root.simple_coords] = tuple(coroot)
+        coroots[wneg(root.simple_coords)] = wneg(coroot)
+
+    rho = tuple(1 for _ in range(n))
+    weyl_order = 0
+    for _ in _rho_orbit([r.weight_coords for r in simple_roots], rho):
+        weyl_order += 1
+        if weyl_order > _WEYL_ORDER_CAP:
             raise RootSystemError("Weyl group closure does not terminate")
 
     return RootSystem(
@@ -324,10 +353,10 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
         symmetrizer=d,
         simple_roots=simple_roots,
         positive_roots=positive,
-        rho=tuple(1 for _ in range(n)),
-        elements=tuple(order),
-        _by_matrix=by_matrix,
-        _pos_coords=frozenset(r.simple_coords for r in positive),
+        rho=rho,
+        weyl_order=weyl_order,
+        coroots=coroots,
+        _positive_coroots=tuple(coroots[r.simple_coords] for r in positive),
     )
 
 

@@ -15,8 +15,8 @@ scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .rootdata import RootSystem, Weight, WeylElement, wadd
@@ -69,11 +69,6 @@ class CohomologyProfile:
         return sum((-1) ** d * n for d, n in self.dimensions(rs).items())
 
 
-#: The profile "k": one-dimensional, trivial weight, degree 0.
-def trivial_profile(degree: int = 0) -> CohomologyProfile:
-    return CohomologyProfile(((degree, (0, 0), 1),))
-
-
 @dataclass(frozen=True)
 class BottOutcome:
     """Result of the dot-action normal form: singular, or (w, nu) with
@@ -86,43 +81,20 @@ class BottOutcome:
 
 @lru_cache(maxsize=None)
 def dot_normalize(rs: RootSystem, lam: Weight) -> BottOutcome:
-    """Normalize lam under the dot action w.lam = w(lam+rho)-rho."""
+    """Normalize lam under the dot action w.lam = w(lam+rho)-rho.
+
+    The dominance walk's word is the normalizing element; its length must
+    equal the number of positive roots pairing negatively with lam+rho.
+    """
     mu = wadd(lam, rs.rho)
     pairings = rs.coroot_pairings(mu)
-    if any(p == 0 for p in pairings):
+    if 0 in pairings:
         return BottOutcome(singular=True)
     negatives = sum(1 for p in pairings if p < 0)
-    matrix = rs.identity.matrix
-    steps = 0
-    while True:
-        try:
-            i = next(k for k, c in enumerate(mu) if c < 0)
-        except StopIteration:
-            break
-        mu = rs.reflect(i, mu)
-        # the composite applied so far becomes s_i o (previous)
-        steps += 1
-        matrix = _compose_reflection(rs, i, matrix)
-        if steps > rs.weyl_order:
-            raise RuntimeError("dominance walk failed to terminate")
-    w = rs.element_from_matrix(matrix)
+    top, w = rs.to_dominant(mu)
     if w.length != negatives:
         raise RuntimeError("dot-normal form length mismatch")
-    nu = tuple(c - 1 for c in mu)
-    return BottOutcome(singular=False, w=w, nu=nu)
-
-
-def _compose_reflection(rs: RootSystem, i: int, matrix):
-    alpha = rs.simple_roots[i].weight_coords
-    n = rs.rank
-    refl = tuple(
-        tuple(int(r == c) - (alpha[r] if c == i else 0) for c in range(n))
-        for r in range(n)
-    )
-    return tuple(
-        tuple(sum(refl[r][k] * matrix[k][c] for k in range(n)) for c in range(n))
-        for r in range(n)
-    )
+    return BottOutcome(singular=False, w=w, nu=tuple(c - 1 for c in top))
 
 
 @lru_cache(maxsize=None)
@@ -139,13 +111,11 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam (Weyl formula)."""
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    num = Fraction(1)
-    shifted = wadd(lam, rs.rho)
-    for alpha in rs.positive_roots:
-        num *= Fraction(rs.pairing(shifted, alpha), rs.pairing(rs.rho, alpha))
-    if num.denominator != 1:
+    num = prod(rs.coroot_pairings(wadd(lam, rs.rho)))
+    dim, rem = divmod(num, prod(rs.coroot_pairings(rs.rho)))
+    if rem:
         raise RuntimeError("Weyl dimension did not come out integral")
-    return int(num)
+    return dim
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,21 @@ def test_check_all_json_reproducible(capsys):
     assert json.dumps(p1, sort_keys=True) == json.dumps(p2, sort_keys=True)
 
 
+def test_check_all_and_sod_replay_match_bench_reference(capsys):
+    # The benchmark's recorded answers; an indeterminate suite that now
+    # passes is allowed, any other difference is not.
+    from bench import oracle
+
+    verdict = oracle.Verdict()
+    code, out, _ = run_cli(capsys, "check-all", "--json")
+    assert code == 0
+    oracle.check_all_payload(verdict, out, oracle.load("check_all.json"))
+    code, out, _ = run_cli(capsys, "sod-replay", "--json")
+    assert code == 0
+    oracle.sod_replay_payload(verdict, out, oracle.load("sod_replay.json"))
+    assert verdict.failed == 0, verdict.problems
+
+
 def test_roots_convention_dump(capsys):
     code, out, _ = run_cli(capsys, "roots", "--convention-dump", "--json")
     payload = json.loads(out)

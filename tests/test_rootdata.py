@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from g2flop.rootdata import (
+    RootSystem,
     RootSystemError,
     build_root_system,
     g2,
@@ -25,6 +26,15 @@ G2_POSITIVE = {
     (1, 3): 6,
     (2, 3): 6,
 }
+
+E6_CARTAN = [
+    [2, 0, -1, 0, 0, 0],
+    [0, 2, 0, -1, 0, 0],
+    [-1, 0, 2, -1, 0, 0],
+    [0, -1, -1, 2, -1, 0],
+    [0, 0, 0, -1, 2, -1],
+    [0, 0, 0, 0, -1, 2],
+]
 
 # Gram matrix of the fundamental weights, computed by hand from the inverse
 # Cartan matrix and the symmetrizer d = (3, 1): (w_i, w_j) = (A^-1)_ij d_i.
@@ -85,12 +95,14 @@ def test_a1_times_a1():
         ([[2, -1], [-2, 2]], 4, 8),  # B2
         ([[2, -2], [-1, 2]], 4, 8),  # C2
         ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 6, 24),  # A3
+        (E6_CARTAN, 36, 51840),
     ],
 )
 def test_small_types(cartan, n_roots, order):
     rs = build_root_system(cartan)
     assert len(rs.positive_roots) == n_roots
     assert rs.weyl_order == order
+    assert rs.longest_element.length == n_roots
 
 
 @pytest.mark.parametrize(
@@ -230,3 +242,47 @@ def test_regularity_is_orbit_invariant():
 def test_flipped_convention_differs():
     assert g2().simple_roots[0].weight_coords != g2_flipped().simple_roots[0].weight_coords
     assert g2_flipped().simple_roots[0].length_sq == 2  # short under the flip
+
+
+def fraction_pairing(rs, mu, alpha):
+    """The coroot pairing by 2(mu, alpha)/(alpha, alpha) in Fractions."""
+    d = rs.symmetrizer
+    form = sum(c * d[j] * mu[j] for j, c in enumerate(alpha.simple_coords))
+    norm = sum(c * d[j] * alpha.weight_coords[j] for j, c in enumerate(alpha.simple_coords))
+    return Fraction(2 * form, norm)
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [
+        g2().cartan,
+        [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],  # B3
+        [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],  # C3
+        [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],  # F4
+    ],
+)
+def test_coroot_table_matches_fraction_formula(cartan):
+    rs = build_root_system(cartan)
+    roots = list(rs.positive_roots) + [-alpha for alpha in rs.positive_roots]
+    assert len(rs.coroots) == len(roots)
+    basis = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
+    for alpha in roots:
+        assert rs.coroots[alpha.simple_coords] == tuple(
+            fraction_pairing(rs, omega, alpha) for omega in basis
+        )
+        assert rs.pairing(rs.rho, alpha) == fraction_pairing(rs, rs.rho, alpha)
+
+
+def test_coroot_table_depends_on_the_convention():
+    assert g2().coroots != g2_flipped().coroots
+
+
+def test_dominance_walk_guard_stops_a_stuck_walk(monkeypatch):
+    # A reduced word is no longer than the number of positive roots, so a
+    # walk that has not reached the dominant chamber by then is stopped.
+    rs = build_root_system(g2().cartan)
+    steps = []
+    monkeypatch.setattr(RootSystem, "reflect", lambda self, i, mu: steps.append(i) or mu)
+    with pytest.raises(RuntimeError, match="failed to terminate"):
+        rs.to_dominant((-1, 4))
+    assert len(steps) == len(rs.positive_roots) + 1

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from g2flop.rootdata import g2, g2_flipped
+from g2flop.rootdata import RootSystem, build_root_system, g2, g2_flipped
 from g2flop.weylbott import (
     CohomologyProfile,
     dot_normalize,
@@ -72,8 +72,6 @@ def test_dot_normalize_element_actually_normalizes():
 def test_projective_line_oracle():
     # A1 Bott is classical: O(n) on the projective line has sections of
     # dimension n+1, nothing for n = -1, and H^1 of dimension -n-1 below.
-    from g2flop.rootdata import build_root_system
-
     a1 = build_root_system([[2]])
     for n in range(0, 8):
         assert line_cohomology(a1, (n,)).dimensions(a1) == {0: n + 1}
@@ -86,8 +84,6 @@ def test_full_flag_of_sl3_oracle():
     # On the flag variety of A2: O(a,b) with a,b >= 0 has sections of
     # dimension (a+1)(b+1)(a+b+2)/2 in degree 0 and nothing else, and the
     # canonical twist O(-2,-2)-shifted Serre partner lands in degree 3.
-    from g2flop.rootdata import build_root_system
-
     a2 = build_root_system([[2, -1], [-1, 2]])
     for a in range(0, 5):
         for b in range(0, 5):
@@ -95,6 +91,13 @@ def test_full_flag_of_sl3_oracle():
             assert line_cohomology(a2, (a, b)).dimensions(a2) == {0: dim}
             dual = (-2 - a, -2 - b)
             assert line_cohomology(a2, dual).dimensions(a2) == {3: dim}
+
+
+def test_dot_normalize_rejects_a_length_mismatch(monkeypatch):
+    rs = build_root_system(RS.cartan)
+    monkeypatch.setattr(RootSystem, "coroot_pairings", lambda self, mu: (-1,) * 6)
+    with pytest.raises(RuntimeError, match="length mismatch"):
+        dot_normalize(rs, (-2, 3))
 
 
 def test_dot_normalize_length_counts_negative_pairings():
