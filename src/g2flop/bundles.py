@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .rootdata import RootSystem, Weight, wadd, wneg
+from .rootdata import IntegrityError, RootSystem, Weight, wadd, wneg
 from .weylbott import (
     CohomologyProfile,
     combine_pieces,
@@ -60,7 +60,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-class RouteMismatchError(AssertionError):
+class RouteMismatchError(IntegrityError):
     """Two exact evaluation routes disagreed; indicates an engine bug."""
 
 
@@ -244,7 +244,8 @@ def levi_tensor(
         tuple(total[k] - j * alpha.weight_coords[k] for k in range(rs.rank))
         for j in range(min(m, n) + 1)
     )
-    assert sum(rs.pairing(w, alpha) + 1 for w in out) == (m + 1) * (n + 1)
+    if sum(rs.pairing(w, alpha) + 1 for w in out) != (m + 1) * (n + 1):
+        raise IntegrityError(f"Clebsch-Gordan of {lam} and {mu} does not preserve rank")
     return out
 
 
@@ -255,13 +256,15 @@ def levi_tensor(
 class OneSided:
     """A pullback-from-one-Grassmannian shape: irreducible summands + twist.
 
-    ``levi_index`` is 1 for the P1 side (fiber class h) and 0 for the P2 side
-    (fiber class H).  ``opaque`` marks expressions containing the extension S,
-    which is a pullback from the quadric side of unknown Levi structure.
+    ``summands`` is a multiset of Levi irreducibles, as (highest weight,
+    multiplicity) pairs with distinct weights.  ``levi_index`` is 1 for the
+    P1 side (fiber class h) and 0 for the P2 side (fiber class H).
+    ``opaque`` marks expressions containing the extension S, which is a
+    pullback from the quadric side of unknown Levi structure.
     """
 
     levi_index: int
-    summands: tuple[Weight, ...]
+    summands: tuple[tuple[Weight, int], ...]
     twist: Weight
     opaque: bool
 
@@ -298,7 +301,12 @@ def _maybe_dualize(rs, side, hw, dualize):
 
 
 def one_sided_form(rs: RootSystem, e: BundleExpr) -> Optional[OneSided]:
-    """Decompose into irreducibles from a single parabolic plus a line twist."""
+    """Decompose into irreducibles from a single parabolic plus a line twist.
+
+    The non-line factors are multiplied out by rank-1 Clebsch-Gordan one at a
+    time, keeping equal highest weights together with their multiplicity, so
+    the work grows with the number of distinct summands, not with the rank.
+    """
     factors, twist = normal_factors(e)
     sides: set[int] = set()
     opaque = False
@@ -318,12 +326,16 @@ def one_sided_form(rs: RootSystem, e: BundleExpr) -> Optional[OneSided]:
         return None
     side = sides.pop()
     levi = P1_LEVI if side == 1 else P2_LEVI
-    summands: tuple[Weight, ...] = ((0,) * rs.rank,)
+    summands: dict[Weight, int] = {(0,) * rs.rank: 1}
     for hw in hws:
-        summands = tuple(
-            w for s in summands for w in levi_tensor(rs, levi, s, hw)
-        )
-    return OneSided(levi_index=side, summands=summands, twist=twist, opaque=opaque)
+        product: dict[Weight, int] = {}
+        for s, mult in summands.items():
+            for w in levi_tensor(rs, levi, s, hw):
+                product[w] = product.get(w, 0) + mult
+        summands = product
+    return OneSided(
+        levi_index=side, summands=tuple(summands.items()), twist=twist, opaque=opaque
+    )
 
 
 def _pushforward_profile(
@@ -352,10 +364,11 @@ def _pushforward_profile(
         shifted = rs.reflect(side, wadd(fiber_weight, rs.rho))
         partner = tuple(c - 1 for c in shifted)
         shift = 1
-    profile = CohomologyProfile.zero()
-    for summand in levi_tensor(rs, levi, hw, partner):
-        profile = profile.union(parabolic_cohomology(rs, levi, summand).shift(shift))
-    return profile
+    return CohomologyProfile.of(
+        (d + shift, w, m)
+        for summand in levi_tensor(rs, levi, hw, partner)
+        for d, w, m in parabolic_cohomology(rs, levi, summand).entries
+    )
 
 
 def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProfile]:
@@ -370,12 +383,11 @@ def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProf
         if fiber == -1:
             return CohomologyProfile.zero()
         return None
-    profile = CohomologyProfile.zero()
-    for hw in form.summands:
-        profile = profile.union(
-            _pushforward_profile(rs, form.levi_index, hw, form.twist)
-        )
-    return profile
+    return CohomologyProfile.of(
+        (d, w, m * mult)
+        for hw, mult in form.summands
+        for d, w, m in _pushforward_profile(rs, form.levi_index, hw, form.twist).entries
+    )
 
 
 # --- spinor-extension resolution -------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line front end for batch verification and exploration.
 
-Exit codes: 0 = all checks pass / query answered; 1 = a verification failed;
+Exit codes: 0 = all checks pass / query answered; 1 = a verification failed,
+including two routes disagreeing or another internal check failing;
 2 = usage or expression-parse error.  Indeterminate cohomology in a query
 context is a distinct reported status, not a failure.
 """
@@ -16,7 +17,7 @@ from typing import Optional
 from .bundles import ParseError, flag_cohomology, format_expr, parse_expr
 from .checks import run_all
 from .coxring import flag_cox_dim, git_piece, hilbert_table, total_cox_dim
-from .rootdata import RootSystem, g2
+from .rootdata import IntegrityError, RootSystem, g2
 from .sodengine import replay_mutation_script
 from .totalspace import base_canonical_weight, hom_v
 from .weylbott import CohomologyProfile, format_profile, weyl_dim
@@ -332,15 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    rs = g2()
     try:
-        return args.func(args, rs)
+        return args.func(args, g2())
     except ParseError as err:
         print(f"expression error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except IntegrityError as err:
+        # Route mismatches and failed internal checks: an engine fault.
+        print(f"verification failed: {err}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ All series are explicit truncations; no closed forms.
 
 from __future__ import annotations
 
-from .rootdata import RootSystem
+from .rootdata import IntegrityError, RootSystem
 from .weylbott import parabolic_cohomology, weyl_dim
 
 
@@ -74,7 +74,10 @@ def git_piece_via_parabolic(rs: RootSystem, side: str, n: int, trunc: int) -> in
         else:
             raise ValueError("parabolic route exists for sides '+' and '-' only")
         dims = profile.dimensions(rs)
-        assert set(dims) <= {0}
+        if set(dims) - {0}:
+            raise IntegrityError(
+                f"parabolic Bott put sections in degrees {sorted(dims)}, not only 0"
+            )
         total += dims.get(0, 0)
     return total
 

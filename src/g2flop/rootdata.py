@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from math import prod
+from operator import add, mul
 from typing import Iterator, Sequence
 
 Weight = tuple[int, ...]
@@ -32,8 +33,12 @@ class RootSystemError(ValueError):
     """Raised for Cartan matrices that are not symmetrizable finite type."""
 
 
-def wadd(*ws: Weight) -> Weight:
-    return tuple(sum(cs) for cs in zip(*ws))
+class IntegrityError(RuntimeError):
+    """An exact internal consistency check failed: an engine bug, not bad input."""
+
+
+def wadd(a: Weight, b: Weight) -> Weight:
+    return tuple(map(add, a, b))
 
 
 def wneg(w: Weight) -> Weight:
@@ -95,7 +100,13 @@ class RootSystem:
     ``coroots`` maps the simple coordinates of every root, positive and
     negative, to the integer coordinates of its coroot in the basis of simple
     coroots, so a coroot pairing is a dot product with fundamental-weight
-    coordinates.
+    coordinates.  ``weyl_denominator`` is the product of the coroot heights,
+    i.e. of the pairings of rho with every positive coroot.
+
+    ``_simple_slots`` and ``_chain`` drive ``coroot_pairings``: one ``(slot,
+    i)`` per simple coroot i, its index in ``positive_roots``; then one
+    ``(slot, parent slot, j)`` per non-simple positive coroot, in order of
+    coroot height, saying that this coroot is the parent plus simple coroot j.
     """
 
     rank: int
@@ -105,14 +116,16 @@ class RootSystem:
     positive_roots: tuple[Root, ...]
     rho: Weight
     weyl_order: int
+    weyl_denominator: int
     coroots: dict
-    _positive_coroots: tuple[tuple[int, ...], ...]
+    _simple_weights: tuple[Weight, ...]
+    _simple_slots: tuple[tuple[int, int], ...]
+    _chain: tuple[tuple[int, int, int], ...]
 
     @property
     def elements(self) -> Iterator[WeylElement]:
         """Every Weyl group element once, by increasing length, made on demand."""
-        simple_weights = [r.weight_coords for r in self.simple_roots]
-        for _, word in _rho_orbit(simple_weights, self.rho):
+        for _, word in _rho_orbit(self._simple_weights, self.rho):
             yield WeylElement(word, self)
 
     @property
@@ -124,8 +137,8 @@ class RootSystem:
         """Simple reflection s_i(mu) = mu - <mu, alpha_i^v> alpha_i."""
         if not 0 <= i < self.rank:
             raise IndexError(f"simple index {i} out of range for rank {self.rank}")
-        alpha = self.simple_roots[i].weight_coords
-        return tuple(mu[k] - mu[i] * alpha[k] for k in range(self.rank))
+        c = mu[i]
+        return tuple([m - c * a for m, a in zip(mu, self._simple_weights[i])])
 
     def to_dominant(self, mu: Weight) -> tuple[Weight, WeylElement]:
         """Walk mu into the dominant chamber; returns (w(mu), w).
@@ -138,13 +151,15 @@ class RootSystem:
         steps: list[int] = []
         bound = len(self.positive_roots)
         while True:
-            i = next((k for k, c in enumerate(mu) if c < 0), None)
-            if i is None:
+            for i, c in enumerate(mu):
+                if c < 0:
+                    break
+            else:
                 return mu, WeylElement(tuple(reversed(steps)), self)
             mu = self.reflect(i, mu)
             steps.append(i)
             if len(steps) > bound:
-                raise RuntimeError("dominance walk failed to terminate")
+                raise IntegrityError("dominance walk failed to terminate")
 
     def pairing(self, mu: Weight, alpha: Root) -> int:
         """Coroot pairing <mu, alpha^v> = 2(mu, alpha)/(alpha, alpha)."""
@@ -154,7 +169,18 @@ class RootSystem:
         return sum(map(mul, coroot, mu))
 
     def coroot_pairings(self, mu: Weight) -> tuple[int, ...]:
-        return tuple(sum(map(mul, coroot, mu)) for coroot in self._positive_coroots)
+        """<mu, beta^v> for every positive root beta, aligned with positive_roots.
+
+        A simple coroot pairs to a coordinate of mu; every other positive
+        coroot is a lower one plus a simple coroot j, so its pairing is the
+        lower pairing plus mu[j]: one addition per root, no dot products.
+        """
+        out = [0] * len(self.positive_roots)
+        for k, i in self._simple_slots:
+            out[k] = mu[i]
+        for k, parent, j in self._chain:
+            out[k] = out[parent] + mu[j]
+        return tuple(out)
 
     def is_dominant(self, mu: Weight) -> bool:
         return all(c >= 0 for c in mu)
@@ -277,9 +303,13 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     Positive roots are enumerated by root-string closure, and every root gets
     its coroot as integer coordinates c_j = 2 k_j d_j / (alpha, alpha) in the
     simple coroots (k the simple coordinates, d the symmetrizer); a
-    non-integral one is rejected.  The Weyl group is never stored: its order
-    is the size of the free orbit of rho, counted here up to a cap, and its
-    elements are generated from that orbit when asked for.
+    non-integral one is rejected.  The positive coroots are then chained by
+    coroot height, which for non-simply-laced types differs from root height:
+    each non-simple one is recorded as a lower positive coroot plus one simple
+    coroot, the recipe ``coroot_pairings`` follows.  The product of the coroot
+    heights is stored as the Weyl denominator.  The Weyl group is never
+    stored: its order is the size of the free orbit of rho, counted here up
+    to a cap, and its elements are generated from that orbit when asked for.
     """
     rows = _validate_gcm(cartan)
     n = len(rows)
@@ -340,9 +370,28 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
         coroots[root.simple_coords] = tuple(coroot)
         coroots[wneg(root.simple_coords)] = wneg(coroot)
 
+    slot = {coroots[r.simple_coords]: k for k, r in enumerate(positive)}
+    simple_slots: list[tuple[int, int]] = []
+    chain: list[tuple[int, int, int]] = []
+    for coroot in sorted(slot, key=lambda c: (sum(c), c)):
+        k = slot[coroot]
+        if sum(coroot) == 1:
+            simple_slots.append((k, coroot.index(1)))
+            continue
+        for j, c in enumerate(coroot):
+            parent = slot.get(coroot[:j] + (c - 1,) + coroot[j + 1 :])
+            if parent is not None:
+                chain.append((k, parent, j))
+                break
+        else:
+            raise RootSystemError(
+                f"coroot {coroot} is not a lower coroot plus a simple coroot"
+            )
+
+    simple_weights = tuple(r.weight_coords for r in simple_roots)
     rho = tuple(1 for _ in range(n))
     weyl_order = 0
-    for _ in _rho_orbit([r.weight_coords for r in simple_roots], rho):
+    for _ in _rho_orbit(simple_weights, rho):
         weyl_order += 1
         if weyl_order > _WEYL_ORDER_CAP:
             raise RootSystemError("Weyl group closure does not terminate")
@@ -355,8 +404,11 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
         positive_roots=positive,
         rho=rho,
         weyl_order=weyl_order,
+        weyl_denominator=prod(map(sum, slot)),
         coroots=coroots,
-        _positive_coroots=tuple(coroots[r.simple_coords] for r in positive),
+        _simple_weights=simple_weights,
+        _simple_slots=tuple(simple_slots),
+        _chain=tuple(chain),
     )
 
 
@@ -367,7 +419,11 @@ G2_CARTAN = ((2, -1), (-3, 2))
 def g2() -> RootSystem:
     """The pinned G2 instance: alpha_1 long, alpha_2 short."""
     rs = build_root_system(G2_CARTAN)
-    assert len(rs.positive_roots) == 6 and rs.weyl_order == 12
+    if len(rs.positive_roots) != 6 or rs.weyl_order != 12:
+        raise IntegrityError(
+            f"G2 pin broken: {len(rs.positive_roots)} positive roots, "
+            f"Weyl order {rs.weyl_order} (expected 6 and 12)"
+        )
     return rs
 
 
@@ -379,11 +435,3 @@ def g2_flipped() -> RootSystem:
     must fail under this convention.
     """
     return build_root_system(((2, -3), (-1, 2)))
-
-
-def reflect(rs: RootSystem, i: int, mu: Weight) -> Weight:
-    return rs.reflect(i, mu)
-
-
-def pairing(rs: RootSystem, mu: Weight, alpha: Root) -> int:
-    return rs.pairing(mu, alpha)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .rootdata import RootSystem, Weight, WeylElement, wadd
+from .rootdata import IntegrityError, RootSystem, Weight, WeylElement, wadd
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def dot_normalize(rs: RootSystem, lam: Weight) -> BottOutcome:
     negatives = sum(1 for p in pairings if p < 0)
     top, w = rs.to_dominant(mu)
     if w.length != negatives:
-        raise RuntimeError("dot-normal form length mismatch")
+        raise IntegrityError("dot-normal form length mismatch")
     return BottOutcome(singular=False, w=w, nu=tuple(c - 1 for c in top))
 
 
@@ -112,9 +112,9 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     num = prod(rs.coroot_pairings(wadd(lam, rs.rho)))
-    dim, rem = divmod(num, prod(rs.coroot_pairings(rs.rho)))
+    dim, rem = divmod(num, rs.weyl_denominator)
     if rem:
-        raise RuntimeError("Weyl dimension did not come out integral")
+        raise IntegrityError("Weyl dimension did not come out integral")
     return dim
 
 

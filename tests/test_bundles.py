@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2flop import bundles
 from g2flop.bundles import (
+    P1_LEVI,
+    P2_LEVI,
     BundleError,
     Dual,
     IrrP1,
@@ -25,13 +28,15 @@ from g2flop.bundles import (
     flag_cohomology,
     format_expr,
     levi_tensor,
+    normal_factors,
     normalize,
+    one_sided_form,
     parse_expr,
     rank,
     route_b_cohomology,
     weights,
 )
-from g2flop.rootdata import g2
+from g2flop.rootdata import IntegrityError, g2
 from g2flop.weylbott import CohomologyProfile, weyl_dim
 
 RS = g2()
@@ -146,6 +151,14 @@ def test_levi_tensor_rank_count():
         assert sum(w[1] + 1 for w in out) == (m + 1) * (n + 1)
 
 
+def test_levi_tensor_rank_check_raises(monkeypatch):
+    # A wrong sum of highest weights loses rank; the check is an explicit
+    # raise, so it also holds under python -O.
+    monkeypatch.setattr(bundles, "wadd", lambda a, b: a)
+    with pytest.raises(IntegrityError, match="rank"):
+        levi_tensor(RS, {1}, (0, 1), (0, 1))
+
+
 def test_levi_tensor_rejects_higher_rank_levi():
     with pytest.raises(BundleError):
         levi_tensor(RS, {0, 1}, (0, 0), (0, 0))
@@ -154,6 +167,85 @@ def test_levi_tensor_rejects_higher_rank_levi():
 def test_levi_tensor_rejects_non_dominant():
     with pytest.raises(BundleError):
         levi_tensor(RS, {1}, (0, -1), (0, 1))
+
+
+# --- route B summands as a multiset ----------------------------------------
+
+
+def tuple_summands(e):
+    """Reference expansion: every Clebsch-Gordan summand kept separately."""
+    factors, _ = normal_factors(e)
+    infos = [bundles._factor_irreducible(RS, f) for f in factors]
+    levi = P1_LEVI if infos[0][0] == 1 else P2_LEVI
+    summands = ((0, 0),)
+    for _, hw in infos:
+        summands = tuple(w for s in summands for w in levi_tensor(RS, levi, s, hw))
+    return summands
+
+
+def tuple_route_b(e):
+    """Route B as a union over tuple_summands, one pushforward per summand."""
+    form = one_sided_form(RS, e)
+    profile = CohomologyProfile.zero()
+    for hw in tuple_summands(e):
+        profile = profile.union(
+            bundles._pushforward_profile(RS, form.levi_index, hw, form.twist)
+        )
+    return profile
+
+
+def random_one_sided(rng, max_rank=64):
+    side = rng.choice((0, 1))
+
+    def factor():
+        m = rng.randint(2, 4)
+        if side == 1:
+            f = rng.choice(
+                [
+                    Universal(),
+                    IrrP1(rng.randint(-2, 2), rng.randint(0, 3)),
+                    Sym(m, Universal()),
+                    Sym(m, IrrP1(rng.randint(-2, 2), 1)),
+                ]
+            )
+        else:
+            f = rng.choice(
+                [
+                    IrrP2(rng.randint(0, 3), rng.randint(-2, 2)),
+                    Sym(m, IrrP2(1, rng.randint(-2, 2))),
+                ]
+            )
+        return Dual(f) if rng.random() < 0.3 else f
+
+    e = factor()
+    for _ in range(rng.randint(0, 6)):
+        f = factor()
+        if rank(e) * rank(f) > max_rank:
+            break
+        e = Tensor(e, f)
+    return Twist(e, rng.randint(-3, 3), rng.randint(-3, 3))
+
+
+def test_route_b_summands_are_the_tuple_expansion_as_a_multiset():
+    rng = random.Random(23)
+    for _ in range(150):
+        e = random_one_sided(rng)
+        form = one_sided_form(RS, e)
+        got = dict(form.summands)
+        assert len(got) == len(form.summands)
+        assert got == Counter(tuple_summands(e))
+        alpha = RS.simple_roots[form.levi_index]
+        ranks = (m * (RS.pairing(hw, alpha) + 1) for hw, m in form.summands)
+        assert sum(ranks) == rank(e)
+        assert route_b_cohomology(RS, e) == tuple_route_b(e)
+
+
+def test_route_b_of_universal_powers_matches_tuple_expansion():
+    e = Universal()
+    for k in range(1, 11):
+        twisted = Twist(e, 0, 1)
+        assert route_b_cohomology(RS, twisted) == tuple_route_b(twisted)
+        e = Tensor(e, Universal())
 
 
 # --- evaluation -------------------------------------------------------------

@@ -6,7 +6,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from g2flop import bundles
+from g2flop.bundles import RouteMismatchError, flag_cohomology, parse_expr
 from g2flop.cli import main
+from g2flop.rootdata import g2
+from g2flop.weylbott import CohomologyProfile
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +73,19 @@ def test_coh_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "coh", "Z(h)")
     assert code == 2
     assert "position" in err
+
+
+def test_route_mismatch_exits_1_without_traceback(capsys, monkeypatch):
+    # Corrupt route B: U(h) has H^0 = k by both routes, route B now says 0.
+    monkeypatch.setattr(
+        bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
+    )
+    with pytest.raises(RouteMismatchError, match="routes disagree"):
+        flag_cohomology(g2(), parse_expr("U(h)"))
+    code, out, err = run_cli(capsys, "coh", "U(h)")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("verification failed: routes disagree on U(h)")
 
 
 def test_homv(capsys):

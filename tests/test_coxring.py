@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from g2flop import coxring
 from g2flop.coxring import (
     flag_cox_dim,
     git_piece,
@@ -11,8 +12,8 @@ from g2flop.coxring import (
     hilbert_table,
     total_cox_dim,
 )
-from g2flop.rootdata import g2
-from g2flop.weylbott import line_cohomology
+from g2flop.rootdata import IntegrityError, g2
+from g2flop.weylbott import CohomologyProfile, line_cohomology
 
 RS = g2()
 
@@ -69,6 +70,17 @@ def test_total_cox_matches_line_cohomology():
                     assert set(dims) <= {0}
                     independent += dims.get(0, 0)
                 assert total_cox_dim(RS, k, l, m) == independent
+
+
+def test_parabolic_route_rejects_sections_outside_degree_zero(monkeypatch):
+    # The degree-0 check is an explicit raise, so it also holds under -O.
+    monkeypatch.setattr(
+        coxring,
+        "parabolic_cohomology",
+        lambda rs, levi, lam: CohomologyProfile(((1, lam, 1),)),
+    )
+    with pytest.raises(IntegrityError, match="degrees"):
+        git_piece_via_parabolic(RS, "+", 1, 2)
 
 
 def test_bad_side_rejected():

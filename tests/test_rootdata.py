@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from functools import cache
+from math import prod
 
 import pytest
 
+from g2flop import rootdata
 from g2flop.rootdata import (
+    IntegrityError,
     RootSystem,
     RootSystemError,
     build_root_system,
@@ -15,6 +20,7 @@ from g2flop.rootdata import (
     g2_flipped,
     wneg,
 )
+from g2flop.weylbott import weyl_dim
 
 # Independent G2 oracle data (standard tables, alpha_1 long / alpha_2 short):
 # positive roots in simple-root coordinates, with squared lengths.
@@ -286,3 +292,52 @@ def test_dominance_walk_guard_stops_a_stuck_walk(monkeypatch):
     with pytest.raises(RuntimeError, match="failed to terminate"):
         rs.to_dominant((-1, 4))
     assert len(steps) == len(rs.positive_roots) + 1
+
+
+KERNEL_CARTANS = {
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "G2": [list(row) for row in g2().cartan],
+    "B3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "E6": E6_CARTAN,
+}
+
+
+@cache
+def kernel_system(name):
+    return build_root_system(KERNEL_CARTANS[name])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CARTANS))
+def test_coroot_pairings_match_dot_products(name):
+    # The height chain must reproduce the plain dot product with every
+    # positive coroot, in the order of positive_roots, as a tuple.
+    rs = kernel_system(name)
+    coroots = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
+    side = range(-2, 3) if rs.rank <= 4 else range(-1, 2)
+    for mu in itertools.product(side, repeat=rs.rank):
+        got = rs.coroot_pairings(mu)
+        assert type(got) is tuple
+        assert got == tuple(sum(c * m for c, m in zip(co, mu)) for co in coroots)
+    assert rs.weyl_denominator == prod(rs.coroot_pairings(rs.rho))
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [("F4", [26, 52, 273, 1274]), ("E6", [27, 27, 78, 351, 351, 2925])],
+)
+def test_fundamental_dimensions_of_exceptional_types(name, dims):
+    rs = kernel_system(name)
+    basis = [tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank)]
+    assert sorted(weyl_dim(rs, omega) for omega in basis) == dims
+
+
+def test_broken_g2_pin_raises(monkeypatch):
+    # The pin is an explicit check, so it also holds under python -O.
+    a2 = build_root_system([[2, -1], [-1, 2]])
+    monkeypatch.setattr(rootdata, "build_root_system", lambda cartan: a2)
+    with pytest.raises(IntegrityError, match="G2 pin"):
+        rootdata.g2.__wrapped__()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import product
 
@@ -98,6 +99,16 @@ def test_dot_normalize_rejects_a_length_mismatch(monkeypatch):
     monkeypatch.setattr(RootSystem, "coroot_pairings", lambda self, mu: (-1,) * 6)
     with pytest.raises(RuntimeError, match="length mismatch"):
         dot_normalize(rs, (-2, 3))
+
+
+def test_weyl_dim_rejects_a_non_integral_quotient():
+    # A corrupted denominator must raise, not round: 7 * 120 is no multiple
+    # of 11 * 120.
+    rs = build_root_system(RS.cartan)
+    bad = dataclasses.replace(rs, weyl_denominator=11 * rs.weyl_denominator)
+    assert weyl_dim(rs, (0, 1)) == 7
+    with pytest.raises(RuntimeError, match="integral"):
+        weyl_dim(bad, (0, 1))
 
 
 def test_dot_normalize_length_counts_negative_pairings():
