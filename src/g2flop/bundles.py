@@ -41,7 +41,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .rootdata import IntegrityError, RootSystem, Weight, wadd, wneg
+from .rootdata import IntegrityError, RootSystem, Weight, wadd, wneg, wscale
 from .weylbott import (
     CohomologyProfile,
     combine_pieces,
@@ -123,6 +123,10 @@ BundleExpr = Union[Line, Universal, Spinor, IrrP1, IrrP2, Dual, Tensor, Sym, Twi
 P1_LEVI = frozenset({1})
 P2_LEVI = frozenset({0})
 
+#: the defining filtration of S: sub U, quotient U'(-h)
+SPINOR_SUB = Universal()
+SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
+
 
 def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> tuple[Weight, ...]:
     n = rs.pairing(hw, rs.simple_roots[levi_index])
@@ -141,10 +145,8 @@ def weights(rs: RootSystem, e: BundleExpr) -> tuple[Weight, ...]:
     if isinstance(e, Universal):
         return _string_weights(rs, (-1, 1), 1)
     if isinstance(e, Spinor):
-        # sub U, quotient U'(-h): the defining two-step filtration, flattened
-        return weights(rs, Universal()) + weights(
-            rs, Twist(Dual(Universal()), 0, -1)
-        )
+        # the defining two-step filtration, flattened
+        return weights(rs, SPINOR_SUB) + weights(rs, SPINOR_QUOTIENT)
     if isinstance(e, IrrP1):
         return _string_weights(rs, (e.a, e.b), 1)
     if isinstance(e, IrrP2):
@@ -282,7 +284,7 @@ def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[in
         side, hw = base
         if rs.pairing(hw, rs.simple_roots[side]) != 1:
             return None
-        hw = tuple(factor.power * c for c in hw)
+        hw = wscale(factor.power, hw)
         return _maybe_dualize(rs, side, hw, dualize)
     if isinstance(factor, Universal):
         return _maybe_dualize(rs, 1, (-1, 1), dualize)
@@ -415,10 +417,6 @@ def _substitute_first_spinor(e: BundleExpr, replacement: BundleExpr):
     return None
 
 
-SPINOR_SUB = Universal()
-SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
-
-
 # --- full evaluation --------------------------------------------------------
 
 
@@ -505,7 +503,7 @@ def normal_factors(e: BundleExpr) -> tuple[tuple[BundleExpr, ...], Weight]:
         factors, t = normal_factors(e.arg)
         if len(factors) != 1:
             raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-        scaled = tuple(e.power * c for c in t)
+        scaled = wscale(e.power, t)
         inner = factors[0]
         if isinstance(inner, Dual):
             return (Dual(Sym(e.power, inner.arg)),), scaled

@@ -11,8 +11,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bundles import (
+    SPINOR_QUOTIENT,
     BundleExpr,
     Dual,
+    IrrP1,
+    IrrP2,
     Line,
     Spinor,
     Tensor,
@@ -27,24 +30,19 @@ from .rootdata import RootSystem, g2
 from .sodengine import (
     SEED_OBJECTS,
     TARGET_OBJECTS,
+    k_class,
     replay_mutation_script,
 )
-from .totalspace import (
-    EXCEPTIONAL_PROFILE,
-    hom_v,
-    total_space_canonical,
-)
+from .totalspace import K, K1, ZERO, hom_v, total_space_canonical
 from .weylbott import (
     CohomologyProfile,
+    euler_characteristic,
     format_profile,
     line_cohomology,
     weyl_dim,
 )
 
 U = Universal()
-K = CohomologyProfile(((0, (0, 0), 1),))
-K1 = CohomologyProfile(((1, (0, 0), 1),))
-ZERO = CohomologyProfile.zero()
 
 
 @dataclass(frozen=True)
@@ -138,12 +136,11 @@ def rank2_cohomology_suite(rs: RootSystem) -> SuiteResult:
 
 def total_space_hom_suite(rs: RootSystem) -> SuiteResult:
     """The four graded-Hom statements over the total space."""
-    u_dual_mh = Twist(Dual(U), 0, -1)
     cases = [
         (Line(0, -1), Line(-1, 0), ZERO, "orthogonality of O(-h) to O(-H)"),
-        (u_dual_mh, Line(-1, 0), ZERO, "orthogonality of U'(-h) to O(-H)"),
-        (u_dual_mh, U, K1, "hom(U'(-h), U) = k[-1]"),
-        (u_dual_mh, Line(0, 0), K, "hom(U'(-h), O) = k"),
+        (SPINOR_QUOTIENT, Line(-1, 0), ZERO, "orthogonality of U'(-h) to O(-H)"),
+        (SPINOR_QUOTIENT, U, K1, "hom(U'(-h), U) = k[-1]"),
+        (SPINOR_QUOTIENT, Line(0, 0), K, "hom(U'(-h), O) = k"),
         (Line(1, -2), Line(0, 1), ZERO, "hom(O(H-2h), O(h)) = 0"),
     ]
     expectations = [
@@ -160,26 +157,19 @@ def total_space_hom_suite(rs: RootSystem) -> SuiteResult:
 
 def extension_consistency_suite(rs: RootSystem) -> SuiteResult:
     """Multiset and Euler identities of the two recorded exact sequences."""
-    from collections import Counter
-
-    u_dual_mh = Twist(Dual(U), 0, -1)
-
-    def multiset(e):
-        return Counter(weights(rs, e))
-
     expectations = [
         (
             "rank-4 extension weights = sub + quotient",
-            lambda: multiset(Spinor()) == multiset(U) + multiset(u_dual_mh),
+            lambda: k_class(rs, Spinor())
+            == k_class(rs, U) + k_class(rs, SPINOR_QUOTIENT),
         ),
         ("rank of the extension is 4", lambda: len(weights(rs, Spinor())) == 4),
         (
             "two-line sequence weights: O(H-2h) + O = U'(-h)",
-            lambda: multiset(Line(1, -2)) + multiset(Line(0, 0))
-            == multiset(u_dual_mh),
+            lambda: k_class(rs, Line(1, -2)) + k_class(rs, Line(0, 0))
+            == k_class(rs, SPINOR_QUOTIENT),
         ),
     ]
-    from .weylbott import euler_characteristic
 
     def chi(e):
         return euler_characteristic(rs, weights(rs, e))
@@ -189,13 +179,13 @@ def extension_consistency_suite(rs: RootSystem) -> SuiteResult:
             (
                 f"chi additivity of the extension against {format_expr(x)}",
                 lambda x=x: chi(Tensor(x, Spinor()))
-                == chi(Tensor(x, U)) + chi(Tensor(x, u_dual_mh)),
+                == chi(Tensor(x, U)) + chi(Tensor(x, SPINOR_QUOTIENT)),
             )
         )
         expectations.append(
             (
                 f"chi additivity of the two-line sequence against {format_expr(x)}",
-                lambda x=x: chi(Tensor(x, u_dual_mh))
+                lambda x=x: chi(Tensor(x, SPINOR_QUOTIENT))
                 == chi(Tensor(x, Line(1, -2))) + chi(Tensor(x, Line(0, 0))),
             )
         )
@@ -227,7 +217,7 @@ def collection_suite(
     for e in objects:
         checks += 1
         res = hom_v(rs, e, e)
-        if res.determined and res.profile == EXCEPTIONAL_PROFILE:
+        if res.determined and res.profile == K:
             continue
         if isinstance(e, Spinor) and not res.determined:
             indeterminate_notes.append(
@@ -257,8 +247,6 @@ def representation_suite(rs: RootSystem) -> SuiteResult:
 
 
 def calabi_yau_suite(rs: RootSystem) -> SuiteResult:
-    from .bundles import IrrP1, IrrP2
-
     expectations = [
         (
             "ambient total space has canonical weight (-1,-1)",

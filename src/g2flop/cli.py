@@ -341,6 +341,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # Only a user expression can nest deeply enough to get here.
+        print("expression error: expression nested too deeply", file=sys.stderr)
+        return EXIT_USAGE
     except IntegrityError as err:
         # Route mismatches and failed internal checks: an engine fault.
         print(f"verification failed: {err}", file=sys.stderr)

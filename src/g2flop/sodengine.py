@@ -34,13 +34,8 @@ from .bundles import (
     normalize,
     weights,
 )
-from .rootdata import RootSystem, Weight, g2
-from .totalspace import (
-    EXCEPTIONAL_PROFILE,
-    TOTAL_SPACE_CANONICAL_TWIST,
-    HomVResult,
-    hom_v,
-)
+from .rootdata import RootSystem, Weight, g2, wneg
+from .totalspace import K, K1, TOTAL_SPACE_CANONICAL_TWIST, ZERO, HomVResult, hom_v
 from .weylbott import CohomologyProfile, format_profile
 
 
@@ -192,30 +187,21 @@ def _require_object(blocks: Sequence[Block], i: int) -> ExcObject:
     return block
 
 
-def exceptionality_certificate(
-    rs: RootSystem, e: BundleExpr, tag: Optional[str] = None
-) -> Certificate:
-    res = hom_v(rs, e, e)
-    name = tag or format_expr(e)
-    passed = res.determined and res.profile == EXCEPTIONAL_PROFILE
-    return Certificate(
-        kind="Exceptionality",
-        description=f"hom({name}, {name})",
-        required="k",
-        computed=_hom_summary(rs, res),
-        passed=passed,
-    )
+#: certificate kinds that state a graded Hom rather than an identity
+_HOM_KINDS = frozenset({"ExtVanishing", "ExtDim", "Exceptionality"})
 
 
-def _ext_dim_certificate(
+def _hom_certificate(
     rs: RootSystem,
+    kind: str,
     src: ExcObject,
     dst: ExcObject,
     required: CohomologyProfile,
 ) -> tuple[Certificate, HomVResult]:
+    """Certify that hom(src, dst) over the total space is exactly ``required``."""
     res = hom_v(rs, src.expr, dst.expr)
     cert = Certificate(
-        kind="ExtDim",
+        kind=kind,
         description=f"hom({src.render()}, {dst.render()})",
         required=format_profile(required),
         computed=_hom_summary(rs, res),
@@ -227,27 +213,25 @@ def _ext_dim_certificate(
 def _k_balance_certificate(
     rs: RootSystem, result: BundleExpr, moved: ExcObject, through: ExcObject, chi: int
 ) -> Certificate:
-    expected = Counter(k_class(rs, moved.expr))
-    through_class = k_class(rs, through.expr)
-    for w, m in through_class.items():
+    expected = k_class(rs, moved.expr)
+    for w, m in k_class(rs, through.expr).items():
         expected[w] -= chi * m
     computed = k_class(rs, result)
-    # compare as formal sums: keep negative coefficients, drop zeros
-    as_formal = lambda c: {w: m for w, m in c.items() if m != 0}
+    # formal sums: negative coefficients count, zero ones do not
     return Certificate(
         kind="KClassBalance",
         description=f"[{format_expr(result)}] = [{moved.render()}] - chi*[{through.render()}]",
         required=_format_k_class(expected),
         computed=_format_k_class(computed),
-        passed=as_formal(expected) == as_formal(computed),
+        passed=expected == computed,
     )
 
 
 def _exact_seq_certificate(
     rs: RootSystem, sub: BundleExpr, mid: BundleExpr, quot: BundleExpr, note: str
 ) -> Certificate:
-    lhs = Counter(weights(rs, sub)) + Counter(weights(rs, quot))
-    rhs = Counter(weights(rs, mid))
+    lhs = k_class(rs, sub) + k_class(rs, quot)
+    rhs = k_class(rs, mid)
     return Certificate(
         kind="ExactSeq",
         description=f"0 -> {format_expr(sub)} -> {format_expr(mid)} -> {format_expr(quot)} -> 0 ({note})",
@@ -257,8 +241,18 @@ def _exact_seq_certificate(
     )
 
 
-K_PROFILE = CohomologyProfile(((0, (0, 0), 1),))
-K_SHIFT_PROFILE = CohomologyProfile(((1, (0, 0), 1),))
+def _require(certs: list[Certificate], what: str) -> None:
+    """Abort the move on the first failed certificate, with its diff."""
+    for c in certs:
+        if not c.passed:
+            shown = (
+                f"{c.description} = {c.computed}"
+                if c.kind in _HOM_KINDS
+                else f"{c.description}: computed {c.computed}"
+            )
+            raise CertificateError(
+                f"{what}: {shown}, required {c.required}", tuple(certs)
+            )
 
 
 def apply_move(rs: RootSystem, state: SODState, move: Move) -> SODState:
@@ -269,115 +263,66 @@ def apply_move(rs: RootSystem, state: SODState, move: Move) -> SODState:
     if isinstance(move, Transpose):
         left = _require_object(blocks, move.index)
         right = _require_object(blocks, move.index + 1)
-        res = hom_v(rs, left.expr, right.expr)
-        cert = Certificate(
-            kind="ExtVanishing",
-            description=f"hom({left.render()}, {right.render()})",
-            required="0",
-            computed=_hom_summary(rs, res),
-            passed=res.determined and res.profile.is_zero,
-        )
-        certs.append(cert)
-        if not cert.passed:
-            raise CertificateError(
-                f"transposition blocked: {cert.description} = {cert.computed}, "
-                f"required {cert.required}",
-                tuple(certs),
-            )
+        certs.append(_hom_certificate(rs, "ExtVanishing", left, right, ZERO)[0])
+        _require(certs, "transposition blocked")
         blocks[move.index], blocks[move.index + 1] = right, left
 
-    elif isinstance(move, LeftMutateThrough):
+    elif isinstance(move, (LeftMutateThrough, RightMutateThrough)):
+        to_left = isinstance(move, LeftMutateThrough)
+        side = "left" if to_left else "right"
         moved = _require_object(blocks, move.index)
-        if move.index == 0:
-            raise MoveError("cannot mutate the first block to the left")
-        through = _require_object(blocks, move.index - 1)
-        # extension shape: hom(through, moved) = k[-1] makes the mutation
-        # triangle the short exact sequence moved -> result -> through
-        cert, res = _ext_dim_certificate(rs, through, moved, K_SHIFT_PROFILE)
+        j = move.index - 1 if to_left else move.index + 1
+        if not 0 <= j < len(blocks):
+            end = "first" if to_left else "last"
+            raise MoveError(f"cannot mutate the {end} block to the {side}")
+        through = _require_object(blocks, j)
+        if to_left:
+            # extension shape: hom(through, moved) = k[-1] makes the mutation
+            # triangle the short exact sequence moved -> result -> through
+            cert, res = _hom_certificate(rs, "ExtDim", through, moved, K1)
+            sub, mid = moved.expr, move.result
+        else:
+            # co-extension shape: hom(moved, through) = k makes the mutation
+            # triangle the short exact sequence result -> moved -> through
+            cert, res = _hom_certificate(rs, "ExtDim", moved, through, K)
+            sub, mid = move.result, moved.expr
         certs.append(cert)
-        if not cert.passed:
-            raise CertificateError(
-                f"left mutation blocked: {cert.description} = {cert.computed}, "
-                f"required {cert.required}",
-                tuple(certs),
-            )
-        balance = _k_balance_certificate(rs, move.result, moved, through, res.euler)
-        seq = _exact_seq_certificate(
-            rs, moved.expr, move.result, through.expr, "mutation triangle"
-        )
-        certs += [balance, seq]
-        for c in (balance, seq):
-            if not c.passed:
-                raise CertificateError(
-                    f"left mutation blocked: {c.description}: computed "
-                    f"{c.computed}, required {c.required}",
-                    tuple(certs),
-                )
-        blocks[move.index - 1] = ExcObject(normalize(move.result), move.result_tag)
+        _require(certs, f"{side} mutation blocked")
+        certs += [
+            _k_balance_certificate(rs, move.result, moved, through, res.euler),
+            _exact_seq_certificate(rs, sub, mid, through.expr, "mutation triangle"),
+        ]
+        _require(certs, f"{side} mutation blocked")
         blocks[move.index] = through
+        blocks[j] = ExcObject(normalize(move.result), move.result_tag)
 
-    elif isinstance(move, RightMutateThrough):
-        moved = _require_object(blocks, move.index)
-        if move.index + 1 >= len(blocks):
-            raise MoveError("cannot mutate the last block to the right")
-        through = _require_object(blocks, move.index + 1)
-        # co-extension shape: hom(moved, through) = k makes the mutation
-        # triangle the short exact sequence result -> moved -> through
-        cert, res = _ext_dim_certificate(rs, moved, through, K_PROFILE)
-        certs.append(cert)
-        if not cert.passed:
-            raise CertificateError(
-                f"right mutation blocked: {cert.description} = {cert.computed}, "
-                f"required {cert.required}",
-                tuple(certs),
-            )
-        balance = _k_balance_certificate(rs, move.result, moved, through, res.euler)
-        seq = _exact_seq_certificate(
-            rs, move.result, moved.expr, through.expr, "mutation triangle"
-        )
-        certs += [balance, seq]
-        for c in (balance, seq):
-            if not c.passed:
-                raise CertificateError(
-                    f"right mutation blocked: {c.description}: computed "
-                    f"{c.computed}, required {c.required}",
-                    tuple(certs),
-                )
-        blocks[move.index] = through
-        blocks[move.index + 1] = ExcObject(normalize(move.result), move.result_tag)
-
-    elif isinstance(move, SerreRotateToFront):
-        if not 1 <= move.count <= len(blocks):
+    elif isinstance(move, (SerreRotateToFront, SerreRotateToBack)):
+        n = move.count
+        if not 1 <= n <= len(blocks):
             raise MoveError("rotation count out of range")
-        tail = blocks[-move.count :]
-        twisted = [_twist_object(b, TOTAL_SPACE_CANONICAL_TWIST) for b in tail]
-        blocks = twisted + blocks[: -move.count]
-
-    elif isinstance(move, SerreRotateToBack):
-        if not 1 <= move.count <= len(blocks):
-            raise MoveError("rotation count out of range")
-        head = blocks[: move.count]
-        inverse = tuple(-c for c in TOTAL_SPACE_CANONICAL_TWIST)
-        twisted = [_twist_object(b, inverse) for b in head]
-        blocks = blocks[move.count :] + twisted
+        if isinstance(move, SerreRotateToFront):
+            tail = [_twist_object(b, TOTAL_SPACE_CANONICAL_TWIST) for b in blocks[-n:]]
+            blocks = tail + blocks[:-n]
+        else:
+            inverse = wneg(TOTAL_SPACE_CANONICAL_TWIST)
+            blocks = blocks[n:] + [_twist_object(b, inverse) for b in blocks[:n]]
 
     elif isinstance(move, (MutateSubcatLeft, MutateSubcatRight)):
-        if not 0 <= move.index < len(blocks):
-            raise MoveError(f"block index {move.index} out of range")
-        subcat = blocks[move.index]
+        i = move.index
+        if not 0 <= i < len(blocks):
+            raise MoveError(f"block index {i} out of range")
+        subcat = blocks[i]
         if not isinstance(subcat, Subcat):
-            raise MoveError(f"block {move.index} is not a subcategory")
-        updated = Subcat(move.new_label, subcat.history + (move.functor_note,))
-        if isinstance(move, MutateSubcatLeft):
-            if move.index - move.span < 0:
-                raise MoveError("subcategory mutation span out of range")
-            passed_over = blocks[move.index - move.span : move.index]
-            blocks[move.index - move.span : move.index + 1] = [updated] + passed_over
+            raise MoveError(f"block {i} is not a subcategory")
+        updated = [Subcat(move.new_label, subcat.history + (move.functor_note,))]
+        to_left = isinstance(move, MutateSubcatLeft)
+        lo, hi = (i - move.span, i) if to_left else (i, i + move.span)
+        if not 0 <= lo <= hi < len(blocks):
+            raise MoveError("subcategory mutation span out of range")
+        if to_left:
+            blocks[lo : hi + 1] = updated + blocks[lo:i]
         else:
-            if move.index + move.span >= len(blocks):
-                raise MoveError("subcategory mutation span out of range")
-            passed_over = blocks[move.index + 1 : move.index + move.span + 1]
-            blocks[move.index : move.index + move.span + 1] = passed_over + [updated]
+            blocks[lo : hi + 1] = blocks[i + 1 : hi + 1] + updated
 
     else:
         raise MoveError(f"unknown move {move!r}")
@@ -536,18 +481,14 @@ def seed_state(rs: RootSystem) -> tuple[SODState, tuple[Certificate, ...]]:
 
     Every seeded object must certify exceptional (self-Hom exactly k).
     """
-    certs = tuple(exceptionality_certificate(rs, e) for e in SEED_OBJECTS)
-    failed = [c for c in certs if not c.passed]
-    if failed:
-        raise CertificateError(
-            f"seed exceptionality failed: {failed[0].description} = "
-            f"{failed[0].computed}",
-            certs,
-        )
-    blocks: tuple[Block, ...] = tuple(ExcObject(e) for e in SEED_OBJECTS) + (
-        Subcat("Phi+"),
-    )
-    return SODState(blocks), certs
+    objects = tuple(ExcObject(e) for e in SEED_OBJECTS)
+    certs = tuple(_hom_certificate(rs, "Exceptionality", o, o, K)[0] for o in objects)
+    for c in certs:
+        if not c.passed:
+            raise CertificateError(
+                f"seed exceptionality failed: {c.description} = {c.computed}", certs
+            )
+    return SODState(objects + (Subcat("Phi+"),)), certs
 
 
 def _states_match(rs: RootSystem, state: SODState) -> Optional[str]:
@@ -562,7 +503,7 @@ def _states_match(rs: RootSystem, state: SODState) -> Optional[str]:
         block = state.blocks[k]
         if not isinstance(block, ExcObject):
             return f"block {k} should be an object, found {block.render()}"
-        if Counter(weights(rs, block.expr)) != Counter(weights(rs, target)):
+        if k_class(rs, block.expr) != k_class(rs, target):
             return (
                 f"block {k} is {block.render()} but the mirror pattern has "
                 f"{format_expr(target)}"
@@ -579,9 +520,9 @@ def replay_mutation_script(
 ) -> ReplayReport:
     """Run the full 12-step mutation sequence with all certificates.
 
-    ``skip_steps`` disables script steps by index (negative controls); a
-    certificate failure halts the replay at its step and the report carries
-    the diff.
+    ``skip_steps`` disables script steps by index (negative controls).  A
+    failed certificate or a structurally impossible move halts the replay at
+    its step, and the report carries the diff.
     """
     rs = rs or g2()
     steps: list[StepReport] = []
@@ -614,8 +555,8 @@ def replay_mutation_script(
             for m in moves:
                 state = apply_move(rs, state, m)
                 collected.extend(state.move_log[-1][1])
-        except CertificateError as err:
-            collected.extend(err.certificates)
+        except (CertificateError, MoveError) as err:
+            collected.extend(getattr(err, "certificates", ()))
             steps.append(
                 StepReport(
                     index, description, move_names, tuple(collected), state.render(), False

@@ -25,6 +25,7 @@ from .bundles import (
     Dual,
     Tensor,
     Twist,
+    det_weight,
     flag_cohomology,
     normalize,
     weights,
@@ -38,6 +39,12 @@ from .weylbott import (
 
 #: canonical weight of the ambient total space: omega_V = O(-H-h)
 TOTAL_SPACE_CANONICAL_TWIST: Weight = (-1, -1)
+
+#: the graded Homs that certificates require: 0, k and k[-1]; an exceptional
+#: object has self-Hom exactly K
+ZERO = CohomologyProfile.zero()
+K = CohomologyProfile(((0, (0, 0), 1),))
+K1 = CohomologyProfile(((1, (0, 0), 1),))
 
 
 @dataclass(frozen=True)
@@ -78,14 +85,6 @@ def hom_v(rs: RootSystem, a: BundleExpr, b: BundleExpr) -> HomVResult:
     return HomVResult(True, combined.profile, r0, r1, chi)
 
 
-def is_exceptional(rs: RootSystem, e: BundleExpr) -> HomVResult:
-    """Self-Hom over the total space; exceptional means exactly k in degree 0."""
-    return hom_v(rs, e, e)
-
-
-EXCEPTIONAL_PROFILE = CohomologyProfile(((0, (0, 0), 1),))
-
-
 # --- canonical bundles of total spaces ---------------------------------------
 
 
@@ -122,8 +121,5 @@ def total_space_canonical(
     omega_total = pullback of omega_base tensor det(fiber_bundle); the space
     is Calabi-Yau exactly when the weight vanishes.
     """
-    det = tuple(
-        sum(w[k] for w in weights(rs, fiber_bundle)) for k in range(rs.rank)
-    )
-    omega = wadd(base_canonical_weight(rs, base), det)
+    omega = wadd(base_canonical_weight(rs, base), det_weight(rs, fiber_bundle))
     return omega, all(c == 0 for c in omega)

@@ -62,9 +62,6 @@ class CohomologyProfile:
             dims[d] = dims.get(d, 0) + m * weyl_dim(rs, hw)
         return dims
 
-    def total_dim(self, rs: RootSystem) -> int:
-        return sum(self.dimensions(rs).values())
-
     def euler(self, rs: RootSystem) -> int:
         return sum((-1) ** d * n for d, n in self.dimensions(rs).items())
 

@@ -30,7 +30,7 @@ from g2flop.sodengine import (
     TARGET_OBJECTS,
     replay_mutation_script,
 )
-from g2flop.totalspace import EXCEPTIONAL_PROFILE, hom_v, total_space_canonical
+from g2flop.totalspace import K, hom_v, total_space_canonical
 from g2flop.weylbott import CohomologyProfile, weyl_dim
 
 RS = g2()
@@ -117,7 +117,7 @@ def test_criterion_4_collection_matrices():
             assert not res.determined
             assert res.euler == 1
         else:
-            assert res.determined and res.profile == EXCEPTIONAL_PROFILE
+            assert res.determined and res.profile == K
     suite = collection_suite(RS, "quadric", TARGET_OBJECTS)
     assert suite.ok
     _report(4, "15+15 semiorthogonality pairs vanish; exceptionality certified")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +166,37 @@ def test_check_all_and_sod_replay_match_bench_reference(capsys):
     assert code == 0
     oracle.sod_replay_payload(verdict, out, oracle.load("sod_replay.json"))
     assert verdict.failed == 0, verdict.problems
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "command, golden",
+    [("sod-replay", "sod_replay.txt"), ("check-all", "check_all.txt")],
+)
+def test_text_output_matches_golden(capsys, command, golden):
+    # The text renderings are pinned byte for byte, like the JSON ones.
+    code, out, _ = run_cli(capsys, command)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coh", "Sym^1 " * 1200 + "U"],
+        ["coh", "*".join(["O"] * 1500)],
+        ["homv", "*".join(["O"] * 1500), "O"],
+    ],
+    ids=["coh-nested-sym", "coh-long-product", "homv-long-product"],
+)
+def test_deeply_nested_expression_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "expression nested too deeply" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_roots_convention_dump(capsys):

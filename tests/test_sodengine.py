@@ -22,6 +22,8 @@ from g2flop.sodengine import (
     ExcObject,
     LeftMutateThrough,
     MoveError,
+    MutateSubcatLeft,
+    MutateSubcatRight,
     RightMutateThrough,
     SerreRotateToBack,
     SerreRotateToFront,
@@ -208,3 +210,143 @@ def test_report_json_round_trip():
 def test_target_matches_seed_shapes():
     assert len(SEED_OBJECTS) == 6
     assert len(TARGET_OBJECTS) == 6
+
+
+# --- failure paths of apply_move ---------------------------------------------
+
+
+def test_right_mutation_rejects_wrong_result():
+    state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(Line(0, 0))))
+    with pytest.raises(CertificateError) as info:
+        apply_move(RS, state, RightMutateThrough(0, Line(5, 5)))
+    certs = info.value.certificates
+    assert [c.kind for c in certs] == ["ExtDim", "KClassBalance", "ExactSeq"]
+    assert [c.passed for c in certs] == [True, False, False]
+    assert str(info.value) == (
+        "right mutation blocked: [O(5H+5h)] = [U(h)'] - chi*[O]: "
+        "computed (5, 5), required (1, -2)"
+    )
+
+
+def test_right_mutation_rejects_wrong_ext_shape():
+    # hom(O, O(h)) is 7-dimensional, not k
+    state = SODState((ExcObject(Line(0, 0)), ExcObject(Line(0, 1))))
+    with pytest.raises(CertificateError) as info:
+        apply_move(RS, state, RightMutateThrough(0, Line(0, 2)))
+    assert [c.kind for c in info.value.certificates] == ["ExtDim"]
+    assert str(info.value) == (
+        "right mutation blocked: hom(O, O(h)) = V(0,1), required k"
+    )
+
+
+def test_right_mutation_of_the_last_block():
+    state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(Line(0, 0))))
+    with pytest.raises(MoveError, match="cannot mutate the last block to the right"):
+        apply_move(RS, state, RightMutateThrough(1, Line(0, 0)))
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        MutateSubcatLeft(6, 7, "Phi", "note"),
+        MutateSubcatRight(6, 1, "Phi", "note"),
+        # a negative span used to insert a second copy of the subcategory
+        MutateSubcatLeft(6, -1, "Phi", "note"),
+        MutateSubcatRight(6, -1, "Phi", "note"),
+    ],
+)
+def test_subcategory_span_out_of_range(move):
+    state, _ = seed_state(RS)  # the subcategory is the last of 7 blocks
+    with pytest.raises(MoveError, match="subcategory mutation span out of range"):
+        apply_move(RS, state, move)
+
+
+def test_subcategory_move_on_an_object_block():
+    state, _ = seed_state(RS)
+    for move in (
+        MutateSubcatLeft(3, 1, "Phi", "note"),
+        MutateSubcatRight(0, 1, "Phi", "note"),
+    ):
+        with pytest.raises(MoveError, match=f"block {move.index} is not a subcategory"):
+            apply_move(RS, state, move)
+
+
+def test_serre_rotation_over_a_subcategory():
+    state, _ = seed_state(RS)
+    for move in (SerreRotateToFront(1), SerreRotateToBack(7)):
+        with pytest.raises(MoveError, match="only exceptional objects can be"):
+            apply_move(RS, state, move)
+
+
+def test_serre_rotation_count_out_of_range():
+    state, _ = seed_state(RS)
+    for move in (SerreRotateToBack(0), SerreRotateToBack(8), SerreRotateToFront(8)):
+        with pytest.raises(MoveError, match="rotation count out of range"):
+            apply_move(RS, state, move)
+
+
+# --- pinned negative controls --------------------------------------------------
+
+
+def test_flipped_convention_mismatch_string():
+    report = replay_mutation_script(g2_flipped())
+    assert report.mismatch == "seed exceptionality failed: hom(U, U) = k + V(1,0)[-1]"
+
+
+@pytest.mark.parametrize(
+    "skipped, mismatch",
+    [
+        (3, "halted at step 4: transposition blocked: hom(U, O) = V(0,1), required 0"),
+        (
+            4,
+            "halted at step 5: left mutation blocked: hom(O(-H), U) = V(0,1), "
+            "required k[-1]",
+        ),
+        (5, "halted at step 8: right mutation blocked: hom(U, O) = V(0,1), required k"),
+        (
+            8,
+            "halted at step 10: transposition blocked: hom(O, O(h)) = V(0,1), "
+            "required 0",
+        ),
+        (
+            9,
+            "halted at step 10: transposition blocked: hom(O(H-2h), U') = V(0,1), "
+            "required 0",
+        ),
+        (10, "block 0 is O(-H) but the mirror pattern has O(-3h)"),
+        (12, "block 0 is O(-h) but the mirror pattern has O(-3h)"),
+    ],
+)
+def test_skipped_step_mismatch_strings(skipped, mismatch):
+    report = replay_mutation_script(RS, skip_steps={skipped})
+    assert not report.passed
+    assert report.mismatch == mismatch
+
+
+@pytest.mark.parametrize(
+    "skipped, halt",
+    [
+        (2, 3),
+        (3, 4),
+        (4, 5),
+        (5, 8),
+        (6, 7),
+        (7, 9),
+        (8, 10),
+        (9, 10),
+        (10, None),
+        (11, 12),
+        (12, None),
+    ],
+)
+def test_every_single_skipped_step_fails_without_raising(skipped, halt):
+    # A structurally impossible move (MoveError) halts the replay just like a
+    # failed certificate; a replay that runs through fails on the final state.
+    report = replay_mutation_script(RS, skip_steps={skipped})
+    assert not report.passed and report.conclusion is None
+    failed = [s.index for s in report.steps if not s.ok]
+    if halt is None:
+        assert failed == [] and not report.final_matches
+    else:
+        assert failed == [halt] and report.steps[-1].index == halt
+        assert report.mismatch.startswith(f"halted at step {halt}: ")

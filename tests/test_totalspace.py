@@ -18,21 +18,17 @@ from g2flop.bundles import (
 )
 from g2flop.rootdata import g2
 from g2flop.totalspace import (
-    EXCEPTIONAL_PROFILE,
+    K,
+    K1,
     base_canonical_weight,
     hom_v,
-    is_exceptional,
     total_space_canonical,
 )
-from g2flop.weylbott import CohomologyProfile
 
 RS = g2()
 
 U = Universal()
 U_DUAL_MINUS_H = Twist(Dual(Universal()), 0, -1)
-
-K = CohomologyProfile(((0, (0, 0), 1),))
-K1 = CohomologyProfile(((1, (0, 0), 1),))
 
 
 def test_hom_to_u_is_k_in_degree_one():
@@ -91,20 +87,20 @@ def test_twist_covariance():
 def test_exceptional_line_bundles():
     for a in range(-2, 3):
         for b in range(-2, 3):
-            res = is_exceptional(RS, Line(a, b))
-            assert res.determined and res.profile == EXCEPTIONAL_PROFILE
+            res = hom_v(RS, Line(a, b), Line(a, b))
+            assert res.determined and res.profile == K
 
 
 def test_exceptional_u_and_dual_via_route_b():
     for e in [U, Dual(U), Twist(Dual(U), 1, 0), Twist(U, 0, -1)]:
-        res = is_exceptional(RS, e)
+        res = hom_v(RS, e, e)
         assert res.determined
-        assert res.profile == EXCEPTIONAL_PROFILE
+        assert res.profile == K
         assert res.p0.route == "parabolic"
 
 
 def test_spinor_self_hom_is_indeterminate():
-    res = is_exceptional(RS, Spinor())
+    res = hom_v(RS, Spinor(), Spinor())
     assert not res.determined
     assert res.euler == 1  # E1 carries k+k in degree 0 and k in degree 1
 
