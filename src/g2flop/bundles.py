@@ -38,10 +38,9 @@ with ``'`` for duals, e.g. ``U*U(h)``, ``O(H-2h)``, ``Sym^2 E(1,1)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
-from .rootdata import IntegrityError, RootSystem, Weight, wadd, wneg, wscale
+from .rootdata import IntegrityError, RootSystem, Value, Weight, wadd, wneg, wscale
 from .weylbott import (
     CohomologyProfile,
     combine_pieces,
@@ -64,56 +63,68 @@ class RouteMismatchError(IntegrityError):
     """Two exact evaluation routes disagreed; indicates an engine bug."""
 
 
-@dataclass(frozen=True)
-class Line:
-    a: int
-    b: int
+class Line(Value):
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class Universal:
-    pass
+class Universal(Value):
+    _fields = ()
 
 
-@dataclass(frozen=True)
-class Spinor:
-    pass
+class Spinor(Value):
+    _fields = ()
 
 
-@dataclass(frozen=True)
-class IrrP1:
-    a: int
-    b: int
+class IrrP1(Value):
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class IrrP2:
-    a: int
-    b: int
+class IrrP2(Value):
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class Dual:
-    arg: "BundleExpr"
+class Dual(Value):
+    _fields = ("arg",)
+
+    def __init__(self, arg: "BundleExpr"):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "BundleExpr"
-    right: "BundleExpr"
+class Tensor(Value):
+    _fields = ("left", "right")
+
+    def __init__(self, left: "BundleExpr", right: "BundleExpr"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sym:
-    power: int
-    arg: "BundleExpr"
+class Sym(Value):
+    _fields = ("power", "arg")
+
+    def __init__(self, power: int, arg: "BundleExpr"):
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
-class Twist:
-    arg: "BundleExpr"
-    a: int
-    b: int
+class Twist(Value):
+    _fields = ("arg", "a", "b")
+
+    def __init__(self, arg: "BundleExpr", a: int, b: int):
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 BundleExpr = Union[Line, Universal, Spinor, IrrP1, IrrP2, Dual, Tensor, Sym, Twist]
@@ -254,8 +265,7 @@ def levi_tensor(
 # --- one-sided (route B) decomposition ------------------------------------
 
 
-@dataclass(frozen=True)
-class OneSided:
+class OneSided(Value):
     """A pullback-from-one-Grassmannian shape: irreducible summands + twist.
 
     ``summands`` is a multiset of Levi irreducibles, as (highest weight,
@@ -265,10 +275,19 @@ class OneSided:
     pullback from the quadric side of unknown Levi structure.
     """
 
-    levi_index: int
-    summands: tuple[tuple[Weight, int], ...]
-    twist: Weight
-    opaque: bool
+    _fields = ("levi_index", "summands", "twist", "opaque")
+
+    def __init__(
+        self,
+        levi_index: int,
+        summands: tuple[tuple[Weight, int], ...],
+        twist: Weight,
+        opaque: bool,
+    ):
+        object.__setattr__(self, "levi_index", levi_index)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "twist", twist)
+        object.__setattr__(self, "opaque", opaque)
 
 
 def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[int, Weight]]:
@@ -420,8 +439,7 @@ def _substitute_first_spinor(e: BundleExpr, replacement: BundleExpr):
 # --- full evaluation --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CohResult:
+class CohResult(Value):
     """Cohomology of a bundle expression on the flag variety.
 
     ``determined`` results carry the exact profile; indeterminate ones carry
@@ -429,10 +447,19 @@ class CohResult:
     settled the answer.
     """
 
-    determined: bool
-    profile: Optional[CohomologyProfile]
-    e1: tuple[tuple[Weight, CohomologyProfile], ...]
-    route: str
+    _fields = ("determined", "profile", "e1", "route")
+
+    def __init__(
+        self,
+        determined: bool,
+        profile: Optional[CohomologyProfile],
+        e1: tuple[tuple[Weight, CohomologyProfile], ...],
+        route: str,
+    ):
+        object.__setattr__(self, "determined", determined)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "route", route)
 
     @property
     def is_zero(self) -> bool:

@@ -7,7 +7,6 @@ source of truth.  All checks are exact; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bundles import (
@@ -26,7 +25,7 @@ from .bundles import (
     weights,
 )
 from .coxring import git_piece, git_piece_via_parabolic, total_cox_dim
-from .rootdata import RootSystem, g2
+from .rootdata import RootSystem, Value, g2
 from .sodengine import (
     SEED_OBJECTS,
     TARGET_OBJECTS,
@@ -45,12 +44,20 @@ from .weylbott import (
 U = Universal()
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    status: str  # "pass" | "fail" | "indeterminate-ok"
-    checks: int
-    details: tuple[str, ...]
+class SuiteResult(Value):
+    _fields = ("name", "status", "checks", "details")
+
+    def __init__(
+        self,
+        name: str,
+        status: str,  # "pass" | "fail" | "indeterminate-ok"
+        checks: int,
+        details: tuple[str, ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "details", details)
 
     @property
     def ok(self) -> bool:

@@ -178,6 +178,12 @@ def cmd_homv(args, rs: RootSystem) -> int:
 
 def cmd_hilbert(args, rs: RootSystem) -> int:
     trunc = args.trunc
+    if trunc < 0:
+        print("error: truncation must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
+    if args.table_degree < 0:
+        print("error: table degree must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
     if args.kind == "r":
         value = flag_cox_dim(rs, args.k, args.l)
         inputs = {"kind": "r", "degree": [args.k, args.l]}

@@ -19,6 +19,11 @@ from .rootdata import IntegrityError, RootSystem
 from .weylbott import parabolic_cohomology, weyl_dim
 
 
+def _check_trunc(trunc: int) -> None:
+    if trunc < 0:
+        raise ValueError("truncation must be non-negative")
+
+
 def flag_cox_dim(rs: RootSystem, k: int, l: int) -> int:
     """Dimension of the (k, l) piece of the flag-variety Cox ring."""
     lam = (k, l)
@@ -35,6 +40,7 @@ def total_cox_dim(rs: RootSystem, k: int, l: int, trunc: int) -> int:
     """
     if k < 0 or l < 0:
         raise ValueError("bidegrees of the total-space Cox ring are non-negative")
+    _check_trunc(trunc)
     return sum(flag_cox_dim(rs, k + m, l + m) for m in range(trunc + 1))
 
 
@@ -46,6 +52,7 @@ def git_piece(rs: RootSystem, side: str, n: int, trunc: int) -> int:
     """
     if n < 0:
         raise ValueError("GIT piece index must be non-negative")
+    _check_trunc(trunc)
     if side == "+":
         return sum(flag_cox_dim(rs, m + n, m) for m in range(trunc + 1))
     if side == "-":
@@ -65,6 +72,7 @@ def git_piece_via_parabolic(rs: RootSystem, side: str, n: int, trunc: int) -> in
     """
     if n < 0:
         raise ValueError("GIT piece index must be non-negative")
+    _check_trunc(trunc)
     total = 0
     for m in range(trunc + 1):
         if side == "+":
@@ -91,6 +99,7 @@ def hilbert_table(
     kind "s": total-space Cox ring (truncated at trunc);
     kind "git": the three GIT series up to degree max_degree.
     """
+    _check_trunc(trunc)
     if kind == "r":
         entries = [
             {"degree": [k, l], "dim": flag_cox_dim(rs, k, l)}

@@ -20,7 +20,6 @@ documented steps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .bundles import (
@@ -34,7 +33,7 @@ from .bundles import (
     normalize,
     weights,
 )
-from .rootdata import RootSystem, Weight, g2, wneg
+from .rootdata import RootSystem, Value, Weight, g2, wneg
 from .totalspace import K, K1, TOTAL_SPACE_CANONICAL_TWIST, ZERO, HomVResult, hom_v
 from .weylbott import CohomologyProfile, format_profile
 
@@ -51,19 +50,23 @@ class CertificateError(ValueError):
         self.certificates = certificates
 
 
-@dataclass(frozen=True)
-class ExcObject:
-    expr: BundleExpr
-    tag: Optional[str] = None
+class ExcObject(Value):
+    _fields = ("expr", "tag")
+
+    def __init__(self, expr: BundleExpr, tag: Optional[str] = None):
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "tag", tag)
 
     def render(self) -> str:
         return format_expr(self.expr)
 
 
-@dataclass(frozen=True)
-class Subcat:
-    label: str
-    history: tuple[str, ...] = ()
+class Subcat(Value):
+    _fields = ("label", "history")
+
+    def __init__(self, label: str, history: tuple[str, ...] = ()):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "history", history)
 
     def render(self) -> str:
         return f"<{self.label}>"
@@ -72,13 +75,22 @@ class Subcat:
 Block = Union[ExcObject, Subcat]
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str  # ExtVanishing | ExtDim | KClassBalance | ExactSeq | Exceptionality
-    description: str
-    required: str
-    computed: str
-    passed: bool
+class Certificate(Value):
+    _fields = ("kind", "description", "required", "computed", "passed")
+
+    def __init__(
+        self,
+        kind: str,  # ExtVanishing | ExtDim | KClassBalance | ExactSeq | Exceptionality
+        description: str,
+        required: str,
+        computed: str,
+        passed: bool,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "required", required)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "passed", passed)
 
     def to_json(self) -> dict:
         return {
@@ -93,49 +105,67 @@ class Certificate:
 # --- moves -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transpose:
-    index: int
+class Transpose(Value):
+    _fields = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class LeftMutateThrough:
-    index: int
-    result: BundleExpr
-    result_tag: Optional[str] = None
+class LeftMutateThrough(Value):
+    _fields = ("index", "result", "result_tag")
+
+    def __init__(
+        self, index: int, result: BundleExpr, result_tag: Optional[str] = None
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "result_tag", result_tag)
 
 
-@dataclass(frozen=True)
-class RightMutateThrough:
-    index: int
-    result: BundleExpr
-    result_tag: Optional[str] = None
+class RightMutateThrough(Value):
+    _fields = ("index", "result", "result_tag")
+
+    def __init__(
+        self, index: int, result: BundleExpr, result_tag: Optional[str] = None
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "result", result)
+        object.__setattr__(self, "result_tag", result_tag)
 
 
-@dataclass(frozen=True)
-class SerreRotateToFront:
-    count: int
+class SerreRotateToFront(Value):
+    _fields = ("count",)
+
+    def __init__(self, count: int):
+        object.__setattr__(self, "count", count)
 
 
-@dataclass(frozen=True)
-class SerreRotateToBack:
-    count: int
+class SerreRotateToBack(Value):
+    _fields = ("count",)
+
+    def __init__(self, count: int):
+        object.__setattr__(self, "count", count)
 
 
-@dataclass(frozen=True)
-class MutateSubcatLeft:
-    index: int
-    span: int
-    new_label: str
-    functor_note: str
+class MutateSubcatLeft(Value):
+    _fields = ("index", "span", "new_label", "functor_note")
+
+    def __init__(self, index: int, span: int, new_label: str, functor_note: str):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "new_label", new_label)
+        object.__setattr__(self, "functor_note", functor_note)
 
 
-@dataclass(frozen=True)
-class MutateSubcatRight:
-    index: int
-    span: int
-    new_label: str
-    functor_note: str
+class MutateSubcatRight(Value):
+    _fields = ("index", "span", "new_label", "functor_note")
+
+    def __init__(self, index: int, span: int, new_label: str, functor_note: str):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "span", span)
+        object.__setattr__(self, "new_label", new_label)
+        object.__setattr__(self, "functor_note", functor_note)
 
 
 Move = Union[
@@ -149,10 +179,16 @@ Move = Union[
 ]
 
 
-@dataclass(frozen=True)
-class SODState:
-    blocks: tuple[Block, ...]
-    move_log: tuple[tuple[str, tuple[Certificate, ...]], ...] = ()
+class SODState(Value):
+    _fields = ("blocks", "move_log")
+
+    def __init__(
+        self,
+        blocks: tuple[Block, ...],
+        move_log: tuple[tuple[str, tuple[Certificate, ...]], ...] = (),
+    ):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "move_log", move_log)
 
     def render(self) -> tuple[str, ...]:
         return tuple(b.render() for b in self.blocks)
@@ -384,14 +420,24 @@ TARGET_OBJECTS: tuple[BundleExpr, ...] = (
 CONCLUSION = "equivalence = (left adjoint of Phi-) o Phi3"
 
 
-@dataclass(frozen=True)
-class StepReport:
-    index: int
-    description: str
-    moves: tuple[str, ...]
-    certificates: tuple[Certificate, ...]
-    state: tuple[str, ...]
-    ok: bool
+class StepReport(Value):
+    _fields = ("index", "description", "moves", "certificates", "state", "ok")
+
+    def __init__(
+        self,
+        index: int,
+        description: str,
+        moves: tuple[str, ...],
+        certificates: tuple[Certificate, ...],
+        state: tuple[str, ...],
+        ok: bool,
+    ):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "moves", moves)
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "ok", ok)
 
     def to_json(self) -> dict:
         return {
@@ -404,14 +450,31 @@ class StepReport:
         }
 
 
-@dataclass(frozen=True)
-class ReplayReport:
-    steps: tuple[StepReport, ...]
-    final_state: tuple[str, ...]
-    final_matches: bool
-    mismatch: Optional[str]
-    conclusion: Optional[str]
-    passed: bool
+class ReplayReport(Value):
+    _fields = (
+        "steps",
+        "final_state",
+        "final_matches",
+        "mismatch",
+        "conclusion",
+        "passed",
+    )
+
+    def __init__(
+        self,
+        steps: tuple[StepReport, ...],
+        final_state: tuple[str, ...],
+        final_matches: bool,
+        mismatch: Optional[str],
+        conclusion: Optional[str],
+        passed: bool,
+    ):
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "final_state", final_state)
+        object.__setattr__(self, "final_matches", final_matches)
+        object.__setattr__(self, "mismatch", mismatch)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "passed", passed)
 
     def to_json(self) -> dict:
         return {

@@ -16,7 +16,6 @@ hom(U'(-h), U) come out as k in degree 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .bundles import (
@@ -30,7 +29,7 @@ from .bundles import (
     normalize,
     weights,
 )
-from .rootdata import RootSystem, Weight, wadd, wneg
+from .rootdata import RootSystem, Value, Weight, wadd, wneg
 from .weylbott import (
     CohomologyProfile,
     combine_pieces,
@@ -47,15 +46,24 @@ K = CohomologyProfile(((0, (0, 0), 1),))
 K1 = CohomologyProfile(((1, (0, 0), 1),))
 
 
-@dataclass(frozen=True)
-class HomVResult:
+class HomVResult(Value):
     """Graded Hom over the total space between two zero-section bundles."""
 
-    determined: bool
-    profile: Optional[CohomologyProfile]
-    p0: CohResult
-    p1: CohResult
-    euler: int
+    _fields = ("determined", "profile", "p0", "p1", "euler")
+
+    def __init__(
+        self,
+        determined: bool,
+        profile: Optional[CohomologyProfile],
+        p0: CohResult,
+        p1: CohResult,
+        euler: int,
+    ):
+        object.__setattr__(self, "determined", determined)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "euler", euler)
 
     @property
     def is_zero(self) -> bool:

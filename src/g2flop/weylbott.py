@@ -14,19 +14,28 @@ scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from typing import Iterable, Optional, Sequence
 
-from .rootdata import IntegrityError, RootSystem, Weight, WeylElement, wadd
+from .rootdata import IntegrityError, RootSystem, Value, Weight, WeylElement, wadd
 
 
-@dataclass(frozen=True)
-class CohomologyProfile:
+class CohomologyProfile(Value):
     """Finite multiset of (cohomological degree, dominant weight, multiplicity)."""
 
-    entries: tuple[tuple[int, Weight, int], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, Weight, int], ...]):
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        # Hot: the certificates compare profiles; skip the generic key lookup.
+        if type(other) is not CohomologyProfile:
+            return NotImplemented
+        return self.entries == other.entries
+
+    __hash__ = Value.__hash__
 
     @staticmethod
     def zero() -> "CohomologyProfile":
@@ -66,14 +75,21 @@ class CohomologyProfile:
         return sum((-1) ** d * n for d, n in self.dimensions(rs).items())
 
 
-@dataclass(frozen=True)
-class BottOutcome:
+class BottOutcome(Value):
     """Result of the dot-action normal form: singular, or (w, nu) with
     w(lam+rho) = nu+rho strictly dominant."""
 
-    singular: bool
-    w: Optional[WeylElement] = None
-    nu: Optional[Weight] = None
+    _fields = ("singular", "w", "nu")
+
+    def __init__(
+        self,
+        singular: bool,
+        w: Optional[WeylElement] = None,
+        nu: Optional[Weight] = None,
+    ):
+        object.__setattr__(self, "singular", singular)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "nu", nu)
 
 
 @lru_cache(maxsize=None)
@@ -115,8 +131,7 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return dim
 
 
-@dataclass(frozen=True)
-class FilteredResult:
+class FilteredResult(Value):
     """Outcome of evaluating a filtered bundle through its graded pieces.
 
     ``pieces`` is the E1 page: the exact profile of each piece in filtration
@@ -125,9 +140,17 @@ class FilteredResult:
     the answer.
     """
 
-    determined: bool
-    profile: Optional[CohomologyProfile]
-    pieces: tuple[tuple[object, CohomologyProfile], ...]
+    _fields = ("determined", "profile", "pieces")
+
+    def __init__(
+        self,
+        determined: bool,
+        profile: Optional[CohomologyProfile],
+        pieces: tuple[tuple[object, CohomologyProfile], ...],
+    ):
+        object.__setattr__(self, "determined", determined)
+        object.__setattr__(self, "profile", profile)
+        object.__setattr__(self, "pieces", pieces)
 
     @property
     def is_zero(self) -> bool:

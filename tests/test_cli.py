@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,27 @@ def test_hilbert_values(capsys):
     assert code == 0 and out.strip() == "65"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["s", "0", "0", "--trunc", "-5"], "truncation must be non-negative"),
+        (["git", "+", "2", "--trunc", "-3"], "truncation must be non-negative"),
+        (["r", "0", "1", "--trunc", "-1"], "truncation must be non-negative"),
+        (
+            ["s", "0", "0", "--table", "--table-degree", "-1"],
+            "table degree must be non-negative",
+        ),
+    ],
+    ids=["s-trunc", "git-trunc", "r-trunc", "table-degree"],
+)
+def test_hilbert_negative_bounds_are_usage_errors(capsys, argv, message):
+    # These used to print 0 (or an empty table) and exit 0.
+    code, out, err = run_cli(capsys, "hilbert", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_hilbert_table_json(capsys):
     code, out, _ = run_cli(
         capsys, "hilbert", "r", "0", "0", "--json", "--table", "--table-degree", "1"
@@ -215,3 +237,22 @@ def test_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "14"
+
+
+def test_cli_import_skips_dataclasses_inspect_fractions_decimal():
+    # Import cost is paid by every cold check-all and sod-replay process;
+    # these modules cost about 15 ms there and the package needs none of them.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import g2flop.cli, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'fractions', 'decimal') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""

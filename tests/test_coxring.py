@@ -99,3 +99,21 @@ def test_hilbert_table_shapes():
     assert ("0", 0) in sides and ("+", 2) in sides and ("-", 1) in sides
     with pytest.raises(ValueError):
         hilbert_table(RS, "bogus", 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: total_cox_dim(RS, 0, 0, -1),
+        lambda: git_piece(RS, "+", 2, -3),
+        lambda: git_piece(RS, "0", 0, -1),
+        lambda: git_piece_via_parabolic(RS, "+", 0, -1),
+        lambda: hilbert_table(RS, "s", -5, 2),
+        lambda: hilbert_table(RS, "r", -1, 2),
+    ],
+    ids=["total", "git", "git-zero", "git-parabolic", "table-s", "table-r"],
+)
+def test_negative_truncation_rejected(call):
+    # A negative truncation used to sum an empty range and answer 0.
+    with pytest.raises(ValueError, match="truncation must be non-negative"):
+        call()

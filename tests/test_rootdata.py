@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import gcd, prod
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,68 @@ def test_small_types(cartan, n_roots, order):
 )
 def test_rejects_bad_matrices(cartan):
     with pytest.raises(RootSystemError):
+        build_root_system(cartan)
+
+
+#: (positive roots, Weyl order) of every type the benchmark builds, plus G2
+#: and E6, from the standard tables.
+TYPE_COUNTS = {
+    "B3": (9, 48),
+    "C3": (9, 48),
+    "A4": (10, 120),
+    "D4": (12, 192),
+    "B4": (16, 384),
+    "F4": (24, 1152),
+    "A5": (15, 720),
+    "D5": (20, 1920),
+    "B5": (25, 3840),
+    "G2": (6, 12),
+    "E6": (36, 51840),
+}
+
+
+def test_accepts_every_benchmark_type_and_g2_and_e6(monkeypatch):
+    # Exercises the integer symmetrizer and the Bareiss definiteness test on
+    # every finite type in use.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    cartans = dict(importlib.import_module("worker").CARTAN)
+    cartans.update(G2=rootdata.G2_CARTAN, E6=E6_CARTAN)
+    assert set(cartans) == set(TYPE_COUNTS)
+    for name, cartan in cartans.items():
+        rs = build_root_system(cartan)
+        assert (len(rs.positive_roots), rs.weyl_order) == TYPE_COUNTS[name], name
+        d = rs.symmetrizer
+        assert min(d) > 0 and gcd(*d) == 1, name
+        pairs = itertools.product(range(len(d)), repeat=2)
+        assert all(d[i] * cartan[i][j] == d[j] * cartan[j][i] for i, j in pairs), name
+
+
+@pytest.mark.parametrize(
+    "cartan, symmetrizer",
+    [
+        (((2, -1), (-3, 2)), (3, 1)),
+        (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), (2, 2, 1)),
+        # Disconnected: the first node of every component gets the same value.
+        (((2, -1, 0), (-3, 2, 0), (0, 0, 2)), (3, 1, 3)),
+        (((2, 0, 0), (0, 2, -1), (0, -3, 2)), (3, 3, 1)),
+    ],
+)
+def test_symmetrizer_pinned(cartan, symmetrizer):
+    assert build_root_system(cartan).symmetrizer == symmetrizer
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [
+        ([[2, -2], [-2, 2]], "not positive definite"),  # affine A1^(1)
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], "not positive definite"),  # A2^(1)
+        ([[2, -1], [-5, 2]], "not positive definite"),  # hyperbolic, rank 2
+        ([[2, -2, 0], [-2, 2, -1], [0, -1, 2]], "not positive definite"),  # hyperbolic
+        ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], "not symmetrizable"),
+    ],
+)
+def test_rejection_messages(cartan, message):
+    with pytest.raises(RootSystemError, match=message):
         build_root_system(cartan)
 
 
