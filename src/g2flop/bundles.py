@@ -139,46 +139,65 @@ SPINOR_SUB = Universal()
 SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
 
 
-def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> tuple[Weight, ...]:
+def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> dict[Weight, int]:
     n = rs.pairing(hw, rs.simple_roots[levi_index])
     if n < 0:
         raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
     alpha = rs.simple_roots[levi_index].weight_coords
-    return tuple(
-        tuple(hw[k] - j * alpha[k] for k in range(rs.rank)) for j in range(n + 1)
-    )
+    return {
+        tuple(hw[k] - j * alpha[k] for k in range(rs.rank)): 1 for j in range(n + 1)
+    }
 
 
-def weights(rs: RootSystem, e: BundleExpr) -> tuple[Weight, ...]:
-    """Line-bundle filtration weights of the expression, in a stable order."""
+def _convolve(left: dict[Weight, int], right: dict[Weight, int]) -> dict[Weight, int]:
+    # Keys come out in the order of first occurrence in the expanded product
+    # (left-major), because both inputs keep first-occurrence order.
+    out: dict[Weight, int] = {}
+    for lw, lm in left.items():
+        for rw, rm in right.items():
+            w = wadd(lw, rw)
+            out[w] = out.get(w, 0) + lm * rm
+    return out
+
+
+def weights(rs: RootSystem, e: BundleExpr) -> dict[Weight, int]:
+    """Line-bundle filtration weights of the expression, as a multiset.
+
+    A plain dict maps each weight to its multiplicity; the multiplicities sum
+    to the rank.  A tensor product is the convolution of its factors'
+    multisets, so the work grows with the number of distinct weights, not
+    with the rank.  Keys are in a stable order: that of their first
+    occurrence in the filtration (sub before quotient, left factor before
+    right).
+    """
     if isinstance(e, Line):
-        return ((e.a, e.b),)
+        return {(e.a, e.b): 1}
     if isinstance(e, Universal):
         return _string_weights(rs, (-1, 1), 1)
     if isinstance(e, Spinor):
         # the defining two-step filtration, flattened
-        return weights(rs, SPINOR_SUB) + weights(rs, SPINOR_QUOTIENT)
+        out = dict(weights(rs, SPINOR_SUB))
+        for w, m in weights(rs, SPINOR_QUOTIENT).items():
+            out[w] = out.get(w, 0) + m
+        return out
     if isinstance(e, IrrP1):
         return _string_weights(rs, (e.a, e.b), 1)
     if isinstance(e, IrrP2):
         return _string_weights(rs, (e.a, e.b), 0)
     if isinstance(e, Dual):
-        return tuple(wneg(w) for w in weights(rs, e.arg))
+        return {wneg(w): m for w, m in weights(rs, e.arg).items()}
     if isinstance(e, Tensor):
-        lws = weights(rs, e.left)
-        rws = weights(rs, e.right)
-        return tuple(wadd(lw, rw) for lw in lws for rw in rws)
+        return _convolve(weights(rs, e.left), weights(rs, e.right))
     if isinstance(e, Twist):
         t = (e.a, e.b)
-        return tuple(wadd(w, t) for w in weights(rs, e.arg))
+        return {wadd(w, t): m for w, m in weights(rs, e.arg).items()}
     if isinstance(e, Sym):
-        base = _sym_base_weights(rs, e)
-        lam, lam_minus_alpha = base
+        lam, lam_minus_alpha = _sym_base_weights(rs, e)
         alpha = tuple(x - y for x, y in zip(lam, lam_minus_alpha))
-        return tuple(
-            tuple(e.power * lam[k] - j * alpha[k] for k in range(rs.rank))
+        return {
+            tuple(e.power * lam[k] - j * alpha[k] for k in range(rs.rank)): 1
             for j in range(e.power + 1)
-        )
+        }
     raise BundleError(f"unknown expression node {e!r}")
 
 
@@ -196,9 +215,9 @@ def _sym_base_weights(rs: RootSystem, e: Sym) -> tuple[Weight, Weight]:
     if not isinstance(inner, (Universal, IrrP1, IrrP2)):
         raise BundleError("Sym is only supported on rank-2 irreducible atoms")
     ws = weights(rs, Dual(inner) if dualize else inner)
-    if len(ws) != 2:
+    if list(ws.values()) != [1, 1]:
         raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-    return ws[0], ws[1]
+    return tuple(ws)
 
 
 def rank(e: BundleExpr) -> int:
@@ -228,8 +247,8 @@ def rank(e: BundleExpr) -> int:
 
 
 def det_weight(rs: RootSystem, e: BundleExpr) -> Weight:
-    ws = weights(rs, e)
-    return tuple(sum(w[k] for w in ws) for k in range(rs.rank))
+    ws = weights(rs, e).items()
+    return tuple(sum(m * w[k] for w, m in ws) for k in range(rs.rank))
 
 
 def levi_tensor(

@@ -20,11 +20,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add, attrgetter, mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Weight = tuple[int, ...]
-
-_WEYL_ORDER_CAP = 1_000_000
 
 
 class RootSystemError(ValueError):
@@ -150,7 +148,9 @@ class RootSystem(Value):
     negative, to the integer coordinates of its coroot in the basis of simple
     coroots, so a coroot pairing is a dot product with fundamental-weight
     coordinates.  ``weyl_denominator`` is the product of the coroot heights,
-    i.e. of the pairings of rho with every positive coroot.
+    i.e. of the pairings of rho with every positive coroot.  ``weyl_order``
+    is counted from root heights, never by walking the group; ``elements``
+    generates the group from the orbit of rho when asked for.
 
     ``_simple_slots`` and ``_chain`` drive ``coroot_pairings``: one ``(slot,
     i)`` per simple coroot i, its index in ``positive_roots``; then one
@@ -383,6 +383,31 @@ def _rho_orbit(simple_weights: Sequence[Weight], rho: Weight):
         level = nxt
 
 
+def _weyl_order(
+    positive: Sequence[Root], positive_coroots: Iterable[Weight], coroot_heights: int
+) -> int:
+    """|W| from Macdonald's identity, over the coroots and over the roots.
+
+    The dual root system has the same Weyl group, so both products give the
+    order.  Each division must be exact and the two results must agree;
+    anything else is an engine bug in the root or coroot tables.
+    """
+    orders = []
+    for num, den in (
+        (prod(sum(c) + 1 for c in positive_coroots), coroot_heights),
+        (prod(r.height + 1 for r in positive), prod(r.height for r in positive)),
+    ):
+        if den < 1 or num % den:
+            raise IntegrityError(f"Weyl order {num}/{den} is not a positive integer")
+        orders.append(num // den)
+    if orders[0] != orders[1]:
+        raise IntegrityError(
+            f"Weyl order from coroot heights {orders[0]} differs from "
+            f"{orders[1]} from root heights"
+        )
+    return orders[0]
+
+
 def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     """Build the root system of a finite-type Cartan matrix.
 
@@ -395,8 +420,10 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     each non-simple one is recorded as a lower positive coroot plus one simple
     coroot, the recipe ``coroot_pairings`` follows.  The product of the coroot
     heights is stored as the Weyl denominator.  The Weyl group is never
-    stored: its order is the size of the free orbit of rho, counted here up
-    to a cap, and its elements are generated from that orbit when asked for.
+    stored or walked: its order comes from Macdonald's identity
+    |W| = prod over positive roots of (ht + 1) / ht (Macdonald, *The Poincare
+    series of a Coxeter group*, Math. Ann. 199, 1972), computed once over the
+    coroot heights and once over the root heights; see ``_weyl_order``.
     """
     rows = _validate_gcm(cartan)
     n = len(rows)
@@ -477,11 +504,7 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
 
     simple_weights = tuple(r.weight_coords for r in simple_roots)
     rho = tuple(1 for _ in range(n))
-    weyl_order = 0
-    for _ in _rho_orbit(simple_weights, rho):
-        weyl_order += 1
-        if weyl_order > _WEYL_ORDER_CAP:
-            raise RootSystemError("Weyl group closure does not terminate")
+    weyl_denominator = prod(map(sum, slot))
 
     return RootSystem(
         rank=n,
@@ -490,8 +513,8 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
         simple_roots=simple_roots,
         positive_roots=positive,
         rho=rho,
-        weyl_order=weyl_order,
-        weyl_denominator=prod(map(sum, slot)),
+        weyl_order=_weyl_order(positive, slot, weyl_denominator),
+        weyl_denominator=weyl_denominator,
         coroots=coroots,
         _simple_weights=simple_weights,
         _simple_slots=tuple(simple_slots),

@@ -195,7 +195,8 @@ class SODState(Value):
 
 
 def k_class(rs: RootSystem, e: BundleExpr) -> Counter:
-    """Class in the free abelian group on line-bundle weights."""
+    """Class in the free abelian group on line-bundle weights: the weight
+    multiset as a ``Counter``, so that classes add and subtract."""
     return Counter(weights(rs, e))
 
 

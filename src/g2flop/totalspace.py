@@ -27,14 +27,9 @@ from .bundles import (
     det_weight,
     flag_cohomology,
     normalize,
-    weights,
 )
 from .rootdata import RootSystem, Value, Weight, wadd, wneg
-from .weylbott import (
-    CohomologyProfile,
-    combine_pieces,
-    euler_characteristic,
-)
+from .weylbott import CohomologyProfile, combine_pieces
 
 #: canonical weight of the ambient total space: omega_V = O(-H-h)
 TOTAL_SPACE_CANONICAL_TWIST: Weight = (-1, -1)
@@ -80,9 +75,9 @@ def hom_v(rs: RootSystem, a: BundleExpr, b: BundleExpr) -> HomVResult:
     term1 = Twist(pair, *TOTAL_SPACE_CANONICAL_TWIST)
     r0 = flag_cohomology(rs, term0)
     r1 = flag_cohomology(rs, term1)
-    chi = euler_characteristic(rs, weights(rs, term0)) - euler_characteristic(
-        rs, weights(rs, term1)
-    )
+    # The E1 pieces are the filtration weights' Bott profiles, expanded by
+    # multiplicity, so this is the Euler characteristic of each term.
+    chi = sum(p.euler(rs) for _, p in r0.e1) - sum(p.euler(rs) for _, p in r1.e1)
     if not (r0.determined and r1.determined):
         return HomVResult(False, None, r0, r1, chi)
     combined = combine_pieces(

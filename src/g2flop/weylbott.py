@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .rootdata import IntegrityError, RootSystem, Value, Weight, WeylElement, wadd
 
@@ -134,10 +134,11 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 class FilteredResult(Value):
     """Outcome of evaluating a filtered bundle through its graded pieces.
 
-    ``pieces`` is the E1 page: the exact profile of each piece in filtration
-    order.  ``determined`` means the spectral sequence cannot connect any two
-    pieces (their nonzero degrees are pairwise >= 2 apart), so the union is
-    the answer.
+    ``pieces`` is the E1 page: the exact profile of each piece, one entry per
+    filtration weight, with equal weights adjacent at their first occurrence
+    in the filtration.  ``determined`` means the spectral sequence cannot
+    connect any two pieces (their nonzero degrees are pairwise >= 2 apart),
+    so the union is the answer.
     """
 
     _fields = ("determined", "profile", "pieces")
@@ -183,21 +184,30 @@ def combine_pieces(
     return FilteredResult(True, total, tuple(labeled))
 
 
-def filtered_cohomology(rs: RootSystem, weights: Sequence[Weight]) -> FilteredResult:
-    """Cohomology of a bundle with the given line-bundle filtration weights."""
-    ws = tuple(weights)
-    if not ws:
+def filtered_cohomology(rs: RootSystem, weights: Mapping[Weight, int]) -> FilteredResult:
+    """Cohomology of a bundle with the given multiset of filtration weights.
+
+    ``weights`` maps each line-bundle weight to its positive multiplicity, in
+    filtration order of first occurrence, as ``bundles.weights`` returns it.
+    Bott runs once per distinct weight.  ``combine_pieces`` then sees every
+    piece expanded by its multiplicity, equal weights adjacent at their first
+    occurrence, so a repeated nonzero weight (two pieces in one degree) is
+    still indeterminate.
+    """
+    if not weights:
         raise ValueError("empty weight filtration is disallowed")
-    labeled = [(w, line_cohomology(rs, w)) for w in ws]
+    labeled: list[tuple[Weight, CohomologyProfile]] = []
+    for w, m in weights.items():
+        if m < 1:
+            raise ValueError(f"weight {w} has multiplicity {m}; it must be positive")
+        labeled += [(w, line_cohomology(rs, w))] * m
     return combine_pieces(labeled)
 
 
-def euler_characteristic(rs: RootSystem, weights: Sequence[Weight]) -> int:
-    """Signed Bott dimension sum; filtration-independent, always exact."""
-    total = 0
-    for w in weights:
-        total += line_cohomology(rs, w).euler(rs)
-    return total
+def euler_characteristic(rs: RootSystem, weights: Mapping[Weight, int]) -> int:
+    """Signed Bott dimension sum over a weight multiset, each weight counted
+    with its multiplicity; filtration-independent, always exact."""
+    return sum(m * line_cohomology(rs, w).euler(rs) for w, m in weights.items())
 
 
 def parabolic_cohomology(

@@ -37,7 +37,15 @@ from g2flop.bundles import (
     weights,
 )
 from g2flop.rootdata import IntegrityError, g2
-from g2flop.weylbott import CohomologyProfile, weyl_dim
+from g2flop.sodengine import k_class
+from g2flop.weylbott import (
+    CohomologyProfile,
+    combine_pieces,
+    euler_characteristic,
+    filtered_cohomology,
+    line_cohomology,
+    weyl_dim,
+)
 
 RS = g2()
 
@@ -246,6 +254,132 @@ def test_route_b_of_universal_powers_matches_tuple_expansion():
         twisted = Twist(e, 0, 1)
         assert route_b_cohomology(RS, twisted) == tuple_route_b(twisted)
         e = Tensor(e, Universal())
+
+
+# --- filtration weights as a multiset ----------------------------------------
+
+
+def tuple_string(hw, i):
+    alpha = RS.simple_roots[i]
+    n = RS.pairing(hw, alpha)
+    return tuple(
+        tuple(h - j * a for h, a in zip(hw, alpha.weight_coords)) for j in range(n + 1)
+    )
+
+
+def tuple_weights(e):
+    """Reference walker: one tuple entry per filtration weight, in order."""
+    if isinstance(e, Line):
+        return ((e.a, e.b),)
+    if isinstance(e, Universal):
+        return tuple_string((-1, 1), 1)
+    if isinstance(e, Spinor):
+        return tuple_weights(bundles.SPINOR_SUB) + tuple_weights(bundles.SPINOR_QUOTIENT)
+    if isinstance(e, IrrP1):
+        return tuple_string((e.a, e.b), 1)
+    if isinstance(e, IrrP2):
+        return tuple_string((e.a, e.b), 0)
+    if isinstance(e, Dual):
+        return tuple(tuple(-c for c in w) for w in tuple_weights(e.arg))
+    if isinstance(e, Tensor):
+        right = tuple_weights(e.right)
+        return tuple(
+            tuple(a + b for a, b in zip(lw, rw))
+            for lw in tuple_weights(e.left)
+            for rw in right
+        )
+    if isinstance(e, Twist):
+        return tuple((w[0] + e.a, w[1] + e.b) for w in tuple_weights(e.arg))
+    if isinstance(e, Sym):
+        top, low = tuple_weights(e.arg)
+        return tuple(
+            tuple(e.power * t - j * (t - b) for t, b in zip(top, low))
+            for j in range(e.power + 1)
+        )
+    raise AssertionError(e)
+
+
+def random_expr(rng, max_rank=256):
+    def atom():
+        f = rng.choice(
+            [
+                Line(rng.randint(-3, 3), rng.randint(-3, 3)),
+                Universal(),
+                Spinor(),
+                IrrP1(rng.randint(-2, 2), rng.randint(0, 3)),
+                IrrP2(rng.randint(0, 3), rng.randint(-2, 2)),
+                Sym(rng.randint(1, 4), rng.choice([Universal(), Dual(IrrP2(1, 0))])),
+            ]
+        )
+        if rng.random() < 0.3:
+            f = Dual(f)
+        if rng.random() < 0.3:
+            f = Twist(f, rng.randint(-2, 2), rng.randint(-2, 2))
+        return f
+
+    e = atom()
+    for _ in range(rng.randint(0, 5)):
+        f = atom()
+        if rank(e) * rank(f) > max_rank:
+            break
+        e = Tensor(f, e) if rng.random() < 0.3 else Tensor(e, f)
+    return Dual(e) if rng.random() < 0.2 else e
+
+
+def u_powers(top=12):
+    """U^k(h) for k = 1..top, built as the benchmark builds them."""
+    e = Universal()
+    for _ in range(top):
+        yield Twist(e, 0, 1)
+        e = Tensor(e, Universal())
+
+
+def check_weight_multiset(e):
+    ws = weights(RS, e)
+    ref = tuple_weights(e)
+    assert type(ws) is dict
+    assert ws == Counter(ref)
+    # keys in first-occurrence order of the filtration
+    assert list(ws) == list(dict.fromkeys(ref))
+    assert sum(ws.values()) == rank(e)
+    assert det_weight(RS, e) == tuple(map(sum, zip(*ref)))
+    assert k_class(RS, e) == Counter(ref)
+
+
+def test_weights_are_the_tuple_expansion_as_a_multiset():
+    rng = random.Random(31)
+    for _ in range(300):
+        check_weight_multiset(random_expr(rng))
+
+
+def test_weights_of_universal_powers_are_the_tuple_expansion():
+    for k, e in enumerate(u_powers(), start=1):
+        check_weight_multiset(e)
+        assert len(weights(RS, e)) == k + 1  # 4096 filtration weights at k = 12
+
+
+def test_rank_counts_repeated_weights():
+    e = parse_expr("U*U'")
+    ws = weights(RS, e)
+    assert ws == {(0, 0): 2, (-1, 2): 1, (1, -2): 1}
+    assert len(ws) == 3
+    assert sum(ws.values()) == rank(e) == 4
+
+
+def test_filtration_pieces_are_the_weights_expanded_by_multiplicity():
+    # One Bott call per distinct weight, but combine_pieces sees every piece,
+    # so the verdict is that of the tuple expansion in its old order.
+    rng = random.Random(37)
+    for e in [random_expr(rng, max_rank=64) for _ in range(150)] + list(u_powers()):
+        ws = weights(RS, e)
+        res = filtered_cohomology(RS, ws)
+        assert [w for w, _ in res.pieces] == [w for w, m in ws.items() for _ in range(m)]
+        assert all(p == line_cohomology(RS, w) for w, p in res.pieces)
+        ref = tuple_weights(e)
+        old = combine_pieces([(w, line_cohomology(RS, w)) for w in ref])
+        assert (res.determined, res.profile) == (old.determined, old.profile)
+        chi = sum(line_cohomology(RS, w).euler(RS) for w in ref)
+        assert euler_characteristic(RS, ws) == chi
 
 
 # --- evaluation -------------------------------------------------------------

@@ -71,6 +71,23 @@ def test_coh_indeterminate_is_reported_not_failed(capsys):
     assert "indeterminate" in out
 
 
+def test_coh_indeterminate_e1_listing_groups_equal_weights(capsys):
+    # One entry per filtration weight, equal weights adjacent at their first
+    # occurrence: S*U(h) has (0, 0) twice, from U*U(h) and from U'(-h)*U(h).
+    e1 = ["(-2, 3): k[-1]", "(0, 0): k", "(0, 0): k", "(1, -2): k[-1]"]
+    code, out, _ = run_cli(capsys, "coh", "S*U(h)")
+    assert code == 0
+    assert out == "indeterminate; E1 page: " + "; ".join(e1) + "\n"
+    code, out, _ = run_cli(capsys, "coh", "S*U(h)", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "coh",
+        "e1": e1,
+        "inputs": {"expr": "S*U(h)"},
+        "status": "indeterminate",
+    }
+
+
 def test_coh_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "coh", "Z(h)")
     assert code == 2

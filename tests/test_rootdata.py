@@ -161,6 +161,45 @@ def test_accepts_every_benchmark_type_and_g2_and_e6(monkeypatch):
         assert all(d[i] * cartan[i][j] == d[j] * cartan[j][i] for i, j in pairs), name
 
 
+def test_weyl_order_from_heights_equals_the_rho_orbit_count(monkeypatch):
+    # Macdonald's identity against an independent count: the free orbit of
+    # rho has one point per group element.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    cartans = dict(importlib.import_module("worker").CARTAN)
+    cartans.update(
+        G2=rootdata.G2_CARTAN,
+        E6=E6_CARTAN,
+        G2xA1=((2, -1, 0), (-3, 2, 0), (0, 0, 2)),
+        A1=((2,),),
+        A2=((2, -1), (-1, 2)),
+        B2=((2, -1), (-2, 2)),
+    )
+    for name, cartan in cartans.items():
+        rs = build_root_system(cartan)
+        assert rs.weyl_order == sum(1 for _ in rs.elements), name
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_weyl_order_refuses_root_heights_off_by_one(monkeypatch, shift):
+    monkeypatch.setattr(
+        rootdata.Root, "height", property(lambda r: sum(r.simple_coords) + shift)
+    )
+    with pytest.raises(IntegrityError, match="not a positive integer"):
+        build_root_system(rootdata.G2_CARTAN)
+
+
+def test_weyl_order_refuses_disagreeing_root_and_coroot_products(monkeypatch):
+    # The highest root of G2 reported at height 1 makes the root-side product
+    # 480/24 = 20: an exact division, but not the coroot side's 12.
+    monkeypatch.setattr(
+        rootdata.Root,
+        "height",
+        property(lambda r: 1 if r.simple_coords == (2, 3) else sum(r.simple_coords)),
+    )
+    with pytest.raises(IntegrityError, match="differs"):
+        build_root_system(rootdata.G2_CARTAN)
+
+
 @pytest.mark.parametrize(
     "cartan, symmetrizer",
     [

@@ -12,18 +12,22 @@ from g2flop.bundles import (
     IrrP2,
     Line,
     Spinor,
+    Tensor,
     Twist,
     Universal,
     parse_expr,
+    weights,
 )
 from g2flop.rootdata import g2
 from g2flop.totalspace import (
     K,
     K1,
+    TOTAL_SPACE_CANONICAL_TWIST,
     base_canonical_weight,
     hom_v,
     total_space_canonical,
 )
+from g2flop.weylbott import euler_characteristic
 
 RS = g2()
 
@@ -113,6 +117,21 @@ def test_euler_is_filtration_independent():
         res = hom_v(RS, a, b)
         if res.determined:
             assert res.profile.euler(RS) == res.euler
+
+
+def test_euler_is_the_signed_bott_sum_of_both_koszul_terms():
+    # hom_v reads chi off the E1 pieces; the reference sums Bott over the
+    # weight multisets of the two Koszul terms.
+    rng = random.Random(41)
+    atoms = [U, Dual(U), Spinor(), IrrP1(1, 1), IrrP2(1, 0), Line(0, 0)]
+    for _ in range(60):
+        a = Twist(rng.choice(atoms), rng.randint(-2, 2), rng.randint(-2, 2))
+        b = Tensor(rng.choice(atoms), rng.choice(atoms))
+        pair = Tensor(Dual(a), b)
+        chi = euler_characteristic(RS, weights(RS, pair)) - euler_characteristic(
+            RS, weights(RS, Twist(pair, *TOTAL_SPACE_CANONICAL_TWIST))
+        )
+        assert hom_v(RS, a, b).euler == chi
 
 
 def test_hom_with_spinor_resolves_extension():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -188,32 +189,38 @@ def test_borel_weil_consistency():
 
 
 def test_filtered_u_twisted_by_h():
-    res = filtered_cohomology(RS, [(-1, 2), (0, 0)])
+    res = filtered_cohomology(RS, Counter([(-1, 2), (0, 0)]))
     assert res.determined
     assert res.profile == CohomologyProfile(((0, (0, 0), 1),))
 
 
 def test_filtered_u_tensor_u_twisted_by_h():
-    res = filtered_cohomology(RS, [(-2, 3), (-1, 1), (-1, 1), (0, -1)])
+    res = filtered_cohomology(RS, Counter([(-2, 3), (-1, 1), (-1, 1), (0, -1)]))
     assert res.determined
     assert res.profile == CohomologyProfile(((1, (0, 0), 1),))
 
 
 def test_filtered_u_tensor_u_dual_is_indeterminate():
-    res = filtered_cohomology(RS, [(0, 0), (0, 0), (-1, 2), (1, -2)])
+    res = filtered_cohomology(RS, Counter([(0, 0), (0, 0), (-1, 2), (1, -2)]))
     assert not res.determined
     degree_hits = [p.degrees() for _, p in res.pieces if not p.is_zero]
     assert sorted(degree_hits) == [(0,), (0,), (1,)]
 
 
 def test_filtered_acyclic_bundle():
-    res = filtered_cohomology(RS, [(-3, 1), (-2, -1)])
+    res = filtered_cohomology(RS, Counter([(-3, 1), (-2, -1)]))
     assert res.determined and res.profile.is_zero
 
 
 def test_filtered_rejects_empty():
     with pytest.raises(ValueError):
-        filtered_cohomology(RS, [])
+        filtered_cohomology(RS, Counter([]))
+
+
+@pytest.mark.parametrize("mult", [0, -1])
+def test_filtered_rejects_non_positive_multiplicities(mult):
+    with pytest.raises(ValueError, match="multiplicity"):
+        filtered_cohomology(RS, {(0, 0): 1, (1, 1): mult})
 
 
 def test_filtered_euler_matches_signed_sum():
@@ -223,8 +230,8 @@ def test_filtered_euler_matches_signed_sum():
             (rng.randint(-4, 4), rng.randint(-4, 4))
             for _ in range(rng.randint(1, 4))
         ]
-        res = filtered_cohomology(RS, ws)
-        chi = euler_characteristic(RS, ws)
+        res = filtered_cohomology(RS, Counter(ws))
+        chi = euler_characteristic(RS, Counter(ws))
         if res.determined:
             assert res.profile.euler(RS) == chi
 
@@ -267,7 +274,7 @@ def test_route_a_route_b_on_parabolic_strings():
             string = [
                 (a - j * alpha2[0], b - j * alpha2[1]) for j in range(0, b + 1)
             ]
-            res = filtered_cohomology(RS, string)
+            res = filtered_cohomology(RS, Counter(string))
             exact = parabolic_cohomology(RS, {1}, (a, b))
             if res.determined:
                 assert res.profile == exact
