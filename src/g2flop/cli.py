@@ -195,9 +195,6 @@ def cmd_hilbert(args, rs: RootSystem) -> int:
         inputs = {"kind": "s", "degree": [args.k, args.l], "trunc": trunc}
     else:
         side = args.side
-        if side not in ("+", "-", "0"):
-            print("error: side must be +, - or 0", file=sys.stderr)
-            return EXIT_USAGE
         if args.n < 0:
             print("error: GIT degree must be non-negative", file=sys.stderr)
             return EXIT_USAGE

@@ -25,11 +25,15 @@ def _check_trunc(trunc: int) -> None:
 
 
 def flag_cox_dim(rs: RootSystem, k: int, l: int) -> int:
-    """Dimension of the (k, l) piece of the flag-variety Cox ring."""
-    lam = (k, l)
-    if not rs.is_dominant(lam):
+    """Dimension of the (k, l) piece of the flag-variety Cox ring.
+
+    Zero off the dominant cone k, l >= 0, tested on the integers before any
+    tuple is built; ``weyl_dim`` keeps its own dominance and integrality
+    checks.
+    """
+    if k < 0 or l < 0:
         return 0
-    return weyl_dim(rs, lam)
+    return weyl_dim(rs, (k, l))
 
 
 def total_cox_dim(rs: RootSystem, k: int, l: int, trunc: int) -> int:

@@ -265,7 +265,7 @@ class RootSystem(Value):
         return tuple(out)
 
     def is_dominant(self, mu: Weight) -> bool:
-        return all(c >= 0 for c in mu)
+        return min(mu, default=0) >= 0
 
     def is_regular(self, mu: Weight) -> bool:
         """True when no positive-root pairing of mu vanishes."""

@@ -1,5 +1,11 @@
 """Dot-action normal form, Bott cohomology and filtered-bundle determinacy.
 
+Bott runs through one uncached kernel, ``_normalize``.  ``dot_normalize`` is
+its cached public face; ``line_cohomology`` keeps its own cache and calls the
+kernel directly, so a weight is cached once, as its profile.  The kernel
+returns one shared singular outcome, and ``line_cohomology`` one shared zero
+profile, for every singular weight.
+
 Orientation convention, pinned by the test vectors: a dominant weight has its
 cohomology in degree 0 (sections), and the unique nonzero degree of a regular
 weight is the Weyl length of the normalizing element.  Highest-weight labels
@@ -39,7 +45,7 @@ class CohomologyProfile(Value):
 
     @staticmethod
     def zero() -> "CohomologyProfile":
-        return CohomologyProfile(())
+        return _ZERO
 
     @staticmethod
     def of(entries: Iterable[tuple[int, Weight, int]]) -> "CohomologyProfile":
@@ -92,36 +98,60 @@ class BottOutcome(Value):
         object.__setattr__(self, "nu", nu)
 
 
-@lru_cache(maxsize=None)
-def dot_normalize(rs: RootSystem, lam: Weight) -> BottOutcome:
+_SINGULAR = BottOutcome(singular=True)
+_ZERO = CohomologyProfile(())
+
+
+def _normalize(rs: RootSystem, lam: Weight) -> BottOutcome:
     """Normalize lam under the dot action w.lam = w(lam+rho)-rho.
 
-    The dominance walk's word is the normalizing element; its length must
-    equal the number of positive roots pairing negatively with lam+rho.
+    The coordinates of mu = lam+rho are its simple-coroot pairings, so a zero
+    coordinate makes lam singular before the other positive coroots are
+    paired.  Otherwise lam is singular exactly when some positive coroot pairs
+    to zero with mu.  For regular lam the dominance walk's word is the
+    normalizing element; its length must equal the number of positive coroots
+    pairing negatively with mu, or ``IntegrityError`` is raised.
+
+    ``dot_normalize`` is this kernel behind an ``lru_cache``.
     """
     mu = wadd(lam, rs.rho)
+    if 0 in mu:
+        return _SINGULAR
     pairings = rs.coroot_pairings(mu)
     if 0 in pairings:
-        return BottOutcome(singular=True)
-    negatives = sum(1 for p in pairings if p < 0)
+        return _SINGULAR
+    negatives = len([p for p in pairings if p < 0])
     top, w = rs.to_dominant(mu)
     if w.length != negatives:
         raise IntegrityError("dot-normal form length mismatch")
-    return BottOutcome(singular=False, w=w, nu=tuple(c - 1 for c in top))
+    return BottOutcome(False, w, tuple([c - 1 for c in top]))
+
+
+dot_normalize = lru_cache(maxsize=None)(_normalize)
 
 
 @lru_cache(maxsize=None)
 def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
-    """Bott cohomology of the line bundle O(lam) on the full flag variety."""
-    outcome = dot_normalize(rs, lam)
+    """Bott cohomology of the line bundle O(lam) on the full flag variety.
+
+    Calls the uncached kernel behind ``dot_normalize`` directly, so a miss
+    passes through this one cache only.  A singular weight gets the shared
+    zero profile; a regular one its Weyl module in degree len(w).
+    """
+    outcome = _normalize(rs, lam)
     if outcome.singular:
-        return CohomologyProfile.zero()
+        return _ZERO
     return CohomologyProfile(((outcome.w.length, outcome.nu, 1),))
 
 
 @lru_cache(maxsize=None)
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Dimension of the irreducible with highest weight lam (Weyl formula)."""
+    """Dimension of the irreducible with highest weight lam (Weyl formula).
+
+    Raises ``ValueError`` when lam is not dominant and ``IntegrityError``
+    when the Weyl quotient is not an integer; both checks run on every miss.
+    The dominance check is one ``min`` over lam, with no generator.
+    """
     if not rs.is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
     num = prod(rs.coroot_pairings(wadd(lam, rs.rho)))

@@ -153,6 +153,16 @@ def test_hilbert_negative_bounds_are_usage_errors(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_hilbert_git_rejects_a_bad_side_through_argparse(capsys):
+    # argparse's choices refuse the side before cmd_hilbert runs.
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "git", "x", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'x'" in captured.err
+
+
 def test_hilbert_table_json(capsys):
     code, out, _ = run_cli(
         capsys, "hilbert", "r", "0", "0", "--json", "--table", "--table-degree", "1"

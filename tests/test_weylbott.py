@@ -8,7 +8,13 @@ from itertools import product
 
 import pytest
 
-from g2flop.rootdata import RootSystem, build_root_system, g2, g2_flipped
+from g2flop.rootdata import (
+    IntegrityError,
+    RootSystem,
+    build_root_system,
+    g2,
+    g2_flipped,
+)
 from g2flop.weylbott import (
     CohomologyProfile,
     dot_normalize,
@@ -101,6 +107,15 @@ def test_dot_normalize_rejects_a_length_mismatch(monkeypatch):
         dot_normalize(rs, (-2, 3))
 
 
+def test_line_cohomology_rejects_a_length_mismatch(monkeypatch):
+    # line_cohomology reaches the kernel without going through the
+    # dot_normalize cache; the walk-length check must hold on that path too.
+    rs = build_root_system(RS.cartan)
+    monkeypatch.setattr(RootSystem, "coroot_pairings", lambda self, mu: (-1,) * 6)
+    with pytest.raises(IntegrityError, match="length mismatch"):
+        line_cohomology(rs, (-2, 3))
+
+
 def test_weyl_dim_rejects_a_non_integral_quotient():
     # A corrupted denominator must raise, not round: 7 * 120 is no multiple
     # of 11 * 120.
@@ -156,6 +171,50 @@ def test_bott_shape_single_degree():
         for b in range(-6, 7):
             prof = line_cohomology(RS, (a, b))
             assert len(prof.entries) <= 1
+
+
+KERNEL_BOXES = {
+    "G2": (RS.cartan, 10),
+    "B3": (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), 3),
+    "F4": (((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+def test_line_cohomology_and_dot_normalize_agree_on_a_box(name):
+    # line_cohomology and dot_normalize share one uncached kernel behind two
+    # caches.  Over every weight of the box, from empty caches: the profile is
+    # the one dot_normalize's outcome describes, singular means a zero coroot
+    # pairing of lam+rho (the zero-coordinate early exit included), and a
+    # regular outcome really normalizes, with length = negative pairings.
+    cartan, r = KERNEL_BOXES[name]
+    rs = build_root_system(cartan)
+    line_cohomology.cache_clear()
+    dot_normalize.cache_clear()
+    singular = 0
+    for lam in product(range(-r, r + 1), repeat=rs.rank):
+        profile = line_cohomology(rs, lam)
+        out = dot_normalize(rs, lam)
+        mu = tuple(c + 1 for c in lam)
+        pairings = rs.coroot_pairings(mu)
+        assert out.singular == (0 in pairings)
+        if out.singular:
+            singular += 1
+            assert profile == CohomologyProfile(())
+            continue
+        assert profile == CohomologyProfile(((out.w.length, out.nu, 1),))
+        top = tuple(c + 1 for c in out.nu)
+        assert out.w.apply(mu) == top
+        assert min(top) > 0
+        assert out.w.length == sum(1 for p in pairings if p < 0)
+    assert 0 < singular < (2 * r + 1) ** rs.rank
+
+
+def test_singular_weights_share_one_outcome_and_one_zero_profile():
+    rs = build_root_system(RS.cartan)
+    assert dot_normalize(rs, (-1, 0)) is dot_normalize(rs, (-2, 1))
+    assert line_cohomology(rs, (-1, 0)) is line_cohomology(rs, (-2, 1))
+    assert line_cohomology(rs, (-1, 0)) is CohomologyProfile.zero()
 
 
 def test_weyl_dim_pinned_values():
