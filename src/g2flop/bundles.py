@@ -13,6 +13,9 @@ plus ``Dual``, ``Tensor``, ``Sym`` (rank-2 irreducible arguments only) and
 on either Grassmannian are represented by their pullbacks, which is harmless
 for cohomology because both projections have O as derived pushforward of O.
 
+Every reader sees an expression through its normal form: ``normal_factors``,
+the one walk over the tree, yields a line twist and a flat tuple of factors.
+
 Evaluation offers two independent routes.  Route A filters any expression by
 its line-bundle weights and applies per-weight Bott under the degree-gap
 determinacy rule.  Route B applies to one-sided expressions (all non-line
@@ -163,87 +166,57 @@ def _convolve(left: dict[Weight, int], right: dict[Weight, int]) -> dict[Weight,
 def weights(rs: RootSystem, e: BundleExpr) -> dict[Weight, int]:
     """Line-bundle filtration weights of the expression, as a multiset.
 
-    A plain dict maps each weight to its multiplicity; the multiplicities sum
-    to the rank.  A tensor product is the convolution of its factors'
-    multisets, so the work grows with the number of distinct weights, not
-    with the rank.  Keys are in a stable order: that of their first
-    occurrence in the filtration (sub before quotient, left factor before
-    right).
+    The expression is read through its normal form: the multiset starts as
+    ``{twist: 1}`` and is convolved with each normal factor's weights in
+    turn, so the work grows with the number of distinct weights, not with
+    the rank.  A plain dict maps each weight to its multiplicity; the
+    multiplicities sum to the rank.  Keys are in a stable order: that of
+    their first occurrence in the filtration (sub before quotient, left
+    factor before right).
     """
-    if isinstance(e, Line):
-        return {(e.a, e.b): 1}
-    if isinstance(e, Universal):
-        return _string_weights(rs, (-1, 1), 1)
-    if isinstance(e, Spinor):
+    factors, twist = normal_factors(e)
+    out = {twist: 1}
+    for f in factors:
+        out = _convolve(out, _factor_weights(rs, f))
+    return out
+
+
+def _factor_weights(rs: RootSystem, f: BundleExpr) -> dict[Weight, int]:
+    """Weights of one factor of ``normal_factors``, in filtration order: the
+    Levi string of its highest weight, negated for a dual."""
+    dualize = isinstance(f, Dual)
+    core = f.arg if dualize else f
+    if isinstance(core, Spinor):
         # the defining two-step filtration, flattened
-        out = dict(weights(rs, SPINOR_SUB))
+        out = weights(rs, SPINOR_SUB)
         for w, m in weights(rs, SPINOR_QUOTIENT).items():
             out[w] = out.get(w, 0) + m
-        return out
-    if isinstance(e, IrrP1):
-        return _string_weights(rs, (e.a, e.b), 1)
-    if isinstance(e, IrrP2):
-        return _string_weights(rs, (e.a, e.b), 0)
-    if isinstance(e, Dual):
-        return {wneg(w): m for w, m in weights(rs, e.arg).items()}
-    if isinstance(e, Tensor):
-        return _convolve(weights(rs, e.left), weights(rs, e.right))
-    if isinstance(e, Twist):
-        t = (e.a, e.b)
-        return {wadd(w, t): m for w, m in weights(rs, e.arg).items()}
-    if isinstance(e, Sym):
-        lam, lam_minus_alpha = _sym_base_weights(rs, e)
-        alpha = tuple(x - y for x, y in zip(lam, lam_minus_alpha))
-        return {
-            tuple(e.power * lam[k] - j * alpha[k] for k in range(rs.rank)): 1
-            for j in range(e.power + 1)
-        }
-    raise BundleError(f"unknown expression node {e!r}")
-
-
-def _sym_base_weights(rs: RootSystem, e: Sym) -> tuple[Weight, Weight]:
-    # The string {m*w1 - j*(w1-w2)} is symmetric in (w1, w2), so no ordering
-    # of the two base weights is needed.
-    if e.power < 1:
-        raise BundleError("Sym power must be >= 1")
-    inner = e.arg
-    if isinstance(inner, Dual):
-        inner = inner.arg
-        dualize = True
     else:
-        dualize = False
-    if not isinstance(inner, (Universal, IrrP1, IrrP2)):
-        raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-    ws = weights(rs, Dual(inner) if dualize else inner)
-    if list(ws.values()) != [1, 1]:
-        raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-    return tuple(ws)
+        info = _factor_irreducible(rs, core)
+        if info is None:
+            raise BundleError("Sym is only supported on rank-2 irreducible atoms")
+        out = _string_weights(rs, info[1], info[0])
+    if dualize:
+        return {wneg(w): m for w, m in out.items()}
+    return out
 
 
 def rank(e: BundleExpr) -> int:
-    if isinstance(e, Line):
-        return 1
-    if isinstance(e, Universal):
-        return 2
-    if isinstance(e, Spinor):
-        return 4
-    if isinstance(e, IrrP1):
-        if e.b < 0:
-            raise BundleError(f"IrrP1({e.a},{e.b}) has negative Levi pairing")
-        return e.b + 1
-    if isinstance(e, IrrP2):
-        if e.a < 0:
-            raise BundleError(f"IrrP2({e.a},{e.b}) has negative Levi pairing")
-        return e.a + 1
-    if isinstance(e, Dual):
-        return rank(e.arg)
-    if isinstance(e, Tensor):
-        return rank(e.left) * rank(e.right)
-    if isinstance(e, Twist):
-        return rank(e.arg)
-    if isinstance(e, Sym):
-        return e.power + 1
-    raise BundleError(f"unknown expression node {e!r}")
+    """Rank of the expression: the product of its normal factors' ranks."""
+    out = 1
+    for f in normal_factors(e)[0]:
+        f = f.arg if isinstance(f, Dual) else f
+        if isinstance(f, Sym):
+            out *= f.power + 1
+        elif isinstance(f, (Universal, Spinor)):
+            out *= 2 if isinstance(f, Universal) else 4
+        else:
+            n = f.b if isinstance(f, IrrP1) else f.a  # Levi pairing of (a, b)
+            if n < 0:
+                name = type(f).__name__
+                raise BundleError(f"{name}({f.a},{f.b}) has negative Levi pairing")
+            out *= n + 1
+    return out
 
 
 def det_weight(rs: RootSystem, e: BundleExpr) -> Weight:
@@ -310,34 +283,29 @@ class OneSided(Value):
 
 
 def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[int, Weight]]:
-    """Levi side and highest weight of an irreducible factor, if it is one."""
-    dualize = False
-    if isinstance(factor, Dual):
-        dualize = True
+    """Levi side and highest weight of a normal factor, if it is irreducible."""
+    dualize = isinstance(factor, Dual)
+    if dualize:
         factor = factor.arg
-    if isinstance(factor, Sym):
-        base = _factor_irreducible(rs, factor.arg)
-        if base is None:
-            return None
-        side, hw = base
-        if rs.pairing(hw, rs.simple_roots[side]) != 1:
+    atom = factor.arg if isinstance(factor, Sym) else factor
+    if isinstance(atom, Universal):
+        side, hw = 1, (-1, 1)
+    elif isinstance(atom, (IrrP1, IrrP2)):
+        side, hw = (1 if isinstance(atom, IrrP1) else 0), (atom.a, atom.b)
+    else:
+        return None
+    if atom is not factor:
+        # Sym^m of a rank-2 irreducible: the irreducible of highest weight m*hw
+        n = rs.pairing(hw, rs.simple_roots[side])
+        if n < 0:
+            raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
+        if n != 1:
             return None
         hw = wscale(factor.power, hw)
-        return _maybe_dualize(rs, side, hw, dualize)
-    if isinstance(factor, Universal):
-        return _maybe_dualize(rs, 1, (-1, 1), dualize)
-    if isinstance(factor, IrrP1):
-        return _maybe_dualize(rs, 1, (factor.a, factor.b), dualize)
-    if isinstance(factor, IrrP2):
-        return _maybe_dualize(rs, 0, (factor.a, factor.b), dualize)
-    return None
-
-
-def _maybe_dualize(rs, side, hw, dualize):
-    if not dualize:
-        return side, hw
-    # dual of the Levi irreducible: -s_alpha(hw) for the Levi reflection
-    return side, wneg(rs.reflect(side, hw))
+    if dualize:
+        # dual of the Levi irreducible: -s_alpha(hw) for the Levi reflection
+        hw = wneg(rs.reflect(side, hw))
+    return side, hw
 
 
 def one_sided_form(rs: RootSystem, e: BundleExpr) -> Optional[OneSided]:
@@ -433,25 +401,18 @@ def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProf
 # --- spinor-extension resolution -------------------------------------------
 
 
-def _substitute_first_spinor(e: BundleExpr, replacement: BundleExpr):
-    """Replace the first Spinor occurrence; returns None when there is none."""
-    if isinstance(e, Spinor):
-        return replacement
-    if isinstance(e, Dual):
-        inner = _substitute_first_spinor(e.arg, replacement)
-        return None if inner is None else Dual(inner)
-    if isinstance(e, Twist):
-        inner = _substitute_first_spinor(e.arg, replacement)
-        return None if inner is None else Twist(inner, e.a, e.b)
-    if isinstance(e, Sym):
-        inner = _substitute_first_spinor(e.arg, replacement)
-        return None if inner is None else Sym(e.power, inner)
-    if isinstance(e, Tensor):
-        left = _substitute_first_spinor(e.left, replacement)
-        if left is not None:
-            return Tensor(left, e.right)
-        right = _substitute_first_spinor(e.right, replacement)
-        return None if right is None else Tensor(e.left, right)
+def _spinor_split(e: BundleExpr) -> Optional[tuple[BundleExpr, BundleExpr]]:
+    """e with its first S or S' factor replaced by the sub, then the quotient
+    of the defining filtration of S (dualized for S'); None without one."""
+    factors, twist = normal_factors(e)
+    for i, f in enumerate(factors):
+        dualize = type(f) is Dual
+        if type(f.arg if dualize else f) is Spinor:
+            head, tail = factors[:i], factors[i + 1 :]
+            return tuple(
+                _assemble(head + (Dual(piece) if dualize else piece,) + tail, twist)
+                for piece in (SPINOR_SUB, SPINOR_QUOTIENT)
+            )
     return None
 
 
@@ -499,12 +460,10 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
     route_b = route_b_cohomology(rs, e)
     if route_b is not None:
         candidates.append(("parabolic", route_b))
-    split = _substitute_first_spinor(e, SPINOR_SUB)
+    split = _spinor_split(e)
     if split is not None:
-        sub = flag_cohomology(rs, split)
-        quot = flag_cohomology(
-            rs, _substitute_first_spinor(e, SPINOR_QUOTIENT)
-        )
+        sub = flag_cohomology(rs, split[0])
+        quot = flag_cohomology(rs, split[1])
         if sub.determined and quot.determined:
             combined = combine_pieces(
                 [("sub", sub.profile), ("quotient", quot.profile)]
@@ -530,42 +489,58 @@ def normal_factors(e: BundleExpr) -> tuple[tuple[BundleExpr, ...], Weight]:
     """Flatten tensors and fold line twists: (non-line factors, total twist).
 
     Duals are pushed onto atoms (and outside Sym), so each factor is
-    atom | Dual(atom) | Sym(m, atom) | Dual(Sym(m, atom)).
+    atom | Dual(atom) | Sym(m, atom) | Dual(Sym(m, atom)).  The walk is a
+    loop: it descends into left tensor children while right ones wait on a
+    stack, and strips Twist, Dual and Sym^1 wrappers in place, carrying the
+    dual sign and the twist.  Only Sym^m with m >= 2 recurses, into its
+    argument.  It dispatches on exact types,
+    which costs less than isinstance calls on the query path.
     """
-    if isinstance(e, Line):
-        return (), (e.a, e.b)
-    if isinstance(e, (Universal, Spinor, IrrP1, IrrP2)):
-        return (e,), (0, 0)
-    if isinstance(e, Twist):
-        factors, t = normal_factors(e.arg)
-        return factors, wadd(t, (e.a, e.b))
-    if isinstance(e, Tensor):
-        lf, lt = normal_factors(e.left)
-        rf, rt = normal_factors(e.right)
-        return lf + rf, wadd(lt, rt)
-    if isinstance(e, Sym):
-        if e.power == 1:
-            return normal_factors(e.arg)
-        factors, t = normal_factors(e.arg)
-        if len(factors) != 1:
-            raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-        scaled = wscale(e.power, t)
-        inner = factors[0]
-        if isinstance(inner, Dual):
-            return (Dual(Sym(e.power, inner.arg)),), scaled
-        return (Sym(e.power, inner),), scaled
-    if isinstance(e, Dual):
-        factors, t = normal_factors(e.arg)
-        flipped = []
-        for f in factors:
-            flipped.append(f.arg if isinstance(f, Dual) else Dual(f))
-        return tuple(flipped), wneg(t)
-    raise BundleError(f"unknown expression node {e!r}")
+    factors: list[BundleExpr] = []
+    a = b = 0
+    stack = [(e, 1)]  # (expression, sign: -1 under an odd number of duals)
+    while stack:
+        e, sign = stack.pop()
+        while True:
+            kind = type(e)
+            if kind is Tensor:
+                stack.append((e.right, sign))
+                e = e.left
+            elif kind is Twist:
+                a += sign * e.a
+                b += sign * e.b
+                e = e.arg
+            elif kind is Dual:
+                sign = -sign
+                e = e.arg
+            elif kind is Sym and e.power == 1:
+                e = e.arg
+            else:
+                break
+        if kind is Line:
+            a += sign * e.a
+            b += sign * e.b
+        elif kind in (Universal, Spinor, IrrP1, IrrP2):
+            factors.append(e if sign > 0 else Dual(e))
+        elif kind is Sym:
+            if e.power < 1:
+                raise BundleError("Sym power must be >= 1")
+            inner, (ta, tb) = normal_factors(e.arg)
+            if len(inner) != 1:
+                raise BundleError("Sym is only supported on rank-2 irreducible atoms")
+            f = inner[0]
+            a += sign * e.power * ta
+            b += sign * e.power * tb
+            if type(f) is Dual:
+                f, sign = f.arg, -sign
+            factors.append(Sym(e.power, f) if sign > 0 else Dual(Sym(e.power, f)))
+        else:
+            raise BundleError(f"unknown expression node {e!r}")
+    return tuple(factors), (a, b)
 
 
-def normalize(e: BundleExpr) -> BundleExpr:
-    """Canonical form: twisted tensor of dual/Sym-wrapped atoms, or a line."""
-    factors, twist = normal_factors(e)
+def _assemble(factors: tuple[BundleExpr, ...], twist: Weight) -> BundleExpr:
+    """The twisted tensor of the factors, or a line when there are none."""
     if not factors:
         return Line(*twist)
     expr: BundleExpr = factors[0]
@@ -574,6 +549,11 @@ def normalize(e: BundleExpr) -> BundleExpr:
     if twist != (0, 0):
         expr = Twist(expr, *twist)
     return expr
+
+
+def normalize(e: BundleExpr) -> BundleExpr:
+    """Canonical form: twisted tensor of dual/Sym-wrapped atoms, or a line."""
+    return _assemble(*normal_factors(e))
 
 
 def _format_twist(t: Weight) -> str:
@@ -693,7 +673,8 @@ class _Parser:
         return atom
 
     def parse_atom(self) -> BundleExpr:
-        if self.text.startswith("Sym^", self.pos):
+        powers = []
+        while self.text.startswith("Sym^", self.pos):
             self.pos += 4
             power = self.parse_int()
             if power < 1:
@@ -701,18 +682,18 @@ class _Parser:
             if self.peek() != " ":
                 raise self.error("expected a space after the Sym power")
             self.skip_ws()
-            return Sym(power, self.parse_atom())
+            powers.append(power)
         ch = self.peek()
         if ch == "O":
             self.pos += 1
-            return Line(0, 0)
-        if ch == "U":
+            atom: BundleExpr = Line(0, 0)
+        elif ch == "U":
             self.pos += 1
-            return Universal()
-        if ch == "S":
+            atom = Universal()
+        elif ch == "S":
             self.pos += 1
-            return Spinor()
-        if ch in ("E", "F"):
+            atom = Spinor()
+        elif ch in ("E", "F"):
             self.pos += 1
             self.expect("(")
             a = self.parse_int()
@@ -721,10 +702,14 @@ class _Parser:
             self.skip_ws()
             b = self.parse_int()
             self.expect(")")
-            return IrrP1(a, b) if ch == "E" else IrrP2(a, b)
-        if ch == "":
+            atom = IrrP1(a, b) if ch == "E" else IrrP2(a, b)
+        elif ch == "":
             raise self.error("unexpected end of input")
-        raise self.error(f"unknown atom {ch!r}")
+        else:
+            raise self.error(f"unknown atom {ch!r}")
+        while powers:
+            atom = Sym(powers.pop(), atom)
+        return atom
 
     def parse_twist(self) -> Weight:
         start = self.pos

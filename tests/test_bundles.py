@@ -102,10 +102,48 @@ def test_sym_of_dual():
 
 
 def test_sym_rejects_higher_rank():
-    with pytest.raises(BundleError):
-        weights(RS, Sym(2, IrrP1(0, 2)))
-    with pytest.raises(BundleError):
-        weights(RS, Sym(2, Spinor()))
+    for e in [
+        Sym(2, IrrP1(0, 2)),
+        Sym(2, Spinor()),
+        parse_expr("Sym^2 Sym^3 U"),
+        parse_expr("Sym^2 S"),
+        Sym(2, Tensor(Universal(), Universal())),
+    ]:
+        for read in (weights, flag_cohomology):
+            with pytest.raises(BundleError) as err:
+                read(RS, e)
+            assert str(err.value) == "Sym is only supported on rank-2 irreducible atoms"
+
+
+def test_sym_one_is_the_identity_everywhere():
+    cases = [
+        (parse_expr("Sym^2 Sym^1 U"), Sym(2, Universal())),
+        (parse_expr("Sym^1 S"), Spinor()),
+        (parse_expr("Sym^1 O"), Line(0, 0)),
+    ]
+    for m in (2, 3, 4):
+        # Sym^m U(h) is Sym^m U twisted by m*h, and dualizing flips the twist
+        cases.append((Sym(m, Twist(Universal(), 0, 1)), Twist(Sym(m, Universal()), 0, m)))
+        dual_twisted = Dual(Sym(m, Twist(Universal(), 1, -1)))
+        cases.append((dual_twisted, Twist(Dual(Sym(m, Universal())), -m, m)))
+    for e, same in cases:
+        assert normalize(e) == normalize(same)
+        assert format_expr(e) == format_expr(same)
+        assert weights(RS, e) == weights(RS, same)
+        assert rank(e) == rank(same)
+        assert flag_cohomology(RS, e) == flag_cohomology(RS, same)
+
+
+def test_normal_factors_loops_over_long_chains():
+    product = parse_expr("*".join(["U(h)"] * 5000))
+    factors, twist = normal_factors(product)
+    assert factors == (Universal(),) * 5000 and twist == (0, 5000)
+    e = Universal()
+    for _ in range(5001):
+        e = Dual(Twist(Sym(1, e), 1, 0))
+    assert normal_factors(e) == ((Dual(Universal()),), (-1, 0))
+    assert rank(e) == 2
+    assert weights(RS, e) == weights(RS, Twist(Dual(Universal()), -1, 0))
 
 
 def test_tensor_weights_pairwise_sums():
@@ -366,6 +404,22 @@ def test_rank_counts_repeated_weights():
     assert sum(ws.values()) == rank(e) == 4
 
 
+def test_spinor_split_is_additive_in_k_theory():
+    rng = random.Random(41)
+    splits = 0
+    for _ in range(300):
+        e = random_expr(rng)
+        factors, _ = normal_factors(e)
+        has_spinor = Spinor() in factors or Dual(Spinor()) in factors
+        split = bundles._spinor_split(e)
+        assert (split is not None) == has_spinor
+        if split is not None:
+            sub, quotient = split
+            assert k_class(RS, sub) + k_class(RS, quotient) == k_class(RS, e)
+            splits += 1
+    assert splits > 50
+
+
 def test_filtration_pieces_are_the_weights_expanded_by_multiplicity():
     # One Bott call per distinct weight, but combine_pieces sees every piece,
     # so the verdict is that of the tuple expansion in its old order.
@@ -517,6 +571,16 @@ def test_parse_errors_carry_positions():
         parse_expr("U(h")
     with pytest.raises(ParseError):
         parse_expr("U) extra")
+
+
+def test_long_sym_chains_keep_their_parse_errors():
+    with pytest.raises(ParseError, match="unknown atom 'X'") as err:
+        parse_expr("Sym^1 " * 3000 + "X")
+    assert err.value.position == 18000
+    text = "Sym^1 " * 3000 + "Sym^0 " + "Sym^1 " * 10 + "U"
+    with pytest.raises(ParseError, match="Sym power must be >= 1") as err:
+        parse_expr(text)
+    assert err.value.position == text.index("Sym^0") + len("Sym^0")
 
 
 def test_format_examples():
