@@ -423,8 +423,9 @@ class CohResult(Value):
     """Cohomology of a bundle expression on the flag variety.
 
     ``determined`` results carry the exact profile; indeterminate ones carry
-    the E1 page of the weight filtration.  ``route`` names the strategy that
-    settled the answer.
+    the E1 page of the weight filtration.  Both carry ``e1``, one ``(weight,
+    profile, multiplicity)`` entry per distinct filtration weight.  ``route``
+    names the strategy that settled the answer.
     """
 
     _fields = ("determined", "profile", "e1", "route")
@@ -433,7 +434,7 @@ class CohResult(Value):
         self,
         determined: bool,
         profile: Optional[CohomologyProfile],
-        e1: tuple[tuple[Weight, CohomologyProfile], ...],
+        e1: tuple[tuple[Weight, CohomologyProfile, int], ...],
         route: str,
     ):
         object.__setattr__(self, "determined", determined)
@@ -466,7 +467,7 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
         quot = flag_cohomology(rs, split[1])
         if sub.determined and quot.determined:
             combined = combine_pieces(
-                [("sub", sub.profile), ("quotient", quot.profile)]
+                [("sub", sub.profile, 1), ("quotient", quot.profile, 1)]
             )
             if combined.determined:
                 candidates.append(("extension", combined.profile))

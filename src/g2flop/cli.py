@@ -133,7 +133,10 @@ def cmd_coh(args, rs: RootSystem) -> int:
         _emit(payload, args.json, text)
         return EXIT_OK
     pieces = [
-        f"{w}: {format_profile(p)}" for w, p in res.e1 if not p.is_zero
+        f"{w}: {format_profile(p)}"
+        for w, p, m in res.e1
+        if not p.is_zero
+        for _ in range(m)
     ]
     payload = {
         "command": "coh",

@@ -75,13 +75,15 @@ def hom_v(rs: RootSystem, a: BundleExpr, b: BundleExpr) -> HomVResult:
     term1 = Twist(pair, *TOTAL_SPACE_CANONICAL_TWIST)
     r0 = flag_cohomology(rs, term0)
     r1 = flag_cohomology(rs, term1)
-    # The E1 pieces are the filtration weights' Bott profiles, expanded by
-    # multiplicity, so this is the Euler characteristic of each term.
-    chi = sum(p.euler(rs) for _, p in r0.e1) - sum(p.euler(rs) for _, p in r1.e1)
+    # The E1 pieces are the distinct filtration weights' Bott profiles with
+    # their multiplicities, so this is the Euler characteristic of each term.
+    chi = sum(m * p.euler(rs) for _, p, m in r0.e1) - sum(
+        m * p.euler(rs) for _, p, m in r1.e1
+    )
     if not (r0.determined and r1.determined):
         return HomVResult(False, None, r0, r1, chi)
     combined = combine_pieces(
-        [("native", r0.profile), ("twisted", r1.profile.shift(1))]
+        [("native", r0.profile, 1), ("twisted", r1.profile.shift(1), 1)]
     )
     if not combined.determined:
         return HomVResult(False, None, r0, r1, chi)

@@ -1,10 +1,14 @@
 """Dot-action normal form, Bott cohomology and filtered-bundle determinacy.
 
-Bott runs through one uncached kernel, ``_normalize``.  ``dot_normalize`` is
-its cached public face; ``line_cohomology`` keeps its own cache and calls the
-kernel directly, so a weight is cached once, as its profile.  The kernel
-returns one shared singular outcome, and ``line_cohomology`` one shared zero
-profile, for every singular weight.
+Bott runs through one uncached kernel, ``_dominant_image``, which runs the
+dominance walk once per Weyl chamber and checks every weight's image.
+``dot_normalize`` is its cached public face, returning a ``BottOutcome``;
+``line_cohomology`` keeps its own cache and builds its profile from the
+kernel's answer directly, so a weight is cached once, as its profile.  Every
+singular weight gets one shared singular outcome or one shared zero profile.
+
+Filtered bundles are evaluated over the weight multiset: one Bott call and
+one E1 piece per distinct weight, carrying its multiplicity.
 
 Orientation convention, pinned by the test vectors: a dominant weight has its
 cohomology in degree 0 (sections), and the unique nonzero degree of a regular
@@ -22,9 +26,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .rootdata import IntegrityError, RootSystem, Value, Weight, WeylElement, wadd
+from .rootdata import IntegrityError, RootSystem, Value, Weight, WeylElement
 
 
 class CohomologyProfile(Value):
@@ -102,29 +107,60 @@ _SINGULAR = BottOutcome(singular=True)
 _ZERO = CohomologyProfile(())
 
 
+#: One entry per Weyl chamber met so far: (rs, signs) -> (w, matrix of w),
+#: where signs[k] says whether mu = lam+rho pairs negatively with the k-th
+#: positive coroot.  The signs fix the chamber of a regular mu and so the one
+#: Weyl element taking mu into the dominant chamber (Humphreys, *Reflection
+#: Groups and Coxeter Groups*, section 1.12).
+_CHAMBERS: dict[tuple[RootSystem, tuple[bool, ...]], tuple[WeylElement, tuple]] = {}
+
+
+def _dominant_image(rs: RootSystem, lam: Weight) -> Optional[tuple[WeylElement, Weight]]:
+    """(w, nu) with w(lam+rho) = nu+rho strictly dominant, or None if singular.
+
+    The coordinates of mu = lam+rho are its simple-coroot pairings (rho is
+    all ones in fundamental-weight coordinates), so a zero coordinate makes
+    lam singular before the other positive coroots are paired.  Otherwise lam
+    is singular exactly when some positive coroot pairs to zero with mu.
+
+    A regular mu runs the dominance walk only on the first weight of its
+    chamber: the walk's word must have one letter per negative pairing, or
+    ``IntegrityError`` is raised, and the element is stored with its matrix.
+    Every weight, the first included, is then mapped by that matrix, and its
+    image must be strictly dominant, or ``IntegrityError`` is raised.  Only
+    one Weyl element makes a regular weight dominant, so this check verifies
+    the stored entry in full.
+    """
+    mu = tuple([c + 1 for c in lam])
+    if 0 in mu:
+        return None
+    pairings = rs.coroot_pairings(mu)
+    if 0 in pairings:
+        return None
+    key = (rs, tuple([p < 0 for p in pairings]))
+    entry = _CHAMBERS.get(key)
+    if entry is None:
+        w = rs.to_dominant(mu)[1]
+        if w.length != key[1].count(True):
+            raise IntegrityError("dot-normal form length mismatch")
+        entry = _CHAMBERS[key] = (w, w.matrix)
+    w, matrix = entry
+    nu = tuple([sum(map(mul, row, mu)) - 1 for row in matrix])
+    if nu and min(nu) < 0:
+        raise IntegrityError(f"chamber element {w.word} leaves {lam} non-dominant")
+    return w, nu
+
+
 def _normalize(rs: RootSystem, lam: Weight) -> BottOutcome:
     """Normalize lam under the dot action w.lam = w(lam+rho)-rho.
 
-    The coordinates of mu = lam+rho are its simple-coroot pairings, so a zero
-    coordinate makes lam singular before the other positive coroots are
-    paired.  Otherwise lam is singular exactly when some positive coroot pairs
-    to zero with mu.  For regular lam the dominance walk's word is the
-    normalizing element; its length must equal the number of positive coroots
-    pairing negatively with mu, or ``IntegrityError`` is raised.
-
+    One walk per Weyl chamber, every image checked: see ``_dominant_image``.
     ``dot_normalize`` is this kernel behind an ``lru_cache``.
     """
-    mu = wadd(lam, rs.rho)
-    if 0 in mu:
+    image = _dominant_image(rs, lam)
+    if image is None:
         return _SINGULAR
-    pairings = rs.coroot_pairings(mu)
-    if 0 in pairings:
-        return _SINGULAR
-    negatives = len([p for p in pairings if p < 0])
-    top, w = rs.to_dominant(mu)
-    if w.length != negatives:
-        raise IntegrityError("dot-normal form length mismatch")
-    return BottOutcome(False, w, tuple([c - 1 for c in top]))
+    return BottOutcome(False, *image)
 
 
 dot_normalize = lru_cache(maxsize=None)(_normalize)
@@ -134,14 +170,15 @@ dot_normalize = lru_cache(maxsize=None)(_normalize)
 def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
     """Bott cohomology of the line bundle O(lam) on the full flag variety.
 
-    Calls the uncached kernel behind ``dot_normalize`` directly, so a miss
-    passes through this one cache only.  A singular weight gets the shared
-    zero profile; a regular one its Weyl module in degree len(w).
+    Reads the chamber kernel behind ``dot_normalize`` directly and builds no
+    ``BottOutcome``, so a miss passes through this one cache only.  A
+    singular weight gets the shared zero profile; a regular one its Weyl
+    module in degree len(w).
     """
-    outcome = _normalize(rs, lam)
-    if outcome.singular:
+    image = _dominant_image(rs, lam)
+    if image is None:
         return _ZERO
-    return CohomologyProfile(((outcome.w.length, outcome.nu, 1),))
+    return CohomologyProfile(((len(image[0].word), image[1], 1),))
 
 
 @lru_cache(maxsize=None)
@@ -150,11 +187,12 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 
     Raises ``ValueError`` when lam is not dominant and ``IntegrityError``
     when the Weyl quotient is not an integer; both checks run on every miss.
-    The dominance check is one ``min`` over lam, with no generator.
+    The rho-shift adds 1 to every coordinate (rho is all ones in
+    fundamental-weight coordinates).
     """
-    if not rs.is_dominant(lam):
+    if lam and min(lam) < 0:
         raise ValueError(f"{lam} is not dominant")
-    num = prod(rs.coroot_pairings(wadd(lam, rs.rho)))
+    num = prod(rs.coroot_pairings(tuple([c + 1 for c in lam])))
     dim, rem = divmod(num, rs.weyl_denominator)
     if rem:
         raise IntegrityError("Weyl dimension did not come out integral")
@@ -164,11 +202,12 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
 class FilteredResult(Value):
     """Outcome of evaluating a filtered bundle through its graded pieces.
 
-    ``pieces`` is the E1 page: the exact profile of each piece, one entry per
-    filtration weight, with equal weights adjacent at their first occurrence
-    in the filtration.  ``determined`` means the spectral sequence cannot
-    connect any two pieces (their nonzero degrees are pairwise >= 2 apart),
-    so the union is the answer.
+    ``pieces`` is the E1 page, one ``(weight, profile, multiplicity)`` entry
+    per distinct filtration weight, in filtration order of first occurrence:
+    the piece's exact profile and the number of filtration steps with that
+    weight.  ``determined`` means the spectral sequence cannot connect any
+    two of the pieces it stands for (their nonzero degrees are pairwise >= 2
+    apart), so the union is the answer.
     """
 
     _fields = ("determined", "profile", "pieces")
@@ -177,7 +216,7 @@ class FilteredResult(Value):
         self,
         determined: bool,
         profile: Optional[CohomologyProfile],
-        pieces: tuple[tuple[object, CohomologyProfile], ...],
+        pieces: tuple[tuple[object, CohomologyProfile, int], ...],
     ):
         object.__setattr__(self, "determined", determined)
         object.__setattr__(self, "profile", profile)
@@ -189,29 +228,35 @@ class FilteredResult(Value):
 
 
 def combine_pieces(
-    labeled: Sequence[tuple[object, CohomologyProfile]],
+    labeled: Sequence[tuple[object, CohomologyProfile, int]],
 ) -> FilteredResult:
     """Combine exact piece profiles under the degree-gap determinacy rule.
 
-    Determined iff (a) all pieces vanish, (b) exactly one piece is nonzero, or
-    (c) the occupied degrees of distinct nonzero pieces are pairwise separated
-    by at least 2.  Anything else is honestly Indeterminate.
+    Each entry ``(label, profile, m)`` stands for m equal pieces.  Determined
+    iff (a) all pieces vanish, (b) exactly one piece is nonzero, or (c) the
+    occupied degrees of distinct nonzero pieces are pairwise separated by at
+    least 2.  So a nonzero entry with m >= 2, whose copies share their
+    degrees, is indeterminate, exactly as its m copies would be.  Anything
+    else is honestly Indeterminate.
     """
-    nonzero = [(lab, p) for lab, p in labeled if not p.is_zero]
+    pieces = tuple(labeled)
+    nonzero = [(p, m) for _, p, m in pieces if p.entries]
     if not nonzero:
-        return FilteredResult(True, CohomologyProfile.zero(), tuple(labeled))
-    if len(nonzero) == 1:
-        return FilteredResult(True, nonzero[0][1], tuple(labeled))
-    for i in range(len(nonzero)):
-        for j in range(i + 1, len(nonzero)):
-            for d1 in nonzero[i][1].degrees():
-                for d2 in nonzero[j][1].degrees():
+        return FilteredResult(True, _ZERO, pieces)
+    if len(nonzero) == 1 and nonzero[0][1] == 1:
+        return FilteredResult(True, nonzero[0][0], pieces)
+    for i, (p, m) in enumerate(nonzero):
+        if m > 1:
+            return FilteredResult(False, None, pieces)
+        for q, _ in nonzero[i + 1 :]:
+            for d1 in p.degrees():
+                for d2 in q.degrees():
                     if abs(d1 - d2) < 2:
-                        return FilteredResult(False, None, tuple(labeled))
-    total = CohomologyProfile.zero()
-    for _, p in nonzero:
+                        return FilteredResult(False, None, pieces)
+    total = _ZERO
+    for p, _ in nonzero:
         total = total.union(p)
-    return FilteredResult(True, total, tuple(labeled))
+    return FilteredResult(True, total, pieces)
 
 
 def filtered_cohomology(rs: RootSystem, weights: Mapping[Weight, int]) -> FilteredResult:
@@ -219,18 +264,18 @@ def filtered_cohomology(rs: RootSystem, weights: Mapping[Weight, int]) -> Filter
 
     ``weights`` maps each line-bundle weight to its positive multiplicity, in
     filtration order of first occurrence, as ``bundles.weights`` returns it.
-    Bott runs once per distinct weight.  ``combine_pieces`` then sees every
-    piece expanded by its multiplicity, equal weights adjacent at their first
-    occurrence, so a repeated nonzero weight (two pieces in one degree) is
-    still indeterminate.
+    Bott runs once per distinct weight, and ``combine_pieces`` sees one
+    ``(weight, profile, multiplicity)`` piece per distinct weight, so a
+    repeated nonzero weight (two pieces in one degree) is still
+    indeterminate.
     """
     if not weights:
         raise ValueError("empty weight filtration is disallowed")
-    labeled: list[tuple[Weight, CohomologyProfile]] = []
+    labeled: list[tuple[Weight, CohomologyProfile, int]] = []
     for w, m in weights.items():
         if m < 1:
             raise ValueError(f"weight {w} has multiplicity {m}; it must be positive")
-        labeled += [(w, line_cohomology(rs, w))] * m
+        labeled.append((w, line_cohomology(rs, w), m))
     return combine_pieces(labeled)
 
 

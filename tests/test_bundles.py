@@ -421,16 +421,18 @@ def test_spinor_split_is_additive_in_k_theory():
 
 
 def test_filtration_pieces_are_the_weights_expanded_by_multiplicity():
-    # One Bott call per distinct weight, but combine_pieces sees every piece,
-    # so the verdict is that of the tuple expansion in its old order.
+    # One Bott call and one E1 piece per distinct weight, carrying its
+    # multiplicity; the verdict is that of the tuple expansion, one piece of
+    # multiplicity 1 per filtration weight in its old order.
     rng = random.Random(37)
     for e in [random_expr(rng, max_rank=64) for _ in range(150)] + list(u_powers()):
         ws = weights(RS, e)
         res = filtered_cohomology(RS, ws)
-        assert [w for w, _ in res.pieces] == [w for w, m in ws.items() for _ in range(m)]
-        assert all(p == line_cohomology(RS, w) for w, p in res.pieces)
+        assert [(w, m) for w, _, m in res.pieces] == list(ws.items())
+        assert all(p == line_cohomology(RS, w) for w, p, _ in res.pieces)
+        assert sum(m for _, _, m in res.pieces) == rank(e)
         ref = tuple_weights(e)
-        old = combine_pieces([(w, line_cohomology(RS, w)) for w in ref])
+        old = combine_pieces([(w, line_cohomology(RS, w), 1) for w in ref])
         assert (res.determined, res.profile) == (old.determined, old.profile)
         chi = sum(line_cohomology(RS, w).euler(RS) for w in ref)
         assert euler_characteristic(RS, ws) == chi

@@ -134,6 +134,17 @@ def test_euler_is_the_signed_bott_sum_of_both_koszul_terms():
         assert hom_v(RS, a, b).euler == chi
 
 
+def test_long_product_keeps_one_e1_piece_per_distinct_weight():
+    # U^22 has 4,194,304 filtration weights but 23 distinct ones; the E1
+    # page, and chi read off it, must not expand them.
+    a = parse_expr("*".join(["U"] * 22))
+    res = hom_v(RS, a, parse_expr("O(h)"))
+    assert not res.determined
+    assert res.euler == 305242308608
+    assert len(res.p0.e1) == 23
+    assert sum(m for _, _, m in res.p0.e1) == 2**22
+
+
 def test_hom_with_spinor_resolves_extension():
     # right orthogonality of the quadric-side collection to its twists
     for k in (1, 2, 3):

@@ -77,9 +77,9 @@ CASES = [
         "BottOutcome(singular=False, w=WeylElement(word=(1,)), nu=(0, 1))",
     ),
     (
-        lambda: FilteredResult(True, K, (((0, 0), K),)),
+        lambda: FilteredResult(True, K, (((0, 0), K, 1),)),
         f"FilteredResult(determined=True, profile={K_TEXT}, "
-        f"pieces=(((0, 0), {K_TEXT}),))",
+        f"pieces=(((0, 0), {K_TEXT}, 1),))",
     ),
     (lambda: Line(0, 1), "Line(a=0, b=1)"),
     (lambda: Universal(), "Universal()"),

@@ -8,9 +8,12 @@ from itertools import product
 
 import pytest
 
+from g2flop import weylbott
 from g2flop.rootdata import (
+    G2_CARTAN,
     IntegrityError,
     RootSystem,
+    WeylElement,
     build_root_system,
     g2,
     g2_flipped,
@@ -114,6 +117,67 @@ def test_line_cohomology_rejects_a_length_mismatch(monkeypatch):
     monkeypatch.setattr(RootSystem, "coroot_pairings", lambda self, mu: (-1,) * 6)
     with pytest.raises(IntegrityError, match="length mismatch"):
         line_cohomology(rs, (-2, 3))
+
+
+CHAMBER_BOXES = {
+    "G2": (G2_CARTAN, 10),
+    "B3": (((2, -1, 0), (-1, 2, -1), (0, -2, 2)), 3),
+    "F4": (((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)), 2),
+}
+
+
+def _chambers_of(rs):
+    return {key: entry for key, entry in weylbott._CHAMBERS.items() if key[0] is rs}
+
+
+@pytest.mark.parametrize("name", sorted(CHAMBER_BOXES))
+def test_chamber_table_agrees_with_a_walk_per_weight(name):
+    # A fresh system starts with empty caches and no chambers, so every
+    # chamber's first weight takes the walk and every later one the stored
+    # matrix; both must give what a direct dominance walk gives.
+    cartan, half = CHAMBER_BOXES[name]
+    rs = build_root_system(cartan)
+    box = range(-half, half + 1)
+    for lam in product(box, repeat=rs.rank):
+        mu = tuple(c + 1 for c in lam)
+        out = dot_normalize(rs, lam)
+        profile = line_cohomology(rs, lam)
+        if not rs.is_regular(mu):
+            assert out.singular and profile.is_zero
+            continue
+        top, w = rs.to_dominant(mu)
+        nu = tuple(c - 1 for c in top)
+        assert (out.w, out.nu) == (w, nu)
+        assert profile == CohomologyProfile(((w.length, nu, 1),))
+    chambers = _chambers_of(rs)
+    assert 1 < len(chambers) <= rs.weyl_order
+    if name == "G2":
+        assert len(chambers) == rs.weyl_order
+
+
+def test_a_corrupted_chamber_entry_is_refused():
+    # Negative control: a stored element of the right length but the wrong
+    # chamber sends the next weight of that chamber out of the dominant
+    # chamber, on both faces of the kernel.
+    rs = build_root_system(G2_CARTAN)
+    assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
+    (key, (w, _)), = _chambers_of(rs).items()
+    assert w.word == (0,)
+    wrong = WeylElement((1,), rs)
+    weylbott._CHAMBERS[key] = (wrong, wrong.matrix)
+    same = [
+        lam
+        for lam in product(range(-8, 9), repeat=2)
+        if lam != (-2, 3)
+        and tuple(p < 0 for p in rs.coroot_pairings((lam[0] + 1, lam[1] + 1)))
+        == key[1]
+        and rs.is_regular((lam[0] + 1, lam[1] + 1))
+    ]
+    assert len(same) >= 2
+    with pytest.raises(IntegrityError, match="non-dominant"):
+        line_cohomology(rs, same[0])
+    with pytest.raises(IntegrityError, match="non-dominant"):
+        dot_normalize(rs, same[1])
 
 
 def test_weyl_dim_rejects_a_non_integral_quotient():
@@ -262,8 +326,9 @@ def test_filtered_u_tensor_u_twisted_by_h():
 def test_filtered_u_tensor_u_dual_is_indeterminate():
     res = filtered_cohomology(RS, Counter([(0, 0), (0, 0), (-1, 2), (1, -2)]))
     assert not res.determined
-    degree_hits = [p.degrees() for _, p in res.pieces if not p.is_zero]
-    assert sorted(degree_hits) == [(0,), (0,), (1,)]
+    degree_hits = [(p.degrees(), m) for _, p, m in res.pieces if not p.is_zero]
+    assert sorted(degree_hits) == [((0,), 2), ((1,), 1)]
+    assert [(w, m) for w, _, m in res.pieces if w == (0, 0)] == [((0, 0), 2)]
 
 
 def test_filtered_acyclic_bundle():
