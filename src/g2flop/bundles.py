@@ -27,6 +27,11 @@ spectral ambiguity.  Expressions containing the opaque extension S are
 additionally resolved through its two-piece filtration.  Whenever several
 routes determine an answer they are required to agree.
 
+``flag_cohomology`` answers each ``(root system, normal form)`` once: equal
+normal forms share one memoized result, in a cache that is unbounded like the
+Bott caches.  Failures are not memoized, so a failing input raises again on
+every call.
+
 The expression grammar for the CLI::
 
     expr  := term { "*" term }
@@ -41,6 +46,7 @@ with ``'`` for duals, e.g. ``U*U(h)``, ``O(H-2h)``, ``Sym^2 E(1,1)``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional, Union
 
 from .rootdata import IntegrityError, RootSystem, Value, Weight, wadd, wneg, wscale
@@ -401,10 +407,12 @@ def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProf
 # --- spinor-extension resolution -------------------------------------------
 
 
-def _spinor_split(e: BundleExpr) -> Optional[tuple[BundleExpr, BundleExpr]]:
-    """e with its first S or S' factor replaced by the sub, then the quotient
-    of the defining filtration of S (dualized for S'); None without one."""
-    factors, twist = normal_factors(e)
+def _spinor_split(
+    factors: tuple[BundleExpr, ...], twist: Weight
+) -> Optional[tuple[BundleExpr, BundleExpr]]:
+    """The normal form with its first S or S' factor replaced by the sub,
+    then the quotient of the defining filtration of S (dualized for S');
+    None without one."""
     for i, f in enumerate(factors):
         dualize = type(f) is Dual
         if type(f.arg if dualize else f) is Spinor:
@@ -453,7 +461,21 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
     Tries the weight filtration, the one-sided pushforward route and (for
     expressions containing S) the extension resolution; all routes that
     determine an answer must agree exactly.
+
+    Answers are memoized per ``(rs, normal form)``, so equal normal forms
+    share one evaluation; the memo is unbounded, like the Bott caches.  A
+    failure is not memoized: the next call evaluates again and raises again.
     """
+    return _evaluate(rs, *normal_factors(e))
+
+
+@lru_cache(maxsize=None)
+def _evaluate(
+    rs: RootSystem, factors: tuple[BundleExpr, ...], twist: Weight
+) -> CohResult:
+    # Keyed by the flat normal form, never the expression tree, whose hash
+    # recurses once per node.
+    e = _assemble(factors, twist)
     route_a = filtered_cohomology(rs, weights(rs, e))
     candidates: list[tuple[str, CohomologyProfile]] = []
     if route_a.determined:
@@ -461,7 +483,7 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
     route_b = route_b_cohomology(rs, e)
     if route_b is not None:
         candidates.append(("parabolic", route_b))
-    split = _spinor_split(e)
+    split = _spinor_split(factors, twist)
     if split is not None:
         sub = flag_cohomology(rs, split[0])
         quot = flag_cohomology(rs, split[1])
@@ -527,13 +549,16 @@ def normal_factors(e: BundleExpr) -> tuple[tuple[BundleExpr, ...], Weight]:
             if e.power < 1:
                 raise BundleError("Sym power must be >= 1")
             inner, (ta, tb) = normal_factors(e.arg)
-            if len(inner) != 1:
-                raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-            f = inner[0]
+            f = inner[0] if len(inner) == 1 else None
             a += sign * e.power * ta
             b += sign * e.power * tb
             if type(f) is Dual:
                 f, sign = f.arg, -sign
+            # Sym^m Sym^n is refused here, not later by the routes, so a
+            # normal factor is never nested deeper than Dual(Sym(m, atom))
+            # and hashes in constant depth.
+            if f is None or type(f) is Sym:
+                raise BundleError("Sym is only supported on rank-2 irreducible atoms")
             factors.append(Sym(e.power, f) if sign > 0 else Dual(Sym(e.power, f)))
         else:
             raise BundleError(f"unknown expression node {e!r}")

@@ -113,6 +113,10 @@ def test_sym_rejects_higher_rank():
             with pytest.raises(BundleError) as err:
                 read(RS, e)
             assert str(err.value) == "Sym is only supported on rank-2 irreducible atoms"
+    # Sym^m Sym^n has no normal form, so rank and the printer refuse it too
+    for read in (rank, format_expr):
+        with pytest.raises(BundleError, match="rank-2 irreducible"):
+            read(parse_expr("Sym^2 Sym^3 U'"))
 
 
 def test_sym_one_is_the_identity_everywhere():
@@ -126,6 +130,9 @@ def test_sym_one_is_the_identity_everywhere():
         cases.append((Sym(m, Twist(Universal(), 0, 1)), Twist(Sym(m, Universal()), 0, m)))
         dual_twisted = Dual(Sym(m, Twist(Universal(), 1, -1)))
         cases.append((dual_twisted, Twist(Dual(Sym(m, Universal())), -m, m)))
+        # the twist keeps its sign when the dual moves outside Sym
+        sym_of_dual = Sym(m, Twist(Dual(Universal()), 0, 1))
+        cases.append((sym_of_dual, Twist(Dual(Sym(m, Universal())), 0, m)))
     for e, same in cases:
         assert normalize(e) == normalize(same)
         assert format_expr(e) == format_expr(same)
@@ -409,9 +416,9 @@ def test_spinor_split_is_additive_in_k_theory():
     splits = 0
     for _ in range(300):
         e = random_expr(rng)
-        factors, _ = normal_factors(e)
+        factors, twist = normal_factors(e)
         has_spinor = Spinor() in factors or Dual(Spinor()) in factors
-        split = bundles._spinor_split(e)
+        split = bundles._spinor_split(factors, twist)
         assert (split is not None) == has_spinor
         if split is not None:
             sub, quotient = split
@@ -541,6 +548,81 @@ def test_route_agreement_on_one_sided_grid():
                     assert route_a.profile == route_b
                     checked += 1
     assert checked > 100
+
+
+# --- the flag_cohomology memo -----------------------------------------------
+
+
+def reassociate(e):
+    """A copy of e with every (a*b)*c regrouped as a*(b*c)."""
+    kind = type(e)
+    if kind is Tensor:
+        left, right = reassociate(e.left), reassociate(e.right)
+        if type(left) is Tensor:
+            return Tensor(left.left, reassociate(Tensor(left.right, right)))
+        return Tensor(left, right)
+    if kind is Twist:
+        return Twist(reassociate(e.arg), e.a, e.b)
+    if kind is Dual:
+        return Dual(reassociate(e.arg))
+    if kind is Sym:
+        return Sym(e.power, reassociate(e.arg))
+    return e
+
+
+def test_memoized_answer_is_the_fresh_one_and_normal_forms_share_it():
+    memo = bundles._evaluate
+    rng = random.Random(43)
+    regrouped = 0
+    for _ in range(300):
+        e = random_expr(rng, max_rank=64)
+        memoized = flag_cohomology(RS, e)
+        memo.cache_clear()
+        assert flag_cohomology(RS, e) == memoized
+        # e, its normal form and a regrouping share one entry
+        memo.cache_clear()
+        first = flag_cohomology(RS, e)
+        misses = memo.cache_info().misses
+        copy = reassociate(e)
+        regrouped += copy != e
+        assert normal_factors(copy) == normal_factors(e)
+        assert flag_cohomology(RS, normalize(e)) is first
+        assert flag_cohomology(RS, copy) is first
+        # the extension route's nested calls are misses of their own
+        if bundles._spinor_split(*normal_factors(e)) is None:
+            assert misses == 1
+        assert memo.cache_info().misses == misses
+    assert regrouped > 50
+
+
+def test_memo_keeps_the_factor_order():
+    # U*U' and U'*U have one answer but opposite filtration orders, so a key
+    # that sorted the factors would hand one of them the other's E1 page.
+    order = {"U*U'": [(0, 0), (-1, 2), (1, -2)], "U'*U": [(0, 0), (1, -2), (-1, 2)]}
+    for texts in (["U*U'", "U'*U"], ["U'*U", "U*U'"]):
+        bundles._evaluate.cache_clear()
+        for text in texts:
+            res = flag_cohomology(RS, parse_expr(text))
+            assert res.profile == K
+            assert [w for w, _, _ in res.e1] == order[text]
+
+
+def test_memo_stores_no_failure(monkeypatch):
+    memo = bundles._evaluate
+    for _ in range(2):
+        with pytest.raises(BundleError, match="rank-2 irreducible"):
+            flag_cohomology(RS, parse_expr("Sym^2 S"))
+    monkeypatch.setattr(
+        bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
+    )
+    memo.cache_clear()
+    for _ in range(2):
+        with pytest.raises(bundles.RouteMismatchError, match="routes disagree on U"):
+            flag_cohomology(RS, parse_expr("U(h)"))
+    assert memo.cache_info().currsize == 0
+    monkeypatch.undo()
+    res = flag_cohomology(RS, parse_expr("U(h)"))
+    assert res.determined and res.profile == K
 
 
 # --- parser and printer -----------------------------------------------------

@@ -99,6 +99,9 @@ def test_route_mismatch_exits_1_without_traceback(capsys, monkeypatch):
     monkeypatch.setattr(
         bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
     )
+    # U(h) may already be memoized from an earlier test; forget it, so the
+    # corrupted route really runs.
+    bundles._evaluate.cache_clear()
     with pytest.raises(RouteMismatchError, match="routes disagree"):
         flag_cohomology(g2(), parse_expr("U(h)"))
     code, out, err = run_cli(capsys, "coh", "U(h)")
@@ -255,6 +258,15 @@ def test_deeply_nested_expression_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "expression error: expression nested too deeply\n"
+
+
+def test_sym_of_sym_chain_is_refused_by_its_rule(capsys):
+    # Sym^m Sym^n is refused while the normal form is built, so a chain that
+    # the walk can still descend gets the rule's message: the memo key is
+    # never a deep factor whose hash would exhaust the stack.
+    code, out, err = run_cli(capsys, "coh", "Sym^2 " * 600 + "U")
+    assert (code, out) == (2, "")
+    assert err == "error: Sym is only supported on rank-2 irreducible atoms\n"
 
 
 def test_roots_convention_dump(capsys):
