@@ -75,10 +75,6 @@ class RouteMismatchError(IntegrityError):
 class Line(Value):
     _fields = ("a", "b")
 
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
 
 class Universal(Value):
     _fields = ()
@@ -91,49 +87,25 @@ class Spinor(Value):
 class IrrP1(Value):
     _fields = ("a", "b")
 
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
 
 class IrrP2(Value):
     _fields = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 class Dual(Value):
     _fields = ("arg",)
 
-    def __init__(self, arg: "BundleExpr"):
-        object.__setattr__(self, "arg", arg)
-
 
 class Tensor(Value):
     _fields = ("left", "right")
-
-    def __init__(self, left: "BundleExpr", right: "BundleExpr"):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Sym(Value):
     _fields = ("power", "arg")
 
-    def __init__(self, power: int, arg: "BundleExpr"):
-        object.__setattr__(self, "power", power)
-        object.__setattr__(self, "arg", arg)
-
 
 class Twist(Value):
     _fields = ("arg", "a", "b")
-
-    def __init__(self, arg: "BundleExpr", a: int, b: int):
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
 
 
 BundleExpr = Union[Line, Universal, Spinor, IrrP1, IrrP2, Dual, Tensor, Sym, Twist]
@@ -274,18 +246,6 @@ class OneSided(Value):
     """
 
     _fields = ("levi_index", "summands", "twist", "opaque")
-
-    def __init__(
-        self,
-        levi_index: int,
-        summands: tuple[tuple[Weight, int], ...],
-        twist: Weight,
-        opaque: bool,
-    ):
-        object.__setattr__(self, "levi_index", levi_index)
-        object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "twist", twist)
-        object.__setattr__(self, "opaque", opaque)
 
 
 def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[int, Weight]]:
@@ -437,18 +397,6 @@ class CohResult(Value):
     """
 
     _fields = ("determined", "profile", "e1", "route")
-
-    def __init__(
-        self,
-        determined: bool,
-        profile: Optional[CohomologyProfile],
-        e1: tuple[tuple[Weight, CohomologyProfile, int], ...],
-        route: str,
-    ):
-        object.__setattr__(self, "determined", determined)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "route", route)
 
     @property
     def is_zero(self) -> bool:

@@ -45,19 +45,8 @@ U = Universal()
 
 
 class SuiteResult(Value):
+    # status: "pass" | "fail" | "indeterminate-ok"
     _fields = ("name", "status", "checks", "details")
-
-    def __init__(
-        self,
-        name: str,
-        status: str,  # "pass" | "fail" | "indeterminate-ok"
-        checks: int,
-        details: tuple[str, ...],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "details", details)
 
     @property
     def ok(self) -> bool:

@@ -52,10 +52,7 @@ class CertificateError(ValueError):
 
 class ExcObject(Value):
     _fields = ("expr", "tag")
-
-    def __init__(self, expr: BundleExpr, tag: Optional[str] = None):
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "tag", tag)
+    _defaults = {"tag": None}
 
     def render(self) -> str:
         return format_expr(self.expr)
@@ -63,10 +60,7 @@ class ExcObject(Value):
 
 class Subcat(Value):
     _fields = ("label", "history")
-
-    def __init__(self, label: str, history: tuple[str, ...] = ()):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "history", history)
+    _defaults = {"history": ()}
 
     def render(self) -> str:
         return f"<{self.label}>"
@@ -76,21 +70,8 @@ Block = Union[ExcObject, Subcat]
 
 
 class Certificate(Value):
+    # kind: ExtVanishing | ExtDim | KClassBalance | ExactSeq | Exceptionality
     _fields = ("kind", "description", "required", "computed", "passed")
-
-    def __init__(
-        self,
-        kind: str,  # ExtVanishing | ExtDim | KClassBalance | ExactSeq | Exceptionality
-        description: str,
-        required: str,
-        computed: str,
-        passed: bool,
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "required", required)
-        object.__setattr__(self, "computed", computed)
-        object.__setattr__(self, "passed", passed)
 
     def to_json(self) -> dict:
         return {
@@ -108,64 +89,31 @@ class Certificate(Value):
 class Transpose(Value):
     _fields = ("index",)
 
-    def __init__(self, index: int):
-        object.__setattr__(self, "index", index)
-
 
 class LeftMutateThrough(Value):
     _fields = ("index", "result", "result_tag")
-
-    def __init__(
-        self, index: int, result: BundleExpr, result_tag: Optional[str] = None
-    ):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "result_tag", result_tag)
+    _defaults = {"result_tag": None}
 
 
 class RightMutateThrough(Value):
     _fields = ("index", "result", "result_tag")
-
-    def __init__(
-        self, index: int, result: BundleExpr, result_tag: Optional[str] = None
-    ):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "result", result)
-        object.__setattr__(self, "result_tag", result_tag)
+    _defaults = {"result_tag": None}
 
 
 class SerreRotateToFront(Value):
     _fields = ("count",)
 
-    def __init__(self, count: int):
-        object.__setattr__(self, "count", count)
-
 
 class SerreRotateToBack(Value):
     _fields = ("count",)
-
-    def __init__(self, count: int):
-        object.__setattr__(self, "count", count)
 
 
 class MutateSubcatLeft(Value):
     _fields = ("index", "span", "new_label", "functor_note")
 
-    def __init__(self, index: int, span: int, new_label: str, functor_note: str):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "new_label", new_label)
-        object.__setattr__(self, "functor_note", functor_note)
-
 
 class MutateSubcatRight(Value):
     _fields = ("index", "span", "new_label", "functor_note")
-
-    def __init__(self, index: int, span: int, new_label: str, functor_note: str):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "span", span)
-        object.__setattr__(self, "new_label", new_label)
-        object.__setattr__(self, "functor_note", functor_note)
 
 
 Move = Union[
@@ -181,14 +129,7 @@ Move = Union[
 
 class SODState(Value):
     _fields = ("blocks", "move_log")
-
-    def __init__(
-        self,
-        blocks: tuple[Block, ...],
-        move_log: tuple[tuple[str, tuple[Certificate, ...]], ...] = (),
-    ):
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "move_log", move_log)
+    _defaults = {"move_log": ()}
 
     def render(self) -> tuple[str, ...]:
         return tuple(b.render() for b in self.blocks)
@@ -424,22 +365,6 @@ CONCLUSION = "equivalence = (left adjoint of Phi-) o Phi3"
 class StepReport(Value):
     _fields = ("index", "description", "moves", "certificates", "state", "ok")
 
-    def __init__(
-        self,
-        index: int,
-        description: str,
-        moves: tuple[str, ...],
-        certificates: tuple[Certificate, ...],
-        state: tuple[str, ...],
-        ok: bool,
-    ):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "moves", moves)
-        object.__setattr__(self, "certificates", certificates)
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "ok", ok)
-
     def to_json(self) -> dict:
         return {
             "step": self.index,
@@ -460,22 +385,6 @@ class ReplayReport(Value):
         "conclusion",
         "passed",
     )
-
-    def __init__(
-        self,
-        steps: tuple[StepReport, ...],
-        final_state: tuple[str, ...],
-        final_matches: bool,
-        mismatch: Optional[str],
-        conclusion: Optional[str],
-        passed: bool,
-    ):
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "final_state", final_state)
-        object.__setattr__(self, "final_matches", final_matches)
-        object.__setattr__(self, "mismatch", mismatch)
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "passed", passed)
 
     def to_json(self) -> dict:
         return {

@@ -16,11 +16,8 @@ hom(U'(-h), U) come out as k in degree 1.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .bundles import (
     BundleExpr,
-    CohResult,
     Dual,
     Tensor,
     Twist,
@@ -45,20 +42,6 @@ class HomVResult(Value):
     """Graded Hom over the total space between two zero-section bundles."""
 
     _fields = ("determined", "profile", "p0", "p1", "euler")
-
-    def __init__(
-        self,
-        determined: bool,
-        profile: Optional[CohomologyProfile],
-        p0: CohResult,
-        p1: CohResult,
-        euler: int,
-    ):
-        object.__setattr__(self, "determined", determined)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "euler", euler)
 
     @property
     def is_zero(self) -> bool:

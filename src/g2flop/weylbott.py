@@ -37,9 +37,6 @@ class CohomologyProfile(Value):
 
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[int, Weight, int], ...]):
-        object.__setattr__(self, "entries", entries)
-
     def __eq__(self, other):
         # Hot: the certificates compare profiles; skip the generic key lookup.
         if type(other) is not CohomologyProfile:
@@ -91,16 +88,7 @@ class BottOutcome(Value):
     w(lam+rho) = nu+rho strictly dominant."""
 
     _fields = ("singular", "w", "nu")
-
-    def __init__(
-        self,
-        singular: bool,
-        w: Optional[WeylElement] = None,
-        nu: Optional[Weight] = None,
-    ):
-        object.__setattr__(self, "singular", singular)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "nu", nu)
+    _defaults = {"w": None, "nu": None}
 
 
 _SINGULAR = BottOutcome(singular=True)
@@ -212,16 +200,6 @@ class FilteredResult(Value):
 
     _fields = ("determined", "profile", "pieces")
 
-    def __init__(
-        self,
-        determined: bool,
-        profile: Optional[CohomologyProfile],
-        pieces: tuple[tuple[object, CohomologyProfile, int], ...],
-    ):
-        object.__setattr__(self, "determined", determined)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "pieces", pieces)
-
     @property
     def is_zero(self) -> bool:
         return self.determined and self.profile.is_zero
@@ -298,11 +276,6 @@ def parabolic_cohomology(
         if rs.pairing(lam, rs.simple_roots[i]) < 0:
             raise ValueError(f"{lam} is not dominant for the Levi root alpha_{i}")
     return line_cohomology(rs, lam)
-
-
-def serre_dual_weight(rs: RootSystem, lam: Weight) -> Weight:
-    """omega_{G/B} twist partner: omega = O(-2 rho)."""
-    return tuple(-2 - c for c in lam)
 
 
 def format_profile(profile: CohomologyProfile) -> str:

@@ -23,6 +23,7 @@ from g2flop.rootdata import (
     wneg,
 )
 from g2flop.weylbott import weyl_dim
+from tests.test_weyl_oracle import weyl_elements
 
 # Independent G2 oracle data (standard tables, alpha_1 long / alpha_2 short):
 # positive roots in simple-root coordinates, with squared lengths.
@@ -176,7 +177,7 @@ def test_weyl_order_from_heights_equals_the_rho_orbit_count(monkeypatch):
     )
     for name, cartan in cartans.items():
         rs = build_root_system(cartan)
-        assert rs.weyl_order == sum(1 for _ in rs.elements), name
+        assert rs.weyl_order == sum(1 for _ in weyl_elements(rs)), name
 
 
 @pytest.mark.parametrize("shift", [1, -1])
@@ -274,8 +275,9 @@ def test_pairing_pinned_values():
     rs = g2()
     # The weight (-1,1) = -alpha_1-alpha_2 is orthogonal to alpha_1+3alpha_2
     # and pairs to -1 with alpha_1+2alpha_2 (Gram-matrix oracle).
-    assert rs.pairing((-1, 1), rs.root_by_simple_coords((1, 3))) == 0
-    assert rs.pairing((-1, 1), rs.root_by_simple_coords((1, 2))) == -1
+    roots = {r.simple_coords: r for r in rs.positive_roots}
+    assert rs.pairing((-1, 1), roots[(1, 3)]) == 0
+    assert rs.pairing((-1, 1), roots[(1, 2)]) == -1
     assert oracle_pairing((-1, 1), (1, 3)) == 0
     assert oracle_pairing((-1, 1), (1, 2)) == -1
 
@@ -304,7 +306,7 @@ def test_weyl_invariance_of_pairing():
     rs = g2()
     rng = random.Random(4)
     mus = [(rng.randint(-10, 10), rng.randint(-10, 10)) for _ in range(25)]
-    for w in rs.elements:
+    for w in weyl_elements(rs):
         for alpha in rs.positive_roots:
             w_alpha_omega = w.apply(alpha.weight_coords)
             # find w(alpha) among +-positive roots
@@ -321,7 +323,7 @@ def test_weyl_invariance_of_pairing():
 
 def test_length_counts_inverted_positive_roots():
     rs = g2()
-    for w in rs.elements:
+    for w in weyl_elements(rs):
         inverted = 0
         for alpha in rs.positive_roots:
             image = w.apply(alpha.weight_coords)
@@ -344,7 +346,8 @@ def test_regularity_is_orbit_invariant():
     rng = random.Random(5)
     for _ in range(60):
         mu = (rng.randint(-6, 6), rng.randint(-6, 6))
-        flags = {rs.is_regular(nu) for nu in rs.orbit(mu)}
+        orbit = {w.apply(mu) for w in weyl_elements(rs)}
+        flags = {0 not in rs.coroot_pairings(nu) for nu in orbit}
         assert len(flags) == 1
 
 

@@ -3,12 +3,16 @@
 Every class compares and hashes by exact type plus fields, refuses assignment
 and deletion, and prints like the dataclass it replaced; the pinned reprs were
 recorded from the dataclass versions.  ``RootSystem`` alone compares by
-identity.
+identity.  Constructors are generated from ``_fields`` and ``_defaults``; the
+pinned arity errors were recorded from the hand-written constructors they
+replaced.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
+import inspect
 import itertools
 import pickle
 
@@ -236,3 +240,142 @@ def test_root_system_compares_by_identity():
         a.rank = 3
     with pytest.raises(AttributeError):
         del a.rho
+
+
+# --- generated constructors -------------------------------------------------
+
+#: (class, required arguments, its _defaults, other values for the defaulted)
+DEFAULTED = [
+    (ExcObject, (Universal(),), {"tag": None}, ("U",)),
+    (Subcat, ("A",), {"history": ()}, (("L_O",),)),
+    (LeftMutateThrough, (1, Universal()), {"result_tag": None}, ("x",)),
+    (RightMutateThrough, (2, Line(0, 1)), {"result_tag": None}, ("y",)),
+    (SODState, ((Subcat("A"),),), {"move_log": ()}, ((("transpose 1", ()),),)),
+    (BottOutcome, (True,), {"w": None, "nu": None}, (WeylElement((1,), g2()), (0, 1))),
+]
+
+
+def test_defaulted_classes_are_pinned():
+    defaulted = {cls for cls in Value.__subclasses__() if cls._defaults}
+    assert defaulted == {cls for cls, *_ in DEFAULTED}
+    for cls, _, defaults, _ in DEFAULTED:
+        assert cls._defaults == defaults
+
+
+@pytest.mark.parametrize(
+    "cls, required, defaults, given", DEFAULTED, ids=[c.__name__ for c, *_ in DEFAULTED]
+)
+def test_defaulted_constructors(cls, required, defaults, given):
+    names = cls._fields
+    kw_required = dict(zip(names, required))
+    kw_given = dict(zip(defaults, given))
+    omitted = dict(kw_required, **defaults)
+    supplied = dict(kw_required, **kw_given)
+    for value, fields in [
+        (cls(*required), omitted),
+        (cls(**kw_required), omitted),
+        (cls(*required, *given), supplied),
+        (cls(*required, **kw_given), supplied),
+        (cls(**supplied), supplied),
+    ]:
+        assert vars(value) == fields
+        assert tuple(vars(value)) == names
+    # Only the first defaulted field given, by position: the rest default.
+    partial = cls(*required, given[0])
+    assert vars(partial) == dict(omitted, **{names[len(required)]: given[0]})
+
+
+@pytest.mark.parametrize("make, text", CASES, ids=IDS)
+def test_positional_keyword_and_mixed_calls_agree(make, text):
+    a = make()
+    cls, values = type(a), tuple(vars(a).values())
+    assert cls(*values) == a
+    assert cls(**vars(a)) == a
+    for k in range(len(values) + 1):
+        assert cls(*values[:k], **dict(zip(cls._fields[k:], values[k:]))) == a
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (
+            lambda: Twist(Universal(), 0),
+            "Twist.__init__() missing 1 required positional argument: 'b'",
+        ),
+        (
+            lambda: Twist(Universal(), 0, 1, 2),
+            "Twist.__init__() takes 4 positional arguments but 5 were given",
+        ),
+        (
+            lambda: ExcObject(Universal(), x=1),
+            "ExcObject.__init__() got an unexpected keyword argument 'x'",
+        ),
+        (
+            lambda: ExcObject(Universal(), None, tag="U"),
+            "ExcObject.__init__() got multiple values for argument 'tag'",
+        ),
+        (
+            lambda: Subcat("A", (), 1),
+            "Subcat.__init__() takes from 2 to 3 positional arguments but 4 were given",
+        ),
+        (
+            lambda: BottOutcome(),
+            "BottOutcome.__init__() missing 1 required positional argument: 'singular'",
+        ),
+        (lambda: Universal(1), "Universal() takes no arguments"),
+    ],
+    ids=[
+        "missing",
+        "too-many",
+        "unknown-keyword",
+        "twice",
+        "too-many-defaulted",
+        "none",
+        "no-fields",
+    ],
+)
+def test_arity_errors_name_the_class(call, text):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == text
+
+
+def test_generated_constructors_belong_to_their_class():
+    for cls in Value.__subclasses__():
+        init = vars(cls).get("__init__")
+        if not cls._fields:
+            assert init is None and cls.__init__ is object.__init__, cls
+            continue
+        assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert init.__module__ == cls.__module__
+        assert tuple(inspect.signature(cls).parameters) == cls._fields
+        assert init.__defaults__ == (tuple(cls._defaults.values()) or None)
+
+
+@pytest.mark.parametrize(
+    "namespace, message",
+    [
+        (
+            {"_fields": ("x",), "__init__": lambda self, x: None},
+            "Point defines __init__; Value generates it from _fields",
+        ),
+        (
+            {"_fields": ("x", "y"), "_defaults": {"x": 0}},
+            "Point._defaults must name its trailing fields",
+        ),
+        (
+            {"_fields": ("x",), "_defaults": {"y": 0}},
+            "Point._defaults must name its trailing fields",
+        ),
+    ],
+    ids=["hand-written-init", "leading-default", "unknown-default"],
+)
+def test_bad_value_classes_are_refused(namespace, message):
+    with pytest.raises(TypeError) as info:
+        type("Point", (Value,), namespace)
+    assert str(info.value) == message
+    del info
+    # The refused class must not linger among the subclasses that
+    # test_every_value_class_is_covered counts.
+    gc.collect()
+    assert "Point" not in {c.__name__ for c in Value.__subclasses__()}

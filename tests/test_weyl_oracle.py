@@ -3,6 +3,8 @@
 The oracle group is built here, from the Cartan matrix alone, by
 breadth-first closure of the simple-reflection matrices on weight
 coordinates; the breadth-first depth of an element is its Weyl length.
+``weyl_elements`` enumerates the group a second way, by its free orbit
+through rho; the other test modules use it as their Weyl group.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2flop.rootdata import G2_CARTAN, build_root_system, wadd
+from g2flop.rootdata import G2_CARTAN, WeylElement, build_root_system, wadd
 from g2flop.weylbott import dot_normalize
 
 CARTANS = {
@@ -73,6 +75,25 @@ def matrix_group(name):
     return lengths
 
 
+def weyl_elements(rs):
+    """Every Weyl group element once, by increasing length.
+
+    A breadth-first walk over the orbit of rho, which is free because rho is
+    regular.  s_i w is longer than w exactly when <w(rho), alpha_i^v> > 0, so
+    stepping only along such i leads from length l to length l+1, and
+    prepending i to a reduced word keeps it reduced.
+    """
+    level = {rs.rho: ()}
+    while level:
+        yield from (WeylElement(word, rs) for word in level.values())
+        nxt = {}
+        for mu, word in level.items():
+            for i, c in enumerate(mu):
+                if c > 0:
+                    nxt.setdefault(rs.reflect(i, mu), (i,) + word)
+        level = nxt
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_walk_matches_matrix_group(data):
@@ -97,7 +118,7 @@ def test_rho_orbit_enumerates_the_matrix_group(name):
     rs = system(name)
     group = matrix_group(name)
     assert rs.weyl_order == len(group)
-    elements = list(rs.elements)
+    elements = list(weyl_elements(rs))
     assert len(elements) == len(group)
     assert {w.matrix: w.length for w in elements} == group
     w0 = rs.longest_element

@@ -25,7 +25,6 @@ from g2flop.weylbott import (
     filtered_cohomology,
     line_cohomology,
     parabolic_cohomology,
-    serre_dual_weight,
     weyl_dim,
 )
 
@@ -142,7 +141,7 @@ def test_chamber_table_agrees_with_a_walk_per_weight(name):
         mu = tuple(c + 1 for c in lam)
         out = dot_normalize(rs, lam)
         profile = line_cohomology(rs, lam)
-        if not rs.is_regular(mu):
+        if 0 in rs.coroot_pairings(mu):
             assert out.singular and profile.is_zero
             continue
         top, w = rs.to_dominant(mu)
@@ -171,7 +170,7 @@ def test_a_corrupted_chamber_entry_is_refused():
         if lam != (-2, 3)
         and tuple(p < 0 for p in rs.coroot_pairings((lam[0] + 1, lam[1] + 1)))
         == key[1]
-        and rs.is_regular((lam[0] + 1, lam[1] + 1))
+        and 0 not in rs.coroot_pairings((lam[0] + 1, lam[1] + 1))
     ]
     assert len(same) >= 2
     with pytest.raises(IntegrityError, match="non-dominant"):
@@ -385,7 +384,8 @@ def test_serre_duality_degree_flip():
         for b in range(-6, 7):
             lam = (a, b)
             left = line_cohomology(RS, lam).dimensions(RS)
-            right = line_cohomology(RS, serre_dual_weight(RS, lam)).dimensions(RS)
+            partner = tuple(-2 - c for c in lam)
+            right = line_cohomology(RS, partner).dimensions(RS)
             assert left == {6 - d: n for d, n in right.items()}
 
 
