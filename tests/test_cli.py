@@ -156,6 +156,14 @@ def test_hilbert_negative_bounds_are_usage_errors(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_hilbert_git_zero_side_refuses_a_nonzero_degree(capsys):
+    # This used to print 4890, the weight-0 piece, labelled as degree 5.
+    code, out, err = run_cli(capsys, "hilbert", "git", "0", "5", "--trunc", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the weight-0 GIT piece has degree 0 only, not 5\n"
+
+
 def test_hilbert_git_rejects_a_bad_side_through_argparse(capsys):
     # argparse's choices refuse the side before cmd_hilbert runs.
     with pytest.raises(SystemExit) as exc:
