@@ -120,14 +120,23 @@ SPINOR_SUB = Universal()
 SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
 
 
+#: The longest Levi weight string a factor may have: Sym^m U and E(a,b),
+#: F(a,b) with a Levi pairing past it are refused before any weight is
+#: enumerated, since each weight costs a Bott call and a cache entry.
+MAX_STRING_WEIGHTS = 200_000
+
+
 def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> dict[Weight, int]:
     n = rs.pairing(hw, rs.simple_roots[levi_index])
     if n < 0:
         raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
+    if n >= MAX_STRING_WEIGHTS:
+        raise BundleError(
+            f"highest weight {hw} has a string of {n + 1} weights, "
+            f"more than the {MAX_STRING_WEIGHTS} supported"
+        )
     alpha = rs.simple_roots[levi_index].weight_coords
-    return {
-        tuple(hw[k] - j * alpha[k] for k in range(rs.rank)): 1 for j in range(n + 1)
-    }
+    return {tuple([h - j * a for h, a in zip(hw, alpha)]): 1 for j in range(n + 1)}
 
 
 def _convolve(left: dict[Weight, int], right: dict[Weight, int]) -> dict[Weight, int]:
@@ -224,7 +233,7 @@ def levi_tensor(
         raise BundleError("both weights must be Levi-dominant")
     total = wadd(lam, mu)
     out = tuple(
-        tuple(total[k] - j * alpha.weight_coords[k] for k in range(rs.rank))
+        tuple([t - j * a for t, a in zip(total, alpha.weight_coords)])
         for j in range(min(m, n) + 1)
     )
     if sum(rs.pairing(w, alpha) + 1 for w in out) != (m + 1) * (n + 1):

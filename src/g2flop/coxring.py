@@ -26,6 +26,11 @@ from .rootdata import IntegrityError, RootSystem
 from .weylbott import parabolic_cohomology, weyl_dim
 
 
+#: The largest degree ``hilbert_table`` tabulates: a table has up to
+#: (degree + 1)^2 entries, each a Weyl-formula sum.
+MAX_TABLE_DEGREE = 100
+
+
 def _check_trunc(trunc: int) -> None:
     if trunc < 0:
         raise ValueError("truncation must be non-negative")
@@ -147,8 +152,14 @@ def hilbert_table(
     kind "r": flag Cox ring over bidegrees up to max_degree;
     kind "s": total-space Cox ring (truncated at trunc);
     kind "git": the three GIT series up to degree max_degree.
+
+    A max_degree above ``MAX_TABLE_DEGREE`` raises ``ValueError``.
     """
     _check_trunc(trunc)
+    if max_degree > MAX_TABLE_DEGREE:
+        raise ValueError(
+            f"table degree {max_degree} is above the supported {MAX_TABLE_DEGREE}"
+        )
     if kind == "r":
         entries = [
             {"degree": [k, l], "dim": flag_cox_dim(rs, k, l)}

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add, attrgetter, mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Weight = tuple[int, ...]
 
@@ -170,10 +170,13 @@ class RootSystem(Value):
     i.e. of the pairings of rho with every positive coroot.  ``weyl_order``
     is counted from root heights, never by walking the group.
 
-    ``_simple_slots`` and ``_chain`` drive ``coroot_pairings``: one ``(slot,
-    i)`` per simple coroot i, its index in ``positive_roots``; then one
-    ``(slot, parent slot, j)`` per non-simple positive coroot, in order of
-    coroot height, saying that this coroot is the parent plus simple coroot j.
+    ``_simple_slots`` and ``_chain`` are the recipe that ``coroot_pairings``
+    is compiled from: one ``(slot, i)`` per simple coroot i, its index in
+    ``positive_roots``; then one ``(slot, parent slot, j)`` per non-simple
+    positive coroot, in order of coroot height, saying that this coroot is
+    the parent plus simple coroot j.  ``_coroot_slots`` maps the coordinates
+    of every coroot, positive and negative, to ``(slot, sign)``: the slot of
+    the positive coroot it is plus or minus, and which of the two.
     """
 
     _fields = (
@@ -189,6 +192,7 @@ class RootSystem(Value):
         "_simple_weights",
         "_simple_slots",
         "_chain",
+        "_coroot_slots",
     )
 
     __eq__ = object.__eq__
@@ -237,19 +241,42 @@ class RootSystem(Value):
     def coroot_pairings(self, mu: Weight) -> tuple[int, ...]:
         """<mu, beta^v> for every positive root beta, aligned with positive_roots.
 
-        A simple coroot pairs to a coordinate of mu; every other positive
-        coroot is a lower one plus a simple coroot j, so its pairing is the
-        lower pairing plus mu[j]: one addition per root, no dot products.
+        Runs straight-line code compiled from the height chain on this
+        system's first call (see ``_compile_pairings``): a simple coroot
+        pairs to a coordinate of mu, and every other positive coroot is a
+        lower one plus a simple coroot, so its pairing is one addition.
         """
-        out = [0] * len(self.positive_roots)
-        for k, i in self._simple_slots:
-            out[k] = mu[i]
-        for k, parent, j in self._chain:
-            out[k] = out[parent] + mu[j]
-        return tuple(out)
+        compiled = _PAIRINGS.get(self)
+        if compiled is None:
+            compiled = _PAIRINGS[self] = _compile_pairings(self)
+        return compiled(mu)
 
     def is_dominant(self, mu: Weight) -> bool:
         return min(mu, default=0) >= 0
+
+
+#: The compiled ``coroot_pairings`` of each system that has paired a weight.
+#: Compiling is left to the first call, not done in ``build_root_system``:
+#: it costs about a third of an F4 build, and many systems are built only to
+#: be counted.
+_PAIRINGS: dict[RootSystem, Callable[[Weight], tuple[int, ...]]] = {}
+
+
+def _compile_pairings(rs: RootSystem) -> Callable[[Weight], tuple[int, ...]]:
+    """``def coroot_pairings(mu)`` as straight-line code from the height chain.
+
+    One local per simple coroot, unpacked from mu (so a weight of the wrong
+    length raises ``ValueError``); one addition per non-simple coroot, its
+    parent's local plus a simple coroot's; then one tuple in the order of
+    ``positive_roots``.
+    """
+    simple = {i: f"p{k}" for k, i in rs._simple_slots}
+    lines = [f"[{', '.join(simple[i] for i in range(rs.rank))}] = mu"]
+    lines += [f"p{k} = p{parent} + {simple[j]}" for k, parent, j in rs._chain]
+    lines.append(f"return ({''.join(f'p{k}, ' for k in range(len(rs.positive_roots)))})")
+    namespace: dict[str, object] = {}
+    exec("def coroot_pairings(mu):\n    " + "\n    ".join(lines), {}, namespace)
+    return namespace["coroot_pairings"]
 
 
 def _validate_gcm(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -364,9 +391,12 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     non-integral one is rejected.  The positive coroots are then chained by
     coroot height, which for non-simply-laced types differs from root height:
     each non-simple one is recorded as a lower positive coroot plus one simple
-    coroot, the recipe ``coroot_pairings`` follows.  The product of the coroot
-    heights is stored as the Weyl denominator.  The Weyl group is never
-    stored or walked: its order comes from Macdonald's identity
+    coroot, the recipe that ``coroot_pairings`` is compiled from on the
+    system's first pairing call, and every coroot, positive or negative, is
+    given the slot of its positive coroot and its sign, the table the Bott
+    kernel reads chamber images through.  The product of the coroot heights
+    is stored as the Weyl denominator.  The Weyl group is never stored or
+    walked: its order comes from Macdonald's identity
     |W| = prod over positive roots of (ht + 1) / ht (Macdonald, *The Poincare
     series of a Coxeter group*, Math. Ann. 199, 1972), computed once over the
     coroot heights and once over the root heights; see ``_weyl_order``.
@@ -420,15 +450,19 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     simple_roots = tuple(make_root(c) for c in simples)
 
     coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for root in positive:
+    coroot_slots: dict[tuple[int, ...], tuple[int, int]] = {}
+    for index, root in enumerate(positive):
         coroot = []
         for j, k in enumerate(root.simple_coords):
             c, r = divmod(2 * k * d[j], root.length_sq)
             if r:
                 raise RootSystemError(f"coroot of {root.simple_coords} is not integral")
             coroot.append(c)
-        coroots[root.simple_coords] = tuple(coroot)
-        coroots[wneg(root.simple_coords)] = wneg(coroot)
+        coroot, negative = tuple(coroot), wneg(coroot)
+        coroots[root.simple_coords] = coroot
+        coroots[wneg(root.simple_coords)] = negative
+        coroot_slots[coroot] = (index, 1)
+        coroot_slots[negative] = (index, -1)
 
     slot = {coroots[r.simple_coords]: k for k, r in enumerate(positive)}
     simple_slots: list[tuple[int, int]] = []
@@ -465,6 +499,7 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
         _simple_weights=simple_weights,
         _simple_slots=tuple(simple_slots),
         _chain=tuple(chain),
+        _coroot_slots=coroot_slots,
     )
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .rootdata import IntegrityError, RootSystem, Value, Weight, WeylElement
@@ -95,12 +94,46 @@ _SINGULAR = BottOutcome(singular=True)
 _ZERO = CohomologyProfile(())
 
 
-#: One entry per Weyl chamber met so far: (rs, signs) -> (w, matrix of w),
-#: where signs[k] says whether mu = lam+rho pairs negatively with the k-th
+#: One entry per Weyl chamber met so far: (rs, signs) -> (w, slots), where
+#: signs[k] says whether mu = lam+rho pairs negatively with the k-th
 #: positive coroot.  The signs fix the chamber of a regular mu and so the one
-#: Weyl element taking mu into the dominant chamber (Humphreys, *Reflection
-#: Groups and Coxeter Groups*, section 1.12).
-_CHAMBERS: dict[tuple[RootSystem, tuple[bool, ...]], tuple[WeylElement, tuple]] = {}
+#: Weyl element w taking mu into the dominant chamber (Humphreys, *Reflection
+#: Groups and Coxeter Groups*, section 1.12).  Row i of w's matrix is
+#: w^-1 alpha_i^v, which is plus or minus a positive coroot: slots[i] is
+#: ``(k, e)`` with w^-1 alpha_i^v = e beta_k^v, so the i-th coordinate of
+#: w(mu) is e times the k-th coroot pairing of mu.
+_CHAMBERS: dict[
+    tuple[RootSystem, tuple[bool, ...]],
+    tuple[WeylElement, tuple[tuple[int, int], ...]],
+] = {}
+
+
+def _chamber_slots(rs: RootSystem, w: WeylElement) -> tuple[tuple[int, int], ...]:
+    """``(k, e)`` per simple i with w^-1 alpha_i^v = e beta_k^v.
+
+    The rows of w's matrix are built in one pass over the word: the matrix
+    starts as the identity and each letter j, last to first, multiplies it
+    on the left by s_j, which subtracts alpha_j[r] times row j from row r.
+    Each row is then looked up among the coroots; one that is not plus or
+    minus a positive coroot raises ``IntegrityError``.
+    """
+    n = rs.rank
+    rows = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
+    for j in reversed(w.word):
+        pivot = rows[j]
+        rows = [
+            tuple([x - a * y for x, y in zip(row, pivot)])
+            for row, a in zip(rows, rs._simple_weights[j])
+        ]
+    slots = []
+    for row in rows:
+        slot = rs._coroot_slots.get(row)
+        if slot is None:
+            raise IntegrityError(
+                f"row {row} of the matrix of {w.word} is not a coroot"
+            )
+        slots.append(slot)
+    return tuple(slots)
 
 
 def _dominant_image(rs: RootSystem, lam: Weight) -> Optional[tuple[WeylElement, Weight]]:
@@ -113,11 +146,12 @@ def _dominant_image(rs: RootSystem, lam: Weight) -> Optional[tuple[WeylElement, 
 
     A regular mu runs the dominance walk only on the first weight of its
     chamber: the walk's word must have one letter per negative pairing, or
-    ``IntegrityError`` is raised, and the element is stored with its matrix.
-    Every weight, the first included, is then mapped by that matrix, and its
-    image must be strictly dominant, or ``IntegrityError`` is raised.  Only
-    one Weyl element makes a regular weight dominant, so this check verifies
-    the stored entry in full.
+    ``IntegrityError`` is raised, and the element is stored with its slots
+    (see ``_CHAMBERS``).  Every weight, the first included, then reads its
+    image from its own pairings, nu_i = e_i * pairings[k_i] - 1, the same
+    integers as w's matrix applied to mu, and the image must be strictly
+    dominant, or ``IntegrityError`` is raised.  Only one Weyl element makes a
+    regular weight dominant, so this check verifies the stored entry in full.
     """
     mu = tuple([c + 1 for c in lam])
     if 0 in mu:
@@ -131,9 +165,9 @@ def _dominant_image(rs: RootSystem, lam: Weight) -> Optional[tuple[WeylElement, 
         w = rs.to_dominant(mu)[1]
         if w.length != key[1].count(True):
             raise IntegrityError("dot-normal form length mismatch")
-        entry = _CHAMBERS[key] = (w, w.matrix)
-    w, matrix = entry
-    nu = tuple([sum(map(mul, row, mu)) - 1 for row in matrix])
+        entry = _CHAMBERS[key] = (w, _chamber_slots(rs, w))
+    w, slots = entry
+    nu = tuple([e * pairings[k] - 1 for k, e in slots])
     if nu and min(nu) < 0:
         raise IntegrityError(f"chamber element {w.word} leaves {lam} non-dominant")
     return w, nu

@@ -13,6 +13,7 @@ import pytest
 from g2flop import bundles
 from g2flop.bundles import RouteMismatchError, flag_cohomology, parse_expr
 from g2flop.cli import main
+from g2flop.coxring import MAX_TABLE_DEGREE
 from g2flop.rootdata import g2
 from g2flop.weylbott import CohomologyProfile
 
@@ -154,6 +155,55 @@ def test_hilbert_negative_bounds_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_hilbert_refuses_a_table_degree_above_the_bound(capsys):
+    # Building the (N+1)^2 entries used to end in a MemoryError traceback
+    # and exit 1; the bound refuses before the first entry.
+    top = str(MAX_TABLE_DEGREE)
+    argv = ["hilbert", "r", "0", "0", "--table", "--table-degree"]
+    code, out, _ = run_cli(capsys, *argv, top)
+    assert code == 0
+    entries = json.loads(out.splitlines()[1])["entries"]
+    assert len(entries) == (MAX_TABLE_DEGREE + 1) ** 2
+    for degree in (MAX_TABLE_DEGREE + 1, 100000):
+        code, out, err = run_cli(capsys, *argv, str(degree))
+        assert (code, out) == (2, "")
+        assert err == f"error: table degree {degree} is above the supported {top}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, hw",
+    [
+        (["coh", "E(1,100000000000)"], "(1, 100000000000)"),
+        (["coh", "F(100000000000,1)"], "(100000000000, 1)"),
+        (["coh", "Sym^100000000000 U"], "(-100000000000, 100000000000)"),
+        (["homv", "E(1,100000000000)", "O"], "(1, 100000000000)"),
+    ],
+    ids=["E", "F", "Sym", "homv"],
+)
+def test_a_huge_atom_label_is_refused_before_enumeration(capsys, argv, hw):
+    # Each of these used to enumerate 10^11 weights and end in a MemoryError
+    # traceback with exit 1, which reads as a failed verification.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: highest weight {hw} has a string of 100000000001 weights, "
+        f"more than the {bundles.MAX_STRING_WEIGHTS} supported\n"
+    )
+
+
+def test_the_longest_supported_string_is_answered(capsys, monkeypatch):
+    # The bound counts weights: a string of exactly MAX_STRING_WEIGHTS
+    # weights is answered and one more is refused.  A small bound keeps the
+    # boundary cheap to reach.
+    monkeypatch.setattr(bundles, "MAX_STRING_WEIGHTS", 4)
+    code, out, _ = run_cli(capsys, "coh", "F(3,1)")
+    assert (code, out) == (0, "V(3,1)  (degree 0: dim 896)\n")
+    code, out, err = run_cli(capsys, "coh", "Sym^4 U")
+    assert (code, out) == (2, "")
+    assert err.endswith("has a string of 5 weights, more than the 4 supported\n")
 
 
 def test_hilbert_git_zero_side_refuses_a_nonzero_degree(capsys):

@@ -419,8 +419,9 @@ def kernel_system(name):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CARTANS))
 def test_coroot_pairings_match_dot_products(name):
-    # The height chain must reproduce the plain dot product with every
-    # positive coroot, in the order of positive_roots, as a tuple.
+    # The code compiled from the height chain must reproduce the plain dot
+    # product with every positive coroot, in the order of positive_roots, as
+    # a tuple.
     rs = kernel_system(name)
     coroots = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
     side = range(-2, 3) if rs.rank <= 4 else range(-1, 2)
@@ -429,6 +430,31 @@ def test_coroot_pairings_match_dot_products(name):
         assert type(got) is tuple
         assert got == tuple(sum(c * m for c, m in zip(co, mu)) for co in coroots)
     assert rs.weyl_denominator == prod(rs.coroot_pairings(rs.rho))
+
+
+def test_compiled_pairings_match_dot_products_on_every_benchmark_type(monkeypatch):
+    # The pairings are compiled on a system's first pairing call, not by the
+    # build, and must then equal the plain dot product with every positive
+    # coroot, on every type the benchmark builds and on E6.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    cartans = dict(importlib.import_module("worker").CARTAN)
+    cartans.update(E6=E6_CARTAN)
+    for name, cartan in cartans.items():
+        rs = build_root_system(cartan)
+        assert rs not in rootdata._PAIRINGS, name
+        coroots = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
+        for mu in itertools.product(range(-1, 2), repeat=rs.rank):
+            assert rs.coroot_pairings(mu) == tuple(
+                sum(c * m for c, m in zip(co, mu)) for co in coroots
+            ), (name, mu)
+        assert rs in rootdata._PAIRINGS, name
+
+
+def test_compiled_pairings_refuse_a_weight_of_the_wrong_length():
+    rs = build_root_system(rootdata.G2_CARTAN)
+    for mu in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="values to unpack"):
+            rs.coroot_pairings(mu)
 
 
 @pytest.mark.parametrize(

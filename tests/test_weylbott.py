@@ -17,6 +17,7 @@ from g2flop.rootdata import (
     build_root_system,
     g2,
     g2_flipped,
+    wneg,
 )
 from g2flop.weylbott import (
     CohomologyProfile,
@@ -27,6 +28,7 @@ from g2flop.weylbott import (
     parabolic_cohomology,
     weyl_dim,
 )
+from tests.test_rootdata import E6_CARTAN
 
 RS = g2()
 
@@ -125,6 +127,9 @@ CHAMBER_BOXES = {
 }
 
 
+SLOT_BOXES = dict(CHAMBER_BOXES, E6=(E6_CARTAN, 2))
+
+
 def _chambers_of(rs):
     return {key: entry for key, entry in weylbott._CHAMBERS.items() if key[0] is rs}
 
@@ -154,29 +159,76 @@ def test_chamber_table_agrees_with_a_walk_per_weight(name):
         assert len(chambers) == rs.weyl_order
 
 
+def _same_chamber(rs, key, skip):
+    """Regular G2 weights of a small box in the chamber of ``key``."""
+    return [
+        lam
+        for lam in product(range(-8, 9), repeat=2)
+        if lam != skip
+        and tuple(p < 0 for p in rs.coroot_pairings((lam[0] + 1, lam[1] + 1)))
+        == key[1]
+        and 0 not in rs.coroot_pairings((lam[0] + 1, lam[1] + 1))
+    ]
+
+
 def test_a_corrupted_chamber_entry_is_refused():
     # Negative control: a stored element of the right length but the wrong
-    # chamber sends the next weight of that chamber out of the dominant
-    # chamber, on both faces of the kernel.
+    # chamber, with that wrong element's own slots, sends the next weight of
+    # the chamber out of the dominant chamber, on both faces of the kernel.
     rs = build_root_system(G2_CARTAN)
     assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
     (key, (w, _)), = _chambers_of(rs).items()
     assert w.word == (0,)
     wrong = WeylElement((1,), rs)
-    weylbott._CHAMBERS[key] = (wrong, wrong.matrix)
-    same = [
-        lam
-        for lam in product(range(-8, 9), repeat=2)
-        if lam != (-2, 3)
-        and tuple(p < 0 for p in rs.coroot_pairings((lam[0] + 1, lam[1] + 1)))
-        == key[1]
-        and 0 not in rs.coroot_pairings((lam[0] + 1, lam[1] + 1))
-    ]
+    weylbott._CHAMBERS[key] = (wrong, weylbott._chamber_slots(rs, wrong))
+    same = _same_chamber(rs, key, (-2, 3))
     assert len(same) >= 2
     with pytest.raises(IntegrityError, match="non-dominant"):
         line_cohomology(rs, same[0])
     with pytest.raises(IntegrityError, match="non-dominant"):
         dot_normalize(rs, same[1])
+
+
+def test_a_flipped_slot_sign_is_refused():
+    # Negative control: the right element with one slot's sign flipped reads
+    # a negative image coordinate on the next weight of its chamber.
+    rs = build_root_system(G2_CARTAN)
+    assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
+    (key, (w, slots)), = _chambers_of(rs).items()
+    (k, e), rest = slots[0], slots[1:]
+    weylbott._CHAMBERS[key] = (w, ((k, -e),) + rest)
+    with pytest.raises(IntegrityError, match="non-dominant"):
+        line_cohomology(rs, _same_chamber(rs, key, (-2, 3))[0])
+
+
+def test_a_row_missing_from_the_coroot_table_is_refused():
+    # Negative control: s_0 sends alpha_0^v to its negative, so a slot table
+    # without that negative coroot cannot place the first row of s_0's
+    # matrix, and the chamber miss raises instead of storing an entry.
+    rs = build_root_system(G2_CARTAN)
+    missing = wneg(rs.coroots[rs.simple_roots[0].simple_coords])
+    table = {c: slot for c, slot in rs._coroot_slots.items() if c != missing}
+    object.__setattr__(rs, "_coroot_slots", table)
+    message = r"row \(-1, 0\) of the matrix of \(0,\) is not a coroot"
+    with pytest.raises(IntegrityError, match=message):
+        line_cohomology(rs, (-2, 3))
+    assert not _chambers_of(rs)
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_BOXES))
+def test_stored_slots_reproduce_the_matrix_rows(name):
+    # Row i of w's matrix is w^-1 alpha_i^v, and the chamber entry stores it
+    # as (k, e): e times the k-th positive coroot.  WeylElement.matrix, which
+    # applies the word to each fundamental weight, is the reference.
+    cartan, half = SLOT_BOXES[name]
+    rs = build_root_system(cartan)
+    for lam in product(range(-half, half + 1), repeat=rs.rank):
+        line_cohomology(rs, lam)
+    chambers = _chambers_of(rs)
+    assert len(chambers) > 1
+    positive = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
+    for w, slots in chambers.values():
+        assert w.matrix == tuple(tuple(e * c for c in positive[k]) for k, e in slots)
 
 
 def test_weyl_dim_rejects_a_non_integral_quotient():
