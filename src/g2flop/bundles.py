@@ -139,9 +139,24 @@ def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> dict[Weight,
     return {tuple([h - j * a for h, a in zip(hw, alpha)]): 1 for j in range(n + 1)}
 
 
+#: The most (left weight, right weight) pairs one product of weight
+#: multisets may form: a product past it is refused before it is expanded.
+#: It bounds the product's distinct weights, each a Bott call and a cache
+#: entry, as the string bound does a factor's.  E(1,399)*F(499,1), at the
+#: bound, peaks at 164 MB; E(1,999)*F(999,1), 10^6 pairs, runs out of a
+#: 600 MB address space.
+MAX_PRODUCT_PAIRS = 200_000
+
+
 def _convolve(left: dict[Weight, int], right: dict[Weight, int]) -> dict[Weight, int]:
     # Keys come out in the order of first occurrence in the expanded product
     # (left-major), because both inputs keep first-occurrence order.
+    pairs = len(left) * len(right)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise BundleError(
+            f"a product of {len(left)} by {len(right)} distinct weights forms "
+            f"{pairs} pairs, more than the {MAX_PRODUCT_PAIRS} supported"
+        )
     out: dict[Weight, int] = {}
     for lw, lm in left.items():
         for rw, rm in right.items():

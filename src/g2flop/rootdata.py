@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add, attrgetter, mul
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 Weight = tuple[int, ...]
 
@@ -171,10 +171,11 @@ class RootSystem(Value):
     is counted from root heights, never by walking the group.
 
     ``_simple_slots`` and ``_chain`` are the recipe that ``coroot_pairings``
-    is compiled from: one ``(slot, i)`` per simple coroot i, its index in
-    ``positive_roots``; then one ``(slot, parent slot, j)`` per non-simple
-    positive coroot, in order of coroot height, saying that this coroot is
-    the parent plus simple coroot j.  ``_coroot_slots`` maps the coordinates
+    and the Bott kernel are compiled from: one ``(slot, i)`` per simple
+    coroot i, its index in ``positive_roots``; then one
+    ``(slot, parent slot, j)`` per non-simple positive coroot, in order of
+    coroot height, saying that this coroot is the parent plus simple
+    coroot j.  ``_coroot_slots`` maps the coordinates
     of every coroot, positive and negative, to ``(slot, sign)``: the slot of
     the positive coroot it is plus or minus, and which of the two.
     """
@@ -242,13 +243,15 @@ class RootSystem(Value):
         """<mu, beta^v> for every positive root beta, aligned with positive_roots.
 
         Runs straight-line code compiled from the height chain on this
-        system's first call (see ``_compile_pairings``): a simple coroot
+        system's first call (see ``compile_pairings``): a simple coroot
         pairs to a coordinate of mu, and every other positive coroot is a
-        lower one plus a simple coroot, so its pairing is one addition.
+        lower one plus a simple coroot, so its pairing is one addition.  The
+        Bott kernel is the same code with the rho-shift and the singularity
+        exits written in.
         """
         compiled = _PAIRINGS.get(self)
         if compiled is None:
-            compiled = _PAIRINGS[self] = _compile_pairings(self)
+            compiled = _PAIRINGS[self] = compile_pairings(self)
         return compiled(mu)
 
     def is_dominant(self, mu: Weight) -> bool:
@@ -262,21 +265,51 @@ class RootSystem(Value):
 _PAIRINGS: dict[RootSystem, Callable[[Weight], tuple[int, ...]]] = {}
 
 
-def _compile_pairings(rs: RootSystem) -> Callable[[Weight], tuple[int, ...]]:
-    """``def coroot_pairings(mu)`` as straight-line code from the height chain.
+#: What ``compile_pairings(rs, bott=True)`` returns; see there.
+BottKernel = Callable[[Weight], Optional[tuple[tuple[int, ...], tuple[bool, ...]]]]
 
-    One local per simple coroot, unpacked from mu (so a weight of the wrong
-    length raises ``ValueError``); one addition per non-simple coroot, its
-    parent's local plus a simple coroot's; then one tuple in the order of
-    ``positive_roots``.
+
+def compile_pairings(rs: RootSystem, bott: bool = False) -> Callable:
+    """Straight-line code from the height chain: ``coroot_pairings(mu)``, or
+    with ``bott`` the Bott kernel ``kernel(lam)``.
+
+    ``coroot_pairings`` returns the pairings of mu with the positive coroots,
+    as one tuple in the order of ``positive_roots``.  The kernel returns
+    ``None`` when lam is singular, i.e. when some positive coroot pairs to
+    zero with lam+rho, and otherwise ``(pairings, signs)``: the pairings of
+    lam+rho as above, and ``signs[k]`` saying whether the k-th is negative.
+
+    The weight is first unpacked into one local per coordinate, so a weight
+    of the wrong length raises ``ValueError`` before anything else runs.
+    Each simple coroot's pairing is its coordinate (the kernel adds 1, as
+    rho is all ones in fundamental-weight coordinates), and each non-simple
+    coroot's is one addition, its parent's local plus a simple coroot's.
+    The kernel returns ``None`` right after the first pairing that is zero,
+    the simple ones first, and writes its signs out as one comparison per
+    pairing.
     """
     simple = {i: f"p{k}" for k, i in rs._simple_slots}
-    lines = [f"[{', '.join(simple[i] for i in range(rs.rank))}] = mu"]
-    lines += [f"p{k} = p{parent} + {simple[j]}" for k, parent, j in rs._chain]
-    lines.append(f"return ({''.join(f'p{k}, ' for k in range(len(rs.positive_roots)))})")
+    coords = [f"l{i}" for i in range(rs.rank)]
+    lines = [f"[{', '.join(coords)}] = weight"]
+
+    def pairing(local: str, value: str) -> None:
+        lines.append(f"{local} = {value}")
+        if bott:
+            lines.append(f"if not {local}: return None")
+
+    for i, coord in enumerate(coords):
+        pairing(simple[i], f"{coord} + 1" if bott else coord)
+    for k, parent, j in rs._chain:
+        pairing(f"p{k}", f"p{parent} + {simple[j]}")
+    slots = range(len(rs.positive_roots))
+    pairings = f"({''.join(f'p{k}, ' for k in slots)})"
+    if bott:
+        pairings += f", ({''.join(f'p{k} < 0, ' for k in slots)})"
+    lines.append(f"return {pairings}")
     namespace: dict[str, object] = {}
-    exec("def coroot_pairings(mu):\n    " + "\n    ".join(lines), {}, namespace)
-    return namespace["coroot_pairings"]
+    name = "kernel" if bott else "coroot_pairings"
+    exec(f"def {name}(weight):\n    " + "\n    ".join(lines), {}, namespace)
+    return namespace[name]
 
 
 def _validate_gcm(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -391,8 +424,8 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     non-integral one is rejected.  The positive coroots are then chained by
     coroot height, which for non-simply-laced types differs from root height:
     each non-simple one is recorded as a lower positive coroot plus one simple
-    coroot, the recipe that ``coroot_pairings`` is compiled from on the
-    system's first pairing call, and every coroot, positive or negative, is
+    coroot, the recipe that ``coroot_pairings`` and the Bott kernel are
+    compiled from on first use, and every coroot, positive or negative, is
     given the slot of its positive coroot and its sign, the table the Bott
     kernel reads chamber images through.  The product of the coroot heights
     is stored as the Weyl denominator.  The Weyl group is never stored or

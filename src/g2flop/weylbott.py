@@ -1,11 +1,14 @@
 """Dot-action normal form, Bott cohomology and filtered-bundle determinacy.
 
-Bott runs through one uncached kernel, ``_dominant_image``, which runs the
-dominance walk once per Weyl chamber and checks every weight's image.
+Bott runs through one uncached function, ``_dominant_image``: the root
+system's compiled kernel (``rootdata.compile_pairings`` with ``bott``) takes
+a weight to its chamber in one straight-line call, the dominance walk runs
+once per Weyl chamber, and every weight's image is checked.
 ``dot_normalize`` is its cached public face, returning a ``BottOutcome``;
-``line_cohomology`` keeps its own cache and builds its profile from the
-kernel's answer directly, so a weight is cached once, as its profile.  Every
-singular weight gets one shared singular outcome or one shared zero profile.
+``line_cohomology`` keeps its own cache and builds its profile from
+``_dominant_image``'s answer directly, so a weight is cached once, as its
+profile.  Every singular weight gets one shared singular outcome or one
+shared zero profile.
 
 Filtered bundles are evaluated over the weight multiset: one Bott call and
 one E1 piece per distinct weight, carrying its multiplicity.
@@ -28,7 +31,15 @@ from functools import lru_cache
 from math import prod
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .rootdata import IntegrityError, RootSystem, Value, Weight, WeylElement
+from .rootdata import (
+    BottKernel,
+    IntegrityError,
+    RootSystem,
+    Value,
+    Weight,
+    WeylElement,
+    compile_pairings,
+)
 
 
 class CohomologyProfile(Value):
@@ -94,17 +105,22 @@ _SINGULAR = BottOutcome(singular=True)
 _ZERO = CohomologyProfile(())
 
 
-#: One entry per Weyl chamber met so far: (rs, signs) -> (w, slots), where
-#: signs[k] says whether mu = lam+rho pairs negatively with the k-th
-#: positive coroot.  The signs fix the chamber of a regular mu and so the one
-#: Weyl element w taking mu into the dominant chamber (Humphreys, *Reflection
-#: Groups and Coxeter Groups*, section 1.12).  Row i of w's matrix is
-#: w^-1 alpha_i^v, which is plus or minus a positive coroot: slots[i] is
-#: ``(k, e)`` with w^-1 alpha_i^v = e beta_k^v, so the i-th coordinate of
-#: w(mu) is e times the k-th coroot pairing of mu.
+#: The Bott kernel of each root system that has met a weight (see
+#: ``rootdata.compile_pairings``), compiled with its chamber table.
+_KERNELS: dict[RootSystem, BottKernel] = {}
+
+#: One chamber table per root system, one entry per Weyl chamber met so far:
+#: signs -> (w, len(w), slots), where signs[k] says whether mu = lam+rho
+#: pairs negatively with the k-th positive coroot, as the kernel returns it.
+#: The signs fix the chamber of a regular mu and so the one Weyl element w
+#: taking mu into the dominant chamber (Humphreys, *Reflection Groups and
+#: Coxeter Groups*, section 1.12).  Row i of w's matrix is w^-1 alpha_i^v,
+#: which is plus or minus a positive coroot: slots[i] is ``(k, e)`` with
+#: w^-1 alpha_i^v = e beta_k^v, so the i-th coordinate of w(mu) is e times
+#: the k-th coroot pairing of mu.
 _CHAMBERS: dict[
-    tuple[RootSystem, tuple[bool, ...]],
-    tuple[WeylElement, tuple[tuple[int, int], ...]],
+    RootSystem,
+    dict[tuple[bool, ...], tuple[WeylElement, int, tuple[tuple[int, int], ...]]],
 ] = {}
 
 
@@ -136,53 +152,59 @@ def _chamber_slots(rs: RootSystem, w: WeylElement) -> tuple[tuple[int, int], ...
     return tuple(slots)
 
 
-def _dominant_image(rs: RootSystem, lam: Weight) -> Optional[tuple[WeylElement, Weight]]:
-    """(w, nu) with w(lam+rho) = nu+rho strictly dominant, or None if singular.
+def _dominant_image(
+    rs: RootSystem, lam: Weight
+) -> Optional[tuple[WeylElement, int, Weight]]:
+    """(w, len(w), nu) with w(lam+rho) = nu+rho strictly dominant, or None
+    if lam is singular.
 
-    The coordinates of mu = lam+rho are its simple-coroot pairings (rho is
-    all ones in fundamental-weight coordinates), so a zero coordinate makes
-    lam singular before the other positive coroots are paired.  Otherwise lam
-    is singular exactly when some positive coroot pairs to zero with mu.
+    The system's compiled kernel takes lam to the coroot pairings of
+    mu = lam+rho and their signs in one call, or to None when a pairing is
+    zero; a weight of the wrong length raises ``ValueError`` there, singular
+    or not.  The signs key the system's chamber table.
 
     A regular mu runs the dominance walk only on the first weight of its
     chamber: the walk's word must have one letter per negative pairing, or
-    ``IntegrityError`` is raised, and the element is stored with its slots
-    (see ``_CHAMBERS``).  Every weight, the first included, then reads its
-    image from its own pairings, nu_i = e_i * pairings[k_i] - 1, the same
-    integers as w's matrix applied to mu, and the image must be strictly
-    dominant, or ``IntegrityError`` is raised.  Only one Weyl element makes a
-    regular weight dominant, so this check verifies the stored entry in full.
+    ``IntegrityError`` is raised, and the element is stored with its length
+    and slots (see ``_CHAMBERS``).  Every weight, the first included, then
+    reads its image from its own pairings, nu_i = e_i * pairings[k_i] - 1,
+    the same integers as w's matrix applied to mu, and the image must be
+    strictly dominant, or ``IntegrityError`` is raised.  Only one Weyl
+    element makes a regular weight dominant, so this check verifies the
+    stored entry, and the signs it was found by, in full.
     """
-    mu = tuple([c + 1 for c in lam])
-    if 0 in mu:
+    kernel = _KERNELS.get(rs)
+    if kernel is None:
+        kernel = _KERNELS[rs] = compile_pairings(rs, bott=True)
+        _CHAMBERS[rs] = {}
+    found = kernel(lam)
+    if found is None:
         return None
-    pairings = rs.coroot_pairings(mu)
-    if 0 in pairings:
-        return None
-    key = (rs, tuple([p < 0 for p in pairings]))
-    entry = _CHAMBERS.get(key)
+    pairings, signs = found
+    chambers = _CHAMBERS[rs]
+    entry = chambers.get(signs)
     if entry is None:
-        w = rs.to_dominant(mu)[1]
-        if w.length != key[1].count(True):
+        w = rs.to_dominant(tuple([c + 1 for c in lam]))[1]
+        if w.length != signs.count(True):
             raise IntegrityError("dot-normal form length mismatch")
-        entry = _CHAMBERS[key] = (w, _chamber_slots(rs, w))
-    w, slots = entry
+        entry = chambers[signs] = (w, w.length, _chamber_slots(rs, w))
+    w, length, slots = entry
     nu = tuple([e * pairings[k] - 1 for k, e in slots])
     if nu and min(nu) < 0:
         raise IntegrityError(f"chamber element {w.word} leaves {lam} non-dominant")
-    return w, nu
+    return w, length, nu
 
 
 def _normalize(rs: RootSystem, lam: Weight) -> BottOutcome:
     """Normalize lam under the dot action w.lam = w(lam+rho)-rho.
 
     One walk per Weyl chamber, every image checked: see ``_dominant_image``.
-    ``dot_normalize`` is this kernel behind an ``lru_cache``.
+    ``dot_normalize`` is this function behind an ``lru_cache``.
     """
     image = _dominant_image(rs, lam)
     if image is None:
         return _SINGULAR
-    return BottOutcome(False, *image)
+    return BottOutcome(False, image[0], image[2])
 
 
 dot_normalize = lru_cache(maxsize=None)(_normalize)
@@ -192,15 +214,16 @@ dot_normalize = lru_cache(maxsize=None)(_normalize)
 def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
     """Bott cohomology of the line bundle O(lam) on the full flag variety.
 
-    Reads the chamber kernel behind ``dot_normalize`` directly and builds no
-    ``BottOutcome``, so a miss passes through this one cache only.  A
-    singular weight gets the shared zero profile; a regular one its Weyl
-    module in degree len(w).
+    Reads ``_dominant_image``, the function behind ``dot_normalize``,
+    directly and builds no ``BottOutcome``, so a miss passes through this
+    one cache only.  A singular weight gets the shared zero profile; a
+    regular one its Weyl module in degree len(w), the length stored with its
+    chamber.
     """
     image = _dominant_image(rs, lam)
     if image is None:
         return _ZERO
-    return CohomologyProfile(((len(image[0].word), image[1], 1),))
+    return CohomologyProfile(((image[1], image[2], 1),))
 
 
 @lru_cache(maxsize=None)

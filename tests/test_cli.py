@@ -206,6 +206,38 @@ def test_the_longest_supported_string_is_answered(capsys, monkeypatch):
     assert err.endswith("has a string of 5 weights, more than the 4 supported\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["coh", "E(1,3000)*F(3000,1)"], ["homv", "E(1,3000)*F(3000,1)", "O"]],
+    ids=["coh", "homv"],
+)
+def test_a_product_with_too_many_weight_pairs_is_refused(capsys, argv):
+    # Each factor is inside the string bound, but route A's product would
+    # hold 9*10^6 distinct weights; it used to end in a MemoryError
+    # traceback and exit 1, which reads as a failed verification.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a product of 3001 by 3001 distinct weights forms 9006001 pairs, "
+        f"more than the {bundles.MAX_PRODUCT_PAIRS} supported\n"
+    )
+
+
+def test_the_largest_supported_product_is_answered(capsys):
+    # 400 by 500 weights is exactly MAX_PRODUCT_PAIRS pairs and is answered;
+    # one more weight on the left is refused.
+    assert bundles.MAX_PRODUCT_PAIRS == 400 * 500
+    code, out, _ = run_cli(capsys, "coh", "Sym^399 U*Sym^499 U")
+    assert code == 0
+    assert out.startswith("V(0,893)[-4] + V(1,892)[-4] + ")
+    code, out, err = run_cli(capsys, "coh", "Sym^400 U*Sym^499 U")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a product of 401 by 500 distinct weights forms 200500 pairs, "
+        f"more than the {bundles.MAX_PRODUCT_PAIRS} supported\n"
+    )
+
+
 def test_hilbert_git_zero_side_refuses_a_nonzero_degree(capsys):
     # This used to print 4890, the weight-0 piece, labelled as degree 5.
     code, out, err = run_cli(capsys, "hilbert", "git", "0", "5", "--trunc", "3")

@@ -12,9 +12,9 @@ from g2flop import weylbott
 from g2flop.rootdata import (
     G2_CARTAN,
     IntegrityError,
-    RootSystem,
     WeylElement,
     build_root_system,
+    compile_pairings,
     g2,
     g2_flipped,
     wneg,
@@ -104,9 +104,14 @@ def test_full_flag_of_sl3_oracle():
             assert line_cohomology(a2, dual).dimensions(a2) == {3: dim}
 
 
+def _all_negative_kernel(rs, bott):
+    # A G2 kernel that reports every pairing negative, whatever the weight.
+    return lambda lam: ((-1,) * 6, (True,) * 6)
+
+
 def test_dot_normalize_rejects_a_length_mismatch(monkeypatch):
     rs = build_root_system(RS.cartan)
-    monkeypatch.setattr(RootSystem, "coroot_pairings", lambda self, mu: (-1,) * 6)
+    monkeypatch.setattr(weylbott, "compile_pairings", _all_negative_kernel)
     with pytest.raises(RuntimeError, match="length mismatch"):
         dot_normalize(rs, (-2, 3))
 
@@ -115,9 +120,25 @@ def test_line_cohomology_rejects_a_length_mismatch(monkeypatch):
     # line_cohomology reaches the kernel without going through the
     # dot_normalize cache; the walk-length check must hold on that path too.
     rs = build_root_system(RS.cartan)
-    monkeypatch.setattr(RootSystem, "coroot_pairings", lambda self, mu: (-1,) * 6)
+    monkeypatch.setattr(weylbott, "compile_pairings", _all_negative_kernel)
     with pytest.raises(IntegrityError, match="length mismatch"):
         line_cohomology(rs, (-2, 3))
+
+
+@pytest.mark.parametrize("lam", [(-1, 5, 7), (2,), (0, 0, 0)])
+def test_a_weight_of_the_wrong_length_is_refused_even_when_singular(lam):
+    # (-1, 5, 7) has a zero coordinate in lam+rho, which used to return the
+    # singular outcome and cache the zero profile before any length check.
+    rs = g2()
+    cached = line_cohomology.cache_info().currsize, dot_normalize.cache_info().currsize
+    with pytest.raises(ValueError, match="values to unpack"):
+        line_cohomology(rs, lam)
+    with pytest.raises(ValueError, match="values to unpack"):
+        dot_normalize(rs, lam)
+    assert (
+        line_cohomology.cache_info().currsize,
+        dot_normalize.cache_info().currsize,
+    ) == cached
 
 
 CHAMBER_BOXES = {
@@ -131,7 +152,7 @@ SLOT_BOXES = dict(CHAMBER_BOXES, E6=(E6_CARTAN, 2))
 
 
 def _chambers_of(rs):
-    return {key: entry for key, entry in weylbott._CHAMBERS.items() if key[0] is rs}
+    return weylbott._CHAMBERS.get(rs, {})
 
 
 @pytest.mark.parametrize("name", sorted(CHAMBER_BOXES))
@@ -166,7 +187,7 @@ def _same_chamber(rs, key, skip):
         for lam in product(range(-8, 9), repeat=2)
         if lam != skip
         and tuple(p < 0 for p in rs.coroot_pairings((lam[0] + 1, lam[1] + 1)))
-        == key[1]
+        == key
         and 0 not in rs.coroot_pairings((lam[0] + 1, lam[1] + 1))
     ]
 
@@ -177,10 +198,10 @@ def test_a_corrupted_chamber_entry_is_refused():
     # the chamber out of the dominant chamber, on both faces of the kernel.
     rs = build_root_system(G2_CARTAN)
     assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
-    (key, (w, _)), = _chambers_of(rs).items()
+    (key, (w, _, _)), = _chambers_of(rs).items()
     assert w.word == (0,)
     wrong = WeylElement((1,), rs)
-    weylbott._CHAMBERS[key] = (wrong, weylbott._chamber_slots(rs, wrong))
+    _chambers_of(rs)[key] = (wrong, 1, weylbott._chamber_slots(rs, wrong))
     same = _same_chamber(rs, key, (-2, 3))
     assert len(same) >= 2
     with pytest.raises(IntegrityError, match="non-dominant"):
@@ -194,9 +215,9 @@ def test_a_flipped_slot_sign_is_refused():
     # a negative image coordinate on the next weight of its chamber.
     rs = build_root_system(G2_CARTAN)
     assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
-    (key, (w, slots)), = _chambers_of(rs).items()
+    (key, (w, length, slots)), = _chambers_of(rs).items()
     (k, e), rest = slots[0], slots[1:]
-    weylbott._CHAMBERS[key] = (w, ((k, -e),) + rest)
+    _chambers_of(rs)[key] = (w, length, ((k, -e),) + rest)
     with pytest.raises(IntegrityError, match="non-dominant"):
         line_cohomology(rs, _same_chamber(rs, key, (-2, 3))[0])
 
@@ -227,8 +248,58 @@ def test_stored_slots_reproduce_the_matrix_rows(name):
     chambers = _chambers_of(rs)
     assert len(chambers) > 1
     positive = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
-    for w, slots in chambers.values():
+    for signs, (w, length, slots) in chambers.items():
+        assert length == w.length == signs.count(True)
         assert w.matrix == tuple(tuple(e * c for c in positive[k]) for k, e in slots)
+
+
+@pytest.mark.parametrize("name", sorted(SLOT_BOXES))
+def test_the_compiled_kernel_matches_its_definition(name):
+    # The reference: the pairings of lam+rho are the dot products with the
+    # positive coroots in the order of positive_roots; lam is singular
+    # exactly when one of them is 0; the signs say which are negative.
+    cartan, half = SLOT_BOXES[name]
+    rs = build_root_system(cartan)
+    kernel = compile_pairings(rs, bott=True)
+    coroots = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
+    singular = 0
+    for lam in product(range(-half, half + 1), repeat=rs.rank):
+        mu = tuple(c + 1 for c in lam)
+        pairings = tuple(sum(c * m for c, m in zip(co, mu)) for co in coroots)
+        found = kernel(lam)
+        if 0 in pairings:
+            singular += 1
+            assert found is None, lam
+        else:
+            assert found == (pairings, tuple(p < 0 for p in pairings)), lam
+            assert type(found[0]) is type(found[1]) is tuple
+    assert 0 < singular < (2 * half + 1) ** rs.rank
+
+
+def test_a_kernel_with_one_sign_flipped_is_refused(monkeypatch):
+    # Negative control: one wrong sign changes the count of negative
+    # pairings, so the walk of the chamber's first weight is one letter off,
+    # on both faces of the kernel, and no chamber is stored.
+    def flipped(rs, bott):
+        kernel = compile_pairings(rs, bott)
+
+        def flip(lam):
+            found = kernel(lam)
+            if found is None:
+                return None
+            pairings, signs = found
+            return pairings, (not signs[0],) + signs[1:]
+
+        return flip
+
+    rs = build_root_system(G2_CARTAN)
+    monkeypatch.setattr(weylbott, "compile_pairings", flipped)
+    assert line_cohomology(rs, (-1, 0)).is_zero
+    for face in (line_cohomology, dot_normalize):
+        for lam in [(0, 0), (-2, 3), (-5, -5)]:
+            with pytest.raises(IntegrityError, match="length mismatch"):
+                face(rs, lam)
+    assert not _chambers_of(rs)
 
 
 def test_weyl_dim_rejects_a_non_integral_quotient():
