@@ -29,8 +29,9 @@ routes determine an answer they are required to agree.
 
 ``flag_cohomology`` answers each ``(root system, normal form)`` once: equal
 normal forms share one memoized result, in a cache that is unbounded like the
-Bott caches.  Failures are not memoized, so a failing input raises again on
-every call.
+Bott caches.  ``parse_expr`` likewise parses each text once and hands every
+caller the same frozen tree.  Failures are not memoized, so a failing input
+raises again on every call.
 
 The expression grammar for the CLI::
 
@@ -765,8 +766,14 @@ class _Parser:
         return (a, b)
 
 
+@lru_cache(maxsize=None)
 def parse_expr(text: str) -> BundleExpr:
-    """Parse the CLI grammar; raises ParseError with a position on failure."""
+    """Parse the CLI grammar; raises ParseError with a position on failure.
+
+    Memoized per text in an unbounded cache: equal texts share one tree,
+    which is safe because expressions are frozen values.  A ``ParseError`` is
+    not memoized, so malformed text raises again on every call.
+    """
     parser = _Parser(text)
     expr = parser.parse_expr()
     parser.skip_ws()

@@ -12,18 +12,26 @@ combined under the same degree-gap determinacy rule as filtrations (the
 connecting differential is never computed; gaps >= 2 make it irrelevant).
 The [0, 1] placement of the complex is pinned by the requirement that
 hom(U'(-h), U) come out as k in degree 1.
+
+``hom_v`` answers each ``(root system, normal form of A' ⊗ B)`` once: pairs
+with equal normal forms share one memoized result, in a cache that is
+unbounded like the Bott caches.  Failures are not memoized, so a failing pair
+raises again on every call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .bundles import (
     BundleExpr,
     Dual,
     Tensor,
     Twist,
+    _assemble,
     det_weight,
     flag_cohomology,
-    normalize,
+    normal_factors,
 )
 from .rootdata import RootSystem, Value, Weight, wadd, wneg
 from .weylbott import CohomologyProfile, combine_pieces
@@ -52,8 +60,23 @@ class HomVResult(Value):
 
 
 def hom_v(rs: RootSystem, a: BundleExpr, b: BundleExpr) -> HomVResult:
-    """hom over the total space from A to B (both pushed from the flag)."""
-    pair = normalize(Tensor(Dual(a), b))
+    """hom over the total space from A to B (both pushed from the flag).
+
+    The answer depends only on A' ⊗ B, so it is memoized per ``(rs, normal
+    form of A' ⊗ B)``: pairs whose A' ⊗ B have equal normal forms share one
+    result, in an unbounded memo like ``flag_cohomology``'s.  A failure is not
+    memoized: the next call evaluates again and raises again.
+    """
+    return _hom_v(rs, *normal_factors(Tensor(Dual(a), b)))
+
+
+@lru_cache(maxsize=None)
+def _hom_v(
+    rs: RootSystem, factors: tuple[BundleExpr, ...], twist: Weight
+) -> HomVResult:
+    # Keyed by the flat normal form, never the expression trees, whose hash
+    # recurses once per node.
+    pair = _assemble(factors, twist)
     term0 = pair
     term1 = Twist(pair, *TOTAL_SPACE_CANONICAL_TWIST)
     r0 = flag_cohomology(rs, term0)

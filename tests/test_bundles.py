@@ -625,6 +625,35 @@ def test_memo_stores_no_failure(monkeypatch):
     assert res.determined and res.profile == K
 
 
+# --- the parse_expr memo ----------------------------------------------------
+
+
+def test_equal_texts_share_one_parsed_tree():
+    for text in ["U*U(h)", "Sym^2 E(1,1)'", "S*U'(-h)", "O(H-2h)", "F(1,-3)"]:
+        # a copy built at run time, so the memo's key is equality, not identity
+        copy = "".join(list(text))
+        assert copy is not text
+        first = parse_expr(text)
+        assert parse_expr(copy) is first
+        assert first == parse_expr.__wrapped__(text)
+
+
+def test_parse_memo_stores_no_error():
+    from bench import queries
+
+    malformed = [q[1] for q in queries.pools()[queries.MALFORMED]]
+    assert len(malformed) == 120
+    size = parse_expr.cache_info().currsize
+    for text in malformed:
+        positions = []
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                parse_expr(text)
+            positions.append(err.value.position)
+        assert positions[0] == positions[1]
+    assert parse_expr.cache_info().currsize == size
+
+
 # --- parser and printer -----------------------------------------------------
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from g2flop import bundles
+from g2flop import bundles, totalspace
 from g2flop.bundles import RouteMismatchError, flag_cohomology, parse_expr
 from g2flop.cli import main
 from g2flop.coxring import MAX_TABLE_DEGREE
@@ -111,6 +111,21 @@ def test_route_mismatch_exits_1_without_traceback(capsys, monkeypatch):
     assert err.startswith("verification failed: routes disagree on U(h)")
 
 
+def test_homv_route_mismatch_exits_1_without_traceback(capsys, monkeypatch):
+    # The same corrupted route B, reached through hom_v's native term U(h).
+    monkeypatch.setattr(
+        bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
+    )
+    bundles._evaluate.cache_clear()
+    totalspace._hom_v.cache_clear()
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "homv", "O", "U(h)")
+        assert (code, out) == (1, "")
+        assert err.startswith("verification failed: routes disagree on U(h)")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_homv(capsys):
     code, out, _ = run_cli(capsys, "homv", "U(h)'", "U")
     assert code == 0
@@ -199,6 +214,8 @@ def test_the_longest_supported_string_is_answered(capsys, monkeypatch):
     # weights is answered and one more is refused.  A small bound keeps the
     # boundary cheap to reach.
     monkeypatch.setattr(bundles, "MAX_STRING_WEIGHTS", 4)
+    # An answer memoized under the real bound would skip the smaller one.
+    bundles._evaluate.cache_clear()
     code, out, _ = run_cli(capsys, "coh", "F(3,1)")
     assert (code, out) == (0, "V(3,1)  (degree 0: dim 896)\n")
     code, out, err = run_cli(capsys, "coh", "Sym^4 U")

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from g2flop import bundles, totalspace
 from g2flop.bundles import (
     Dual,
     IrrP1,
@@ -27,7 +28,8 @@ from g2flop.totalspace import (
     hom_v,
     total_space_canonical,
 )
-from g2flop.weylbott import euler_characteristic
+from g2flop.weylbott import CohomologyProfile, euler_characteristic
+from tests.test_bundles import random_expr
 
 RS = g2()
 
@@ -159,6 +161,61 @@ def test_hom_with_spinor_resolves_extension():
 def test_parse_interface_round_trip():
     res = hom_v(RS, parse_expr("U'(-h)"), parse_expr("U"))
     assert res.profile == K1
+
+
+# --- the hom_v memo ---------------------------------------------------------
+
+
+def test_memoized_hom_is_the_fresh_one():
+    rng = random.Random(47)
+    with_spinor = 0
+    for _ in range(150):
+        a, b = random_expr(rng, max_rank=8), random_expr(rng, max_rank=8)
+        with_spinor += "Spinor" in repr((a, b))
+        memoized = hom_v(RS, a, b)
+        totalspace._hom_v.cache_clear()
+        bundles._evaluate.cache_clear()
+        assert hom_v(RS, a, b) == memoized
+    assert with_spinor > 30
+
+
+def test_pairs_with_one_normal_form_share_one_answer():
+    # A'⊗B is U'(h) for both pairs: one normal form, one entry.
+    totalspace._hom_v.cache_clear()
+    first = hom_v(RS, U, parse_expr("O(h)"))
+    assert hom_v(RS, parse_expr("O(-h)"), parse_expr("U'")) is first
+    info = totalspace._hom_v.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
+def test_hom_memo_keeps_the_factor_order():
+    # hom(U, U) pairs U'*U and hom(U', U') pairs U*U': one answer, opposite
+    # filtration orders, which a key that sorted the factors would mix up.
+    order = {"U": [(0, 0), (1, -2), (-1, 2)], "U'": [(0, 0), (-1, 2), (1, -2)]}
+    for texts in (["U", "U'"], ["U'", "U"]):
+        totalspace._hom_v.cache_clear()
+        for text in texts:
+            e = parse_expr(text)
+            res = hom_v(RS, e, e)
+            assert res.profile == K
+            assert [w for w, _, _ in res.p0.e1] == order[text]
+
+
+def test_hom_memo_stores_no_failure(monkeypatch):
+    memo = totalspace._hom_v
+    monkeypatch.setattr(
+        bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
+    )
+    memo.cache_clear()
+    bundles._evaluate.cache_clear()
+    for _ in range(2):
+        with pytest.raises(bundles.RouteMismatchError, match="routes disagree on U"):
+            hom_v(RS, Line(0, 0), parse_expr("U(h)"))
+    assert memo.cache_info().currsize == 0
+    monkeypatch.undo()
+    res = hom_v(RS, Line(0, 0), parse_expr("U(h)"))
+    assert res.determined and res.profile == K
+    assert memo.cache_info().currsize == 1
 
 
 def test_base_canonical_weights():
