@@ -16,16 +16,16 @@ for cohomology because both projections have O as derived pushforward of O.
 Every reader sees an expression through its normal form: ``normal_factors``,
 the one walk over the tree, yields a line twist and a flat tuple of factors.
 
-Evaluation offers two independent routes.  Route A filters any expression by
+Evaluation offers three exact routes.  Route A filters any expression by
 its line-bundle weights and applies per-weight Bott under the degree-gap
 determinacy rule.  Route B applies to one-sided expressions (all non-line
 atoms from a single parabolic): the non-line part is decomposed into
 irreducibles by rank-1 Clebsch-Gordan, the fiber-direction twist is pushed
 down the relevant P1-fibration exactly (Sym / zero / Sym-twist-by-det,
 according to the twist degree), and parabolic Bott finishes the job with no
-spectral ambiguity.  Expressions containing the opaque extension S are
-additionally resolved through its two-piece filtration.  Whenever several
-routes determine an answer they are required to agree.
+spectral ambiguity.  The extension route resolves expressions containing the
+opaque extension S through its two-piece filtration.  Every route that
+determines an answer is cross-checked against the others.
 
 ``flag_cohomology`` answers each ``(root system, normal form)`` once: equal
 normal forms share one memoized result, in a cache that is unbounded like the
@@ -423,10 +423,6 @@ class CohResult(Value):
 
     _fields = ("determined", "profile", "e1", "route")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.determined and self.profile.is_zero
-
 
 def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
     """Best exact evaluation of H^*(flag variety, e).
@@ -442,6 +438,20 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
     return _evaluate(rs, *normal_factors(e))
 
 
+def _extension_cohomology(
+    rs: RootSystem, factors: tuple[BundleExpr, ...], twist: Weight
+) -> Optional[CohomologyProfile]:
+    """Exact evaluation through the defining extension of S; None without an
+    S or S' factor, or when a piece or their union is indeterminate."""
+    split = _spinor_split(factors, twist)
+    if split is None:
+        return None
+    sub, quot = (flag_cohomology(rs, piece) for piece in split)
+    if not (sub.determined and quot.determined):
+        return None
+    return combine_pieces([("sub", sub.profile, 1), ("quotient", quot.profile, 1)]).profile
+
+
 @lru_cache(maxsize=None)
 def _evaluate(
     rs: RootSystem, factors: tuple[BundleExpr, ...], twist: Weight
@@ -450,32 +460,24 @@ def _evaluate(
     # recurses once per node.
     e = _assemble(factors, twist)
     route_a = filtered_cohomology(rs, weights(rs, e))
-    candidates: list[tuple[str, CohomologyProfile]] = []
-    if route_a.determined:
-        candidates.append(("filtration", route_a.profile))
-    route_b = route_b_cohomology(rs, e)
-    if route_b is not None:
-        candidates.append(("parabolic", route_b))
-    split = _spinor_split(factors, twist)
-    if split is not None:
-        sub = flag_cohomology(rs, split[0])
-        quot = flag_cohomology(rs, split[1])
-        if sub.determined and quot.determined:
-            combined = combine_pieces(
-                [("sub", sub.profile, 1), ("quotient", quot.profile, 1)]
-            )
-            if combined.determined:
-                candidates.append(("extension", combined.profile))
-    if not candidates:
-        return CohResult(False, None, route_a.pieces, "none")
-    first_route, first = candidates[0]
-    for other_route, other in candidates[1:]:
-        if other != first:
+    # In evaluation order; each profile is None where its route settles nothing.
+    routes = (
+        ("filtration", route_a.profile),
+        ("parabolic", route_b_cohomology(rs, e)),
+        ("extension", _extension_cohomology(rs, factors, twist)),
+    )
+    settled_by, answer = "none", None
+    for route, profile in routes:
+        if profile is None:
+            continue
+        if answer is None:
+            settled_by, answer = route, profile
+        elif profile != answer:
             raise RouteMismatchError(
                 f"routes disagree on {format_expr(e)}: "
-                f"{first_route} gave {first}, {other_route} gave {other}"
+                f"{settled_by} gave {answer}, {route} gave {profile}"
             )
-    return CohResult(True, first, route_a.pieces, first_route)
+    return CohResult(answer is not None, answer, route_a.pieces, settled_by)
 
 
 # --- normalization and printing ---------------------------------------------

@@ -297,12 +297,13 @@ def replay_suite(rs: RootSystem) -> SuiteResult:
     details = []
     if not report.passed:
         details.append(report.mismatch or "replay failed")
+    steps = len(report.steps)
     certs = sum(len(s.certificates) for s in report.steps)
     return SuiteResult(
         "mutation-replay",
         "pass" if report.passed else "fail",
-        12,
-        tuple(details) if details else (f"12 steps, {certs} certificates",),
+        steps,
+        tuple(details) if details else (f"{steps} steps, {certs} certificates",),
     )
 
 

@@ -51,13 +51,6 @@ class HomVResult(Value):
 
     _fields = ("determined", "profile", "p0", "p1", "euler")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.determined and self.profile.is_zero
-
-    def dimensions(self, rs: RootSystem) -> dict[int, int]:
-        return self.profile.dimensions(rs) if self.determined else {}
-
 
 def hom_v(rs: RootSystem, a: BundleExpr, b: BundleExpr) -> HomVResult:
     """hom over the total space from A to B (both pushed from the flag).
@@ -86,14 +79,13 @@ def _hom_v(
     chi = sum(m * p.euler(rs) for _, p, m in r0.e1) - sum(
         m * p.euler(rs) for _, p, m in r1.e1
     )
-    if not (r0.determined and r1.determined):
-        return HomVResult(False, None, r0, r1, chi)
-    combined = combine_pieces(
-        [("native", r0.profile, 1), ("twisted", r1.profile.shift(1), 1)]
-    )
-    if not combined.determined:
-        return HomVResult(False, None, r0, r1, chi)
-    return HomVResult(True, combined.profile, r0, r1, chi)
+    determined, profile = False, None
+    if r0.determined and r1.determined:
+        combined = combine_pieces(
+            [("native", r0.profile, 1), ("twisted", r1.profile.shift(1), 1)]
+        )
+        determined, profile = combined.determined, combined.profile
+    return HomVResult(determined, profile, r0, r1, chi)
 
 
 # --- canonical bundles of total spaces ---------------------------------------

@@ -257,10 +257,6 @@ class FilteredResult(Value):
 
     _fields = ("determined", "profile", "pieces")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.determined and self.profile.is_zero
-
 
 def combine_pieces(
     labeled: Sequence[tuple[object, CohomologyProfile, int]],

@@ -523,6 +523,56 @@ def test_spinor_self_tensor_indeterminate():
     assert not res.determined
 
 
+def test_only_the_extension_route_settles_s_dual_minus_h():
+    # Route A is indeterminate and route B does not apply to S'(-h); its
+    # pieces U(h)' and U both vanish, so the extension route settles it.
+    e = parse_expr("S'(-h)")
+    assert not filtered_cohomology(RS, weights(RS, e)).determined
+    assert route_b_cohomology(RS, e) is None
+    res = flag_cohomology(RS, e)
+    assert (res.determined, res.profile, res.route) == (
+        True,
+        CohomologyProfile.zero(),
+        "extension",
+    )
+
+
+def corrupt_extension_quotient(monkeypatch):
+    """Shift the extension route's quotient piece of S'(-3H), U(-3H+h), up
+    by one degree, and forget memoized answers so the route really runs."""
+    real = bundles.flag_cohomology
+    quotient = normal_factors(parse_expr("U(-3H+h)"))
+
+    def corrupted(rs, e):
+        res = real(rs, e)
+        if normal_factors(e) != quotient:
+            return res
+        return bundles.CohResult(True, res.profile.shift(1), res.e1, res.route)
+
+    monkeypatch.setattr(bundles, "flag_cohomology", corrupted)
+    bundles._evaluate.cache_clear()
+
+
+S_DUAL_MINUS_3H_MISMATCH = (
+    "routes disagree on S(3H)': "
+    "filtration gave CohomologyProfile(entries=((5, (0, 0), 1),)), "
+    "extension gave CohomologyProfile(entries=((6, (0, 0), 1),))"
+)
+
+
+def test_a_corrupted_extension_piece_is_a_route_mismatch(monkeypatch):
+    # Filtration and extension both give k[-5] for S'(-3H); route B does not
+    # apply.  A wrong piece must surface as a mismatch, never as an answer.
+    e = parse_expr("S'(-3H)")
+    res = flag_cohomology(RS, e)
+    assert (res.profile, res.route) == (CohomologyProfile(((5, (0, 0), 1),)), "filtration")
+    assert route_b_cohomology(RS, e) is None
+    corrupt_extension_quotient(monkeypatch)
+    with pytest.raises(bundles.RouteMismatchError) as err:
+        flag_cohomology(RS, e)
+    assert str(err.value) == S_DUAL_MINUS_3H_MISMATCH
+
+
 def test_borel_weil_through_expressions():
     for a in range(0, 4):
         for b in range(0, 4):
@@ -623,6 +673,26 @@ def test_memo_stores_no_failure(monkeypatch):
     monkeypatch.undo()
     res = flag_cohomology(RS, parse_expr("U(h)"))
     assert res.determined and res.profile == K
+
+
+def test_routes_run_in_order_filtration_parabolic_extension(monkeypatch):
+    # When several routes raise, the first in evaluation order surfaces.
+    def fail(route):
+        def raising(*args):
+            raise IntegrityError(route)
+
+        return raising
+
+    # route A's Bott pieces, route B, and the extension route's nested calls
+    routes = ("filtered_cohomology", "route_b_cohomology", "flag_cohomology")
+    real = {route: getattr(bundles, route) for route in routes}
+    for route in routes:
+        monkeypatch.setattr(bundles, route, fail(route))
+    for route in routes:
+        bundles._evaluate.cache_clear()
+        with pytest.raises(IntegrityError, match=route):
+            flag_cohomology(RS, parse_expr("S'(-3H)"))
+        monkeypatch.setattr(bundles, route, real[route])
 
 
 # --- the parse_expr memo ----------------------------------------------------

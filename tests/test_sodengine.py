@@ -14,6 +14,7 @@ from g2flop.bundles import (
     Universal,
     weights,
 )
+from g2flop.checks import replay_suite
 from g2flop.rootdata import g2, g2_flipped
 from g2flop.sodengine import (
     SEED_OBJECTS,
@@ -185,6 +186,17 @@ def test_replay_fails_under_flipped_convention_at_seed():
     assert failed and failed[0].index == 1
     bad = [c for c in failed[0].certificates if not c.passed]
     assert bad and "V(1,0)[-1]" in bad[0].computed
+
+
+def test_replay_suite_counts_the_steps_that_ran():
+    # The flipped replay halts at its seed, so the suite reports one check,
+    # not the script's twelve.
+    assert len(replay_mutation_script(g2_flipped()).steps) == 1
+    flipped = replay_suite(g2_flipped())
+    assert (flipped.status, flipped.checks) == ("fail", 1)
+    passed = replay_suite(RS)
+    assert (passed.status, passed.checks) == ("pass", 12)
+    assert passed.details[0].startswith("12 steps, ")
 
 
 def test_replay_with_skipped_transposition_reports_mismatch():
