@@ -55,6 +55,7 @@ from .weylbott import (
     CohomologyProfile,
     combine_pieces,
     filtered_cohomology,
+    format_profile,
     parabolic_cohomology,
 )
 
@@ -128,7 +129,7 @@ MAX_STRING_WEIGHTS = 200_000
 
 
 def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> dict[Weight, int]:
-    n = rs.pairing(hw, rs.simple_roots[levi_index])
+    n = hw[levi_index]
     if n < 0:
         raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
     if n >= MAX_STRING_WEIGHTS:
@@ -242,17 +243,15 @@ def levi_tensor(
     if len(levi) != 1:
         raise BundleError("only semisimple-rank-1 Levi subgroups are supported")
     i = levi[0]
-    alpha = rs.simple_roots[i]
-    m = rs.pairing(lam, alpha)
-    n = rs.pairing(mu, alpha)
+    m, n = lam[i], mu[i]
     if m < 0 or n < 0:
         raise BundleError("both weights must be Levi-dominant")
     total = wadd(lam, mu)
+    alpha = rs.simple_roots[i].weight_coords
     out = tuple(
-        tuple([t - j * a for t, a in zip(total, alpha.weight_coords)])
-        for j in range(min(m, n) + 1)
+        tuple([t - j * a for t, a in zip(total, alpha)]) for j in range(min(m, n) + 1)
     )
-    if sum(rs.pairing(w, alpha) + 1 for w in out) != (m + 1) * (n + 1):
+    if sum(w[i] + 1 for w in out) != (m + 1) * (n + 1):
         raise IntegrityError(f"Clebsch-Gordan of {lam} and {mu} does not preserve rank")
     return out
 
@@ -287,7 +286,7 @@ def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[in
         return None
     if atom is not factor:
         # Sym^m of a rank-2 irreducible: the irreducible of highest weight m*hw
-        n = rs.pairing(hw, rs.simple_roots[side])
+        n = hw[side]
         if n < 0:
             raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
         if n != 1:
@@ -475,7 +474,8 @@ def _evaluate(
         elif profile != answer:
             raise RouteMismatchError(
                 f"routes disagree on {format_expr(e)}: "
-                f"{settled_by} gave {answer}, {route} gave {profile}"
+                f"{settled_by} gave {format_profile(answer)}, "
+                f"{route} gave {format_profile(profile)}"
             )
     return CohResult(answer is not None, answer, route_a.pieces, settled_by)
 

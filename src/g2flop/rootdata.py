@@ -4,7 +4,10 @@ Everything is integer arithmetic on plain tuples; weights live in
 fundamental-weight coordinates throughout, so a weight ``(a, b)`` means
 ``a*omega_1 + b*omega_2``.  Roots carry both simple-root and fundamental-weight
 coordinates, and every root has an integer coroot, so that all coroot pairings
-are exact integer dot products.  Weyl group elements are reduced words.
+are exact integer dot products.  The pairing of a weight with the i-th simple
+coroot is its i-th coordinate, and is read as such; ``compile_pairings``
+writes each system's Bott kernel, which pairs lam+rho with every positive
+coroot, as straight-line code.  Weyl group elements are reduced words.
 
 The engine accepts any finite-type generalized Cartan matrix (A1/A2/B2
 instances serve as independent sanity oracles in the test suite), but the rest
@@ -119,9 +122,6 @@ class Root(Value):
 
     _fields = ("simple_coords", "weight_coords", "length_sq")
 
-    def __neg__(self) -> "Root":
-        return Root(wneg(self.simple_coords), wneg(self.weight_coords), self.length_sq)
-
     @property
     def height(self) -> int:
         return sum(self.simple_coords)
@@ -170,12 +170,11 @@ class RootSystem(Value):
     i.e. of the pairings of rho with every positive coroot.  ``weyl_order``
     is counted from root heights, never by walking the group.
 
-    ``_simple_slots`` and ``_chain`` are the recipe that ``coroot_pairings``
-    and the Bott kernel are compiled from: one ``(slot, i)`` per simple
-    coroot i, its index in ``positive_roots``; then one
-    ``(slot, parent slot, j)`` per non-simple positive coroot, in order of
-    coroot height, saying that this coroot is the parent plus simple
-    coroot j.  ``_coroot_slots`` maps the coordinates
+    ``_simple_slots`` and ``_chain`` are the recipe that the Bott kernel is
+    compiled from: one ``(slot, i)`` per simple coroot i, its index in
+    ``positive_roots``; then one ``(slot, parent slot, j)`` per non-simple
+    positive coroot, in order of coroot height, saying that this coroot is
+    the parent plus simple coroot j.  ``_coroot_slots`` maps the coordinates
     of every coroot, positive and negative, to ``(slot, sign)``: the slot of
     the positive coroot it is plus or minus, and which of the two.
     """
@@ -242,74 +241,55 @@ class RootSystem(Value):
     def coroot_pairings(self, mu: Weight) -> tuple[int, ...]:
         """<mu, beta^v> for every positive root beta, aligned with positive_roots.
 
-        Runs straight-line code compiled from the height chain on this
-        system's first call (see ``compile_pairings``): a simple coroot
-        pairs to a coordinate of mu, and every other positive coroot is a
-        lower one plus a simple coroot, so its pairing is one addition.  The
-        Bott kernel is the same code with the rho-shift and the singularity
-        exits written in.
+        The plain dot product with each coroot of ``coroots``: the reference
+        that the compiled Bott kernel is tested against.  A weight of the
+        wrong length raises ``ValueError``.
         """
-        compiled = _PAIRINGS.get(self)
-        if compiled is None:
-            compiled = _PAIRINGS[self] = compile_pairings(self)
-        return compiled(mu)
+        return tuple(
+            sum(c * m for c, m in zip(self.coroots[r.simple_coords], mu, strict=True))
+            for r in self.positive_roots
+        )
 
     def is_dominant(self, mu: Weight) -> bool:
         return min(mu, default=0) >= 0
 
 
-#: The compiled ``coroot_pairings`` of each system that has paired a weight.
-#: Compiling is left to the first call, not done in ``build_root_system``:
-#: it costs about a third of an F4 build, and many systems are built only to
-#: be counted.
-_PAIRINGS: dict[RootSystem, Callable[[Weight], tuple[int, ...]]] = {}
-
-
-#: What ``compile_pairings(rs, bott=True)`` returns; see there.
+#: What ``compile_pairings`` returns; see there.
 BottKernel = Callable[[Weight], Optional[tuple[tuple[int, ...], tuple[bool, ...]]]]
 
 
-def compile_pairings(rs: RootSystem, bott: bool = False) -> Callable:
-    """Straight-line code from the height chain: ``coroot_pairings(mu)``, or
-    with ``bott`` the Bott kernel ``kernel(lam)``.
+def compile_pairings(rs: RootSystem) -> BottKernel:
+    """The Bott kernel of ``rs``: straight-line code from the height chain.
 
-    ``coroot_pairings`` returns the pairings of mu with the positive coroots,
-    as one tuple in the order of ``positive_roots``.  The kernel returns
-    ``None`` when lam is singular, i.e. when some positive coroot pairs to
-    zero with lam+rho, and otherwise ``(pairings, signs)``: the pairings of
-    lam+rho as above, and ``signs[k]`` saying whether the k-th is negative.
+    ``kernel(lam)`` returns ``None`` when lam is singular, i.e. when some
+    positive coroot pairs to zero with lam+rho, and otherwise
+    ``(pairings, signs)``: the pairings of lam+rho with the positive coroots,
+    as one tuple in the order of ``positive_roots``, and ``signs[k]`` saying
+    whether the k-th is negative.
 
     The weight is first unpacked into one local per coordinate, so a weight
     of the wrong length raises ``ValueError`` before anything else runs.
-    Each simple coroot's pairing is its coordinate (the kernel adds 1, as
-    rho is all ones in fundamental-weight coordinates), and each non-simple
-    coroot's is one addition, its parent's local plus a simple coroot's.
-    The kernel returns ``None`` right after the first pairing that is zero,
-    the simple ones first, and writes its signs out as one comparison per
-    pairing.
+    Each simple coroot's pairing is its coordinate plus 1, as rho is all
+    ones in fundamental-weight coordinates, and each non-simple coroot's is
+    one addition, its parent's local plus a simple coroot's.  The kernel
+    returns ``None`` right after the first pairing that is zero, the simple
+    ones first, and writes its signs out as one comparison per pairing.
     """
     simple = {i: f"p{k}" for k, i in rs._simple_slots}
     coords = [f"l{i}" for i in range(rs.rank)]
     lines = [f"[{', '.join(coords)}] = weight"]
-
-    def pairing(local: str, value: str) -> None:
-        lines.append(f"{local} = {value}")
-        if bott:
-            lines.append(f"if not {local}: return None")
-
-    for i, coord in enumerate(coords):
-        pairing(simple[i], f"{coord} + 1" if bott else coord)
-    for k, parent, j in rs._chain:
-        pairing(f"p{k}", f"p{parent} + {simple[j]}")
+    steps = [(simple[i], f"{coord} + 1") for i, coord in enumerate(coords)]
+    steps += [(f"p{k}", f"p{parent} + {simple[j]}") for k, parent, j in rs._chain]
+    for local, value in steps:
+        lines += [f"{local} = {value}", f"if not {local}: return None"]
     slots = range(len(rs.positive_roots))
-    pairings = f"({''.join(f'p{k}, ' for k in slots)})"
-    if bott:
-        pairings += f", ({''.join(f'p{k} < 0, ' for k in slots)})"
-    lines.append(f"return {pairings}")
+    lines.append(
+        f"return ({''.join(f'p{k}, ' for k in slots)}), "
+        f"({''.join(f'p{k} < 0, ' for k in slots)})"
+    )
     namespace: dict[str, object] = {}
-    name = "kernel" if bott else "coroot_pairings"
-    exec(f"def {name}(weight):\n    " + "\n    ".join(lines), {}, namespace)
-    return namespace[name]
+    exec("def kernel(weight):\n    " + "\n    ".join(lines), {}, namespace)
+    return namespace["kernel"]
 
 
 def _validate_gcm(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -424,10 +404,10 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     non-integral one is rejected.  The positive coroots are then chained by
     coroot height, which for non-simply-laced types differs from root height:
     each non-simple one is recorded as a lower positive coroot plus one simple
-    coroot, the recipe that ``coroot_pairings`` and the Bott kernel are
-    compiled from on first use, and every coroot, positive or negative, is
-    given the slot of its positive coroot and its sign, the table the Bott
-    kernel reads chamber images through.  The product of the coroot heights
+    coroot, the recipe that the Bott kernel is compiled from on first use,
+    and every coroot, positive or negative, is given the slot of its positive
+    coroot and its sign, the table the Bott kernel reads chamber images
+    through.  The product of the coroot heights
     is stored as the Weyl denominator.  The Weyl group is never stored or
     walked: its order comes from Macdonald's identity
     |W| = prod over positive roots of (ht + 1) / ht (Macdonald, *The Poincare

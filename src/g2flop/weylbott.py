@@ -1,14 +1,17 @@
 """Dot-action normal form, Bott cohomology and filtered-bundle determinacy.
 
-Bott runs through one uncached function, ``_dominant_image``: the root
-system's compiled kernel (``rootdata.compile_pairings`` with ``bott``) takes
-a weight to its chamber in one straight-line call, the dominance walk runs
-once per Weyl chamber, and every weight's image is checked.
-``dot_normalize`` is its cached public face, returning a ``BottOutcome``;
-``line_cohomology`` keeps its own cache and builds its profile from
-``_dominant_image``'s answer directly, so a weight is cached once, as its
-profile.  Every singular weight gets one shared singular outcome or one
-shared zero profile.
+Each root system has one compiled kernel, its Bott kernel
+(``rootdata.compile_pairings``), which takes a weight lam to the coroot
+pairings of lam+rho and their signs in one straight-line call.  Bott runs
+through one uncached function, ``_dominant_image``: the signs name the
+weight's chamber, the dominance walk runs once per Weyl chamber, and every
+weight's image is checked.  ``dot_normalize`` is its cached public face,
+returning a ``BottOutcome``; ``line_cohomology`` keeps its own cache and
+builds its profile from ``_dominant_image``'s answer directly, so a weight
+is cached once, as its profile.  Every singular weight gets one shared
+singular outcome or one shared zero profile.  ``weyl_dim`` multiplies the
+same kernel's pairings, and a pairing with a simple coroot is read as a
+coordinate of the weight.
 
 Filtered bundles are evaluated over the weight multiset: one Bott call and
 one E1 piece per distinct weight, carrying its multiplicity.
@@ -105,11 +108,13 @@ _SINGULAR = BottOutcome(singular=True)
 _ZERO = CohomologyProfile(())
 
 
-#: The Bott kernel of each root system that has met a weight (see
-#: ``rootdata.compile_pairings``), compiled with its chamber table.
-_KERNELS: dict[RootSystem, BottKernel] = {}
-
-#: One chamber table per root system, one entry per Weyl chamber met so far:
+#: One entry per root system that has met a weight, read through ``_bott``:
+#: its Bott kernel (see ``rootdata.compile_pairings``) and its chamber table.
+#: Compiling is left to the first weight, not done in ``build_root_system``:
+#: it costs about a third of an F4 build, and many systems are built only to
+#: be counted.
+#:
+#: The chamber table has one entry per Weyl chamber met so far:
 #: signs -> (w, len(w), slots), where signs[k] says whether mu = lam+rho
 #: pairs negatively with the k-th positive coroot, as the kernel returns it.
 #: The signs fix the chamber of a regular mu and so the one Weyl element w
@@ -118,10 +123,15 @@ _KERNELS: dict[RootSystem, BottKernel] = {}
 #: which is plus or minus a positive coroot: slots[i] is ``(k, e)`` with
 #: w^-1 alpha_i^v = e beta_k^v, so the i-th coordinate of w(mu) is e times
 #: the k-th coroot pairing of mu.
-_CHAMBERS: dict[
-    RootSystem,
-    dict[tuple[bool, ...], tuple[WeylElement, int, tuple[tuple[int, int], ...]]],
-] = {}
+_BOTT: dict[RootSystem, tuple[BottKernel, dict]] = {}
+
+
+def _bott(rs: RootSystem) -> tuple[BottKernel, dict]:
+    """``(kernel, chambers)`` of ``rs``, compiled on its first call."""
+    entry = _BOTT.get(rs)
+    if entry is None:
+        entry = _BOTT[rs] = (compile_pairings(rs), {})
+    return entry
 
 
 def _chamber_slots(rs: RootSystem, w: WeylElement) -> tuple[tuple[int, int], ...]:
@@ -166,22 +176,18 @@ def _dominant_image(
     A regular mu runs the dominance walk only on the first weight of its
     chamber: the walk's word must have one letter per negative pairing, or
     ``IntegrityError`` is raised, and the element is stored with its length
-    and slots (see ``_CHAMBERS``).  Every weight, the first included, then
+    and slots (see ``_BOTT``).  Every weight, the first included, then
     reads its image from its own pairings, nu_i = e_i * pairings[k_i] - 1,
     the same integers as w's matrix applied to mu, and the image must be
     strictly dominant, or ``IntegrityError`` is raised.  Only one Weyl
     element makes a regular weight dominant, so this check verifies the
     stored entry, and the signs it was found by, in full.
     """
-    kernel = _KERNELS.get(rs)
-    if kernel is None:
-        kernel = _KERNELS[rs] = compile_pairings(rs, bott=True)
-        _CHAMBERS[rs] = {}
+    kernel, chambers = _bott(rs)
     found = kernel(lam)
     if found is None:
         return None
     pairings, signs = found
-    chambers = _CHAMBERS[rs]
     entry = chambers.get(signs)
     if entry is None:
         w = rs.to_dominant(tuple([c + 1 for c in lam]))[1]
@@ -230,15 +236,17 @@ def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam (Weyl formula).
 
-    Raises ``ValueError`` when lam is not dominant and ``IntegrityError``
-    when the Weyl quotient is not an integer; both checks run on every miss.
-    The rho-shift adds 1 to every coordinate (rho is all ones in
-    fundamental-weight coordinates).
+    The numerator is the product of the Bott kernel's pairings of lam+rho.
+    Raises ``ValueError`` when lam is not dominant, and ``IntegrityError``
+    when the kernel calls the dominant lam singular (lam+rho is regular) or
+    the Weyl quotient is not an integer; all three checks run on every miss.
     """
     if lam and min(lam) < 0:
         raise ValueError(f"{lam} is not dominant")
-    num = prod(rs.coroot_pairings(tuple([c + 1 for c in lam])))
-    dim, rem = divmod(num, rs.weyl_denominator)
+    found = _bott(rs)[0](lam)
+    if found is None:
+        raise IntegrityError(f"the Bott kernel calls the dominant {lam} singular")
+    dim, rem = divmod(prod(found[0]), rs.weyl_denominator)
     if rem:
         raise IntegrityError("Weyl dimension did not come out integral")
     return dim
@@ -326,7 +334,7 @@ def parabolic_cohomology(
     ambiguity.  Requires lam to be Levi-dominant.
     """
     for i in levi_simples:
-        if rs.pairing(lam, rs.simple_roots[i]) < 0:
+        if lam[i] < 0:
             raise ValueError(f"{lam} is not dominant for the Levi root alpha_{i}")
     return line_cohomology(rs, lam)
 

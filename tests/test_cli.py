@@ -398,11 +398,15 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize(
     "command, golden",
-    [("sod-replay", "sod_replay.txt"), ("check-all", "check_all.txt")],
+    [
+        ("sod-replay", "sod_replay.txt"),
+        ("check-all", "check_all.txt"),
+        ("roots --convention-dump", "roots.txt"),
+    ],
 )
 def test_text_output_matches_golden(capsys, command, golden):
     # The text renderings are pinned byte for byte, like the JSON ones.
-    code, out, _ = run_cli(capsys, command)
+    code, out, _ = run_cli(capsys, *command.split())
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
 

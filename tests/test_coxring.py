@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2flop import cli, coxring
+from g2flop import cli, coxring, weylbott
 from g2flop.coxring import (
     flag_cox_dim,
     git_piece,
@@ -250,8 +250,9 @@ def test_a_wrong_term_breaks_the_certificate(monkeypatch, capsys, name, m):
 class _OneRootShort:
     """G2 with one positive root hidden from the degree bound only.
 
-    ``weyl_dim`` reads the pairings and the denominator of the real system,
-    so every term stays right; the bound |Phi+| + 1 comes out one too small.
+    ``weyl_dim`` reads the denominator of the real system and, once the test
+    hands it the real system's Bott kernel, its pairings, so every term stays
+    right; the bound |Phi+| + 1 comes out one too small.
     """
 
     def __init__(self, rs):
@@ -264,6 +265,7 @@ class _OneRootShort:
 
 def test_a_degree_bound_one_too_small_breaks_the_certificate(monkeypatch, capsys):
     short = _OneRootShort(RS)
+    monkeypatch.setitem(weylbott._BOTT, short, weylbott._bott(RS))
     assert flag_cox_dim(short, 2, 3) == flag_cox_dim(RS, 2, 3)
     with pytest.raises(IntegrityError, match=f"do not fit degree {DEGREE - 1}"):
         total_cox_dim(short, 0, 0, 1000)

@@ -29,6 +29,7 @@ from g2flop.weylbott import (
     filtered_cohomology,
     line_cohomology,
 )
+from tests.test_rootdata import negative_root
 from tests.test_weyl_oracle import weyl_elements
 
 RS = g2()
@@ -82,7 +83,7 @@ def test_pairing_weyl_invariance():
                 if beta.weight_coords == image:
                     target = beta
                 elif wneg(beta.weight_coords) == image:
-                    target = -beta
+                    target = negative_root(beta)
             assert target is not None
             for mu in mus:
                 assert RS.pairing(w.apply(mu), target) == RS.pairing(mu, alpha)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import random
+import sys
 from collections import Counter
 from itertools import product
+from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -104,7 +108,7 @@ def test_full_flag_of_sl3_oracle():
             assert line_cohomology(a2, dual).dimensions(a2) == {3: dim}
 
 
-def _all_negative_kernel(rs, bott):
+def _all_negative_kernel(rs):
     # A G2 kernel that reports every pairing negative, whatever the weight.
     return lambda lam: ((-1,) * 6, (True,) * 6)
 
@@ -152,7 +156,7 @@ SLOT_BOXES = dict(CHAMBER_BOXES, E6=(E6_CARTAN, 2))
 
 
 def _chambers_of(rs):
-    return weylbott._CHAMBERS.get(rs, {})
+    return weylbott._bott(rs)[1]
 
 
 @pytest.mark.parametrize("name", sorted(CHAMBER_BOXES))
@@ -253,19 +257,37 @@ def test_stored_slots_reproduce_the_matrix_rows(name):
         assert w.matrix == tuple(tuple(e * c for c in positive[k]) for k, e in slots)
 
 
-@pytest.mark.parametrize("name", sorted(SLOT_BOXES))
+def _benchmark_cartans():
+    """``CARTAN`` of bench/worker.py: every type the benchmark builds."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("worker").CARTAN
+    finally:
+        sys.path.remove(bench)
+
+
+#: The benchmark's types, plus G2 and E6: (cartan, half-width of the box).
+KERNEL_DEFINITION_BOXES = {
+    **{name: (c, 2 if len(c) <= 4 else 1) for name, c in _benchmark_cartans().items()},
+    **SLOT_BOXES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DEFINITION_BOXES))
 def test_the_compiled_kernel_matches_its_definition(name):
     # The reference: the pairings of lam+rho are the dot products with the
     # positive coroots in the order of positive_roots; lam is singular
-    # exactly when one of them is 0; the signs say which are negative.
-    cartan, half = SLOT_BOXES[name]
+    # exactly when one of them is 0; the signs say which are negative.  The
+    # kernel is compiled on a system's first weight, not by the build, and
+    # weyl_dim reads its pairings on a dominant box.
+    cartan, half = KERNEL_DEFINITION_BOXES[name]
     rs = build_root_system(cartan)
-    kernel = compile_pairings(rs, bott=True)
-    coroots = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
+    assert rs not in weylbott._BOTT
+    kernel = compile_pairings(rs)
     singular = 0
     for lam in product(range(-half, half + 1), repeat=rs.rank):
-        mu = tuple(c + 1 for c in lam)
-        pairings = tuple(sum(c * m for c, m in zip(co, mu)) for co in coroots)
+        pairings = rs.coroot_pairings(tuple(c + 1 for c in lam))
         found = kernel(lam)
         if 0 in pairings:
             singular += 1
@@ -274,14 +296,18 @@ def test_the_compiled_kernel_matches_its_definition(name):
             assert found == (pairings, tuple(p < 0 for p in pairings)), lam
             assert type(found[0]) is type(found[1]) is tuple
     assert 0 < singular < (2 * half + 1) ** rs.rank
+    for lam in product(range(half + 1), repeat=rs.rank):
+        expected = prod(rs.coroot_pairings(tuple(c + 1 for c in lam)))
+        assert weyl_dim(rs, lam) == expected // rs.weyl_denominator, lam
+    assert rs in weylbott._BOTT
 
 
 def test_a_kernel_with_one_sign_flipped_is_refused(monkeypatch):
     # Negative control: one wrong sign changes the count of negative
     # pairings, so the walk of the chamber's first weight is one letter off,
     # on both faces of the kernel, and no chamber is stored.
-    def flipped(rs, bott):
-        kernel = compile_pairings(rs, bott)
+    def flipped(rs):
+        kernel = compile_pairings(rs)
 
         def flip(lam):
             found = kernel(lam)
@@ -300,6 +326,15 @@ def test_a_kernel_with_one_sign_flipped_is_refused(monkeypatch):
             with pytest.raises(IntegrityError, match="length mismatch"):
                 face(rs, lam)
     assert not _chambers_of(rs)
+
+
+def test_weyl_dim_refuses_a_kernel_that_calls_a_dominant_weight_singular(monkeypatch):
+    # Negative control: lam+rho is regular for a dominant lam, so a kernel
+    # that returns None there is an engine bug, never a zero dimension.
+    rs = build_root_system(G2_CARTAN)
+    monkeypatch.setattr(weylbott, "compile_pairings", lambda rs: lambda lam: None)
+    with pytest.raises(IntegrityError, match=r"calls the dominant \(0, 1\) singular"):
+        weyl_dim(rs, (0, 1))
 
 
 def test_weyl_dim_rejects_a_non_integral_quotient():
