@@ -15,6 +15,8 @@ for cohomology because both projections have O as derived pushforward of O.
 
 Every reader sees an expression through its normal form: ``normal_factors``,
 the one walk over the tree, yields a line twist and a flat tuple of factors.
+An evaluation walks its tree once and hands the routes a ``NormalForm`` node,
+which ``normal_factors`` answers without a walk.
 
 Evaluation offers three exact routes.  Route A filters any expression by
 its line-bundle weights and applies per-weight Bott under the degree-gap
@@ -29,9 +31,14 @@ determines an answer is cross-checked against the others.
 
 ``flag_cohomology`` answers each ``(root system, normal form)`` once: equal
 normal forms share one memoized result, in a cache that is unbounded like the
-Bott caches.  ``parse_expr`` likewise parses each text once and hands every
-caller the same frozen tree.  Failures are not memoized, so a failing input
-raises again on every call.
+Bott caches.  Each evaluation is split into a part that depends only on the
+factor tuple and a part that depends on the twist; the first is memoized per
+``(root system, factors)`` in caches of the same kind: route A's product of
+weight multisets and route B's one-sided shape.  A new twist of known
+factors therefore only shifts weights and pushes forward.  These memos hold
+tuples, never a dict a caller could change.  ``parse_expr`` likewise parses
+each text once and hands every caller the same frozen tree.  Failures are not
+memoized, so a failing input raises again on every call.
 
 The expression grammar for the CLI::
 
@@ -112,6 +119,17 @@ class Twist(Value):
 
 BundleExpr = Union[Line, Universal, Spinor, IrrP1, IrrP2, Dual, Tensor, Sym, Twist]
 
+
+class NormalForm(Value):
+    """A whole expression given by its normal form, the ``(factors, twist)``
+    pair that ``normal_factors`` returns for it without a walk.  Evaluations
+    hand these to the public readers, so a tree is walked once.  It is not a
+    ``BundleExpr``: it is valid only as the root handed to a reader, never
+    inside a tree."""
+
+    _fields = ("factors", "twist")
+
+
 # Parabolic bookkeeping: P1 has Levi root alpha_2 (fiber class h),
 # P2 has Levi root alpha_1 (fiber class H).
 P1_LEVI = frozenset({1})
@@ -141,68 +159,99 @@ def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> dict[Weight,
     return {tuple([h - j * a for h, a in zip(hw, alpha)]): 1 for j in range(n + 1)}
 
 
-#: The most (left weight, right weight) pairs one product of weight
-#: multisets may form: a product past it is refused before it is expanded.
-#: It bounds the product's distinct weights, each a Bott call and a cache
-#: entry, as the string bound does a factor's.  E(1,399)*F(499,1), at the
-#: bound, peaks at 164 MB; E(1,999)*F(999,1), 10^6 pairs, runs out of a
-#: 600 MB address space.
-MAX_PRODUCT_PAIRS = 200_000
+#: The most (left weight, right weight) pairs the expansion of one product
+#: of weight multisets may form, over all its factors: each is a Python
+#: loop step, so a product past it is refused before the factor that would
+#: pass it is expanded.  On a 2-core Xeon VM, coh "Sym^999 U*Sym^999 U",
+#: 10^6 pairs on 1999 weights, takes 0.8 s, and Sym^1999 U*Sym^1999 U, at
+#: the bound, 5 s.
+MAX_PRODUCT_PAIRS = 4_000_000
+
+#: The most distinct weights one product of weight multisets may hold.  Each
+#: is a Bott call and a cache entry, as a string's weights are, so a product
+#: is refused while it is expanded, at the end of the row of the expansion
+#: that passes the bound: its dict never holds more than the bound plus one
+#: factor's weights.  E(1,399)*F(499,1), at the bound, peaks at 204 MB;
+#: E(1,999)*F(999,1), 10^6 weights, would run out of a 600 MB address space.
+MAX_PRODUCT_WEIGHTS = 200_000
+
+#: A weight multiset as (weight, multiplicity) pairs in filtration order: the
+#: shape of the memoized twist-free parts, which no caller can mutate.
+Pairs = tuple[tuple[Weight, int], ...]
 
 
-def _convolve(left: dict[Weight, int], right: dict[Weight, int]) -> dict[Weight, int]:
+def _convolve(left: Pairs, right: Pairs) -> dict[Weight, int]:
     # Keys come out in the order of first occurrence in the expanded product
     # (left-major), because both inputs keep first-occurrence order.
-    pairs = len(left) * len(right)
-    if pairs > MAX_PRODUCT_PAIRS:
-        raise BundleError(
-            f"a product of {len(left)} by {len(right)} distinct weights forms "
-            f"{pairs} pairs, more than the {MAX_PRODUCT_PAIRS} supported"
-        )
     out: dict[Weight, int] = {}
-    for lw, lm in left.items():
-        for rw, rm in right.items():
+    for lw, lm in left:
+        for rw, rm in right:
             w = wadd(lw, rw)
             out[w] = out.get(w, 0) + lm * rm
+        if len(out) > MAX_PRODUCT_WEIGHTS:
+            raise BundleError(
+                f"a product of {len(left)} by {len(right)} distinct weights has "
+                f"more than the {MAX_PRODUCT_WEIGHTS} distinct weights supported"
+            )
     return out
 
 
 def weights(rs: RootSystem, e: BundleExpr) -> dict[Weight, int]:
     """Line-bundle filtration weights of the expression, as a multiset.
 
-    The expression is read through its normal form: the multiset starts as
-    ``{twist: 1}`` and is convolved with each normal factor's weights in
-    turn, so the work grows with the number of distinct weights, not with
-    the rank.  A plain dict maps each weight to its multiplicity; the
-    multiplicities sum to the rank.  Keys are in a stable order: that of
-    their first occurrence in the filtration (sub before quotient, left
-    factor before right).
+    The expression is read through its normal form.  The product of the
+    factors' weight multisets depends only on the factor tuple, so it is
+    memoized per ``(rs, factors)``; this returns a fresh dict of it shifted
+    by the twist, which the caller may keep or change.  The work grows with
+    the number of distinct weights, not with the rank.  A plain dict maps
+    each weight to its multiplicity; the multiplicities sum to the rank.
+    Keys are in a stable order: that of their first occurrence in the
+    filtration (sub before quotient, left factor before right).
     """
     factors, twist = normal_factors(e)
-    out = {twist: 1}
-    for f in factors:
-        out = _convolve(out, _factor_weights(rs, f))
+    return {wadd(w, twist): m for w, m in _product_weights(rs, factors)}
+
+
+@lru_cache(maxsize=None)
+def _product_weights(rs: RootSystem, factors: tuple[BundleExpr, ...]) -> Pairs:
+    """The untwisted weight multiset of a factor tuple: each factor's weights
+    convolved in turn, the first taken as it is.  Both product bounds apply."""
+    if not factors:
+        return (((0,) * rs.rank, 1),)
+    out = _factor_weights(rs, factors[0])
+    pairs = 0
+    for f in factors[1:]:
+        right = _factor_weights(rs, f)
+        pairs += len(out) * len(right)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise BundleError(
+                f"a product of {len(out)} by {len(right)} distinct weights brings "
+                f"its expansion to {pairs} pairs, more than the "
+                f"{MAX_PRODUCT_PAIRS} supported"
+            )
+        out = tuple(_convolve(out, right).items())
     return out
 
 
-def _factor_weights(rs: RootSystem, f: BundleExpr) -> dict[Weight, int]:
+def _factor_weights(rs: RootSystem, f: BundleExpr) -> Pairs:
     """Weights of one factor of ``normal_factors``, in filtration order: the
     Levi string of its highest weight, negated for a dual."""
     dualize = isinstance(f, Dual)
     core = f.arg if dualize else f
     if isinstance(core, Spinor):
         # the defining two-step filtration, flattened
-        out = weights(rs, SPINOR_SUB)
-        for w, m in weights(rs, SPINOR_QUOTIENT).items():
-            out[w] = out.get(w, 0) + m
+        out: dict[Weight, int] = {}
+        for piece in _spinor_split((core,), (0, 0)):
+            for w, m in weights(rs, piece).items():
+                out[w] = out.get(w, 0) + m
     else:
         info = _factor_irreducible(rs, core)
         if info is None:
             raise BundleError("Sym is only supported on rank-2 irreducible atoms")
         out = _string_weights(rs, info[1], info[0])
     if dualize:
-        return {wneg(w): m for w, m in out.items()}
-    return out
+        return tuple((wneg(w), m) for w, m in out.items())
+    return tuple(out.items())
 
 
 def rank(e: BundleExpr) -> int:
@@ -304,8 +353,21 @@ def one_sided_form(rs: RootSystem, e: BundleExpr) -> Optional[OneSided]:
     The non-line factors are multiplied out by rank-1 Clebsch-Gordan one at a
     time, keeping equal highest weights together with their multiplicity, so
     the work grows with the number of distinct summands, not with the rank.
+    That shape (side, summands, opaque flag) depends only on the factor tuple
+    and is memoized per ``(rs, factors)``; the twist is attached per call.
     """
     factors, twist = normal_factors(e)
+    shape = _one_sided_shape(rs, factors)
+    if shape is None:
+        return None
+    side, summands, opaque = shape
+    return OneSided(levi_index=side, summands=summands, twist=twist, opaque=opaque)
+
+
+@lru_cache(maxsize=None)
+def _one_sided_shape(
+    rs: RootSystem, factors: tuple[BundleExpr, ...]
+) -> Optional[tuple[int, Pairs, bool]]:
     sides: set[int] = set()
     opaque = False
     hws: list[Weight] = []
@@ -331,9 +393,7 @@ def one_sided_form(rs: RootSystem, e: BundleExpr) -> Optional[OneSided]:
             for w in levi_tensor(rs, levi, s, hw):
                 product[w] = product.get(w, 0) + mult
         summands = product
-    return OneSided(
-        levi_index=side, summands=tuple(summands.items()), twist=twist, opaque=opaque
-    )
+    return side, tuple(summands.items()), opaque
 
 
 def _pushforward_profile(
@@ -393,17 +453,17 @@ def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProf
 
 def _spinor_split(
     factors: tuple[BundleExpr, ...], twist: Weight
-) -> Optional[tuple[BundleExpr, BundleExpr]]:
+) -> Optional[tuple[NormalForm, NormalForm]]:
     """The normal form with its first S or S' factor replaced by the sub,
     then the quotient of the defining filtration of S (dualized for S');
-    None without one."""
+    None without one.  Each piece is built as a normal form, not walked."""
     for i, f in enumerate(factors):
         dualize = type(f) is Dual
         if type(f.arg if dualize else f) is Spinor:
             head, tail = factors[:i], factors[i + 1 :]
             return tuple(
-                _assemble(head + (Dual(piece) if dualize else piece,) + tail, twist)
-                for piece in (SPINOR_SUB, SPINOR_QUOTIENT)
+                NormalForm(head + middle + tail, wadd(twist, shift))
+                for middle, shift in _SPINOR_PIECES[dualize]
             )
     return None
 
@@ -428,7 +488,8 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
 
     Tries the weight filtration, the one-sided pushforward route and (for
     expressions containing S) the extension resolution; all routes that
-    determine an answer must agree exactly.
+    determine an answer must agree exactly.  The tree is walked once: the
+    routes and the extension's pieces read ``NormalForm`` nodes.
 
     Answers are memoized per ``(rs, normal form)``, so equal normal forms
     share one evaluation; the memo is unbounded, like the Bott caches.  A
@@ -457,7 +518,7 @@ def _evaluate(
 ) -> CohResult:
     # Keyed by the flat normal form, never the expression tree, whose hash
     # recurses once per node.
-    e = _assemble(factors, twist)
+    e = NormalForm(factors, twist)
     route_a = filtered_cohomology(rs, weights(rs, e))
     # In evaluation order; each profile is None where its route settles nothing.
     routes = (
@@ -492,8 +553,11 @@ def normal_factors(e: BundleExpr) -> tuple[tuple[BundleExpr, ...], Weight]:
     stack, and strips Twist, Dual and Sym^1 wrappers in place, carrying the
     dual sign and the twist.  Only Sym^m with m >= 2 recurses, into its
     argument.  It dispatches on exact types,
-    which costs less than isinstance calls on the query path.
+    which costs less than isinstance calls on the query path.  A
+    ``NormalForm`` node returns its fields without a walk.
     """
+    if type(e) is NormalForm:
+        return e.factors, e.twist
     factors: list[BundleExpr] = []
     a = b = 0
     stack = [(e, 1)]  # (expression, sign: -1 under an odd number of duals)
@@ -540,8 +604,20 @@ def normal_factors(e: BundleExpr) -> tuple[tuple[BundleExpr, ...], Weight]:
     return tuple(factors), (a, b)
 
 
-def _assemble(factors: tuple[BundleExpr, ...], twist: Weight) -> BundleExpr:
-    """The twisted tensor of the factors, or a line when there are none."""
+#: The normal form, as (factors, twist shift), of the sub, then of the
+#: quotient, of S (False) and of S' (True), read off the defining filtration.
+_SPINOR_PIECES = {
+    dualize: tuple(
+        normal_factors(Dual(piece) if dualize else piece)
+        for piece in (SPINOR_SUB, SPINOR_QUOTIENT)
+    )
+    for dualize in (False, True)
+}
+
+
+def normalize(e: BundleExpr) -> BundleExpr:
+    """Canonical form: twisted tensor of dual/Sym-wrapped atoms, or a line."""
+    factors, twist = normal_factors(e)
     if not factors:
         return Line(*twist)
     expr: BundleExpr = factors[0]
@@ -550,11 +626,6 @@ def _assemble(factors: tuple[BundleExpr, ...], twist: Weight) -> BundleExpr:
     if twist != (0, 0):
         expr = Twist(expr, *twist)
     return expr
-
-
-def normalize(e: BundleExpr) -> BundleExpr:
-    """Canonical form: twisted tensor of dual/Sym-wrapped atoms, or a line."""
-    return _assemble(*normal_factors(e))
 
 
 def _format_twist(t: Weight) -> str:

@@ -16,7 +16,9 @@ hom(U'(-h), U) come out as k in degree 1.
 ``hom_v`` answers each ``(root system, normal form of A' ⊗ B)`` once: pairs
 with equal normal forms share one memoized result, in a cache that is
 unbounded like the Bott caches.  Failures are not memoized, so a failing pair
-raises again on every call.
+raises again on every call.  A' ⊗ B is walked once; both terms reach
+``flag_cohomology`` as ``NormalForm`` nodes, the second with its twist
+shifted, so they share the factor tuple's twist-free memos in ``bundles``.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from functools import lru_cache
 from .bundles import (
     BundleExpr,
     Dual,
+    NormalForm,
     Tensor,
-    Twist,
-    _assemble,
     det_weight,
     flag_cohomology,
     normal_factors,
@@ -68,10 +69,9 @@ def _hom_v(
     rs: RootSystem, factors: tuple[BundleExpr, ...], twist: Weight
 ) -> HomVResult:
     # Keyed by the flat normal form, never the expression trees, whose hash
-    # recurses once per node.
-    pair = _assemble(factors, twist)
-    term0 = pair
-    term1 = Twist(pair, *TOTAL_SPACE_CANONICAL_TWIST)
+    # recurses once per node; both terms are handed on as normal forms.
+    term0 = NormalForm(factors, twist)
+    term1 = NormalForm(factors, wadd(twist, TOTAL_SPACE_CANONICAL_TWIST))
     r0 = flag_cohomology(rs, term0)
     r1 = flag_cohomology(rs, term1)
     # The E1 pieces are the distinct filtration weights' Bott profiles with

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2flop import bundles
+from g2flop import bundles, totalspace
 from g2flop.bundles import (
     P1_LEVI,
     P2_LEVI,
@@ -18,6 +18,7 @@ from g2flop.bundles import (
     IrrP1,
     IrrP2,
     Line,
+    NormalForm,
     ParseError,
     Spinor,
     Sym,
@@ -601,6 +602,21 @@ def test_route_agreement_on_one_sided_grid():
 
 # --- the flag_cohomology memo -----------------------------------------------
 
+#: Every process-wide memo of the expression layers but parse_expr's: the
+#: twist-free parts of an evaluation, then the answers.
+MEMOS = (
+    bundles._product_weights,
+    bundles._one_sided_shape,
+    bundles._evaluate,
+    totalspace._hom_v,
+)
+
+
+def forget_memos():
+    """Clear every memo in MEMOS, so that the next evaluation is a first one."""
+    for memo in MEMOS:
+        memo.cache_clear()
+
 
 def reassociate(e):
     """A copy of e with every (a*b)*c regrouped as a*(b*c)."""
@@ -626,7 +642,7 @@ def test_memoized_answer_is_the_fresh_one_and_normal_forms_share_it():
     for _ in range(300):
         e = random_expr(rng, max_rank=64)
         memoized = flag_cohomology(RS, e)
-        memo.cache_clear()
+        forget_memos()
         assert flag_cohomology(RS, e) == memoized
         # e, its normal form and a regrouping share one entry
         memo.cache_clear()
@@ -692,6 +708,112 @@ def test_routes_run_in_order_filtration_parabolic_extension(monkeypatch):
         with pytest.raises(IntegrityError, match=route):
             flag_cohomology(RS, parse_expr("S'(-3H)"))
         monkeypatch.setattr(bundles, route, real[route])
+
+
+# --- one walk per tree, and the twist-free memos ----------------------------
+
+
+@pytest.fixture
+def tree_walks(monkeypatch):
+    """The trees that normal_factors walks from now on; a NormalForm node,
+    answered without a walk, and the walk's own recursion into a Sym
+    argument are not listed."""
+    real = bundles.normal_factors
+    walks, depth = [], [0]
+
+    def counting(e):
+        if depth[0] == 0 and type(e) is not NormalForm:
+            walks.append(e)
+        depth[0] += 1
+        try:
+            return real(e)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(bundles, "normal_factors", counting)
+    monkeypatch.setattr(totalspace, "normal_factors", counting)
+    return walks
+
+
+FIRST_WALK_TEXTS = [
+    "U*U(h)",
+    "S'(-3H)",
+    "S*U'(-h)*S",
+    "Sym^3 U*E(1,1)'(2H)",
+    "F(1,0)*F(0,1)'*O(h)",
+    "Sym^2 E(1,1)'",
+    "O(H-2h)",
+]
+
+
+@pytest.mark.parametrize("text", FIRST_WALK_TEXTS)
+def test_a_first_evaluation_walks_its_tree_once(tree_walks, text):
+    tree = parse_expr(text)
+    forget_memos()
+    flag_cohomology(RS, tree)
+    assert len(tree_walks) == 1 and tree_walks[0] is tree
+    tree_walks.clear()
+    forget_memos()
+    totalspace.hom_v(RS, tree, Twist(tree, 0, 1))
+    # hom_v walks A'⊗B, the one tree that holds both arguments
+    assert len(tree_walks) == 1
+    pair = tree_walks[0]
+    assert pair.left.arg is tree and pair.right.arg is tree
+
+
+def test_a_new_twist_reuses_the_twist_free_parts():
+    forget_memos()
+    flag_cohomology(RS, parse_expr("U*U(h)"))
+    twist_free = (bundles._product_weights, bundles._one_sided_shape)
+    before = [memo.cache_info() for memo in twist_free]
+    res = flag_cohomology(RS, parse_expr("U*U(2h)"))
+    for memo, info in zip(twist_free, before):
+        after = memo.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+    forget_memos()
+    fresh = flag_cohomology(RS, parse_expr("U*U(2h)"))
+    assert res == fresh
+    assert [w for w, _, _ in res.e1] == [w for w, _, _ in fresh.e1]
+    assert [(w, m) for w, _, m in res.e1] == [((-2, 4), 1), ((-1, 2), 2), ((0, 0), 1)]
+
+
+@pytest.mark.parametrize(
+    "bound, refusal",
+    [("MAX_PRODUCT_WEIGHTS", "more than the 12 distinct weights"),
+     ("MAX_PRODUCT_PAIRS", "16 pairs, more than the 12 supported")],
+    ids=["weights", "pairs"],
+)
+def test_an_over_bound_product_is_refused_again_and_stored_nowhere(
+    monkeypatch, bound, refusal
+):
+    monkeypatch.setattr(bundles, bound, 12)
+    forget_memos()
+    # the factors on their own are in bound; their memo entries come first
+    weights(RS, IrrP1(1, 3))
+    weights(RS, IrrP2(3, 1))
+    sizes = [memo.cache_info().currsize for memo in MEMOS]
+    product = parse_expr("E(1,3)*F(3,1)")
+    for _ in range(2):
+        with pytest.raises(BundleError, match=refusal):
+            flag_cohomology(RS, product)
+        with pytest.raises(BundleError, match=refusal):
+            totalspace.hom_v(RS, Line(0, 0), product)
+    assert [memo.cache_info().currsize for memo in MEMOS] == sizes
+
+
+def test_a_changed_weights_dict_cannot_change_a_later_answer():
+    for text in ["U*U", "U*U(h)", "S'(-3H)", "Sym^2 E(1,1)'"]:
+        e = parse_expr(text)
+        first = weights(RS, e)
+        kept = list(first.items())
+        answer = flag_cohomology(RS, e)
+        # every twist-free memo behind these calls is warm now
+        first.clear()
+        first[(7, 7)] = 3
+        assert list(weights(RS, e).items()) == kept
+        assert weights(RS, e) is not weights(RS, e)
+        forget_memos()
+        assert flag_cohomology(RS, e) == answer
 
 
 # --- the parse_expr memo ----------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2flop import bundles, totalspace
 from g2flop.bundles import ParseError, RouteMismatchError, flag_cohomology, parse_expr
@@ -17,6 +21,7 @@ from g2flop.coxring import MAX_TABLE_DEGREE
 from g2flop.rootdata import g2
 from g2flop.totalspace import hom_v
 from g2flop.weylbott import CohomologyProfile
+from tests.test_bundles import forget_memos
 
 
 def run_cli(capsys, *argv):
@@ -252,8 +257,9 @@ def test_the_longest_supported_string_is_answered(capsys, monkeypatch):
     # weights is answered and one more is refused.  A small bound keeps the
     # boundary cheap to reach.
     monkeypatch.setattr(bundles, "MAX_STRING_WEIGHTS", 4)
-    # An answer memoized under the real bound would skip the smaller one.
-    bundles._evaluate.cache_clear()
+    # An answer or a product's weights memoized under the real bound would
+    # skip the smaller one.
+    forget_memos()
     code, out, _ = run_cli(capsys, "coh", "F(3,1)")
     assert (code, out) == (0, "V(3,1)  (degree 0: dim 896)\n")
     code, out, err = run_cli(capsys, "coh", "Sym^4 U")
@@ -262,34 +268,78 @@ def test_the_longest_supported_string_is_answered(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["coh", "E(1,3000)*F(3000,1)"], ["homv", "E(1,3000)*F(3000,1)", "O"]],
-    ids=["coh", "homv"],
+    "argv, factors, pairs",
+    [
+        pytest.param(["coh", "E(1,3000)*F(3000,1)"], 3001, 9006001, id="coh"),
+        pytest.param(["homv", "E(1,3000)*F(3000,1)", "O"], 3001, 9006001, id="homv"),
+        pytest.param(["coh", "Sym^99999 U*Sym^99999 U"], 100000, 10**10, id="collinear"),
+    ],
 )
-def test_a_product_with_too_many_weight_pairs_is_refused(capsys, argv):
-    # Each factor is inside the string bound, but route A's product would
+def test_a_product_with_too_many_weight_pairs_is_refused(capsys, argv, factors, pairs):
+    # Each factor is inside the string bound.  E(1,3000)*F(3000,1) would
     # hold 9*10^6 distinct weights; it used to end in a MemoryError
     # traceback and exit 1, which reads as a failed verification.
+    # Sym^99999 U*Sym^99999 U holds only 2*10^5, but expanding its 10^10
+    # pairs would take hours.  Both are refused before the expansion.
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == (
-        "error: a product of 3001 by 3001 distinct weights forms 9006001 pairs, "
-        f"more than the {bundles.MAX_PRODUCT_PAIRS} supported\n"
+        f"error: a product of {factors} by {factors} distinct weights brings its "
+        f"expansion to {pairs} pairs, more than the {bundles.MAX_PRODUCT_PAIRS} "
+        "supported\n"
     )
 
 
-def test_the_largest_supported_product_is_answered(capsys):
-    # 400 by 500 weights is exactly MAX_PRODUCT_PAIRS pairs and is answered;
-    # one more weight on the left is refused.
-    assert bundles.MAX_PRODUCT_PAIRS == 400 * 500
-    code, out, _ = run_cli(capsys, "coh", "Sym^399 U*Sym^499 U")
-    assert code == 0
-    assert out.startswith("V(0,893)[-4] + V(1,892)[-4] + ")
-    code, out, err = run_cli(capsys, "coh", "Sym^400 U*Sym^499 U")
+def test_a_product_with_too_many_distinct_weights_is_refused(capsys):
+    # 10^6 pairs are within the pair bound, but they are 10^6 distinct
+    # weights: the expansion stops at the row that passes the weight bound.
+    code, out, err = run_cli(capsys, "coh", "E(1,999)*F(999,1)")
     assert (code, out) == (2, "")
     assert err == (
-        "error: a product of 401 by 500 distinct weights forms 200500 pairs, "
-        f"more than the {bundles.MAX_PRODUCT_PAIRS} supported\n"
+        "error: a product of 1000 by 1000 distinct weights has more than the "
+        f"{bundles.MAX_PRODUCT_WEIGHTS} distinct weights supported\n"
+    )
+
+
+def test_the_largest_supported_product_is_answered(capsys, monkeypatch):
+    # The weight bound counts distinct weights, not pairs: E(1,2)*F(3,1), 3
+    # by 4 weights in independent directions, holds exactly 12 and is
+    # answered, and so is Sym^5 U*Sym^6 U, 42 pairs on 12 weights, while
+    # E(1,3)*F(3,1) holds 16 and is refused.  A small bound keeps the
+    # boundary cheap.
+    assert bundles.MAX_PRODUCT_WEIGHTS == 200_000
+    monkeypatch.setattr(bundles, "MAX_PRODUCT_WEIGHTS", 12)
+    # A product memoized under the real bound would skip the smaller one.
+    forget_memos()
+    code, out, _ = run_cli(capsys, "coh", "E(1,2)*F(3,1)")
+    assert code == 0
+    assert out.startswith("indeterminate; E1 page: (4, 3): V(4,3); (2, 6): V(2,6); ")
+    code, out, _ = run_cli(capsys, "coh", "Sym^5 U*Sym^6 U")
+    assert code == 0
+    assert out.startswith("V(0,6)[-4] + V(1,5)[-4] + ")
+    code, out, err = run_cli(capsys, "coh", "E(1,3)*F(3,1)")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a product of 4 by 4 distinct weights has more than the "
+        "12 distinct weights supported\n"
+    )
+
+
+def test_the_pair_bound_counts_the_whole_expansion(capsys, monkeypatch):
+    # U*U*Sym^5 U forms 2*2 + 3*6 = 22 pairs and is answered at a bound of
+    # 22; U*Sym^5 U*U, the same bundle in another order, forms 2*6 + 7*2 = 26
+    # and is refused before its second step.  A small bound keeps the
+    # boundary cheap.
+    assert bundles.MAX_PRODUCT_PAIRS == 4_000_000
+    monkeypatch.setattr(bundles, "MAX_PRODUCT_PAIRS", 22)
+    forget_memos()
+    code, out, _ = run_cli(capsys, "coh", "U*U*Sym^5 U")
+    assert code == 0
+    code, out, err = run_cli(capsys, "coh", "U*Sym^5 U*U")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a product of 7 by 2 distinct weights brings its expansion to "
+        "26 pairs, more than the 22 supported\n"
     )
 
 
@@ -444,6 +494,99 @@ def test_sym_of_sym_chain_is_refused_by_its_rule(capsys):
     code, out, err = run_cli(capsys, "coh", "Sym^2 " * 600 + "U")
     assert (code, out) == (2, "")
     assert err == "error: Sym is only supported on rank-2 irreducible atoms\n"
+
+
+# --- fuzzing ----------------------------------------------------------------
+
+#: mostly small numbers, some huge ones that a string bound must refuse or
+#: Bott must take whole
+HUGE = [10**6, -(10**6), 10**12, 2**64, -(10**30)]
+FUZZ_INTS = st.one_of(st.integers(0, 4), st.integers(-4, 4), st.sampled_from(HUGE))
+FUZZ_POWERS = st.one_of(st.integers(1, 4), st.sampled_from([p for p in HUGE if p > 0]))
+#: the grammar's own characters, then any character but a lone surrogate
+FUZZ_CHARS = st.one_of(
+    st.sampled_from(list("OUSEF^*()',+-hH0123456789 ")),
+    st.characters(exclude_categories=("Cs",)),
+)
+
+
+@st.composite
+def grammar_texts(draw):
+    """An expression from the grammar: up to three terms, each an atom under
+    up to two Sym powers with optional twists and a dual, the whole maybe
+    nested under a long chain of Sym powers."""
+
+    def twist():
+        if draw(st.booleans()):
+            return f"{draw(FUZZ_INTS)},{draw(FUZZ_INTS)}"
+        return draw(st.sampled_from(["h", "H", "-h", "2H-3h", "H+h", "-2h-H"]))
+
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from("OUSEF"))
+        term = kind if kind in "OUS" else f"{kind}({draw(FUZZ_INTS)},{draw(FUZZ_INTS)})"
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            term = f"Sym^{draw(FUZZ_POWERS)} {term}"
+        if draw(st.booleans()):
+            term += f"({twist()})"
+        if draw(st.booleans()):
+            term += "'"
+            if draw(st.booleans()):
+                term += f"({twist()})"
+        terms.append(term)
+    depth = draw(st.sampled_from([0] * 7 + [40, 1500, 3000]))
+    return draw(st.sampled_from(["Sym^1 ", "Sym^2 "])) * depth + "*".join(terms)
+
+
+@st.composite
+def fuzz_texts(draw):
+    """A grammar text under up to three edits: a character inserted, one
+    deleted, or a short slice repeated up to 50 times."""
+    text = draw(grammar_texts())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        i = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "repeat"]))
+        if edit == "insert":
+            text = text[:i] + draw(FUZZ_CHARS) + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            j = draw(st.integers(i, min(len(text), i + 8)))
+            text = text[:i] + text[i:j] * draw(st.integers(2, 50)) + text[j:]
+    return text
+
+
+def captured_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    command=st.sampled_from(["coh", "homv"]),
+    as_json=st.booleans(),
+    texts=st.tuples(fuzz_texts(), fuzz_texts()),
+)
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_expressions_get_a_meaningful_exit(command, as_json, texts):
+    # "--" hands a text that starts with "-" to the expression parser, not
+    # to argparse.  Smaller bounds keep every in-bound input cheap.  The
+    # second run may read what the first one memoized, and must print the
+    # same bytes.
+    argv = [command, *(["--json"] if as_json else []), "--"]
+    argv += texts[:1] if command == "coh" else texts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bundles, "MAX_STRING_WEIGHTS", 2_000)
+        patch.setattr(bundles, "MAX_PRODUCT_WEIGHTS", 5_000)
+        patch.setattr(bundles, "MAX_PRODUCT_PAIRS", 50_000)
+        first = captured_main(argv)
+        assert captured_main(argv) == first
+    code, _, err = first
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code != 0:
+        assert err.endswith("\n") and err.count("\n") == 1
 
 
 def test_roots_convention_dump(capsys):

@@ -16,6 +16,7 @@ from g2flop.bundles import (
     Tensor,
     Twist,
     Universal,
+    flag_cohomology,
     parse_expr,
     weights,
 )
@@ -29,7 +30,7 @@ from g2flop.totalspace import (
     total_space_canonical,
 )
 from g2flop.weylbott import CohomologyProfile, euler_characteristic
-from tests.test_bundles import random_expr
+from tests.test_bundles import forget_memos, random_expr
 
 RS = g2()
 
@@ -173,8 +174,7 @@ def test_memoized_hom_is_the_fresh_one():
         a, b = random_expr(rng, max_rank=8), random_expr(rng, max_rank=8)
         with_spinor += "Spinor" in repr((a, b))
         memoized = hom_v(RS, a, b)
-        totalspace._hom_v.cache_clear()
-        bundles._evaluate.cache_clear()
+        forget_memos()
         assert hom_v(RS, a, b) == memoized
     assert with_spinor > 30
 
@@ -199,6 +199,19 @@ def test_hom_memo_keeps_the_factor_order():
             res = hom_v(RS, e, e)
             assert res.profile == K
             assert [w for w, _, _ in res.p0.e1] == order[text]
+
+
+def test_both_terms_share_the_twist_free_parts():
+    # The native and the twisted term of hom(U, U(h)) have one factor
+    # tuple, U'*U: the twisted term only shifts the twist.
+    forget_memos()
+    res = hom_v(RS, U, parse_expr("U(h)"))
+    for memo in (bundles._product_weights, bundles._one_sided_shape):
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+    forget_memos()
+    twisted = flag_cohomology(RS, parse_expr("U'*U(-H)"))
+    assert res.p1 == twisted
 
 
 def test_hom_memo_stores_no_failure(monkeypatch):

@@ -24,6 +24,7 @@ from g2flop.bundles import (
     IrrP1,
     IrrP2,
     Line,
+    NormalForm,
     OneSided,
     Spinor,
     Sym,
@@ -160,6 +161,10 @@ CASES = [
         lambda: SuiteResult("calabi-yau", "pass", 2, ()),
         "SuiteResult(name='calabi-yau', status='pass', checks=2, details=())",
     ),
+    (
+        lambda: NormalForm((Universal(), Dual(Universal())), (0, 1)),
+        "NormalForm(factors=(Universal(), Dual(arg=Universal())), twist=(0, 1))",
+    ),
 ]
 IDS = [text.split("(", 1)[0] + str(i) for i, (_, text) in enumerate(CASES)]
 
@@ -167,7 +172,7 @@ IDS = [text.split("(", 1)[0] + str(i) for i, (_, text) in enumerate(CASES)]
 def test_every_value_class_is_covered():
     classes = {type(make()) for make, _ in CASES} | {RootSystem}
     assert classes == set(Value.__subclasses__())
-    assert len(classes) == 32
+    assert len(classes) == 33
 
 
 @pytest.mark.parametrize("make, text", CASES, ids=IDS)
