@@ -3,7 +3,6 @@ groups, Cox-ring Hilbert series and certified semiorthogonal mutations."""
 
 from .rootdata import RootSystem, Root, WeylElement, build_root_system, g2
 from .weylbott import (
-    BottOutcome,
     CohomologyProfile,
     dot_normalize,
     filtered_cohomology,
@@ -38,7 +37,6 @@ __all__ = [
     "WeylElement",
     "build_root_system",
     "g2",
-    "BottOutcome",
     "CohomologyProfile",
     "dot_normalize",
     "filtered_cohomology",

@@ -130,11 +130,6 @@ class NormalForm(Value):
     _fields = ("factors", "twist")
 
 
-# Parabolic bookkeeping: P1 has Levi root alpha_2 (fiber class h),
-# P2 has Levi root alpha_1 (fiber class H).
-P1_LEVI = frozenset({1})
-P2_LEVI = frozenset({0})
-
 #: the defining filtration of S: sub U, quotient U'(-h)
 SPINOR_SUB = Universal()
 SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
@@ -146,8 +141,8 @@ SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
 MAX_STRING_WEIGHTS = 200_000
 
 
-def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> dict[Weight, int]:
-    n = hw[levi_index]
+def _string_weights(rs: RootSystem, hw: Weight, i: int) -> dict[Weight, int]:
+    n = hw[i]
     if n < 0:
         raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
     if n >= MAX_STRING_WEIGHTS:
@@ -155,7 +150,7 @@ def _string_weights(rs: RootSystem, hw: Weight, levi_index: int) -> dict[Weight,
             f"highest weight {hw} has a string of {n + 1} weights, "
             f"more than the {MAX_STRING_WEIGHTS} supported"
         )
-    alpha = rs.simple_roots[levi_index].weight_coords
+    alpha = rs.simple_roots[i].weight_coords
     return {tuple([h - j * a for h, a in zip(hw, alpha)]): 1 for j in range(n + 1)}
 
 
@@ -277,21 +272,13 @@ def det_weight(rs: RootSystem, e: BundleExpr) -> Weight:
     return tuple(sum(m * w[k] for w, m in ws) for k in range(rs.rank))
 
 
-def levi_tensor(
-    rs: RootSystem,
-    levi_simples: frozenset[int] | set[int],
-    lam: Weight,
-    mu: Weight,
-) -> tuple[Weight, ...]:
-    """Clebsch-Gordan for a semisimple-rank-1 Levi, on highest weights.
+def levi_tensor(rs: RootSystem, i: int, lam: Weight, mu: Weight) -> tuple[Weight, ...]:
+    """Clebsch-Gordan for the Levi with the one simple root alpha_i, on
+    highest weights.
 
-    Labels m = <lam, alpha^v>, n = <mu, alpha^v>; the summands have highest
-    weights lam + mu - j*alpha for j = 0..min(m, n).  Total rank is preserved.
+    Labels m = lam[i], n = mu[i]; the summands have highest weights
+    lam + mu - j*alpha_i for j = 0..min(m, n).  Total rank is preserved.
     """
-    levi = tuple(sorted(levi_simples))
-    if len(levi) != 1:
-        raise BundleError("only semisimple-rank-1 Levi subgroups are supported")
-    i = levi[0]
     m, n = lam[i], mu[i]
     if m < 0 or n < 0:
         raise BundleError("both weights must be Levi-dominant")
@@ -306,36 +293,27 @@ def levi_tensor(
 
 
 # --- one-sided (route B) decomposition ------------------------------------
-
-
-class OneSided(Value):
-    """A pullback-from-one-Grassmannian shape: irreducible summands + twist.
-
-    ``summands`` is a multiset of Levi irreducibles, as (highest weight,
-    multiplicity) pairs with distinct weights.  ``levi_index`` is 1 for the
-    P1 side (fiber class h) and 0 for the P2 side (fiber class H).
-    ``opaque`` marks expressions containing the extension S, which is a
-    pullback from the quadric side of unknown Levi structure.
-    """
-
-    _fields = ("levi_index", "summands", "twist", "opaque")
+#
+# A parabolic is named by the index i of its Levi simple root alpha_i, which
+# is also the coordinate of its fiber class in a twist: i = 1 for P1 (fiber
+# class h), i = 0 for P2 (fiber class H).
 
 
 def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[int, Weight]]:
-    """Levi side and highest weight of a normal factor, if it is irreducible."""
+    """Levi index and highest weight of a normal factor, if it is irreducible."""
     dualize = isinstance(factor, Dual)
     if dualize:
         factor = factor.arg
     atom = factor.arg if isinstance(factor, Sym) else factor
     if isinstance(atom, Universal):
-        side, hw = 1, (-1, 1)
+        i, hw = 1, (-1, 1)
     elif isinstance(atom, (IrrP1, IrrP2)):
-        side, hw = (1 if isinstance(atom, IrrP1) else 0), (atom.a, atom.b)
+        i, hw = (1 if isinstance(atom, IrrP1) else 0), (atom.a, atom.b)
     else:
         return None
     if atom is not factor:
         # Sym^m of a rank-2 irreducible: the irreducible of highest weight m*hw
-        n = hw[side]
+        n = hw[i]
         if n < 0:
             raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
         if n != 1:
@@ -343,31 +321,27 @@ def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[in
         hw = wscale(factor.power, hw)
     if dualize:
         # dual of the Levi irreducible: -s_alpha(hw) for the Levi reflection
-        hw = wneg(rs.reflect(side, hw))
-    return side, hw
-
-
-def one_sided_form(rs: RootSystem, e: BundleExpr) -> Optional[OneSided]:
-    """Decompose into irreducibles from a single parabolic plus a line twist.
-
-    The non-line factors are multiplied out by rank-1 Clebsch-Gordan one at a
-    time, keeping equal highest weights together with their multiplicity, so
-    the work grows with the number of distinct summands, not with the rank.
-    That shape (side, summands, opaque flag) depends only on the factor tuple
-    and is memoized per ``(rs, factors)``; the twist is attached per call.
-    """
-    factors, twist = normal_factors(e)
-    shape = _one_sided_shape(rs, factors)
-    if shape is None:
-        return None
-    side, summands, opaque = shape
-    return OneSided(levi_index=side, summands=summands, twist=twist, opaque=opaque)
+        hw = wneg(rs.reflect(i, hw))
+    return i, hw
 
 
 @lru_cache(maxsize=None)
 def _one_sided_shape(
     rs: RootSystem, factors: tuple[BundleExpr, ...]
 ) -> Optional[tuple[int, Pairs, bool]]:
+    """Decompose into irreducibles from a single parabolic: ``(i, summands,
+    opaque)``, or None when the factors are not all from one parabolic.
+
+    ``i`` is the Levi index.  ``summands`` is a multiset of Levi
+    irreducibles, as (highest weight, multiplicity) pairs with distinct
+    weights.  ``opaque`` marks factors containing the extension S, which is
+    a pullback from the quadric side of unknown Levi structure.  The
+    non-line factors are multiplied out by rank-1 Clebsch-Gordan one at a
+    time, keeping equal highest weights together with their multiplicity, so
+    the work grows with the number of distinct summands, not with the rank.
+    The shape depends only on the factor tuple and is memoized per
+    ``(rs, factors)``; route B attaches the twist per call.
+    """
     sides: set[int] = set()
     opaque = False
     hws: list[Weight] = []
@@ -382,69 +356,68 @@ def _one_sided_shape(
             return None
         sides.add(info[0])
         hws.append(info[1])
-    if len(sides) > 1 or not sides:
+    if len(sides) != 1:
         return None
-    side = sides.pop()
-    levi = P1_LEVI if side == 1 else P2_LEVI
+    i = sides.pop()
     summands: dict[Weight, int] = {(0,) * rs.rank: 1}
     for hw in hws:
         product: dict[Weight, int] = {}
         for s, mult in summands.items():
-            for w in levi_tensor(rs, levi, s, hw):
+            for w in levi_tensor(rs, i, s, hw):
                 product[w] = product.get(w, 0) + mult
         summands = product
-    return side, tuple(summands.items()), opaque
+    return i, tuple(summands.items()), opaque
 
 
 def _pushforward_profile(
-    rs: RootSystem, side: int, hw: Weight, twist: Weight
-) -> CohomologyProfile:
-    """Exact cohomology of (pullback of E_hw) tensor O(twist).
+    rs: RootSystem, i: int, hw: Weight, twist: Weight
+) -> list[tuple[int, Weight, int]]:
+    """Exact cohomology of (pullback of E_hw) tensor O(twist), for the Levi
+    index i, as unmerged ``(degree, weight, multiplicity)`` entries.
 
     Splits the twist into the base direction (absorbed into the highest
-    weight) and the fiber direction f, then pushes down the rank-1 fibration:
-    f >= 0 tensors with the rank-(f+1) symmetric power of the dual fiber
-    bundle, f = -1 kills everything, f <= -2 lands in relative degree 1
-    tensored with Sym^(-f-2) of the fiber bundle twisted by its determinant
-    (equivalently, the fiber-direction dot-reflection of the twist).
+    weight) and the fiber direction f = twist[i], then pushes down the
+    rank-1 fibration: f >= 0 tensors with the rank-(f+1) symmetric power of
+    the dual fiber bundle, f = -1 kills everything, f <= -2 lands in
+    relative degree 1 tensored with Sym^(-f-2) of the fiber bundle twisted
+    by its determinant (equivalently, the fiber-direction dot-reflection of
+    the twist).
     """
-    levi = P1_LEVI if side == 1 else P2_LEVI
-    base_twist = tuple(0 if k == side else twist[k] for k in range(rs.rank))
-    fiber = twist[side]
+    base_twist = tuple(0 if k == i else twist[k] for k in range(rs.rank))
+    fiber = twist[i]
     hw = wadd(hw, base_twist)
     if fiber == -1:
-        return CohomologyProfile.zero()
-    fiber_weight = tuple(fiber if k == side else 0 for k in range(rs.rank))
+        return []
+    fiber_weight = tuple(fiber if k == i else 0 for k in range(rs.rank))
     if fiber >= 0:
         partner = fiber_weight
         shift = 0
     else:
-        shifted = rs.reflect(side, wadd(fiber_weight, rs.rho))
+        shifted = rs.reflect(i, wadd(fiber_weight, rs.rho))
         partner = tuple(c - 1 for c in shifted)
         shift = 1
-    return CohomologyProfile.of(
+    return [
         (d + shift, w, m)
-        for summand in levi_tensor(rs, levi, hw, partner)
-        for d, w, m in parabolic_cohomology(rs, levi, summand).entries
-    )
+        for summand in levi_tensor(rs, i, hw, partner)
+        for d, w, m in parabolic_cohomology(rs, i, summand).entries
+    ]
 
 
 def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProfile]:
     """Exact one-sided evaluation; None when the shape does not apply."""
-    form = one_sided_form(rs, e)
-    if form is None:
+    factors, twist = normal_factors(e)
+    shape = _one_sided_shape(rs, factors)
+    if shape is None:
         return None
-    if form.opaque:
+    i, summands, opaque = shape
+    if opaque:
         # S-side pullbacks: only the fiber-degree -1 vanishing needs no
         # knowledge of S itself.
-        fiber = form.twist[0] if form.levi_index == 0 else form.twist[1]
-        if fiber == -1:
-            return CohomologyProfile.zero()
-        return None
+        return CohomologyProfile.zero() if twist[i] == -1 else None
     return CohomologyProfile.of(
         (d, w, m * mult)
-        for hw, mult in form.summands
-        for d, w, m in _pushforward_profile(rs, form.levi_index, hw, form.twist).entries
+        for hw, mult in summands
+        for d, w, m in _pushforward_profile(rs, i, hw, twist)
     )
 
 
@@ -509,7 +482,7 @@ def _extension_cohomology(
     sub, quot = (flag_cohomology(rs, piece) for piece in split)
     if not (sub.determined and quot.determined):
         return None
-    return combine_pieces([("sub", sub.profile, 1), ("quotient", quot.profile, 1)]).profile
+    return combine_pieces([(sub.profile, 1), (quot.profile, 1)])
 
 
 @lru_cache(maxsize=None)

@@ -130,9 +130,9 @@ def git_piece_via_parabolic(rs: RootSystem, side: str, n: int, trunc: int) -> in
     total = 0
     for m in range(trunc + 1):
         if side == "+":
-            profile = parabolic_cohomology(rs, {1}, (m + n, m))
+            profile = parabolic_cohomology(rs, 1, (m + n, m))
         elif side == "-":
-            profile = parabolic_cohomology(rs, {0}, (m, m + n))
+            profile = parabolic_cohomology(rs, 0, (m, m + n))
         else:
             raise ValueError("parabolic route exists for sides '+' and '-' only")
         dims = profile.dimensions(rs)

@@ -79,13 +79,10 @@ def _hom_v(
     chi = sum(m * p.euler(rs) for _, p, m in r0.e1) - sum(
         m * p.euler(rs) for _, p, m in r1.e1
     )
-    determined, profile = False, None
+    profile = None
     if r0.determined and r1.determined:
-        combined = combine_pieces(
-            [("native", r0.profile, 1), ("twisted", r1.profile.shift(1), 1)]
-        )
-        determined, profile = combined.determined, combined.profile
-    return HomVResult(determined, profile, r0, r1, chi)
+        profile = combine_pieces([(r0.profile, 1), (r1.profile.shift(1), 1)])
+    return HomVResult(profile is not None, profile, r0, r1, chi)
 
 
 # --- canonical bundles of total spaces ---------------------------------------

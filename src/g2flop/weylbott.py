@@ -5,13 +5,12 @@ Each root system has one compiled kernel, its Bott kernel
 pairings of lam+rho and their signs in one straight-line call.  Bott runs
 through one uncached function, ``_dominant_image``: the signs name the
 weight's chamber, the dominance walk runs once per Weyl chamber, and every
-weight's image is checked.  ``dot_normalize`` is its cached public face,
-returning a ``BottOutcome``; ``line_cohomology`` keeps its own cache and
-builds its profile from ``_dominant_image``'s answer directly, so a weight
-is cached once, as its profile.  Every singular weight gets one shared
-singular outcome or one shared zero profile.  ``weyl_dim`` multiplies the
-same kernel's pairings, and a pairing with a simple coroot is read as a
-coordinate of the weight.
+weight's image is checked.  ``line_cohomology`` caches its profile per
+weight, built from ``_dominant_image``'s answer, and every singular weight
+gets one shared zero profile.  ``dot_normalize`` is the same function behind
+a cache of its own, read only by tests and the benchmark's tracer.
+``weyl_dim`` multiplies the same kernel's pairings, and a pairing with a
+simple coroot is read as a coordinate of the weight.
 
 Filtered bundles are evaluated over the weight multiset: one Bott call and
 one E1 piece per distinct weight, carrying its multiplicity.
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .rootdata import (
     BottKernel,
@@ -96,15 +95,6 @@ class CohomologyProfile(Value):
         return sum((-1) ** d * n for d, n in self.dimensions(rs).items())
 
 
-class BottOutcome(Value):
-    """Result of the dot-action normal form: singular, or (w, nu) with
-    w(lam+rho) = nu+rho strictly dominant."""
-
-    _fields = ("singular", "w", "nu")
-    _defaults = {"w": None, "nu": None}
-
-
-_SINGULAR = BottOutcome(singular=True)
 _ZERO = CohomologyProfile(())
 
 
@@ -201,30 +191,19 @@ def _dominant_image(
     return w, length, nu
 
 
-def _normalize(rs: RootSystem, lam: Weight) -> BottOutcome:
-    """Normalize lam under the dot action w.lam = w(lam+rho)-rho.
-
-    One walk per Weyl chamber, every image checked: see ``_dominant_image``.
-    ``dot_normalize`` is this function behind an ``lru_cache``.
-    """
-    image = _dominant_image(rs, lam)
-    if image is None:
-        return _SINGULAR
-    return BottOutcome(False, image[0], image[2])
-
-
-dot_normalize = lru_cache(maxsize=None)(_normalize)
+#: ``_dominant_image`` behind a cache of its own: ``(w, len(w), nu)``, or None
+#: for a singular weight.
+dot_normalize = lru_cache(maxsize=None)(_dominant_image)
 
 
 @lru_cache(maxsize=None)
 def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
     """Bott cohomology of the line bundle O(lam) on the full flag variety.
 
-    Reads ``_dominant_image``, the function behind ``dot_normalize``,
-    directly and builds no ``BottOutcome``, so a miss passes through this
-    one cache only.  A singular weight gets the shared zero profile; a
-    regular one its Weyl module in degree len(w), the length stored with its
-    chamber.
+    Reads ``_dominant_image`` directly, not through ``dot_normalize``, so a
+    miss passes through this one cache only.  A singular weight gets the
+    shared zero profile; a regular one its Weyl module in degree len(w), the
+    length stored with its chamber.
     """
     image = _dominant_image(rs, lam)
     if image is None:
@@ -267,35 +246,34 @@ class FilteredResult(Value):
 
 
 def combine_pieces(
-    labeled: Sequence[tuple[object, CohomologyProfile, int]],
-) -> FilteredResult:
-    """Combine exact piece profiles under the degree-gap determinacy rule.
+    pieces: Iterable[tuple[CohomologyProfile, int]],
+) -> Optional[CohomologyProfile]:
+    """Union of exact piece profiles, or None when it is indeterminate.
 
-    Each entry ``(label, profile, m)`` stands for m equal pieces.  Determined
-    iff (a) all pieces vanish, (b) exactly one piece is nonzero, or (c) the
-    occupied degrees of distinct nonzero pieces are pairwise separated by at
-    least 2.  So a nonzero entry with m >= 2, whose copies share their
-    degrees, is indeterminate, exactly as its m copies would be.  Anything
-    else is honestly Indeterminate.
+    Each entry ``(profile, m)`` stands for m equal pieces.  Determined iff
+    (a) all pieces vanish, giving the shared zero profile, (b) exactly one
+    piece is nonzero, which is returned itself, or (c) the occupied degrees
+    of distinct nonzero pieces are pairwise separated by at least 2.  So a
+    nonzero entry with m >= 2, whose copies share their degrees, is
+    indeterminate, exactly as its m copies would be.
     """
-    pieces = tuple(labeled)
-    nonzero = [(p, m) for _, p, m in pieces if p.entries]
+    nonzero = [(p, m) for p, m in pieces if p.entries]
     if not nonzero:
-        return FilteredResult(True, _ZERO, pieces)
+        return _ZERO
     if len(nonzero) == 1 and nonzero[0][1] == 1:
-        return FilteredResult(True, nonzero[0][0], pieces)
+        return nonzero[0][0]
     for i, (p, m) in enumerate(nonzero):
         if m > 1:
-            return FilteredResult(False, None, pieces)
+            return None
         for q, _ in nonzero[i + 1 :]:
             for d1 in p.degrees():
                 for d2 in q.degrees():
                     if abs(d1 - d2) < 2:
-                        return FilteredResult(False, None, pieces)
+                        return None
     total = _ZERO
     for p, _ in nonzero:
         total = total.union(p)
-    return FilteredResult(True, total, pieces)
+    return total
 
 
 def filtered_cohomology(rs: RootSystem, weights: Mapping[Weight, int]) -> FilteredResult:
@@ -303,19 +281,20 @@ def filtered_cohomology(rs: RootSystem, weights: Mapping[Weight, int]) -> Filter
 
     ``weights`` maps each line-bundle weight to its positive multiplicity, in
     filtration order of first occurrence, as ``bundles.weights`` returns it.
-    Bott runs once per distinct weight, and ``combine_pieces`` sees one
-    ``(weight, profile, multiplicity)`` piece per distinct weight, so a
-    repeated nonzero weight (two pieces in one degree) is still
+    Bott runs once per distinct weight, giving one ``(weight, profile,
+    multiplicity)`` piece per distinct weight, and ``combine_pieces`` judges
+    them, so a repeated nonzero weight (two pieces in one degree) is still
     indeterminate.
     """
     if not weights:
         raise ValueError("empty weight filtration is disallowed")
-    labeled: list[tuple[Weight, CohomologyProfile, int]] = []
+    pieces: list[tuple[Weight, CohomologyProfile, int]] = []
     for w, m in weights.items():
         if m < 1:
             raise ValueError(f"weight {w} has multiplicity {m}; it must be positive")
-        labeled.append((w, line_cohomology(rs, w), m))
-    return combine_pieces(labeled)
+        pieces.append((w, line_cohomology(rs, w), m))
+    profile = combine_pieces((p, m) for _, p, m in pieces)
+    return FilteredResult(profile is not None, profile, tuple(pieces))
 
 
 def euler_characteristic(rs: RootSystem, weights: Mapping[Weight, int]) -> int:
@@ -324,18 +303,16 @@ def euler_characteristic(rs: RootSystem, weights: Mapping[Weight, int]) -> int:
     return sum(m * line_cohomology(rs, w).euler(rs) for w, m in weights.items())
 
 
-def parabolic_cohomology(
-    rs: RootSystem, levi_simples: frozenset[int] | set[int], lam: Weight
-) -> CohomologyProfile:
-    """Bott cohomology of the irreducible equivariant bundle E_lam on G/P.
+def parabolic_cohomology(rs: RootSystem, i: int, lam: Weight) -> CohomologyProfile:
+    """Bott cohomology of the irreducible equivariant bundle E_lam on G/P,
+    for the parabolic P whose Levi has the one simple root alpha_i.
 
     Agrees with line_cohomology on the flag variety but enters through the
     Levi highest weight, so results are certified exact with no filtration
-    ambiguity.  Requires lam to be Levi-dominant.
+    ambiguity.  Requires lam to be Levi-dominant: lam[i] >= 0.
     """
-    for i in levi_simples:
-        if lam[i] < 0:
-            raise ValueError(f"{lam} is not dominant for the Levi root alpha_{i}")
+    if lam[i] < 0:
+        raise ValueError(f"{lam} is not dominant for the Levi root alpha_{i}")
     return line_cohomology(rs, lam)
 
 

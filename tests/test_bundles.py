@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from g2flop import bundles, totalspace
 from g2flop.bundles import (
-    P1_LEVI,
-    P2_LEVI,
     BundleError,
     Dual,
     IrrP1,
@@ -31,7 +29,6 @@ from g2flop.bundles import (
     levi_tensor,
     normal_factors,
     normalize,
-    one_sided_form,
     parse_expr,
     rank,
     route_b_cohomology,
@@ -190,9 +187,9 @@ def test_det_of_tensor():
 
 
 def test_levi_tensor_p1_examples():
-    assert set(levi_tensor(RS, {1}, (-1, 1), (0, 1))) == {(-1, 2), (0, 0)}
-    assert set(levi_tensor(RS, {1}, (-1, 1), (-1, 1))) == {(-2, 2), (-1, 0)}
-    assert levi_tensor(RS, {1}, (3, 2), (0, 0)) == ((3, 2),)
+    assert set(levi_tensor(RS, 1, (-1, 1), (0, 1))) == {(-1, 2), (0, 0)}
+    assert set(levi_tensor(RS, 1, (-1, 1), (-1, 1))) == {(-2, 2), (-1, 0)}
+    assert levi_tensor(RS, 1, (3, 2), (0, 0)) == ((3, 2),)
 
 
 def test_levi_tensor_rank_count():
@@ -201,7 +198,7 @@ def test_levi_tensor_rank_count():
         m, n = rng.randint(0, 4), rng.randint(0, 4)
         lam = (rng.randint(-3, 3), m)
         mu = (rng.randint(-3, 3), n)
-        out = levi_tensor(RS, {1}, lam, mu)
+        out = levi_tensor(RS, 1, lam, mu)
         assert sum(w[1] + 1 for w in out) == (m + 1) * (n + 1)
 
 
@@ -210,40 +207,41 @@ def test_levi_tensor_rank_check_raises(monkeypatch):
     # raise, so it also holds under python -O.
     monkeypatch.setattr(bundles, "wadd", lambda a, b: a)
     with pytest.raises(IntegrityError, match="rank"):
-        levi_tensor(RS, {1}, (0, 1), (0, 1))
-
-
-def test_levi_tensor_rejects_higher_rank_levi():
-    with pytest.raises(BundleError):
-        levi_tensor(RS, {0, 1}, (0, 0), (0, 0))
+        levi_tensor(RS, 1, (0, 1), (0, 1))
 
 
 def test_levi_tensor_rejects_non_dominant():
     with pytest.raises(BundleError):
-        levi_tensor(RS, {1}, (0, -1), (0, 1))
+        levi_tensor(RS, 1, (0, -1), (0, 1))
 
 
 # --- route B summands as a multiset ----------------------------------------
+
+
+def one_sided_shape(e):
+    """Route B's ``(i, summands, opaque)`` of e, and e's twist."""
+    factors, twist = normal_factors(e)
+    return bundles._one_sided_shape(RS, factors), twist
 
 
 def tuple_summands(e):
     """Reference expansion: every Clebsch-Gordan summand kept separately."""
     factors, _ = normal_factors(e)
     infos = [bundles._factor_irreducible(RS, f) for f in factors]
-    levi = P1_LEVI if infos[0][0] == 1 else P2_LEVI
+    i = infos[0][0]
     summands = ((0, 0),)
     for _, hw in infos:
-        summands = tuple(w for s in summands for w in levi_tensor(RS, levi, s, hw))
+        summands = tuple(w for s in summands for w in levi_tensor(RS, i, s, hw))
     return summands
 
 
 def tuple_route_b(e):
     """Route B as a union over tuple_summands, one pushforward per summand."""
-    form = one_sided_form(RS, e)
+    (i, _, _), twist = one_sided_shape(e)
     profile = CohomologyProfile.zero()
     for hw in tuple_summands(e):
         profile = profile.union(
-            bundles._pushforward_profile(RS, form.levi_index, hw, form.twist)
+            CohomologyProfile.of(bundles._pushforward_profile(RS, i, hw, twist))
         )
     return profile
 
@@ -284,12 +282,12 @@ def test_route_b_summands_are_the_tuple_expansion_as_a_multiset():
     rng = random.Random(23)
     for _ in range(150):
         e = random_one_sided(rng)
-        form = one_sided_form(RS, e)
-        got = dict(form.summands)
-        assert len(got) == len(form.summands)
+        (i, summands, _), _ = one_sided_shape(e)
+        got = dict(summands)
+        assert len(got) == len(summands)
         assert got == Counter(tuple_summands(e))
-        alpha = RS.simple_roots[form.levi_index]
-        ranks = (m * (RS.pairing(hw, alpha) + 1) for hw, m in form.summands)
+        alpha = RS.simple_roots[i]
+        ranks = (m * (RS.pairing(hw, alpha) + 1) for hw, m in summands)
         assert sum(ranks) == rank(e)
         assert route_b_cohomology(RS, e) == tuple_route_b(e)
 
@@ -440,8 +438,8 @@ def test_filtration_pieces_are_the_weights_expanded_by_multiplicity():
         assert all(p == line_cohomology(RS, w) for w, p, _ in res.pieces)
         assert sum(m for _, _, m in res.pieces) == rank(e)
         ref = tuple_weights(e)
-        old = combine_pieces([(w, line_cohomology(RS, w), 1) for w in ref])
-        assert (res.determined, res.profile) == (old.determined, old.profile)
+        old = combine_pieces([(line_cohomology(RS, w), 1) for w in ref])
+        assert (res.determined, res.profile) == (old is not None, old)
         chi = sum(line_cohomology(RS, w).euler(RS) for w in ref)
         assert euler_characteristic(RS, ws) == chi
 
@@ -514,9 +512,27 @@ def test_spinor_cohomology_vanishes():
     assert res.determined and res.profile.is_zero
 
 
-def test_spinor_with_H_twist_minus_one():
-    prof = route_b_cohomology(RS, Twist(Spinor(), -1, 0))
-    assert prof is not None and prof.is_zero
+@pytest.mark.parametrize(
+    "text, vanishes",
+    [
+        ("S(-H)", True),
+        ("S'(-H)", True),
+        ("S*S'(-H)", True),
+        ("S(-h)", False),
+        ("S(-2H)", False),
+        ("S(H)", False),
+    ],
+    ids=lambda v: v if isinstance(v, str) else ("zero" if v else "none"),
+)
+def test_spinor_with_H_twist_minus_one(text, vanishes):
+    # S is pulled back from the quadric side, whose Levi index is 0, so route
+    # B's opaque branch reads the fiber degree from the H coordinate: only
+    # fiber degree -1 vanishes, and S(-h) would vanish under a swapped index.
+    prof = route_b_cohomology(RS, parse_expr(text))
+    if vanishes:
+        assert prof is not None and prof.is_zero
+    else:
+        assert prof is None
 
 
 def test_spinor_self_tensor_indeterminate():

@@ -107,7 +107,7 @@ def test_parabolic_route_rejects_sections_outside_degree_zero(monkeypatch):
     monkeypatch.setattr(
         coxring,
         "parabolic_cohomology",
-        lambda rs, levi, lam: CohomologyProfile(((1, lam, 1),)),
+        lambda rs, i, lam: CohomologyProfile(((1, lam, 1),)),
     )
     with pytest.raises(IntegrityError, match="degrees"):
         git_piece_via_parabolic(RS, "+", 1, 2)

@@ -25,7 +25,6 @@ from g2flop.bundles import (
     IrrP2,
     Line,
     NormalForm,
-    OneSided,
     Spinor,
     Sym,
     Tensor,
@@ -58,7 +57,7 @@ from g2flop.sodengine import (
     Transpose,
 )
 from g2flop.totalspace import HomVResult
-from g2flop.weylbott import BottOutcome, CohomologyProfile, FilteredResult
+from g2flop.weylbott import CohomologyProfile, FilteredResult
 
 K = CohomologyProfile(((0, (0, 0), 1),))
 COH = CohResult(True, K, (), "filtration")
@@ -75,11 +74,6 @@ CASES = [
     (
         lambda: CohomologyProfile(((0, (0, 0), 1), (1, (1, 0), 2))),
         "CohomologyProfile(entries=((0, (0, 0), 1), (1, (1, 0), 2)))",
-    ),
-    (lambda: BottOutcome(singular=True), "BottOutcome(singular=True, w=None, nu=None)"),
-    (
-        lambda: BottOutcome(False, WeylElement((1,), g2()), (0, 1)),
-        "BottOutcome(singular=False, w=WeylElement(word=(1,)), nu=(0, 1))",
     ),
     (
         lambda: FilteredResult(True, K, (((0, 0), K, 1),)),
@@ -101,10 +95,6 @@ CASES = [
     (
         lambda: Twist(arg=Dual(Universal()), a=0, b=-1),
         "Twist(arg=Dual(arg=Universal()), a=0, b=-1)",
-    ),
-    (
-        lambda: OneSided(1, (((1, 0), 1),), (0, 1), False),
-        "OneSided(levi_index=1, summands=(((1, 0), 1),), twist=(0, 1), opaque=False)",
     ),
     (lambda: CohResult(True, K, (), "filtration"), COH_TEXT),
     (lambda: ExcObject(Universal()), "ExcObject(expr=Universal(), tag=None)"),
@@ -166,13 +156,17 @@ CASES = [
         "NormalForm(factors=(Universal(), Dual(arg=Universal())), twist=(0, 1))",
     ),
 ]
-IDS = [text.split("(", 1)[0] + str(i) for i, (_, text) in enumerate(CASES)]
+#: Positions of cases whose classes were deleted; they stay unused, so that
+#: no remaining case's id changes.
+RETIRED = frozenset({3, 4, 16})
+POSITIONS = [i for i in range(len(CASES) + len(RETIRED)) if i not in RETIRED]
+IDS = [text.split("(", 1)[0] + str(i) for i, (_, text) in zip(POSITIONS, CASES)]
 
 
 def test_every_value_class_is_covered():
     classes = {type(make()) for make, _ in CASES} | {RootSystem}
     assert classes == set(Value.__subclasses__())
-    assert len(classes) == 33
+    assert len(classes) == 31
 
 
 @pytest.mark.parametrize("make, text", CASES, ids=IDS)
@@ -256,7 +250,6 @@ DEFAULTED = [
     (LeftMutateThrough, (1, Universal()), {"result_tag": None}, ("x",)),
     (RightMutateThrough, (2, Line(0, 1)), {"result_tag": None}, ("y",)),
     (SODState, ((Subcat("A"),),), {"move_log": ()}, ((("transpose 1", ()),),)),
-    (BottOutcome, (True,), {"w": None, "nu": None}, (WeylElement((1,), g2()), (0, 1))),
 ]
 
 
@@ -324,8 +317,8 @@ def test_positional_keyword_and_mixed_calls_agree(make, text):
             "Subcat.__init__() takes from 2 to 3 positional arguments but 4 were given",
         ),
         (
-            lambda: BottOutcome(),
-            "BottOutcome.__init__() missing 1 required positional argument: 'singular'",
+            lambda: ExcObject(),
+            "ExcObject.__init__() missing 1 required positional argument: 'expr'",
         ),
         (lambda: Universal(1), "Universal() takes no arguments"),
     ],

@@ -25,6 +25,7 @@ from g2flop.rootdata import (
 )
 from g2flop.weylbott import (
     CohomologyProfile,
+    combine_pieces,
     dot_normalize,
     euler_characteristic,
     filtered_cohomology,
@@ -55,22 +56,21 @@ def oracle_weyl_dim(lam):
 
 
 def test_dot_normalize_pinned():
-    out = dot_normalize(RS, (-2, 3))
-    assert not out.singular
-    assert out.w.word == (0,)
-    assert out.nu == (0, 0)
+    w, length, nu = dot_normalize(RS, (-2, 3))
+    assert w.word == (0,)
+    assert length == 1
+    assert nu == (0, 0)
 
 
 def test_dot_normalize_dominant_is_identity():
     for lam in [(0, 0), (3, 1), (5, 7)]:
-        out = dot_normalize(RS, lam)
-        assert not out.singular
-        assert out.w.length == 0
-        assert out.nu == lam
+        w, length, nu = dot_normalize(RS, lam)
+        assert w.length == length == 0
+        assert nu == lam
 
 
 def test_dot_normalize_origin_is_singular():
-    assert dot_normalize(RS, (-1, -1)).singular
+    assert dot_normalize(RS, (-1, -1)) is None
 
 
 def test_dot_normalize_element_actually_normalizes():
@@ -78,10 +78,11 @@ def test_dot_normalize_element_actually_normalizes():
     for _ in range(150):
         lam = (rng.randint(-8, 8), rng.randint(-8, 8))
         out = dot_normalize(RS, lam)
-        if not out.singular:
+        if out is not None:
+            w, _, nu = out
             shifted = (lam[0] + 1, lam[1] + 1)
-            target = (out.nu[0] + 1, out.nu[1] + 1)
-            assert out.w.apply(shifted) == target
+            target = (nu[0] + 1, nu[1] + 1)
+            assert w.apply(shifted) == target
 
 
 def test_projective_line_oracle():
@@ -131,8 +132,8 @@ def test_line_cohomology_rejects_a_length_mismatch(monkeypatch):
 
 @pytest.mark.parametrize("lam", [(-1, 5, 7), (2,), (0, 0, 0)])
 def test_a_weight_of_the_wrong_length_is_refused_even_when_singular(lam):
-    # (-1, 5, 7) has a zero coordinate in lam+rho, which used to return the
-    # singular outcome and cache the zero profile before any length check.
+    # (-1, 5, 7) has a zero coordinate in lam+rho, which used to be reported
+    # singular and cache the zero profile before any length check.
     rs = g2()
     cached = line_cohomology.cache_info().currsize, dot_normalize.cache_info().currsize
     with pytest.raises(ValueError, match="values to unpack"):
@@ -172,11 +173,11 @@ def test_chamber_table_agrees_with_a_walk_per_weight(name):
         out = dot_normalize(rs, lam)
         profile = line_cohomology(rs, lam)
         if 0 in rs.coroot_pairings(mu):
-            assert out.singular and profile.is_zero
+            assert out is None and profile.is_zero
             continue
         top, w = rs.to_dominant(mu)
         nu = tuple(c - 1 for c in top)
-        assert (out.w, out.nu) == (w, nu)
+        assert out == (w, w.length, nu)
         assert profile == CohomologyProfile(((w.length, nu, 1),))
     chambers = _chambers_of(rs)
     assert 1 < len(chambers) <= rs.weyl_order
@@ -355,11 +356,12 @@ def test_dot_normalize_length_counts_negative_pairings():
         out = dot_normalize(RS, lam)
         shifted = (lam[0] + 1, lam[1] + 1)
         pairings = RS.coroot_pairings(shifted)
-        if out.singular:
+        if out is None:
             assert 0 in pairings
         else:
-            assert out.w.length == sum(1 for p in pairings if p < 0)
-            assert RS.is_dominant(out.nu)
+            w, length, nu = out
+            assert w.length == length == sum(1 for p in pairings if p < 0)
+            assert RS.is_dominant(nu)
 
 
 def test_line_cohomology_trivial_bundle():
@@ -405,9 +407,9 @@ KERNEL_BOXES = {
 def test_line_cohomology_and_dot_normalize_agree_on_a_box(name):
     # line_cohomology and dot_normalize share one uncached kernel behind two
     # caches.  Over every weight of the box, from empty caches: the profile is
-    # the one dot_normalize's outcome describes, singular means a zero coroot
+    # the one dot_normalize's image describes, None means a zero coroot
     # pairing of lam+rho (the zero-coordinate early exit included), and a
-    # regular outcome really normalizes, with length = negative pairings.
+    # regular image really normalizes, with length = negative pairings.
     cartan, r = KERNEL_BOXES[name]
     rs = build_root_system(cartan)
     line_cohomology.cache_clear()
@@ -418,22 +420,23 @@ def test_line_cohomology_and_dot_normalize_agree_on_a_box(name):
         out = dot_normalize(rs, lam)
         mu = tuple(c + 1 for c in lam)
         pairings = rs.coroot_pairings(mu)
-        assert out.singular == (0 in pairings)
-        if out.singular:
+        assert (out is None) == (0 in pairings)
+        if out is None:
             singular += 1
             assert profile == CohomologyProfile(())
             continue
-        assert profile == CohomologyProfile(((out.w.length, out.nu, 1),))
-        top = tuple(c + 1 for c in out.nu)
-        assert out.w.apply(mu) == top
+        w, length, nu = out
+        assert profile == CohomologyProfile(((length, nu, 1),))
+        top = tuple(c + 1 for c in nu)
+        assert w.apply(mu) == top
         assert min(top) > 0
-        assert out.w.length == sum(1 for p in pairings if p < 0)
+        assert w.length == length == sum(1 for p in pairings if p < 0)
     assert 0 < singular < (2 * r + 1) ** rs.rank
 
 
 def test_singular_weights_share_one_outcome_and_one_zero_profile():
     rs = build_root_system(RS.cartan)
-    assert dot_normalize(rs, (-1, 0)) is dot_normalize(rs, (-2, 1))
+    assert dot_normalize(rs, (-1, 0)) is dot_normalize(rs, (-2, 1)) is None
     assert line_cohomology(rs, (-1, 0)) is line_cohomology(rs, (-2, 1))
     assert line_cohomology(rs, (-1, 0)) is CohomologyProfile.zero()
 
@@ -517,23 +520,56 @@ def test_filtered_euler_matches_signed_sum():
             assert res.profile.euler(RS) == chi
 
 
+# combine_pieces on its own.  The indeterminate cases are negative controls: a
+# sharper determinacy rule must still refuse them or say why it need not.
+K0 = CohomologyProfile(((0, (0, 0), 1),))
+V1 = CohomologyProfile(((1, (0, 1), 1),))
+V2 = CohomologyProfile(((2, (1, 0), 1),))
+
+
+def test_combine_pieces_of_zero_pieces_is_the_shared_zero():
+    pieces = [(CohomologyProfile(()), 1), (CohomologyProfile(()), 3)]
+    assert combine_pieces(pieces) is CohomologyProfile.zero()
+
+
+def test_combine_pieces_returns_a_single_nonzero_piece_itself():
+    pieces = [(CohomologyProfile(()), 2), (V1, 1), (CohomologyProfile(()), 1)]
+    assert combine_pieces(pieces) is V1
+
+
+def test_combine_pieces_refuses_a_piece_of_multiplicity_two():
+    assert combine_pieces([(V1, 2)]) is None
+    assert combine_pieces([(CohomologyProfile(()), 1), (K0, 2)]) is None
+
+
+def test_combine_pieces_refuses_adjacent_degrees():
+    assert combine_pieces([(K0, 1), (V1, 1)]) is None
+    assert combine_pieces([(V1, 1), (V2, 1)]) is None
+
+
+def test_combine_pieces_unites_degrees_two_apart():
+    union = CohomologyProfile(((0, (0, 0), 1), (2, (1, 0), 1)))
+    assert combine_pieces([(V2, 1), (K0, 1)]) == union
+    assert combine_pieces(iter([(K0, 1), (CohomologyProfile(()), 5), (V2, 1)])) == union
+
+
 def test_parabolic_p1_sections():
     for m, k in product(range(0, 4), range(0, 4)):
-        prof = parabolic_cohomology(RS, {1}, (m + k, m))
+        prof = parabolic_cohomology(RS, 1, (m + k, m))
         assert prof == CohomologyProfile(((0, (m + k, m), 1),))
 
 
 def test_parabolic_p1_wall():
-    assert parabolic_cohomology(RS, {1}, (-1, 2)).is_zero
+    assert parabolic_cohomology(RS, 1, (-1, 2)).is_zero
 
 
 def test_parabolic_p2_trivial():
-    assert parabolic_cohomology(RS, {0}, (0, 0)) == CohomologyProfile(((0, (0, 0), 1),))
+    assert parabolic_cohomology(RS, 0, (0, 0)) == CohomologyProfile(((0, (0, 0), 1),))
 
 
 def test_parabolic_rejects_non_levi_dominant():
     with pytest.raises(ValueError):
-        parabolic_cohomology(RS, {1}, (0, -1))
+        parabolic_cohomology(RS, 1, (0, -1))
 
 
 def test_serre_duality_degree_flip():
@@ -557,6 +593,6 @@ def test_route_a_route_b_on_parabolic_strings():
                 (a - j * alpha2[0], b - j * alpha2[1]) for j in range(0, b + 1)
             ]
             res = filtered_cohomology(RS, Counter(string))
-            exact = parabolic_cohomology(RS, {1}, (a, b))
+            exact = parabolic_cohomology(RS, 1, (a, b))
             if res.determined:
                 assert res.profile == exact
