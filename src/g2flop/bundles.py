@@ -141,7 +141,14 @@ SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
 MAX_STRING_WEIGHTS = 200_000
 
 
-def _string_weights(rs: RootSystem, hw: Weight, i: int) -> dict[Weight, int]:
+def _levi_string(core: BundleExpr) -> tuple[int, Weight, int]:
+    """Levi index, highest weight and length of the weight string of a normal
+    factor that is neither S nor a dual.  ``weights`` and ``rank`` refuse a
+    factor here: a reducible Sym, a negative Levi pairing, a long string."""
+    info = _factor_irreducible(core)
+    if info is None:
+        raise BundleError("Sym is only supported on rank-2 irreducible atoms")
+    i, hw = info
     n = hw[i]
     if n < 0:
         raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
@@ -150,8 +157,7 @@ def _string_weights(rs: RootSystem, hw: Weight, i: int) -> dict[Weight, int]:
             f"highest weight {hw} has a string of {n + 1} weights, "
             f"more than the {MAX_STRING_WEIGHTS} supported"
         )
-    alpha = rs.simple_roots[i].weight_coords
-    return {tuple([h - j * a for h, a in zip(hw, alpha)]): 1 for j in range(n + 1)}
+    return i, hw, n + 1
 
 
 #: The most (left weight, right weight) pairs the expansion of one product
@@ -240,30 +246,21 @@ def _factor_weights(rs: RootSystem, f: BundleExpr) -> Pairs:
             for w, m in weights(rs, piece).items():
                 out[w] = out.get(w, 0) + m
     else:
-        info = _factor_irreducible(rs, core)
-        if info is None:
-            raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-        out = _string_weights(rs, info[1], info[0])
+        i, hw, length = _levi_string(core)
+        alpha = rs.simple_roots[i].weight_coords
+        out = {tuple([h - j * a for h, a in zip(hw, alpha)]): 1 for j in range(length)}
     if dualize:
         return tuple((wneg(w), m) for w, m in out.items())
     return tuple(out.items())
 
 
 def rank(e: BundleExpr) -> int:
-    """Rank of the expression: the product of its normal factors' ranks."""
+    """Rank of the expression: the product of its normal factors' ranks.
+    A factor is refused as ``weights`` refuses it, with the same error."""
     out = 1
     for f in normal_factors(e)[0]:
-        f = f.arg if isinstance(f, Dual) else f
-        if isinstance(f, Sym):
-            out *= f.power + 1
-        elif isinstance(f, (Universal, Spinor)):
-            out *= 2 if isinstance(f, Universal) else 4
-        else:
-            n = f.b if isinstance(f, IrrP1) else f.a  # Levi pairing of (a, b)
-            if n < 0:
-                name = type(f).__name__
-                raise BundleError(f"{name}({f.a},{f.b}) has negative Levi pairing")
-            out *= n + 1
+        core = f.arg if isinstance(f, Dual) else f
+        out *= 4 if isinstance(core, Spinor) else _levi_string(core)[2]
     return out
 
 
@@ -299,11 +296,9 @@ def levi_tensor(rs: RootSystem, i: int, lam: Weight, mu: Weight) -> tuple[Weight
 # class h), i = 0 for P2 (fiber class H).
 
 
-def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[int, Weight]]:
-    """Levi index and highest weight of a normal factor, if it is irreducible."""
-    dualize = isinstance(factor, Dual)
-    if dualize:
-        factor = factor.arg
+def _factor_irreducible(factor: BundleExpr) -> Optional[tuple[int, Weight]]:
+    """Levi index and highest weight of a normal factor that is not a dual,
+    if it is irreducible."""
     atom = factor.arg if isinstance(factor, Sym) else factor
     if isinstance(atom, Universal):
         i, hw = 1, (-1, 1)
@@ -319,9 +314,6 @@ def _factor_irreducible(rs: RootSystem, factor: BundleExpr) -> Optional[tuple[in
         if n != 1:
             return None
         hw = wscale(factor.power, hw)
-    if dualize:
-        # dual of the Levi irreducible: -s_alpha(hw) for the Levi reflection
-        hw = wneg(rs.reflect(i, hw))
     return i, hw
 
 
@@ -351,11 +343,15 @@ def _one_sided_shape(
             sides.add(0)  # pullback from the quadric side
             opaque = True
             continue
-        info = _factor_irreducible(rs, f)
+        info = _factor_irreducible(core)
         if info is None:
             return None
-        sides.add(info[0])
-        hws.append(info[1])
+        i, hw = info
+        if core is not f:
+            # dual of the Levi irreducible: -s_alpha(hw) for the Levi reflection
+            hw = wneg(rs.reflect(i, hw))
+        sides.add(i)
+        hws.append(hw)
     if len(sides) != 1:
         return None
     i = sides.pop()
@@ -492,10 +488,10 @@ def _evaluate(
     # Keyed by the flat normal form, never the expression tree, whose hash
     # recurses once per node.
     e = NormalForm(factors, twist)
-    route_a = filtered_cohomology(rs, weights(rs, e))
+    filtered, e1 = filtered_cohomology(rs, weights(rs, e))
     # In evaluation order; each profile is None where its route settles nothing.
     routes = (
-        ("filtration", route_a.profile),
+        ("filtration", filtered),
         ("parabolic", route_b_cohomology(rs, e)),
         ("extension", _extension_cohomology(rs, factors, twist)),
     )
@@ -511,7 +507,7 @@ def _evaluate(
                 f"{settled_by} gave {format_profile(answer)}, "
                 f"{route} gave {format_profile(profile)}"
             )
-    return CohResult(answer is not None, answer, route_a.pieces, settled_by)
+    return CohResult(answer is not None, answer, e1, settled_by)
 
 
 # --- normalization and printing ---------------------------------------------

@@ -99,9 +99,6 @@ def cmd_roots(args, rs: RootSystem) -> int:
 
 def cmd_dim(args, rs: RootSystem) -> int:
     lam = (args.a, args.b)
-    if not rs.is_dominant(lam):
-        print(f"error: {lam} is not dominant", file=sys.stderr)
-        return EXIT_USAGE
     value = weyl_dim(rs, lam)
     payload = {
         "command": "dim",

@@ -40,10 +40,10 @@ class Value:
     """Base of the package's frozen value classes.
 
     A subclass names its fields, in constructor order, in ``_fields``, and
-    the defaults of its trailing fields in ``_defaults``.  Its ``__init__`` is
-    generated from the two, as ``dataclasses`` and ``namedtuple`` do: one
-    function with a named parameter per field and one ``object.__setattr__``
-    line per field, so arity errors read like a hand-written constructor's.
+    every field is required.  Its ``__init__`` is generated from them, as
+    ``dataclasses`` and ``namedtuple`` do: one function with a named
+    parameter per field and one ``object.__setattr__`` line per field, so
+    arity errors read like a hand-written constructor's.
     It is generated rather than one shared ``__init__(self, *args, **kwargs)``
     looping over the fields, which measured two to three times slower per
     construction.  A subclass may not define ``__init__`` itself; one without
@@ -56,7 +56,6 @@ class Value:
     """
 
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -91,15 +90,12 @@ class Value:
 
 
 def _generated_init(cls: type[Value]):
-    """``def __init__(self, f1, ..., fn=default)`` setting each field in order."""
-    fields, defaults = cls._fields, cls._defaults
-    if tuple(defaults) != fields[len(fields) - len(defaults) :]:
-        raise TypeError(f"{cls.__qualname__}._defaults must name its trailing fields")
+    """``def __init__(self, f1, ..., fn)`` setting each field in order."""
+    fields = cls._fields
     body = "".join(f"\n    object.__setattr__(self, {f!r}, {f})" for f in fields)
     namespace: dict[str, object] = {}
     exec(f"def __init__(self, {', '.join(fields)}):{body}", {}, namespace)
     init = namespace["__init__"]
-    init.__defaults__ = tuple(defaults.values()) or None
     init.__qualname__ = f"{cls.__qualname__}.__init__"
     init.__module__ = cls.__module__
     return init
@@ -249,9 +245,6 @@ class RootSystem(Value):
             sum(c * m for c, m in zip(self.coroots[r.simple_coords], mu, strict=True))
             for r in self.positive_roots
         )
-
-    def is_dominant(self, mu: Weight) -> bool:
-        return min(mu, default=0) >= 0
 
 
 #: What ``compile_pairings`` returns; see there.

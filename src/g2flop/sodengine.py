@@ -1,13 +1,13 @@
 """Certified mutation engine for semiorthogonal decompositions.
 
 A state is an ordered list of blocks: exceptional objects given by bundle
-expressions on the flag variety, or opaque labeled subcategories carrying
-their functor history.  Moves verify rather than solve: the mutated-in
-objects are supplied by the script and every move emits certificates —
-Ext-vanishing for transpositions, Ext-dimension plus K-class balance plus the
-short-exact-sequence multiset identity for mutations through a neighbour —
-each recomputed from scratch through the total-space Hom machinery, never
-read off from literals.  A failed certificate aborts the move with a diff.
+expressions on the flag variety, or opaque labeled subcategories.  Moves
+verify rather than solve: the mutated-in objects are supplied by the script
+and every move emits certificates — Ext-vanishing for transpositions,
+Ext-dimension plus K-class balance plus the short-exact-sequence multiset
+identity for mutations through a neighbour — each recomputed from scratch
+through the total-space Hom machinery, never read off from literals.  A
+failed certificate aborts the move with a diff.
 
 ``replay_mutation_script`` runs the hard-coded 12-step sequence that turns
 the rank-2-side decomposition of the total space into the quadric-side one
@@ -51,16 +51,14 @@ class CertificateError(ValueError):
 
 
 class ExcObject(Value):
-    _fields = ("expr", "tag")
-    _defaults = {"tag": None}
+    _fields = ("expr",)
 
     def render(self) -> str:
         return format_expr(self.expr)
 
 
 class Subcat(Value):
-    _fields = ("label", "history")
-    _defaults = {"history": ()}
+    _fields = ("label",)
 
     def render(self) -> str:
         return f"<{self.label}>"
@@ -91,13 +89,11 @@ class Transpose(Value):
 
 
 class LeftMutateThrough(Value):
-    _fields = ("index", "result", "result_tag")
-    _defaults = {"result_tag": None}
+    _fields = ("index", "result")
 
 
 class RightMutateThrough(Value):
-    _fields = ("index", "result", "result_tag")
-    _defaults = {"result_tag": None}
+    _fields = ("index", "result")
 
 
 class SerreRotateToFront(Value):
@@ -109,11 +105,11 @@ class SerreRotateToBack(Value):
 
 
 class MutateSubcatLeft(Value):
-    _fields = ("index", "span", "new_label", "functor_note")
+    _fields = ("index", "span", "new_label")
 
 
 class MutateSubcatRight(Value):
-    _fields = ("index", "span", "new_label", "functor_note")
+    _fields = ("index", "span", "new_label")
 
 
 Move = Union[
@@ -128,8 +124,7 @@ Move = Union[
 
 
 class SODState(Value):
-    _fields = ("blocks", "move_log")
-    _defaults = {"move_log": ()}
+    _fields = ("blocks",)
 
     def render(self) -> tuple[str, ...]:
         return tuple(b.render() for b in self.blocks)
@@ -148,7 +143,7 @@ def _format_k_class(c: Counter) -> str:
     return " + ".join(f"{m}*{w}" if m != 1 else f"{w}" for w, m in items)
 
 
-def _hom_summary(rs: RootSystem, res: HomVResult) -> str:
+def _hom_summary(res: HomVResult) -> str:
     if res.determined:
         return format_profile(res.profile)
     p0 = format_profile(res.p0.profile) if res.p0.determined else "indeterminate"
@@ -182,7 +177,7 @@ def _hom_certificate(
         kind=kind,
         description=f"hom({src.render()}, {dst.render()})",
         required=format_profile(required),
-        computed=_hom_summary(rs, res),
+        computed=_hom_summary(res),
         passed=res.determined and res.profile == required,
     )
     return cert, res
@@ -233,8 +228,11 @@ def _require(certs: list[Certificate], what: str) -> None:
             )
 
 
-def apply_move(rs: RootSystem, state: SODState, move: Move) -> SODState:
-    """Apply one certified move; raises CertificateError on a failed check."""
+def apply_move(
+    rs: RootSystem, state: SODState, move: Move
+) -> tuple[SODState, tuple[Certificate, ...]]:
+    """Apply one certified move, returning the new state and the move's
+    certificates; raises CertificateError on a failed check."""
     blocks = list(state.blocks)
     certs: list[Certificate] = []
 
@@ -272,7 +270,7 @@ def apply_move(rs: RootSystem, state: SODState, move: Move) -> SODState:
         ]
         _require(certs, f"{side} mutation blocked")
         blocks[move.index] = through
-        blocks[j] = ExcObject(normalize(move.result), move.result_tag)
+        blocks[j] = ExcObject(normalize(move.result))
 
     elif isinstance(move, (SerreRotateToFront, SerreRotateToBack)):
         n = move.count
@@ -289,14 +287,13 @@ def apply_move(rs: RootSystem, state: SODState, move: Move) -> SODState:
         i = move.index
         if not 0 <= i < len(blocks):
             raise MoveError(f"block index {i} out of range")
-        subcat = blocks[i]
-        if not isinstance(subcat, Subcat):
+        if not isinstance(blocks[i], Subcat):
             raise MoveError(f"block {i} is not a subcategory")
-        updated = [Subcat(move.new_label, subcat.history + (move.functor_note,))]
         to_left = isinstance(move, MutateSubcatLeft)
         lo, hi = (i - move.span, i) if to_left else (i, i + move.span)
         if not 0 <= lo <= hi < len(blocks):
             raise MoveError("subcategory mutation span out of range")
+        updated = [Subcat(move.new_label)]
         if to_left:
             blocks[lo : hi + 1] = updated + blocks[lo:i]
         else:
@@ -305,14 +302,13 @@ def apply_move(rs: RootSystem, state: SODState, move: Move) -> SODState:
     else:
         raise MoveError(f"unknown move {move!r}")
 
-    log = state.move_log + ((describe_move(move), tuple(certs)),)
-    return SODState(tuple(blocks), log)
+    return SODState(tuple(blocks)), tuple(certs)
 
 
 def _twist_object(block: Block, twist: Weight) -> Block:
     if not isinstance(block, ExcObject):
         raise MoveError("only exceptional objects can be Serre-rotated")
-    return ExcObject(normalize(Twist(block.expr, *twist)), None)
+    return ExcObject(normalize(Twist(block.expr, *twist)))
 
 
 def describe_move(move: Move) -> str:
@@ -377,14 +373,26 @@ class StepReport(Value):
 
 
 class ReplayReport(Value):
-    _fields = (
-        "steps",
-        "final_state",
-        "final_matches",
-        "mismatch",
-        "conclusion",
-        "passed",
-    )
+    """The replay's steps, and why it failed or None when it passed.
+
+    The rest is derived: every ending (a pass, a halt, a failed seed) ends on
+    a step that holds the state reached, and only a pass has no mismatch."""
+
+    _fields = ("steps", "mismatch")
+
+    @property
+    def passed(self) -> bool:
+        return self.mismatch is None
+
+    final_matches = passed
+
+    @property
+    def final_state(self) -> tuple[str, ...]:
+        return self.steps[-1].state
+
+    @property
+    def conclusion(self) -> Optional[str]:
+        return CONCLUSION if self.passed else None
 
     def to_json(self) -> dict:
         return {
@@ -402,7 +410,8 @@ def _script() -> tuple[tuple[int, str, tuple[Move, ...]], ...]:
         (
             2,
             "move the ambient-image subcategory two steps left",
-            (MutateSubcatLeft(6, 2, "Phi1", "L_<O(H),U'(H)> . Phi+"),),
+            # Phi1 = L_<O(H),U'(H)> . Phi+
+            (MutateSubcatLeft(6, 2, "Phi1"),),
         ),
         (
             3,
@@ -417,13 +426,14 @@ def _script() -> tuple[tuple[int, str, tuple[Move, ...]], ...]:
         (
             5,
             "mutate U one step left into the rank-4 extension",
-            (LeftMutateThrough(3, Spinor(), "S"),),
+            (LeftMutateThrough(3, Spinor()),),
         ),
         (6, "rotate O(-H) to the back", (SerreRotateToBack(1),)),
         (
             7,
             "move the subcategory right past O(h)",
-            (MutateSubcatRight(5, 1, "Phi2", "R_<O(h)> . Phi1"),),
+            # Phi2 = R_<O(h)> . Phi1
+            (MutateSubcatRight(5, 1, "Phi2"),),
         ),
         (
             8,
@@ -439,7 +449,8 @@ def _script() -> tuple[tuple[int, str, tuple[Move, ...]], ...]:
         (
             11,
             "move the subcategory two steps left",
-            (MutateSubcatLeft(6, 2, "Phi3", "L_<O(H-2h),O(H-h)> . Phi2"),),
+            # Phi3 = L_<O(H-2h),O(H-h)> . Phi2
+            (MutateSubcatLeft(6, 2, "Phi3"),),
         ),
         (
             12,
@@ -502,10 +513,8 @@ def replay_mutation_script(
     try:
         state, seed_certs = seed_state(rs)
     except CertificateError as err:
-        steps.append(
-            StepReport(1, "seed the ambient decomposition", (), err.certificates, (), False)
-        )
-        return ReplayReport(tuple(steps), (), False, str(err), None, False)
+        seed = StepReport(1, "seed the ambient decomposition", (), err.certificates, (), False)
+        return ReplayReport((seed,), str(err))
     steps.append(
         StepReport(
             1,
@@ -526,8 +535,8 @@ def replay_mutation_script(
         collected: list[Certificate] = []
         try:
             for m in moves:
-                state = apply_move(rs, state, m)
-                collected.extend(state.move_log[-1][1])
+                state, certs = apply_move(rs, state, m)
+                collected.extend(certs)
         except (CertificateError, MoveError) as err:
             collected.extend(getattr(err, "certificates", ()))
             steps.append(
@@ -535,24 +544,8 @@ def replay_mutation_script(
                     index, description, move_names, tuple(collected), state.render(), False
                 )
             )
-            return ReplayReport(
-                tuple(steps),
-                state.render(),
-                False,
-                f"halted at step {index}: {err}",
-                None,
-                False,
-            )
+            return ReplayReport(tuple(steps), f"halted at step {index}: {err}")
         steps.append(
             StepReport(index, description, move_names, tuple(collected), state.render(), True)
         )
-    mismatch = _states_match(rs, state)
-    matches = mismatch is None
-    return ReplayReport(
-        steps=tuple(steps),
-        final_state=state.render(),
-        final_matches=matches,
-        mismatch=mismatch,
-        conclusion=CONCLUSION if matches else None,
-        passed=matches,
-    )
+    return ReplayReport(tuple(steps), _states_match(rs, state))

@@ -40,6 +40,10 @@ from .weylbott import CohomologyProfile, combine_pieces
 #: canonical weight of the ambient total space: omega_V = O(-H-h)
 TOTAL_SPACE_CANONICAL_TWIST: Weight = (-1, -1)
 
+#: the normal bundle of the zero section, N = O(-H-h), which twists the
+#: Koszul term; it equals omega_V = omega_F - N only because omega_F = 2N
+NORMAL_BUNDLE_TWIST: Weight = (-1, -1)
+
 #: the graded Homs that certificates require: 0, k and k[-1]; an exceptional
 #: object has self-Hom exactly K
 ZERO = CohomologyProfile.zero()
@@ -71,7 +75,7 @@ def _hom_v(
     # Keyed by the flat normal form, never the expression trees, whose hash
     # recurses once per node; both terms are handed on as normal forms.
     term0 = NormalForm(factors, twist)
-    term1 = NormalForm(factors, wadd(twist, TOTAL_SPACE_CANONICAL_TWIST))
+    term1 = NormalForm(factors, wadd(twist, NORMAL_BUNDLE_TWIST))
     r0 = flag_cohomology(rs, term0)
     r1 = flag_cohomology(rs, term1)
     # The E1 pieces are the distinct filtration weights' Bott profiles with

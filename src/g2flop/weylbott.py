@@ -82,9 +82,6 @@ class CohomologyProfile(Value):
     def shift(self, by: int) -> "CohomologyProfile":
         return CohomologyProfile.of((d + by, hw, m) for d, hw, m in self.entries)
 
-    def union(self, other: "CohomologyProfile") -> "CohomologyProfile":
-        return CohomologyProfile.of(self.entries + other.entries)
-
     def dimensions(self, rs: RootSystem) -> dict[int, int]:
         dims: dict[int, int] = {}
         for d, hw, m in self.entries:
@@ -231,20 +228,6 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     return dim
 
 
-class FilteredResult(Value):
-    """Outcome of evaluating a filtered bundle through its graded pieces.
-
-    ``pieces`` is the E1 page, one ``(weight, profile, multiplicity)`` entry
-    per distinct filtration weight, in filtration order of first occurrence:
-    the piece's exact profile and the number of filtration steps with that
-    weight.  ``determined`` means the spectral sequence cannot connect any
-    two of the pieces it stands for (their nonzero degrees are pairwise >= 2
-    apart), so the union is the answer.
-    """
-
-    _fields = ("determined", "profile", "pieces")
-
-
 def combine_pieces(
     pieces: Iterable[tuple[CohomologyProfile, int]],
 ) -> Optional[CohomologyProfile]:
@@ -270,31 +253,35 @@ def combine_pieces(
                 for d2 in q.degrees():
                     if abs(d1 - d2) < 2:
                         return None
-    total = _ZERO
-    for p, _ in nonzero:
-        total = total.union(p)
-    return total
+    return CohomologyProfile.of(e for p, _ in nonzero for e in p.entries)
 
 
-def filtered_cohomology(rs: RootSystem, weights: Mapping[Weight, int]) -> FilteredResult:
-    """Cohomology of a bundle with the given multiset of filtration weights.
+#: An E1 piece: a filtration weight, its Bott profile, its multiplicity.
+Piece = tuple[Weight, CohomologyProfile, int]
+
+
+def filtered_cohomology(
+    rs: RootSystem, weights: Mapping[Weight, int]
+) -> tuple[Optional[CohomologyProfile], tuple[Piece, ...]]:
+    """Cohomology of a bundle with the given multiset of filtration weights:
+    ``(profile, pieces)``, the profile None when it is indeterminate.
 
     ``weights`` maps each line-bundle weight to its positive multiplicity, in
     filtration order of first occurrence, as ``bundles.weights`` returns it.
-    Bott runs once per distinct weight, giving one ``(weight, profile,
-    multiplicity)`` piece per distinct weight, and ``combine_pieces`` judges
-    them, so a repeated nonzero weight (two pieces in one degree) is still
-    indeterminate.
+    ``pieces`` is the E1 page, one piece per distinct weight from one Bott
+    call each.  ``combine_pieces`` judges them: the profile is determined
+    when the spectral sequence cannot connect any two of the pieces it
+    stands for (their nonzero degrees are pairwise >= 2 apart), so the union
+    is the answer; a repeated nonzero weight is still indeterminate.
     """
     if not weights:
         raise ValueError("empty weight filtration is disallowed")
-    pieces: list[tuple[Weight, CohomologyProfile, int]] = []
+    pieces: list[Piece] = []
     for w, m in weights.items():
         if m < 1:
             raise ValueError(f"weight {w} has multiplicity {m}; it must be positive")
         pieces.append((w, line_cohomology(rs, w), m))
-    profile = combine_pieces((p, m) for _, p, m in pieces)
-    return FilteredResult(profile is not None, profile, tuple(pieces))
+    return combine_pieces((p, m) for _, p, m in pieces), tuple(pieces)
 
 
 def euler_characteristic(rs: RootSystem, weights: Mapping[Weight, int]) -> int:

@@ -46,9 +46,9 @@ def test_dim_json_matches_text(capsys):
 
 
 def test_dim_rejects_non_dominant(capsys):
-    code, _, err = run_cli(capsys, "dim", "-1", "0")
-    assert code == 2
-    assert "not dominant" in err
+    # weyl_dim refuses the weight; the CLI prints its ValueError
+    code, out, err = run_cli(capsys, "dim", "-1", "0")
+    assert (code, out, err) == (2, "", "error: (-1, 0) is not dominant\n")
 
 
 def test_coh_text(capsys):

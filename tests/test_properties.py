@@ -109,11 +109,11 @@ def test_route_a_equals_route_b_wherever_both_apply():
         e = Twist(atom, ta, tb)
         exact = route_b_cohomology(RS, e)
         assert exact is not None
-        route_a = filtered_cohomology(RS, weights(RS, e))
+        route_a = filtered_cohomology(RS, weights(RS, e))[0]
         cases += 1
-        if route_a.determined:
+        if route_a is not None:
             comparable += 1
-            assert route_a.profile == exact
+            assert route_a == exact
     _record("route-agreement", cases)
     assert cases >= 400 and comparable >= 150
 
@@ -125,10 +125,10 @@ def test_route_agreement_quadric_side():
         e = Twist(atom, ta, tb)
         exact = route_b_cohomology(RS, e)
         assert exact is not None
-        route_a = filtered_cohomology(RS, weights(RS, e))
+        route_a = filtered_cohomology(RS, weights(RS, e))[0]
         cases += 1
-        if route_a.determined:
-            assert route_a.profile == exact
+        if route_a is not None:
+            assert route_a == exact
     _record("route-agreement-quadric", cases)
 
 

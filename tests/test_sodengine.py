@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from g2flop import sodengine
 from g2flop.bundles import (
     Dual,
     Line,
@@ -17,6 +18,7 @@ from g2flop.bundles import (
 from g2flop.checks import replay_suite
 from g2flop.rootdata import g2, g2_flipped
 from g2flop.sodengine import (
+    CONCLUSION,
     SEED_OBJECTS,
     TARGET_OBJECTS,
     CertificateError,
@@ -60,10 +62,9 @@ def test_seed_state_certifies_exceptionality():
 
 def test_left_mutation_produces_spinor_certificates():
     state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(U)))
-    new = apply_move(RS, state, LeftMutateThrough(1, Spinor(), "S"))
-    kinds = [c.kind for c in new.move_log[-1][1]]
-    assert kinds == ["ExtDim", "KClassBalance", "ExactSeq"]
-    assert all(c.passed for c in new.move_log[-1][1])
+    new, certs = apply_move(RS, state, LeftMutateThrough(1, Spinor()))
+    assert [c.kind for c in certs] == ["ExtDim", "KClassBalance", "ExactSeq"]
+    assert all(c.passed for c in certs)
     assert isinstance(new.blocks[0], ExcObject)
     assert Counter(weights(RS, new.blocks[0].expr)) == k_class(RS, Spinor())
     # [S] = [U] + [U'(-h)]
@@ -85,8 +86,8 @@ def test_left_mutation_rejects_wrong_ext_shape():
 
 def test_right_mutation_ext4_sequence():
     state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(Line(0, 0))))
-    new = apply_move(RS, state, RightMutateThrough(0, Line(1, -2)))
-    assert all(c.passed for c in new.move_log[-1][1])
+    new, certs = apply_move(RS, state, RightMutateThrough(0, Line(1, -2)))
+    assert all(c.passed for c in certs)
     assert new.blocks[0].expr == Line(0, 0)
     assert new.blocks[1].expr == Line(1, -2)
     # [O(H-2h)] = [U'(-h)] - [O]
@@ -97,7 +98,7 @@ def test_right_mutation_ext4_sequence():
 
 def test_transpose_requires_vanishing():
     good = SODState((ExcObject(Line(1, -2)), ExcObject(Line(0, 1))))
-    swapped = apply_move(RS, good, Transpose(0))
+    swapped, _ = apply_move(RS, good, Transpose(0))
     assert swapped.blocks[0].expr == Line(0, 1)
     bad = SODState((ExcObject(Line(0, 0)), ExcObject(Line(0, 1))))
     with pytest.raises(CertificateError):
@@ -108,8 +109,8 @@ def test_left_then_right_mutation_restores_k_class():
     # mutate U left through U'(-h), then the result right through the same
     # object: the original pair and K-classes come back
     state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(U)))
-    mutated = apply_move(RS, state, LeftMutateThrough(1, Spinor(), "S"))
-    restored = apply_move(RS, mutated, RightMutateThrough(0, U))
+    mutated, _ = apply_move(RS, state, LeftMutateThrough(1, Spinor()))
+    restored, _ = apply_move(RS, mutated, RightMutateThrough(0, U))
     assert [k_class(RS, b.expr) for b in restored.blocks] == [
         k_class(RS, b.expr) for b in state.blocks
     ]
@@ -119,12 +120,12 @@ def test_left_then_right_mutation_restores_k_class():
 def test_serre_rotations_invert():
     state, _ = seed_state(RS)
     objects_only = SODState(state.blocks[:-1])
-    there = apply_move(RS, objects_only, SerreRotateToFront(2))
-    back = apply_move(RS, there, SerreRotateToBack(2))
+    there, _ = apply_move(RS, objects_only, SerreRotateToFront(2))
+    back, _ = apply_move(RS, there, SerreRotateToBack(2))
     assert back.blocks == objects_only.blocks
     # pinned example: O(-H) rotated to the back becomes O(h)
     single = SODState((ExcObject(Line(-1, 0)), ExcObject(Line(0, 0))))
-    rotated = apply_move(RS, single, SerreRotateToBack(1))
+    rotated, _ = apply_move(RS, single, SerreRotateToBack(1))
     assert rotated.blocks[-1].expr == Line(0, 1)
 
 
@@ -219,6 +220,58 @@ def test_report_json_round_trip():
     assert parsed["final_state"][3] == "S"
 
 
+#: The replay's endings: a pass, a halt at a failed certificate (step 4,
+#: once step 3 is skipped), a run that ends on the wrong state, and a seed
+#: that fails its exceptionality certificates.
+ENDINGS = {
+    "pass": lambda: replay_mutation_script(RS),
+    "halt": lambda: replay_mutation_script(RS, skip_steps={3}),
+    "mismatch": lambda: replay_mutation_script(RS, skip_steps={10}),
+    "seed-failure": lambda: replay_mutation_script(g2_flipped()),
+}
+
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_report_derives_its_final_state_and_verdict(ending):
+    report = ENDINGS[ending]()
+    assert report.final_state == report.steps[-1].state
+    assert report.passed is report.final_matches is (report.mismatch is None)
+    assert report.passed is (ending == "pass")
+    assert report.conclusion == (CONCLUSION if report.passed else None)
+    payload = report.to_json()
+    assert list(payload) == [
+        "steps",
+        "final_state",
+        "final_matches",
+        "mismatch",
+        "conclusion",
+        "pass",
+    ]
+    assert payload["final_state"] == list(report.steps[-1].state)
+    assert payload["pass"] is payload["final_matches"] is report.passed
+    if ending == "seed-failure":
+        assert report.final_state == ()
+
+
+def test_step_certificates_are_those_its_moves_returned(monkeypatch):
+    returned = []
+
+    def recording(rs, state, move):
+        new, certs = apply_move(rs, state, move)
+        returned.append(certs)
+        return new, certs
+
+    monkeypatch.setattr(sodengine, "apply_move", recording)
+    report = replay_mutation_script(RS)
+    assert report.passed
+    seed, *steps = report.steps
+    assert seed.moves == ("install six objects + subcategory",)
+    for step in steps:
+        own = [returned.pop(0) for _ in step.moves]
+        assert step.certificates == tuple(c for certs in own for c in certs)
+    assert returned == []
+
+
 def test_target_matches_seed_shapes():
     assert len(SEED_OBJECTS) == 6
     assert len(TARGET_OBJECTS) == 6
@@ -260,11 +313,11 @@ def test_right_mutation_of_the_last_block():
 @pytest.mark.parametrize(
     "move",
     [
-        MutateSubcatLeft(6, 7, "Phi", "note"),
-        MutateSubcatRight(6, 1, "Phi", "note"),
+        MutateSubcatLeft(6, 7, "Phi"),
+        MutateSubcatRight(6, 1, "Phi"),
         # a negative span used to insert a second copy of the subcategory
-        MutateSubcatLeft(6, -1, "Phi", "note"),
-        MutateSubcatRight(6, -1, "Phi", "note"),
+        MutateSubcatLeft(6, -1, "Phi"),
+        MutateSubcatRight(6, -1, "Phi"),
     ],
 )
 def test_subcategory_span_out_of_range(move):
@@ -276,8 +329,8 @@ def test_subcategory_span_out_of_range(move):
 def test_subcategory_move_on_an_object_block():
     state, _ = seed_state(RS)
     for move in (
-        MutateSubcatLeft(3, 1, "Phi", "note"),
-        MutateSubcatRight(0, 1, "Phi", "note"),
+        MutateSubcatLeft(3, 1, "Phi"),
+        MutateSubcatRight(0, 1, "Phi"),
     ):
         with pytest.raises(MoveError, match=f"block {move.index} is not a subcategory"):
             apply_move(RS, state, move)

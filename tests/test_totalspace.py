@@ -24,6 +24,7 @@ from g2flop.rootdata import g2
 from g2flop.totalspace import (
     K,
     K1,
+    NORMAL_BUNDLE_TWIST,
     TOTAL_SPACE_CANONICAL_TWIST,
     base_canonical_weight,
     hom_v,
@@ -237,6 +238,17 @@ def test_base_canonical_weights():
     assert base_canonical_weight(RS, "Q") == (0, -5)
     with pytest.raises(ValueError):
         base_canonical_weight(RS, "X")
+
+
+def test_canonical_twist_and_normal_bundle_are_pinned_apart():
+    # V is the total space of N = O(-H-h), the dual of O(H+h), so
+    # omega_V = omega_F - N; the two constants agree only because
+    # omega_F = -2*rho = 2N on G2/B.
+    omega_v = TOTAL_SPACE_CANONICAL_TWIST
+    assert omega_v == total_space_canonical(RS, "F", Line(1, 1))[0]
+    omega_f = base_canonical_weight(RS, "F")
+    assert omega_v == tuple(f - n for f, n in zip(omega_f, NORMAL_BUNDLE_TWIST))
+    assert NORMAL_BUNDLE_TWIST == (-1, -1)
 
 
 def test_total_space_canonical_weights():

@@ -361,7 +361,7 @@ def test_dot_normalize_length_counts_negative_pairings():
         else:
             w, length, nu = out
             assert w.length == length == sum(1 for p in pairings if p < 0)
-            assert RS.is_dominant(nu)
+            assert min(nu) >= 0
 
 
 def test_line_cohomology_trivial_bundle():
@@ -472,28 +472,26 @@ def test_borel_weil_consistency():
 
 
 def test_filtered_u_twisted_by_h():
-    res = filtered_cohomology(RS, Counter([(-1, 2), (0, 0)]))
-    assert res.determined
-    assert res.profile == CohomologyProfile(((0, (0, 0), 1),))
+    profile, _ = filtered_cohomology(RS, Counter([(-1, 2), (0, 0)]))
+    assert profile == CohomologyProfile(((0, (0, 0), 1),))
 
 
 def test_filtered_u_tensor_u_twisted_by_h():
-    res = filtered_cohomology(RS, Counter([(-2, 3), (-1, 1), (-1, 1), (0, -1)]))
-    assert res.determined
-    assert res.profile == CohomologyProfile(((1, (0, 0), 1),))
+    profile, _ = filtered_cohomology(RS, Counter([(-2, 3), (-1, 1), (-1, 1), (0, -1)]))
+    assert profile == CohomologyProfile(((1, (0, 0), 1),))
 
 
 def test_filtered_u_tensor_u_dual_is_indeterminate():
-    res = filtered_cohomology(RS, Counter([(0, 0), (0, 0), (-1, 2), (1, -2)]))
-    assert not res.determined
-    degree_hits = [(p.degrees(), m) for _, p, m in res.pieces if not p.is_zero]
+    profile, pieces = filtered_cohomology(RS, Counter([(0, 0), (0, 0), (-1, 2), (1, -2)]))
+    assert profile is None
+    degree_hits = [(p.degrees(), m) for _, p, m in pieces if not p.is_zero]
     assert sorted(degree_hits) == [((0,), 2), ((1,), 1)]
-    assert [(w, m) for w, _, m in res.pieces if w == (0, 0)] == [((0, 0), 2)]
+    assert [(w, m) for w, _, m in pieces if w == (0, 0)] == [((0, 0), 2)]
 
 
 def test_filtered_acyclic_bundle():
-    res = filtered_cohomology(RS, Counter([(-3, 1), (-2, -1)]))
-    assert res.determined and res.profile.is_zero
+    profile, _ = filtered_cohomology(RS, Counter([(-3, 1), (-2, -1)]))
+    assert profile is not None and profile.is_zero
 
 
 def test_filtered_rejects_empty():
@@ -514,10 +512,10 @@ def test_filtered_euler_matches_signed_sum():
             (rng.randint(-4, 4), rng.randint(-4, 4))
             for _ in range(rng.randint(1, 4))
         ]
-        res = filtered_cohomology(RS, Counter(ws))
+        profile, _ = filtered_cohomology(RS, Counter(ws))
         chi = euler_characteristic(RS, Counter(ws))
-        if res.determined:
-            assert res.profile.euler(RS) == chi
+        if profile is not None:
+            assert profile.euler(RS) == chi
 
 
 # combine_pieces on its own.  The indeterminate cases are negative controls: a
@@ -592,7 +590,7 @@ def test_route_a_route_b_on_parabolic_strings():
             string = [
                 (a - j * alpha2[0], b - j * alpha2[1]) for j in range(0, b + 1)
             ]
-            res = filtered_cohomology(RS, Counter(string))
+            profile, _ = filtered_cohomology(RS, Counter(string))
             exact = parabolic_cohomology(RS, 1, (a, b))
-            if res.determined:
-                assert res.profile == exact
+            if profile is not None:
+                assert profile == exact
