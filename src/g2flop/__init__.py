@@ -28,7 +28,7 @@ from .bundles import (
     weights,
 )
 from .totalspace import HomVResult, hom_v, total_space_canonical
-from .sodengine import SODState, apply_move, k_class, replay_mutation_script
+from .sodengine import apply_move, k_class, replay_mutation_script
 from .coxring import flag_cox_dim, git_piece, total_cox_dim
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "HomVResult",
     "hom_v",
     "total_space_canonical",
-    "SODState",
     "apply_move",
     "k_class",
     "replay_mutation_script",

@@ -43,12 +43,13 @@ memoized, so a failing input raises again on every call.
 The expression grammar for the CLI::
 
     expr  := term { "*" term }
-    term  := atom [ "(" twist ")" ] [ "'" ]
+    term  := atom [ "(" twist ")" ] [ "'" [ "(" twist ")" ] ]
     atom  := "O" | "U" | "S" | "E(" int "," int ")" | "F(" int "," int ")"
            | "Sym^" int " " atom
     twist := signed combination of "h", "H"  |  int "," int
 
-with ``'`` for duals, e.g. ``U*U(h)``, ``O(H-2h)``, ``Sym^2 E(1,1)``.
+with ``'`` for duals, e.g. ``U*U(h)``, ``O(H-2h)``, ``Sym^2 E(1,1)``, ``U'(-h)``.
+A ``ParseError`` position is a 0-based offset into the whole text.
 """
 
 from __future__ import annotations
@@ -654,6 +655,7 @@ def format_expr(e: BundleExpr) -> str:
 # --- parser -----------------------------------------------------------------
 
 _INT_RE = re.compile(r"[+-]?\d+")
+_DIGITS_RE = re.compile(r"\d+")
 
 
 class _Parser:
@@ -695,23 +697,12 @@ class _Parser:
 
     def parse_term(self) -> BundleExpr:
         self.skip_ws()
-        atom = self.parse_atom()
-        if self.peek() == "(":
-            self.pos += 1
-            a, b = self.parse_twist()
-            self.expect(")")
-            atom = Twist(atom, a, b)
+        term = self.parse_twist(self.parse_atom())
         if self.peek() == "'":
             self.pos += 1
-            atom = Dual(atom)
-            # convenience beyond the core grammar: a twist may follow the
-            # dual, so U'(-h) means (U dual)(-h)
-            if self.peek() == "(":
-                self.pos += 1
-                a, b = self.parse_twist()
-                self.expect(")")
-                atom = Twist(atom, a, b)
-        return atom
+            # a twist after the dual twists the dual: U'(-h) is (U dual)(-h)
+            term = self.parse_twist(Dual(term))
+        return term
 
     def parse_atom(self) -> BundleExpr:
         powers = []
@@ -737,11 +728,7 @@ class _Parser:
         elif ch in ("E", "F"):
             self.pos += 1
             self.expect("(")
-            a = self.parse_int()
-            self.skip_ws()
-            self.expect(",")
-            self.skip_ws()
-            b = self.parse_int()
+            a, b = self.parse_pair()
             self.expect(")")
             atom = IrrP1(a, b) if ch == "E" else IrrP2(a, b)
         elif ch == "":
@@ -752,60 +739,54 @@ class _Parser:
             atom = Sym(powers.pop(), atom)
         return atom
 
-    def parse_twist(self) -> Weight:
-        start = self.pos
-        while self.pos < len(self.text):
-            if self.text[self.pos] == ")":
-                break
-            self.pos += 1
-        body = self.text[start : self.pos]
-        if "," in body:
-            sub = _Parser(body)
-            sub.skip_ws()
-            a = sub.parse_int()
-            sub.skip_ws()
-            sub.expect(",")
-            sub.skip_ws()
-            b = sub.parse_int()
-            sub.skip_ws()
-            if sub.pos != len(body):
-                self.pos = start + sub.pos
-                raise self.error("malformed pair twist")
-            return (a, b)
-        return self._parse_linear_twist(body, start)
+    def parse_pair(self) -> Weight:
+        a = self.parse_int()
+        self.skip_ws()
+        self.expect(",")
+        self.skip_ws()
+        return (a, self.parse_int())
 
-    def _parse_linear_twist(self, body: str, start: int) -> Weight:
-        a = b = 0
-        i = 0
-        seen_any = False
-        while i < len(body):
-            if body[i] == " ":
-                i += 1
-                continue
-            sign = 1
-            if body[i] in "+-":
-                sign = -1 if body[i] == "-" else 1
-                i += 1
-                while i < len(body) and body[i] == " ":
-                    i += 1
-            m = re.match(r"\d+", body[i:])
-            coeff = 1
-            if m:
-                coeff = int(m.group())
-                i += m.end()
-            if i >= len(body) or body[i] not in "hH":
-                self.pos = start + i
-                raise self.error("expected 'h' or 'H' in twist")
-            if body[i] == "H":
-                a += sign * coeff
-            else:
-                b += sign * coeff
-            i += 1
-            seen_any = True
-        if not seen_any:
-            self.pos = start
-            raise self.error("empty twist")
-        return (a, b)
+    def parse_twist(self, atom: BundleExpr) -> BundleExpr:
+        """``atom`` under an optional ``"(" twist ")"``.  The twist runs to
+        the next ``)``, and is a pair exactly when that stretch holds a comma."""
+        if self.peek() != "(":
+            return atom
+        self.pos += 1
+        text, start = self.text, self.pos
+        end = text.find(")", start)
+        if end < 0:
+            end = len(text)
+        self.skip_ws()
+        if text.find(",", start, end) >= 0:
+            a, b = self.parse_pair()
+            self.skip_ws()
+            if self.pos != end:
+                raise self.error("malformed pair twist")
+        elif self.pos == end:
+            raise ParseError("empty twist", start)
+        else:
+            a = b = 0
+            while self.pos < end:
+                sign = 1
+                if text[self.pos] in "+-":
+                    sign = -1 if text[self.pos] == "-" else 1
+                    self.pos += 1
+                    self.skip_ws()
+                m = _DIGITS_RE.match(text, self.pos)
+                coeff = 1
+                if m:
+                    coeff = int(m.group())
+                    self.pos = m.end()
+                if self.pos == end or text[self.pos] not in "hH":
+                    raise self.error("expected 'h' or 'H' in twist")
+                if text[self.pos] == "H":
+                    a += sign * coeff
+                else:
+                    b += sign * coeff
+                self.pos += 1
+                self.skip_ws()
+        self.expect(")")
+        return Twist(atom, a, b)
 
 
 @lru_cache(maxsize=None)

@@ -121,27 +121,22 @@ def cmd_coh(args, rs: RootSystem) -> int:
                 f"degree {d}: dim {n}" for d, n in sorted(dims.items())
             ) + ")"
         payload = {
-            "command": "coh",
-            "inputs": {"expr": format_expr(expr)},
             "status": "pass",
             "profile": _profile_json(rs, res.profile),
             "route": res.route,
         }
-        _emit(payload, args.json, text)
-        return EXIT_OK
-    pieces = [
-        f"{w}: {format_profile(p)}"
-        for w, p, m in res.e1
-        if not p.is_zero
-        for _ in range(m)
-    ]
-    payload = {
-        "command": "coh",
-        "inputs": {"expr": format_expr(expr)},
-        "status": "indeterminate",
-        "e1": pieces,
-    }
-    _emit(payload, args.json, "indeterminate; E1 page: " + "; ".join(pieces))
+    else:
+        pieces = [
+            f"{w}: {format_profile(p)}"
+            for w, p, m in res.e1
+            if not p.is_zero
+            for _ in range(m)
+        ]
+        text = "indeterminate; E1 page: " + "; ".join(pieces)
+        payload = {"status": "indeterminate", "e1": pieces}
+    if args.json:
+        payload.update(command="coh", inputs={"expr": format_expr(expr)})
+    _emit(payload, args.json, text)
     return EXIT_OK
 
 
@@ -149,30 +144,20 @@ def cmd_homv(args, rs: RootSystem) -> int:
     a = parse_expr(args.source)
     b = parse_expr(args.target)
     res = hom_v(rs, a, b)
-    inputs = {"source": format_expr(a), "target": format_expr(b)}
     if res.determined:
+        text = format_profile(res.profile)
+        payload = {"status": "pass", "profile": _profile_json(rs, res.profile)}
+    else:
+        text = f"indeterminate (Euler characteristic {res.euler})"
         payload = {
-            "command": "homv",
-            "inputs": inputs,
-            "status": "pass",
-            "profile": _profile_json(rs, res.profile),
-            "euler": res.euler,
+            "status": "indeterminate",
+            "native_term": format_profile(res.p0.profile) if res.p0.determined else None,
+            "twisted_term": format_profile(res.p1.profile) if res.p1.determined else None,
         }
-        _emit(payload, args.json, format_profile(res.profile))
-        return EXIT_OK
-    payload = {
-        "command": "homv",
-        "inputs": inputs,
-        "status": "indeterminate",
-        "euler": res.euler,
-        "native_term": format_profile(res.p0.profile) if res.p0.determined else None,
-        "twisted_term": format_profile(res.p1.profile) if res.p1.determined else None,
-    }
-    _emit(
-        payload,
-        args.json,
-        f"indeterminate (Euler characteristic {res.euler})",
-    )
+    if args.json:
+        inputs = {"source": format_expr(a), "target": format_expr(b)}
+        payload.update(command="homv", inputs=inputs, euler=res.euler)
+    _emit(payload, args.json, text)
     return EXIT_OK
 
 

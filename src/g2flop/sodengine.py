@@ -1,7 +1,7 @@
 """Certified mutation engine for semiorthogonal decompositions.
 
-A state is an ordered list of blocks: exceptional objects given by bundle
-expressions on the flag variety, or opaque labeled subcategories.  Moves
+A state is a tuple of blocks: an exceptional object is its bundle expression
+on the flag variety, an opaque subcategory is its label string.  Moves
 verify rather than solve: the mutated-in objects are supplied by the script
 and every move emits certificates — Ext-vanishing for transpositions,
 Ext-dimension plus K-class balance plus the short-exact-sequence multiset
@@ -50,21 +50,13 @@ class CertificateError(ValueError):
         self.certificates = certificates
 
 
-class ExcObject(Value):
-    _fields = ("expr",)
-
-    def render(self) -> str:
-        return format_expr(self.expr)
+#: an exceptional object, or a subcategory's label
+Block = Union[BundleExpr, str]
 
 
-class Subcat(Value):
-    _fields = ("label",)
-
-    def render(self) -> str:
-        return f"<{self.label}>"
-
-
-Block = Union[ExcObject, Subcat]
+def render(blocks: Sequence[Block]) -> tuple[str, ...]:
+    """Print each block: an object as its expression, a subcategory as <label>."""
+    return tuple(f"<{b}>" if isinstance(b, str) else format_expr(b) for b in blocks)
 
 
 class Certificate(Value):
@@ -123,13 +115,6 @@ Move = Union[
 ]
 
 
-class SODState(Value):
-    _fields = ("blocks",)
-
-    def render(self) -> tuple[str, ...]:
-        return tuple(b.render() for b in self.blocks)
-
-
 def k_class(rs: RootSystem, e: BundleExpr) -> Counter:
     """Class in the free abelian group on line-bundle weights: the weight
     multiset as a ``Counter``, so that classes add and subtract."""
@@ -151,11 +136,11 @@ def _hom_summary(res: HomVResult) -> str:
     return f"indeterminate (native term {p0}, twisted term {p1})"
 
 
-def _require_object(blocks: Sequence[Block], i: int) -> ExcObject:
+def _require_object(blocks: Sequence[Block], i: int) -> BundleExpr:
     if not 0 <= i < len(blocks):
         raise MoveError(f"block index {i} out of range")
     block = blocks[i]
-    if not isinstance(block, ExcObject):
+    if isinstance(block, str):
         raise MoveError(f"block {i} is not an exceptional object")
     return block
 
@@ -167,15 +152,15 @@ _HOM_KINDS = frozenset({"ExtVanishing", "ExtDim", "Exceptionality"})
 def _hom_certificate(
     rs: RootSystem,
     kind: str,
-    src: ExcObject,
-    dst: ExcObject,
+    src: BundleExpr,
+    dst: BundleExpr,
     required: CohomologyProfile,
 ) -> tuple[Certificate, HomVResult]:
     """Certify that hom(src, dst) over the total space is exactly ``required``."""
-    res = hom_v(rs, src.expr, dst.expr)
+    res = hom_v(rs, src, dst)
     cert = Certificate(
         kind=kind,
-        description=f"hom({src.render()}, {dst.render()})",
+        description=f"hom({format_expr(src)}, {format_expr(dst)})",
         required=format_profile(required),
         computed=_hom_summary(res),
         passed=res.determined and res.profile == required,
@@ -184,16 +169,16 @@ def _hom_certificate(
 
 
 def _k_balance_certificate(
-    rs: RootSystem, result: BundleExpr, moved: ExcObject, through: ExcObject, chi: int
+    rs: RootSystem, result: BundleExpr, moved: BundleExpr, through: BundleExpr, chi: int
 ) -> Certificate:
-    expected = k_class(rs, moved.expr)
-    for w, m in k_class(rs, through.expr).items():
+    expected = k_class(rs, moved)
+    for w, m in k_class(rs, through).items():
         expected[w] -= chi * m
     computed = k_class(rs, result)
     # formal sums: negative coefficients count, zero ones do not
     return Certificate(
         kind="KClassBalance",
-        description=f"[{format_expr(result)}] = [{moved.render()}] - chi*[{through.render()}]",
+        description=f"[{format_expr(result)}] = [{format_expr(moved)}] - chi*[{format_expr(through)}]",
         required=_format_k_class(expected),
         computed=_format_k_class(computed),
         passed=expected == computed,
@@ -229,11 +214,11 @@ def _require(certs: list[Certificate], what: str) -> None:
 
 
 def apply_move(
-    rs: RootSystem, state: SODState, move: Move
-) -> tuple[SODState, tuple[Certificate, ...]]:
+    rs: RootSystem, state: tuple[Block, ...], move: Move
+) -> tuple[tuple[Block, ...], tuple[Certificate, ...]]:
     """Apply one certified move, returning the new state and the move's
     certificates; raises CertificateError on a failed check."""
-    blocks = list(state.blocks)
+    blocks = list(state)
     certs: list[Certificate] = []
 
     if isinstance(move, Transpose):
@@ -256,21 +241,21 @@ def apply_move(
             # extension shape: hom(through, moved) = k[-1] makes the mutation
             # triangle the short exact sequence moved -> result -> through
             cert, res = _hom_certificate(rs, "ExtDim", through, moved, K1)
-            sub, mid = moved.expr, move.result
+            sub, mid = moved, move.result
         else:
             # co-extension shape: hom(moved, through) = k makes the mutation
             # triangle the short exact sequence result -> moved -> through
             cert, res = _hom_certificate(rs, "ExtDim", moved, through, K)
-            sub, mid = move.result, moved.expr
+            sub, mid = move.result, moved
         certs.append(cert)
         _require(certs, f"{side} mutation blocked")
         certs += [
             _k_balance_certificate(rs, move.result, moved, through, res.euler),
-            _exact_seq_certificate(rs, sub, mid, through.expr, "mutation triangle"),
+            _exact_seq_certificate(rs, sub, mid, through, "mutation triangle"),
         ]
         _require(certs, f"{side} mutation blocked")
         blocks[move.index] = through
-        blocks[j] = ExcObject(normalize(move.result))
+        blocks[j] = normalize(move.result)
 
     elif isinstance(move, (SerreRotateToFront, SerreRotateToBack)):
         n = move.count
@@ -287,13 +272,13 @@ def apply_move(
         i = move.index
         if not 0 <= i < len(blocks):
             raise MoveError(f"block index {i} out of range")
-        if not isinstance(blocks[i], Subcat):
+        if not isinstance(blocks[i], str):
             raise MoveError(f"block {i} is not a subcategory")
         to_left = isinstance(move, MutateSubcatLeft)
         lo, hi = (i - move.span, i) if to_left else (i, i + move.span)
         if not 0 <= lo <= hi < len(blocks):
             raise MoveError("subcategory mutation span out of range")
-        updated = [Subcat(move.new_label)]
+        updated = [move.new_label]
         if to_left:
             blocks[lo : hi + 1] = updated + blocks[lo:i]
         else:
@@ -302,13 +287,13 @@ def apply_move(
     else:
         raise MoveError(f"unknown move {move!r}")
 
-    return SODState(tuple(blocks)), tuple(certs)
+    return tuple(blocks), tuple(certs)
 
 
-def _twist_object(block: Block, twist: Weight) -> Block:
-    if not isinstance(block, ExcObject):
+def _twist_object(block: Block, twist: Weight) -> BundleExpr:
+    if isinstance(block, str):
         raise MoveError("only exceptional objects can be Serre-rotated")
-    return ExcObject(normalize(Twist(block.expr, *twist)))
+    return normalize(Twist(block, *twist))
 
 
 def describe_move(move: Move) -> str:
@@ -460,40 +445,40 @@ def _script() -> tuple[tuple[int, str, tuple[Move, ...]], ...]:
     )
 
 
-def seed_state(rs: RootSystem) -> tuple[SODState, tuple[Certificate, ...]]:
+def seed_state(rs: RootSystem) -> tuple[tuple[Block, ...], tuple[Certificate, ...]]:
     """Install the six seed objects plus the ambient subcategory block.
 
     Every seeded object must certify exceptional (self-Hom exactly k).
     """
-    objects = tuple(ExcObject(e) for e in SEED_OBJECTS)
-    certs = tuple(_hom_certificate(rs, "Exceptionality", o, o, K)[0] for o in objects)
+    certs = tuple(
+        _hom_certificate(rs, "Exceptionality", o, o, K)[0] for o in SEED_OBJECTS
+    )
     for c in certs:
         if not c.passed:
             raise CertificateError(
                 f"seed exceptionality failed: {c.description} = {c.computed}", certs
             )
-    return SODState(objects + (Subcat("Phi+"),)), certs
+    return SEED_OBJECTS + ("Phi+",), certs
 
 
-def _states_match(rs: RootSystem, state: SODState) -> Optional[str]:
+def _states_match(rs: RootSystem, state: tuple[Block, ...]) -> Optional[str]:
     """Compare the final state against the mirror-side pattern.
 
     Objects are compared as exact weight multisets; the trailing block must
     be a subcategory in both patterns.
     """
-    if len(state.blocks) != len(TARGET_OBJECTS) + 1:
-        return f"expected {len(TARGET_OBJECTS) + 1} blocks, found {len(state.blocks)}"
+    if len(state) != len(TARGET_OBJECTS) + 1:
+        return f"expected {len(TARGET_OBJECTS) + 1} blocks, found {len(state)}"
     for k, target in enumerate(TARGET_OBJECTS):
-        block = state.blocks[k]
-        if not isinstance(block, ExcObject):
-            return f"block {k} should be an object, found {block.render()}"
-        if k_class(rs, block.expr) != k_class(rs, target):
+        block = state[k]
+        if isinstance(block, str):
+            return f"block {k} should be an object, found <{block}>"
+        if k_class(rs, block) != k_class(rs, target):
             return (
-                f"block {k} is {block.render()} but the mirror pattern has "
+                f"block {k} is {format_expr(block)} but the mirror pattern has "
                 f"{format_expr(target)}"
             )
-    last = state.blocks[-1]
-    if not isinstance(last, Subcat):
+    if not isinstance(state[-1], str):
         return "trailing block is not a subcategory"
     return None
 
@@ -521,14 +506,14 @@ def replay_mutation_script(
             "seed the ambient decomposition",
             ("install six objects + subcategory",),
             seed_certs,
-            state.render(),
+            render(state),
             True,
         )
     )
     for index, description, moves in _script():
         if index in skip_steps:
             steps.append(
-                StepReport(index, f"SKIPPED: {description}", (), (), state.render(), True)
+                StepReport(index, f"SKIPPED: {description}", (), (), render(state), True)
             )
             continue
         move_names = tuple(describe_move(m) for m in moves)
@@ -541,11 +526,11 @@ def replay_mutation_script(
             collected.extend(getattr(err, "certificates", ()))
             steps.append(
                 StepReport(
-                    index, description, move_names, tuple(collected), state.render(), False
+                    index, description, move_names, tuple(collected), render(state), False
                 )
             )
             return ReplayReport(tuple(steps), f"halted at step {index}: {err}")
         steps.append(
-            StepReport(index, description, move_names, tuple(collected), state.render(), True)
+            StepReport(index, description, move_names, tuple(collected), render(state), True)
         )
     return ReplayReport(tuple(steps), _states_match(rs, state))

@@ -1,17 +1,25 @@
 """Ext computations over the total space of O(-h-H) on the flag variety.
 
 Objects supported on the zero section are represented by their flag-variety
-bundle data.  Hom complexes are computed through the hard-coded two-term
-Koszul resolution of the structure sheaf of the zero section: for bundles A
-and B the graded Hom is assembled from
+bundle data.  Write pi: V -> F for the projection, i: F -> V for the zero
+section and N = O(-H-h) for its normal bundle.  Tensored with pi^*A, the
+two-term Koszul resolution of the zero section reads
 
-    p0 = H^*(F, A' ⊗ B)            at its native degrees,
-    p1 = H^*(F, A' ⊗ B ⊗ O(-H-h))  shifted up by one,
+    0 -> pi^*(A ⊗ N^∨) -> pi^*A -> i_*A -> 0,
+
+and pi o i = id gives hom_V(pi^*C, i_*B) = hom_F(C, B).  So for bundles A and
+B the graded hom(i_*A, i_*B) is assembled from
+
+    p0 = H^*(F, A' ⊗ B)            at its native degrees (from pi^*A),
+    p1 = H^*(F, A' ⊗ B ⊗ O(-H-h))  shifted up by one (from pi^*(A ⊗ N^∨),
+                                   which the resolution puts in degree -1),
 
 combined under the same degree-gap determinacy rule as filtrations (the
 connecting differential is never computed; gaps >= 2 make it irrelevant).
-The [0, 1] placement of the complex is pinned by the requirement that
-hom(U'(-h), U) come out as k in degree 1.
+No check pins this [0, 1] placement yet.  hom(U'(-h), U) = k[-1] does not:
+it comes wholly from the native term, and with the twisted term shifted down
+instead, check-all and the replay still pass.  Only recorded answers tell the
+two placements apart.
 
 ``hom_v`` answers each ``(root system, normal form of A' ⊗ B)`` once: pairs
 with equal normal forms share one memoized result, in a cache that is

@@ -930,6 +930,52 @@ def test_parse_errors_carry_positions():
         parse_expr("U) extra")
 
 
+#: (text, message, position): a position is a 0-based offset into the whole
+#: text, inside a pair twist too
+PARSE_ERRORS = [
+    ("O(1,x)", "expected an integer", 4),
+    ("U*O(1, x)", "expected an integer", 7),
+    ("O(1 2,3)", "expected ','", 4),
+    ("O(  )", "empty twist", 2),
+    ("O(--h)", "expected 'h' or 'H' in twist", 3),
+    ("O(1,2", "expected ')'", 5),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS)
+def test_parse_errors_point_into_the_whole_text(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def parse_message(err: ParseError) -> str:
+    return str(err).removesuffix(f" (at position {err.position})")
+
+
+#: pieces of a text, weighted towards twists, so that about one draw in 30
+#: fails inside a pair twist
+PARSE_PIECES = [
+    "O", "U", "S", "E(", "Sym^2 ", "O(", "U(", "'(", ")", ",", ", ", "'", "*",
+    "h", "H", "-", "1", "-2", " ", "x",
+]
+
+
+@given(st.lists(st.sampled_from(PARSE_PIECES), max_size=10).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_a_leading_space_shifts_every_parse_error_by_one(text):
+    try:
+        tree = parse_expr(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as shifted:
+            parse_expr(" " + text)
+        assert parse_message(shifted.value) == parse_message(err)
+        assert shifted.value.position == err.position + 1
+    else:
+        assert parse_expr(" " + text) == tree
+
+
 def test_long_sym_chains_keep_their_parse_errors():
     with pytest.raises(ParseError, match="unknown atom 'X'") as err:
         parse_expr("Sym^1 " * 3000 + "X")

@@ -14,8 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2flop import bundles, totalspace
-from g2flop.bundles import ParseError, RouteMismatchError, flag_cohomology, parse_expr
+from g2flop import bundles, cli, totalspace
+from g2flop.bundles import (
+    ParseError,
+    RouteMismatchError,
+    flag_cohomology,
+    format_expr,
+    parse_expr,
+)
 from g2flop.cli import main
 from g2flop.coxring import MAX_TABLE_DEGREE
 from g2flop.rootdata import g2
@@ -183,6 +189,28 @@ def test_homv_json(capsys):
     assert payload["status"] == "pass"
     assert payload["euler"] == 1
     assert payload["profile"][0]["dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, walks",
+    [
+        (["coh", "U(h)"], 0),
+        (["homv", "U", "O"], 0),
+        (["coh", "U(h)", "--json"], 1),
+        (["homv", "U", "O", "--json"], 2),
+    ],
+    ids=["coh-text", "homv-text", "coh-json", "homv-json"],
+)
+def test_the_inputs_echo_is_built_only_for_json(capsys, monkeypatch, argv, walks):
+    printed = []
+
+    def counting(e):
+        printed.append(e)
+        return format_expr(e)
+
+    monkeypatch.setattr(cli, "format_expr", counting)
+    code, _, _ = run_cli(capsys, *argv)
+    assert (code, len(printed)) == (0, walks)
 
 
 def test_hilbert_values(capsys):

@@ -22,7 +22,6 @@ from g2flop.sodengine import (
     SEED_OBJECTS,
     TARGET_OBJECTS,
     CertificateError,
-    ExcObject,
     LeftMutateThrough,
     MoveError,
     MutateSubcatLeft,
@@ -30,11 +29,10 @@ from g2flop.sodengine import (
     RightMutateThrough,
     SerreRotateToBack,
     SerreRotateToFront,
-    SODState,
-    Subcat,
     Transpose,
     apply_move,
     k_class,
+    render,
     replay_mutation_script,
     seed_state,
 )
@@ -55,41 +53,40 @@ def test_k_class_examples():
 
 def test_seed_state_certifies_exceptionality():
     state, certs = seed_state(RS)
-    assert len(state.blocks) == 7
+    assert state == SEED_OBJECTS + ("Phi+",)
     assert all(c.passed for c in certs)
-    assert isinstance(state.blocks[-1], Subcat)
+    assert render(state)[-1] == "<Phi+>"
 
 
 def test_left_mutation_produces_spinor_certificates():
-    state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(U)))
+    state = (U_DUAL_MINUS_H, U)
     new, certs = apply_move(RS, state, LeftMutateThrough(1, Spinor()))
     assert [c.kind for c in certs] == ["ExtDim", "KClassBalance", "ExactSeq"]
     assert all(c.passed for c in certs)
-    assert isinstance(new.blocks[0], ExcObject)
-    assert Counter(weights(RS, new.blocks[0].expr)) == k_class(RS, Spinor())
+    assert new[0] == Spinor()
+    assert Counter(weights(RS, new[0])) == k_class(RS, Spinor())
     # [S] = [U] + [U'(-h)]
     assert k_class(RS, Spinor()) == k_class(RS, U) + k_class(RS, U_DUAL_MINUS_H)
 
 
 def test_left_mutation_rejects_wrong_result():
-    state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(U)))
+    state = (U_DUAL_MINUS_H, U)
     with pytest.raises(CertificateError):
         apply_move(RS, state, LeftMutateThrough(1, Line(5, 5)))
 
 
 def test_left_mutation_rejects_wrong_ext_shape():
     # hom(O, O(h)) is 7-dimensional, not k[-1]
-    state = SODState((ExcObject(Line(0, 0)), ExcObject(Line(0, 1))))
+    state = (Line(0, 0), Line(0, 1))
     with pytest.raises(CertificateError):
         apply_move(RS, state, LeftMutateThrough(1, Line(0, 2)))
 
 
 def test_right_mutation_ext4_sequence():
-    state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(Line(0, 0))))
+    state = (U_DUAL_MINUS_H, Line(0, 0))
     new, certs = apply_move(RS, state, RightMutateThrough(0, Line(1, -2)))
     assert all(c.passed for c in certs)
-    assert new.blocks[0].expr == Line(0, 0)
-    assert new.blocks[1].expr == Line(1, -2)
+    assert new == (Line(0, 0), Line(1, -2))
     # [O(H-2h)] = [U'(-h)] - [O]
     expected = k_class(RS, U_DUAL_MINUS_H)
     expected.subtract(k_class(RS, Line(0, 0)))
@@ -97,10 +94,10 @@ def test_right_mutation_ext4_sequence():
 
 
 def test_transpose_requires_vanishing():
-    good = SODState((ExcObject(Line(1, -2)), ExcObject(Line(0, 1))))
+    good = (Line(1, -2), Line(0, 1))
     swapped, _ = apply_move(RS, good, Transpose(0))
-    assert swapped.blocks[0].expr == Line(0, 1)
-    bad = SODState((ExcObject(Line(0, 0)), ExcObject(Line(0, 1))))
+    assert swapped == (Line(0, 1), Line(1, -2))
+    bad = (Line(0, 0), Line(0, 1))
     with pytest.raises(CertificateError):
         apply_move(RS, bad, Transpose(0))
 
@@ -108,25 +105,23 @@ def test_transpose_requires_vanishing():
 def test_left_then_right_mutation_restores_k_class():
     # mutate U left through U'(-h), then the result right through the same
     # object: the original pair and K-classes come back
-    state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(U)))
+    state = (U_DUAL_MINUS_H, U)
     mutated, _ = apply_move(RS, state, LeftMutateThrough(1, Spinor()))
     restored, _ = apply_move(RS, mutated, RightMutateThrough(0, U))
-    assert [k_class(RS, b.expr) for b in restored.blocks] == [
-        k_class(RS, b.expr) for b in state.blocks
-    ]
-    assert len(restored.blocks) == len(state.blocks)
+    assert [k_class(RS, b) for b in restored] == [k_class(RS, b) for b in state]
+    assert len(restored) == len(state)
 
 
 def test_serre_rotations_invert():
     state, _ = seed_state(RS)
-    objects_only = SODState(state.blocks[:-1])
+    objects_only = state[:-1]
     there, _ = apply_move(RS, objects_only, SerreRotateToFront(2))
     back, _ = apply_move(RS, there, SerreRotateToBack(2))
-    assert back.blocks == objects_only.blocks
+    assert back == objects_only
     # pinned example: O(-H) rotated to the back becomes O(h)
-    single = SODState((ExcObject(Line(-1, 0)), ExcObject(Line(0, 0))))
+    single = (Line(-1, 0), Line(0, 0))
     rotated, _ = apply_move(RS, single, SerreRotateToBack(1))
-    assert rotated.blocks[-1].expr == Line(0, 1)
+    assert rotated[-1] == Line(0, 1)
 
 
 def test_structural_move_errors():
@@ -281,7 +276,7 @@ def test_target_matches_seed_shapes():
 
 
 def test_right_mutation_rejects_wrong_result():
-    state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(Line(0, 0))))
+    state = (U_DUAL_MINUS_H, Line(0, 0))
     with pytest.raises(CertificateError) as info:
         apply_move(RS, state, RightMutateThrough(0, Line(5, 5)))
     certs = info.value.certificates
@@ -295,7 +290,7 @@ def test_right_mutation_rejects_wrong_result():
 
 def test_right_mutation_rejects_wrong_ext_shape():
     # hom(O, O(h)) is 7-dimensional, not k
-    state = SODState((ExcObject(Line(0, 0)), ExcObject(Line(0, 1))))
+    state = (Line(0, 0), Line(0, 1))
     with pytest.raises(CertificateError) as info:
         apply_move(RS, state, RightMutateThrough(0, Line(0, 2)))
     assert [c.kind for c in info.value.certificates] == ["ExtDim"]
@@ -305,7 +300,7 @@ def test_right_mutation_rejects_wrong_ext_shape():
 
 
 def test_right_mutation_of_the_last_block():
-    state = SODState((ExcObject(U_DUAL_MINUS_H), ExcObject(Line(0, 0))))
+    state = (U_DUAL_MINUS_H, Line(0, 0))
     with pytest.raises(MoveError, match="cannot mutate the last block to the right"):
         apply_move(RS, state, RightMutateThrough(1, Line(0, 0)))
 
