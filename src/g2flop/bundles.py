@@ -14,9 +14,14 @@ on either Grassmannian are represented by their pullbacks, which is harmless
 for cohomology because both projections have O as derived pushforward of O.
 
 Every reader sees an expression through its normal form: ``normal_factors``,
-the one walk over the tree, yields a line twist and a flat tuple of factors.
-An evaluation walks its tree once and hands the routes a ``NormalForm`` node,
-which ``normal_factors`` answers without a walk.
+the one walk over the tree, yields a tuple of factors and a line twist.
+Each factor is a flat tuple ``(kind, a, b, power, dual)``: ``kind`` is
+``"U"``, ``"S"``, ``"E"`` or ``"F"``, ``(a, b)`` is the atom's highest weight
+(``(-1, 1)`` for U, ``(0, 0)`` for S), ``power`` is the Sym power (1 without
+Sym) and ``dual`` is a bool.  The format is private to this module; one
+decoder, ``_levi_string``, reads a factor's Levi string and holds every
+refusal of a factor.  An evaluation walks its tree once and hands the routes a
+``NormalForm`` node, which ``normal_factors`` answers without a walk.
 
 Evaluation offers three exact routes.  Route A filters any expression by
 its line-bundle weights and applies per-weight Bott under the degree-gap
@@ -49,7 +54,8 @@ The expression grammar for the CLI::
     twist := signed combination of "h", "H"  |  int "," int
 
 with ``'`` for duals, e.g. ``U*U(h)``, ``O(H-2h)``, ``Sym^2 E(1,1)``, ``U'(-h)``.
-A ``ParseError`` position is a 0-based offset into the whole text.
+An integer has at most ``MAX_INT_DIGITS`` (640) digits.  A ``ParseError``
+position is a 0-based offset into the whole text.
 """
 
 from __future__ import annotations
@@ -120,6 +126,9 @@ class Twist(Value):
 
 BundleExpr = Union[Line, Universal, Spinor, IrrP1, IrrP2, Dual, Tensor, Sym, Twist]
 
+#: A normal factor ``(kind, a, b, power, dual)``, as the module docstring says.
+Factor = tuple[str, int, int, int, bool]
+
 
 class NormalForm(Value):
     """A whole expression given by its normal form, the ``(factors, twist)``
@@ -142,17 +151,24 @@ SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
 MAX_STRING_WEIGHTS = 200_000
 
 
-def _levi_string(core: BundleExpr) -> tuple[int, Weight, int]:
+def _levi_string(factor: Factor) -> Optional[tuple[int, Weight, int]]:
     """Levi index, highest weight and length of the weight string of a normal
-    factor that is neither S nor a dual.  ``weights`` and ``rank`` refuse a
-    factor here: a reducible Sym, a negative Levi pairing, a long string."""
-    info = _factor_irreducible(core)
-    if info is None:
-        raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-    i, hw = info
+    factor, read as if it were not a dual; None for S or S'.  Every reader
+    refuses a factor here: a Sym of S or of a rank > 2 irreducible, a
+    negative Levi pairing, a long string."""
+    kind, a, b, power, _ = factor
+    i = 0 if kind == "F" else 1
+    hw = (a, b)
     n = hw[i]
     if n < 0:
         raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
+    if power > 1:
+        if kind == "S" or n != 1:
+            raise BundleError("Sym is only supported on rank-2 irreducible atoms")
+        # Sym^m of a rank-2 irreducible: the irreducible of highest weight m*hw
+        hw, n = wscale(power, hw), power
+    elif kind == "S":
+        return None
     if n >= MAX_STRING_WEIGHTS:
         raise BundleError(
             f"highest weight {hw} has a string of {n + 1} weights, "
@@ -215,7 +231,7 @@ def weights(rs: RootSystem, e: BundleExpr) -> dict[Weight, int]:
 
 
 @lru_cache(maxsize=None)
-def _product_weights(rs: RootSystem, factors: tuple[BundleExpr, ...]) -> Pairs:
+def _product_weights(rs: RootSystem, factors: tuple[Factor, ...]) -> Pairs:
     """The untwisted weight multiset of a factor tuple: each factor's weights
     convolved in turn, the first taken as it is.  Both product bounds apply."""
     if not factors:
@@ -235,34 +251,21 @@ def _product_weights(rs: RootSystem, factors: tuple[BundleExpr, ...]) -> Pairs:
     return out
 
 
-def _factor_weights(rs: RootSystem, f: BundleExpr) -> Pairs:
-    """Weights of one factor of ``normal_factors``, in filtration order: the
-    Levi string of its highest weight, negated for a dual."""
-    dualize = isinstance(f, Dual)
-    core = f.arg if dualize else f
-    if isinstance(core, Spinor):
-        # the defining two-step filtration, flattened
+def _factor_weights(rs: RootSystem, f: Factor) -> Pairs:
+    """Weights of one normal factor, in filtration order: the Levi string of
+    its highest weight, negated for a dual; for S or S', the weights of the
+    pieces of its defining filtration."""
+    string = _levi_string(f)
+    if string is None:
         out: dict[Weight, int] = {}
-        for piece in _spinor_split((core,), (0, 0)):
+        for piece in _spinor_split((f,), (0, 0)):
             for w, m in weights(rs, piece).items():
                 out[w] = out.get(w, 0) + m
-    else:
-        i, hw, length = _levi_string(core)
-        alpha = rs.simple_roots[i].weight_coords
-        out = {tuple([h - j * a for h, a in zip(hw, alpha)]): 1 for j in range(length)}
-    if dualize:
-        return tuple((wneg(w), m) for w, m in out.items())
-    return tuple(out.items())
-
-
-def rank(e: BundleExpr) -> int:
-    """Rank of the expression: the product of its normal factors' ranks.
-    A factor is refused as ``weights`` refuses it, with the same error."""
-    out = 1
-    for f in normal_factors(e)[0]:
-        core = f.arg if isinstance(f, Dual) else f
-        out *= 4 if isinstance(core, Spinor) else _levi_string(core)[2]
-    return out
+        return tuple(out.items())
+    i, hw, length = string
+    alpha = rs.simple_roots[i].weight_coords
+    ws = (tuple([h - j * a for h, a in zip(hw, alpha)]) for j in range(length))
+    return tuple((wneg(w) if f[4] else w, 1) for w in ws)
 
 
 def det_weight(rs: RootSystem, e: BundleExpr) -> Weight:
@@ -297,33 +300,13 @@ def levi_tensor(rs: RootSystem, i: int, lam: Weight, mu: Weight) -> tuple[Weight
 # class h), i = 0 for P2 (fiber class H).
 
 
-def _factor_irreducible(factor: BundleExpr) -> Optional[tuple[int, Weight]]:
-    """Levi index and highest weight of a normal factor that is not a dual,
-    if it is irreducible."""
-    atom = factor.arg if isinstance(factor, Sym) else factor
-    if isinstance(atom, Universal):
-        i, hw = 1, (-1, 1)
-    elif isinstance(atom, (IrrP1, IrrP2)):
-        i, hw = (1 if isinstance(atom, IrrP1) else 0), (atom.a, atom.b)
-    else:
-        return None
-    if atom is not factor:
-        # Sym^m of a rank-2 irreducible: the irreducible of highest weight m*hw
-        n = hw[i]
-        if n < 0:
-            raise BundleError(f"highest weight {hw} has negative Levi pairing {n}")
-        if n != 1:
-            return None
-        hw = wscale(factor.power, hw)
-    return i, hw
-
-
 @lru_cache(maxsize=None)
 def _one_sided_shape(
-    rs: RootSystem, factors: tuple[BundleExpr, ...]
+    rs: RootSystem, factors: tuple[Factor, ...]
 ) -> Optional[tuple[int, Pairs, bool]]:
     """Decompose into irreducibles from a single parabolic: ``(i, summands,
-    opaque)``, or None when the factors are not all from one parabolic.
+    opaque)``, or None when the factors are not all from one parabolic.  A
+    factor is refused as ``weights`` refuses it.
 
     ``i`` is the Levi index.  ``summands`` is a multiset of Levi
     irreducibles, as (highest weight, multiplicity) pairs with distinct
@@ -339,16 +322,13 @@ def _one_sided_shape(
     opaque = False
     hws: list[Weight] = []
     for f in factors:
-        core = f.arg if isinstance(f, Dual) else f
-        if isinstance(core, Spinor):
-            sides.add(0)  # pullback from the quadric side
+        string = _levi_string(f)
+        if string is None:
+            sides.add(0)  # S or S', a pullback from the quadric side
             opaque = True
             continue
-        info = _factor_irreducible(core)
-        if info is None:
-            return None
-        i, hw = info
-        if core is not f:
+        i, hw, _ = string
+        if f[4]:
             # dual of the Levi irreducible: -s_alpha(hw) for the Levi reflection
             hw = wneg(rs.reflect(i, hw))
         sides.add(i)
@@ -422,18 +402,17 @@ def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProf
 
 
 def _spinor_split(
-    factors: tuple[BundleExpr, ...], twist: Weight
+    factors: tuple[Factor, ...], twist: Weight
 ) -> Optional[tuple[NormalForm, NormalForm]]:
     """The normal form with its first S or S' factor replaced by the sub,
     then the quotient of the defining filtration of S (dualized for S');
     None without one.  Each piece is built as a normal form, not walked."""
     for i, f in enumerate(factors):
-        dualize = type(f) is Dual
-        if type(f.arg if dualize else f) is Spinor:
+        if f[0] == "S" and f[3] == 1:
             head, tail = factors[:i], factors[i + 1 :]
             return tuple(
                 NormalForm(head + middle + tail, wadd(twist, shift))
-                for middle, shift in _SPINOR_PIECES[dualize]
+                for middle, shift in _SPINOR_PIECES[f[4]]
             )
     return None
 
@@ -469,7 +448,7 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
 
 
 def _extension_cohomology(
-    rs: RootSystem, factors: tuple[BundleExpr, ...], twist: Weight
+    rs: RootSystem, factors: tuple[Factor, ...], twist: Weight
 ) -> Optional[CohomologyProfile]:
     """Exact evaluation through the defining extension of S; None without an
     S or S' factor, or when a piece or their union is indeterminate."""
@@ -484,7 +463,7 @@ def _extension_cohomology(
 
 @lru_cache(maxsize=None)
 def _evaluate(
-    rs: RootSystem, factors: tuple[BundleExpr, ...], twist: Weight
+    rs: RootSystem, factors: tuple[Factor, ...], twist: Weight
 ) -> CohResult:
     # Keyed by the flat normal form, never the expression tree, whose hash
     # recurses once per node.
@@ -514,21 +493,21 @@ def _evaluate(
 # --- normalization and printing ---------------------------------------------
 
 
-def normal_factors(e: BundleExpr) -> tuple[tuple[BundleExpr, ...], Weight]:
-    """Flatten tensors and fold line twists: (non-line factors, total twist).
+def normal_factors(e: BundleExpr) -> tuple[tuple[Factor, ...], Weight]:
+    """Flatten tensors and fold line twists: (factors, total twist).
 
-    Duals are pushed onto atoms (and outside Sym), so each factor is
-    atom | Dual(atom) | Sym(m, atom) | Dual(Sym(m, atom)).  The walk is a
-    loop: it descends into left tensor children while right ones wait on a
-    stack, and strips Twist, Dual and Sym^1 wrappers in place, carrying the
-    dual sign and the twist.  Only Sym^m with m >= 2 recurses, into its
-    argument.  It dispatches on exact types,
-    which costs less than isinstance calls on the query path.  A
-    ``NormalForm`` node returns its fields without a walk.
+    Each factor is a flat ``(kind, a, b, power, dual)`` tuple, the format of
+    the module docstring, so a normal form hashes and compares in C.  The
+    walk is a loop: it descends into left tensor children while right ones
+    wait on a stack, and strips Twist, Dual and Sym^1 wrappers in place,
+    carrying the dual sign and the twist.  Only Sym^m with m >= 2 recurses,
+    into its argument.  It dispatches on exact types, which costs less than
+    isinstance calls on the query path.  A ``NormalForm`` node returns its
+    fields without a walk.
     """
     if type(e) is NormalForm:
         return e.factors, e.twist
-    factors: list[BundleExpr] = []
+    factors: list[Factor] = []
     a = b = 0
     stack = [(e, 1)]  # (expression, sign: -1 under an odd number of duals)
     while stack:
@@ -552,23 +531,23 @@ def normal_factors(e: BundleExpr) -> tuple[tuple[BundleExpr, ...], Weight]:
         if kind is Line:
             a += sign * e.a
             b += sign * e.b
-        elif kind in (Universal, Spinor, IrrP1, IrrP2):
-            factors.append(e if sign > 0 else Dual(e))
+        elif kind is Universal:
+            factors.append(("U", -1, 1, 1, sign < 0))
+        elif kind is Spinor:
+            factors.append(("S", 0, 0, 1, sign < 0))
+        elif kind is IrrP1 or kind is IrrP2:
+            factors.append(("E" if kind is IrrP1 else "F", e.a, e.b, 1, sign < 0))
         elif kind is Sym:
             if e.power < 1:
                 raise BundleError("Sym power must be >= 1")
             inner, (ta, tb) = normal_factors(e.arg)
-            f = inner[0] if len(inner) == 1 else None
             a += sign * e.power * ta
             b += sign * e.power * tb
-            if type(f) is Dual:
-                f, sign = f.arg, -sign
-            # Sym^m Sym^n is refused here, not later by the routes, so a
-            # normal factor is never nested deeper than Dual(Sym(m, atom))
-            # and hashes in constant depth.
-            if f is None or type(f) is Sym:
+            # A factor holds one Sym power, so Sym^m Sym^n is refused here.
+            if len(inner) != 1 or inner[0][3] != 1:
                 raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-            factors.append(Sym(e.power, f) if sign > 0 else Dual(Sym(e.power, f)))
+            atom, ha, hb, _, dual = inner[0]
+            factors.append((atom, ha, hb, e.power, dual != (sign < 0)))
         else:
             raise BundleError(f"unknown expression node {e!r}")
     return tuple(factors), (a, b)
@@ -584,15 +563,28 @@ _SPINOR_PIECES = {
     for dualize in (False, True)
 }
 
+#: The atom of each factor kind, built from its highest weight.
+_ATOMS = {
+    "U": lambda a, b: Universal(),
+    "S": lambda a, b: Spinor(),
+    "E": IrrP1,
+    "F": IrrP2,
+}
+
 
 def normalize(e: BundleExpr) -> BundleExpr:
     """Canonical form: twisted tensor of dual/Sym-wrapped atoms, or a line."""
     factors, twist = normal_factors(e)
     if not factors:
         return Line(*twist)
-    expr: BundleExpr = factors[0]
-    for f in factors[1:]:
-        expr = Tensor(expr, f)
+    expr = None
+    for kind, a, b, power, dual in factors:
+        tree = _ATOMS[kind](a, b)
+        if power > 1:
+            tree = Sym(power, tree)
+        if dual:
+            tree = Dual(tree)
+        expr = tree if expr is None else Tensor(expr, tree)
     if twist != (0, 0):
         expr = Twist(expr, *twist)
     return expr
@@ -613,31 +605,15 @@ def _format_twist(t: Weight) -> str:
     return "".join(parts)
 
 
-def _format_atom(e: BundleExpr) -> str:
-    if isinstance(e, Universal):
-        return "U"
-    if isinstance(e, Spinor):
-        return "S"
-    if isinstance(e, IrrP1):
-        return f"E({e.a},{e.b})"
-    if isinstance(e, IrrP2):
-        return f"F({e.a},{e.b})"
-    if isinstance(e, Sym):
-        return f"Sym^{e.power} {_format_atom(e.arg)}"
-    raise BundleError(f"not an atomic factor: {e!r}")
-
-
-def _format_factor(f: BundleExpr, twist: Weight) -> str:
+def _format_factor(f: Factor, twist: Weight) -> str:
     """Print one factor, folding `twist` into it (the canonical position)."""
-    if isinstance(f, Dual):
-        inner = _format_atom(f.arg)
-        if twist == (0, 0):
-            return f"{inner}'"
-        return f"{inner}({_format_twist(wneg(twist))})'"
-    inner = _format_atom(f)
-    if twist == (0, 0):
-        return inner
-    return f"{inner}({_format_twist(twist)})"
+    kind, a, b, power, dual = f
+    text = kind if kind in ("U", "S") else f"{kind}({a},{b})"
+    if power > 1:
+        text = f"Sym^{power} {text}"
+    if twist != (0, 0):
+        text += f"({_format_twist(wneg(twist) if dual else twist)})"
+    return f"{text}'" if dual else text
 
 
 def format_expr(e: BundleExpr) -> str:
@@ -654,8 +630,13 @@ def format_expr(e: BundleExpr) -> str:
 
 # --- parser -----------------------------------------------------------------
 
-_INT_RE = re.compile(r"[+-]?\d+")
-_DIGITS_RE = re.compile(r"\d+")
+_INT_RE = re.compile(r"[+-]?(\d+)")
+_DIGITS_RE = re.compile(r"(\d+)")
+
+#: The longest digit run an integer literal may have: 640 is the smallest
+#: limit ``sys.set_int_max_str_digits`` accepts, so a literal is refused the
+#: same way whatever limit the interpreter runs with.
+MAX_INT_DIGITS = 640
 
 
 class _Parser:
@@ -682,6 +663,15 @@ class _Parser:
         m = _INT_RE.match(self.text, self.pos)
         if not m:
             raise self.error("expected an integer")
+        return self.read_int(m)
+
+    def read_int(self, m: re.Match) -> int:
+        """The integer that ``m`` matched, refused past ``MAX_INT_DIGITS``
+        digits at its first character; the parser moves past it."""
+        if len(m.group(1)) > MAX_INT_DIGITS:
+            raise ParseError(
+                f"integer with more than {MAX_INT_DIGITS} digits", m.start()
+            )
         self.pos = m.end()
         return int(m.group())
 
@@ -773,10 +763,7 @@ class _Parser:
                     self.pos += 1
                     self.skip_ws()
                 m = _DIGITS_RE.match(text, self.pos)
-                coeff = 1
-                if m:
-                    coeff = int(m.group())
-                    self.pos = m.end()
+                coeff = self.read_int(m) if m else 1
                 if self.pos == end or text[self.pos] not in "hH":
                     raise self.error("expected 'h' or 'H' in twist")
                 if text[self.pos] == "H":

@@ -7,7 +7,7 @@ source of truth.  All checks are exact; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from .bundles import (
     SPINOR_QUOTIENT,
@@ -25,7 +25,7 @@ from .bundles import (
     weights,
 )
 from .coxring import git_piece, git_piece_via_parabolic, total_cox_dim
-from .rootdata import RootSystem, Value, g2
+from .rootdata import RootSystem, Value
 from .sodengine import (
     SEED_OBJECTS,
     TARGET_OBJECTS,
@@ -263,8 +263,9 @@ def calabi_yau_suite(rs: RootSystem) -> SuiteResult:
     return _run_expectations("calabi-yau", expectations)
 
 
-def hilbert_suite(rs: RootSystem, bound: int = 8) -> SuiteResult:
+def hilbert_suite(rs: RootSystem) -> SuiteResult:
     """Graded-dimension identities against the independent Bott routes."""
+    bound = 8
     failures = []
     checks = 0
     for k in range(bound + 1):
@@ -307,8 +308,7 @@ def replay_suite(rs: RootSystem) -> SuiteResult:
     )
 
 
-def run_all(rs: Optional[RootSystem] = None) -> list[SuiteResult]:
-    rs = rs or g2()
+def run_all(rs: RootSystem) -> list[SuiteResult]:
     return [
         line_acyclicity_suite(rs),
         rank2_cohomology_suite(rs),

@@ -120,11 +120,6 @@ def cmd_coh(args, rs: RootSystem) -> int:
             text += "  (" + ", ".join(
                 f"degree {d}: dim {n}" for d, n in sorted(dims.items())
             ) + ")"
-        payload = {
-            "status": "pass",
-            "profile": _profile_json(rs, res.profile),
-            "route": res.route,
-        }
     else:
         pieces = [
             f"{w}: {format_profile(p)}"
@@ -133,9 +128,16 @@ def cmd_coh(args, rs: RootSystem) -> int:
             for _ in range(m)
         ]
         text = "indeterminate; E1 page: " + "; ".join(pieces)
-        payload = {"status": "indeterminate", "e1": pieces}
+    payload = {}
+    # Text mode never prints the payload, so only --json builds it.
     if args.json:
-        payload.update(command="coh", inputs={"expr": format_expr(expr)})
+        payload = {"command": "coh", "inputs": {"expr": format_expr(expr)}}
+        if res.determined:
+            payload.update(
+                status="pass", profile=_profile_json(rs, res.profile), route=res.route
+            )
+        else:
+            payload.update(status="indeterminate", e1=pieces)
     _emit(payload, args.json, text)
     return EXIT_OK
 
@@ -146,17 +148,20 @@ def cmd_homv(args, rs: RootSystem) -> int:
     res = hom_v(rs, a, b)
     if res.determined:
         text = format_profile(res.profile)
-        payload = {"status": "pass", "profile": _profile_json(rs, res.profile)}
     else:
         text = f"indeterminate (Euler characteristic {res.euler})"
-        payload = {
-            "status": "indeterminate",
-            "native_term": format_profile(res.p0.profile) if res.p0.determined else None,
-            "twisted_term": format_profile(res.p1.profile) if res.p1.determined else None,
-        }
+    payload = {}
     if args.json:
         inputs = {"source": format_expr(a), "target": format_expr(b)}
-        payload.update(command="homv", inputs=inputs, euler=res.euler)
+        payload = {"command": "homv", "inputs": inputs, "euler": res.euler}
+        if res.determined:
+            payload.update(status="pass", profile=_profile_json(rs, res.profile))
+        else:
+            payload.update(
+                status="indeterminate",
+                native_term=format_profile(res.p0.profile) if res.p0.determined else None,
+                twisted_term=format_profile(res.p1.profile) if res.p1.determined else None,
+            )
     _emit(payload, args.json, text)
     return EXIT_OK
 

@@ -33,7 +33,7 @@ from .bundles import (
     normalize,
     weights,
 )
-from .rootdata import RootSystem, Value, Weight, g2, wneg
+from .rootdata import RootSystem, Value, Weight, wneg
 from .totalspace import K, K1, TOTAL_SPACE_CANONICAL_TWIST, ZERO, HomVResult, hom_v
 from .weylbott import CohomologyProfile, format_profile
 
@@ -484,8 +484,7 @@ def _states_match(rs: RootSystem, state: tuple[Block, ...]) -> Optional[str]:
 
 
 def replay_mutation_script(
-    rs: Optional[RootSystem] = None,
-    skip_steps: frozenset[int] | set[int] = frozenset(),
+    rs: RootSystem, skip_steps: frozenset[int] | set[int] = frozenset()
 ) -> ReplayReport:
     """Run the full 12-step mutation sequence with all certificates.
 
@@ -493,7 +492,6 @@ def replay_mutation_script(
     failed certificate or a structurally impossible move halts the replay at
     its step, and the report carries the diff.
     """
-    rs = rs or g2()
     steps: list[StepReport] = []
     try:
         state, seed_certs = seed_state(rs)

@@ -36,6 +36,7 @@ from functools import lru_cache
 from .bundles import (
     BundleExpr,
     Dual,
+    Factor,
     NormalForm,
     Tensor,
     det_weight,
@@ -78,7 +79,7 @@ def hom_v(rs: RootSystem, a: BundleExpr, b: BundleExpr) -> HomVResult:
 
 @lru_cache(maxsize=None)
 def _hom_v(
-    rs: RootSystem, factors: tuple[BundleExpr, ...], twist: Weight
+    rs: RootSystem, factors: tuple[Factor, ...], twist: Weight
 ) -> HomVResult:
     # Keyed by the flat normal form, never the expression trees, whose hash
     # recurses once per node; both terms are handed on as normal forms.

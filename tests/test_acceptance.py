@@ -135,7 +135,7 @@ def test_criterion_5_representation_dimensions():
 
 def test_criterion_6_hilbert_identities():
     started = time.perf_counter()
-    suite = hilbert_suite(RS, bound=8)
+    suite = hilbert_suite(RS)
     elapsed = time.perf_counter() - started
     assert suite.status == "pass", suite.details
     assert suite.checks >= 300

@@ -192,25 +192,35 @@ def test_homv_json(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, walks",
+    "argv, walks, profiles",
     [
-        (["coh", "U(h)"], 0),
-        (["homv", "U", "O"], 0),
-        (["coh", "U(h)", "--json"], 1),
-        (["homv", "U", "O", "--json"], 2),
+        (["coh", "U(h)"], 0, 0),
+        (["homv", "U", "O"], 0, 0),
+        (["coh", "U(h)", "--json"], 1, 1),
+        (["homv", "U", "O", "--json"], 2, 1),
     ],
     ids=["coh-text", "homv-text", "coh-json", "homv-json"],
 )
-def test_the_inputs_echo_is_built_only_for_json(capsys, monkeypatch, argv, walks):
-    printed = []
+def test_the_inputs_echo_is_built_only_for_json(
+    capsys, monkeypatch, argv, walks, profiles
+):
+    # Text mode prints neither the inputs echo nor the JSON profile, so it
+    # builds neither.
+    printed, built = [], []
 
     def counting(e):
         printed.append(e)
         return format_expr(e)
 
+    def counting_profile(rs, profile):
+        built.append(profile)
+        return real_profile_json(rs, profile)
+
+    real_profile_json = cli._profile_json
     monkeypatch.setattr(cli, "format_expr", counting)
+    monkeypatch.setattr(cli, "_profile_json", counting_profile)
     code, _, _ = run_cli(capsys, *argv)
-    assert (code, len(printed)) == (0, walks)
+    assert (code, len(printed), len(built)) == (0, walks, profiles)
 
 
 def test_hilbert_values(capsys):
@@ -515,10 +525,28 @@ def test_deeply_nested_expression_is_a_usage_error(capsys):
     assert err == "expression error: expression nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("O(1,{})", 4), ("O({}h)", 2), ("Sym^{} U", 4)],
+    ids=["pair-twist", "twist-coefficient", "sym-power"],
+)
+def test_an_integer_past_the_digit_limit_is_an_expression_error(
+    capsys, text, position
+):
+    # Refused at the literal's first character before int() sees it, so the
+    # message does not depend on the interpreter's own digit limit.
+    code, out, err = run_cli(capsys, "coh", text.format("7" * 5000))
+    assert (code, out) == (2, "")
+    assert err == (
+        "expression error: integer with more than 640 digits "
+        f"(at position {position})\n"
+    )
+
+
 def test_sym_of_sym_chain_is_refused_by_its_rule(capsys):
-    # Sym^m Sym^n is refused while the normal form is built, so a chain that
-    # the walk can still descend gets the rule's message: the memo key is
-    # never a deep factor whose hash would exhaust the stack.
+    # A normal factor holds one Sym power, so Sym^m Sym^n is refused while
+    # the normal form is built: a chain that the walk can still descend gets
+    # the rule's message.
     code, out, err = run_cli(capsys, "coh", "Sym^2 " * 600 + "U")
     assert (code, out) == (2, "")
     assert err == "error: Sym is only supported on rank-2 irreducible atoms\n"

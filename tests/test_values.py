@@ -132,8 +132,9 @@ CASES = [
         "SuiteResult(name='calabi-yau', status='pass', checks=2, details=())",
     ),
     (
-        lambda: NormalForm((Universal(), Dual(Universal())), (0, 1)),
-        "NormalForm(factors=(Universal(), Dual(arg=Universal())), twist=(0, 1))",
+        lambda: NormalForm((("U", -1, 1, 1, False), ("U", -1, 1, 1, True)), (0, 1)),
+        "NormalForm(factors=(('U', -1, 1, 1, False), ('U', -1, 1, 1, True)), "
+        "twist=(0, 1))",
     ),
 ]
 #: Positions of cases whose classes were deleted; they stay unused, so that
