@@ -13,15 +13,16 @@ plus ``Dual``, ``Tensor``, ``Sym`` (rank-2 irreducible arguments only) and
 on either Grassmannian are represented by their pullbacks, which is harmless
 for cohomology because both projections have O as derived pushforward of O.
 
-Every reader sees an expression through its normal form: ``normal_factors``,
-the one walk over the tree, yields a tuple of factors and a line twist.
-Each factor is a flat tuple ``(kind, a, b, power, dual)``: ``kind`` is
-``"U"``, ``"S"``, ``"E"`` or ``"F"``, ``(a, b)`` is the atom's highest weight
-(``(-1, 1)`` for U, ``(0, 0)`` for S), ``power`` is the Sym power (1 without
-Sym) and ``dual`` is a bool.  The format is private to this module; one
-decoder, ``_levi_string``, reads a factor's Levi string and holds every
-refusal of a factor.  An evaluation walks its tree once and hands the routes a
-``NormalForm`` node, which ``normal_factors`` answers without a walk.
+An expression is its normal form: every constructor above returns one frozen
+``BundleExpr(factors, twist)``, the tensor factors in order and the line
+twist, so ``Tensor`` is associative, ``Dual(Dual(e)) == e`` and
+``Sym(1, e) == e``.  Each factor is a flat tuple ``(kind, a, b, power,
+dual)``: ``kind`` is ``"U"``, ``"S"``, ``"E"`` or ``"F"``, ``(a, b)`` is the
+atom's highest weight (``(-1, 1)`` for U, ``(0, 0)`` for S), ``power`` is the
+Sym power (1 without Sym) and ``dual`` is a bool.  The format is private to
+this module.  ``Sym`` refuses any argument but one factor without a Sym
+power; one decoder, ``_levi_string``, reads a factor's Levi string and holds
+every other refusal of a factor.
 
 Evaluation offers three exact routes.  Route A filters any expression by
 its line-bundle weights and applies per-weight Bott under the degree-gap
@@ -34,16 +35,18 @@ spectral ambiguity.  The extension route resolves expressions containing the
 opaque extension S through its two-piece filtration.  Every route that
 determines an answer is cross-checked against the others.
 
-``flag_cohomology`` answers each ``(root system, normal form)`` once: equal
-normal forms share one memoized result, in a cache that is unbounded like the
-Bott caches.  Each evaluation is split into a part that depends only on the
-factor tuple and a part that depends on the twist; the first is memoized per
-``(root system, factors)`` in caches of the same kind: route A's product of
-weight multisets and route B's one-sided shape.  A new twist of known
+``flag_cohomology`` answers each ``(root system, expression)`` once: equal
+expressions share one memoized result, in a cache that is unbounded like the
+Bott caches.  Every memo is keyed by the flat fields, which hash and compare
+in C, never by the ``BundleExpr`` value.  Each evaluation is split into a
+part that depends only on the factor tuple and a part that depends on the
+twist; the first is memoized per ``(root system, factors)`` in caches of the
+same kind: route A's product of weight multisets and route B's one-sided
+shape.  A new twist of known
 factors therefore only shifts weights and pushes forward.  These memos hold
 tuples, never a dict a caller could change.  ``parse_expr`` likewise parses
-each text once and hands every caller the same frozen tree.  Failures are not
-memoized, so a failing input raises again on every call.
+each text once and hands every caller the same frozen value.  Failures are
+not memoized, so a failing input raises again on every call.
 
 The expression grammar for the CLI::
 
@@ -62,7 +65,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 from .rootdata import IntegrityError, RootSystem, Value, Weight, wadd, wneg, wscale
 from .weylbott import (
@@ -88,61 +91,81 @@ class RouteMismatchError(IntegrityError):
     """Two exact evaluation routes disagreed; indicates an engine bug."""
 
 
-class Line(Value):
-    _fields = ("a", "b")
-
-
-class Universal(Value):
-    _fields = ()
-
-
-class Spinor(Value):
-    _fields = ()
-
-
-class IrrP1(Value):
-    _fields = ("a", "b")
-
-
-class IrrP2(Value):
-    _fields = ("a", "b")
-
-
-class Dual(Value):
-    _fields = ("arg",)
-
-
-class Tensor(Value):
-    _fields = ("left", "right")
-
-
-class Sym(Value):
-    _fields = ("power", "arg")
-
-
-class Twist(Value):
-    _fields = ("arg", "a", "b")
-
-
-BundleExpr = Union[Line, Universal, Spinor, IrrP1, IrrP2, Dual, Tensor, Sym, Twist]
-
 #: A normal factor ``(kind, a, b, power, dual)``, as the module docstring says.
 Factor = tuple[str, int, int, int, bool]
 
 
-class NormalForm(Value):
-    """A whole expression given by its normal form, the ``(factors, twist)``
-    pair that ``normal_factors`` returns for it without a walk.  Evaluations
-    hand these to the public readers, so a tree is walked once.  It is not a
-    ``BundleExpr``: it is valid only as the root handed to a reader, never
-    inside a tree."""
+class BundleExpr(Value):
+    """A bundle expression: ``factors``, a tuple of normal factors in tensor
+    order, and ``twist``, the line twist ``(a, b)``.  The constructors below
+    build it; twists are added as plain integers, which keeps them cheap on
+    the query path."""
 
     _fields = ("factors", "twist")
+
+
+def Line(a: int, b: int) -> BundleExpr:
+    return BundleExpr((), (a, b))
+
+
+def Universal() -> BundleExpr:
+    return BundleExpr((("U", -1, 1, 1, False),), (0, 0))
+
+
+def Spinor() -> BundleExpr:
+    return BundleExpr((("S", 0, 0, 1, False),), (0, 0))
+
+
+def IrrP1(a: int, b: int) -> BundleExpr:
+    return BundleExpr((("E", a, b, 1, False),), (0, 0))
+
+
+def IrrP2(a: int, b: int) -> BundleExpr:
+    return BundleExpr((("F", a, b, 1, False),), (0, 0))
+
+
+def Dual(arg: BundleExpr) -> BundleExpr:
+    a, b = arg.twist
+    return BundleExpr(
+        tuple([(k, x, y, p, not d) for k, x, y, p, d in arg.factors]), (-a, -b)
+    )
+
+
+def Tensor(left: BundleExpr, right: BundleExpr) -> BundleExpr:
+    (a, b), (c, d) = left.twist, right.twist
+    return BundleExpr(left.factors + right.factors, (a + c, b + d))
+
+
+def Twist(arg: BundleExpr, a: int, b: int) -> BundleExpr:
+    x, y = arg.twist
+    return BundleExpr(arg.factors, (x + a, y + b))
+
+
+def Sym(power: int, arg: BundleExpr) -> BundleExpr:
+    """Sym^power of one factor under a twist, which it raises to the power;
+    Sym^1 is the identity.  A factor holds one Sym power, so Sym of a line,
+    of a product or of a Sym is refused here; ``_levi_string`` refuses the
+    other bad factors."""
+    if power < 1:
+        raise BundleError("Sym power must be >= 1")
+    if power == 1:
+        return arg
+    factors = arg.factors
+    if len(factors) != 1 or factors[0][3] != 1:
+        raise BundleError("Sym is only supported on rank-2 irreducible atoms")
+    kind, a, b, _, dual = factors[0]
+    x, y = arg.twist
+    return BundleExpr(((kind, a, b, power, dual),), (power * x, power * y))
 
 
 #: the defining filtration of S: sub U, quotient U'(-h)
 SPINOR_SUB = Universal()
 SPINOR_QUOTIENT = Twist(Dual(Universal()), 0, -1)
+#: the pieces, sub then quotient, of S (False) and of S' (True)
+_SPINOR_PIECES = {
+    False: (SPINOR_SUB, SPINOR_QUOTIENT),
+    True: (Dual(SPINOR_SUB), Dual(SPINOR_QUOTIENT)),
+}
 
 
 #: The longest Levi weight string a factor may have: Sym^m U and E(a,b),
@@ -217,17 +240,16 @@ def _convolve(left: Pairs, right: Pairs) -> dict[Weight, int]:
 def weights(rs: RootSystem, e: BundleExpr) -> dict[Weight, int]:
     """Line-bundle filtration weights of the expression, as a multiset.
 
-    The expression is read through its normal form.  The product of the
-    factors' weight multisets depends only on the factor tuple, so it is
-    memoized per ``(rs, factors)``; this returns a fresh dict of it shifted
-    by the twist, which the caller may keep or change.  The work grows with
-    the number of distinct weights, not with the rank.  A plain dict maps
-    each weight to its multiplicity; the multiplicities sum to the rank.
-    Keys are in a stable order: that of their first occurrence in the
-    filtration (sub before quotient, left factor before right).
+    The product of the factors' weight multisets depends only on the factor
+    tuple, so it is memoized per ``(rs, factors)``; this returns a fresh dict
+    of it shifted by the twist, which the caller may keep or change.  The
+    work grows with the number of distinct weights, not with the rank.  A
+    plain dict maps each weight to its multiplicity; the multiplicities sum
+    to the rank.  Keys are in a stable order: that of their first occurrence
+    in the filtration (sub before quotient, left factor before right).
     """
-    factors, twist = normal_factors(e)
-    return {wadd(w, twist): m for w, m in _product_weights(rs, factors)}
+    twist = e.twist
+    return {wadd(w, twist): m for w, m in _product_weights(rs, e.factors)}
 
 
 @lru_cache(maxsize=None)
@@ -258,7 +280,7 @@ def _factor_weights(rs: RootSystem, f: Factor) -> Pairs:
     string = _levi_string(f)
     if string is None:
         out: dict[Weight, int] = {}
-        for piece in _spinor_split((f,), (0, 0)):
+        for piece in _spinor_split(BundleExpr((f,), (0, 0))):
             for w, m in weights(rs, piece).items():
                 out[w] = out.get(w, 0) + m
         return tuple(out.items())
@@ -382,37 +404,43 @@ def _pushforward_profile(
 
 def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProfile]:
     """Exact one-sided evaluation; None when the shape does not apply."""
-    factors, twist = normal_factors(e)
-    shape = _one_sided_shape(rs, factors)
+    shape = _one_sided_shape(rs, e.factors)
     if shape is None:
         return None
     i, summands, opaque = shape
     if opaque:
         # S-side pullbacks: only the fiber-degree -1 vanishing needs no
         # knowledge of S itself.
-        return CohomologyProfile.zero() if twist[i] == -1 else None
+        return CohomologyProfile.zero() if e.twist[i] == -1 else None
     return CohomologyProfile.of(
         (d, w, m * mult)
         for hw, mult in summands
-        for d, w, m in _pushforward_profile(rs, i, hw, twist)
+        for d, w, m in _pushforward_profile(rs, i, hw, e.twist)
     )
 
 
 # --- spinor-extension resolution -------------------------------------------
 
+#: The most S or S' factors an evaluated expression may have.  The extension
+#: route splits the first one and evaluates both pieces in full, so n of them
+#: cost 2^(n+1) - 1 evaluations; past the bound an expression is refused
+#: before anything is evaluated.  On a 2-core Xeon VM, a cold coh of ten S
+#: factors, at the bound, takes 2.2 s (2047 evaluations); eleven would take
+#: 6.5 s.
+MAX_SPINOR_FACTORS = 10
 
-def _spinor_split(
-    factors: tuple[Factor, ...], twist: Weight
-) -> Optional[tuple[NormalForm, NormalForm]]:
-    """The normal form with its first S or S' factor replaced by the sub,
-    then the quotient of the defining filtration of S (dualized for S');
-    None without one.  Each piece is built as a normal form, not walked."""
+
+def _spinor_split(e: BundleExpr) -> Optional[tuple[BundleExpr, BundleExpr]]:
+    """e with its first S or S' factor replaced by the sub, then by the
+    quotient of the defining filtration of S (dualized for S'); None
+    without one."""
+    factors = e.factors
     for i, f in enumerate(factors):
         if f[0] == "S" and f[3] == 1:
             head, tail = factors[:i], factors[i + 1 :]
             return tuple(
-                NormalForm(head + middle + tail, wadd(twist, shift))
-                for middle, shift in _SPINOR_PIECES[f[4]]
+                BundleExpr(head + piece.factors + tail, wadd(e.twist, piece.twist))
+                for piece in _SPINOR_PIECES[f[4]]
             )
     return None
 
@@ -437,22 +465,21 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
 
     Tries the weight filtration, the one-sided pushforward route and (for
     expressions containing S) the extension resolution; all routes that
-    determine an answer must agree exactly.  The tree is walked once: the
-    routes and the extension's pieces read ``NormalForm`` nodes.
+    determine an answer must agree exactly.
 
-    Answers are memoized per ``(rs, normal form)``, so equal normal forms
+    Answers are memoized per ``(rs, factors, twist)``, so equal expressions
     share one evaluation; the memo is unbounded, like the Bott caches.  A
     failure is not memoized: the next call evaluates again and raises again.
+    An expression with more than ``MAX_SPINOR_FACTORS`` S or S' factors is
+    refused before anything is evaluated.
     """
-    return _evaluate(rs, *normal_factors(e))
+    return _evaluate(rs, e.factors, e.twist)
 
 
-def _extension_cohomology(
-    rs: RootSystem, factors: tuple[Factor, ...], twist: Weight
-) -> Optional[CohomologyProfile]:
+def _extension_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProfile]:
     """Exact evaluation through the defining extension of S; None without an
     S or S' factor, or when a piece or their union is indeterminate."""
-    split = _spinor_split(factors, twist)
+    split = _spinor_split(e)
     if split is None:
         return None
     sub, quot = (flag_cohomology(rs, piece) for piece in split)
@@ -465,15 +492,21 @@ def _extension_cohomology(
 def _evaluate(
     rs: RootSystem, factors: tuple[Factor, ...], twist: Weight
 ) -> CohResult:
-    # Keyed by the flat normal form, never the expression tree, whose hash
-    # recurses once per node.
-    e = NormalForm(factors, twist)
+    # Keyed by the flat fields, never the BundleExpr value, whose hash and
+    # equality run in Python.
+    spinors = sum(f[0] == "S" for f in factors)
+    if spinors > MAX_SPINOR_FACTORS:
+        raise BundleError(
+            f"a product of {spinors} S or S' factors has more than the "
+            f"{MAX_SPINOR_FACTORS} supported"
+        )
+    e = BundleExpr(factors, twist)
     filtered, e1 = filtered_cohomology(rs, weights(rs, e))
     # In evaluation order; each profile is None where its route settles nothing.
     routes = (
         ("filtration", filtered),
         ("parabolic", route_b_cohomology(rs, e)),
-        ("extension", _extension_cohomology(rs, factors, twist)),
+        ("extension", _extension_cohomology(rs, e)),
     )
     settled_by, answer = "none", None
     for route, profile in routes:
@@ -490,104 +523,7 @@ def _evaluate(
     return CohResult(answer is not None, answer, e1, settled_by)
 
 
-# --- normalization and printing ---------------------------------------------
-
-
-def normal_factors(e: BundleExpr) -> tuple[tuple[Factor, ...], Weight]:
-    """Flatten tensors and fold line twists: (factors, total twist).
-
-    Each factor is a flat ``(kind, a, b, power, dual)`` tuple, the format of
-    the module docstring, so a normal form hashes and compares in C.  The
-    walk is a loop: it descends into left tensor children while right ones
-    wait on a stack, and strips Twist, Dual and Sym^1 wrappers in place,
-    carrying the dual sign and the twist.  Only Sym^m with m >= 2 recurses,
-    into its argument.  It dispatches on exact types, which costs less than
-    isinstance calls on the query path.  A ``NormalForm`` node returns its
-    fields without a walk.
-    """
-    if type(e) is NormalForm:
-        return e.factors, e.twist
-    factors: list[Factor] = []
-    a = b = 0
-    stack = [(e, 1)]  # (expression, sign: -1 under an odd number of duals)
-    while stack:
-        e, sign = stack.pop()
-        while True:
-            kind = type(e)
-            if kind is Tensor:
-                stack.append((e.right, sign))
-                e = e.left
-            elif kind is Twist:
-                a += sign * e.a
-                b += sign * e.b
-                e = e.arg
-            elif kind is Dual:
-                sign = -sign
-                e = e.arg
-            elif kind is Sym and e.power == 1:
-                e = e.arg
-            else:
-                break
-        if kind is Line:
-            a += sign * e.a
-            b += sign * e.b
-        elif kind is Universal:
-            factors.append(("U", -1, 1, 1, sign < 0))
-        elif kind is Spinor:
-            factors.append(("S", 0, 0, 1, sign < 0))
-        elif kind is IrrP1 or kind is IrrP2:
-            factors.append(("E" if kind is IrrP1 else "F", e.a, e.b, 1, sign < 0))
-        elif kind is Sym:
-            if e.power < 1:
-                raise BundleError("Sym power must be >= 1")
-            inner, (ta, tb) = normal_factors(e.arg)
-            a += sign * e.power * ta
-            b += sign * e.power * tb
-            # A factor holds one Sym power, so Sym^m Sym^n is refused here.
-            if len(inner) != 1 or inner[0][3] != 1:
-                raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-            atom, ha, hb, _, dual = inner[0]
-            factors.append((atom, ha, hb, e.power, dual != (sign < 0)))
-        else:
-            raise BundleError(f"unknown expression node {e!r}")
-    return tuple(factors), (a, b)
-
-
-#: The normal form, as (factors, twist shift), of the sub, then of the
-#: quotient, of S (False) and of S' (True), read off the defining filtration.
-_SPINOR_PIECES = {
-    dualize: tuple(
-        normal_factors(Dual(piece) if dualize else piece)
-        for piece in (SPINOR_SUB, SPINOR_QUOTIENT)
-    )
-    for dualize in (False, True)
-}
-
-#: The atom of each factor kind, built from its highest weight.
-_ATOMS = {
-    "U": lambda a, b: Universal(),
-    "S": lambda a, b: Spinor(),
-    "E": IrrP1,
-    "F": IrrP2,
-}
-
-
-def normalize(e: BundleExpr) -> BundleExpr:
-    """Canonical form: twisted tensor of dual/Sym-wrapped atoms, or a line."""
-    factors, twist = normal_factors(e)
-    if not factors:
-        return Line(*twist)
-    expr = None
-    for kind, a, b, power, dual in factors:
-        tree = _ATOMS[kind](a, b)
-        if power > 1:
-            tree = Sym(power, tree)
-        if dual:
-            tree = Dual(tree)
-        expr = tree if expr is None else Tensor(expr, tree)
-    if twist != (0, 0):
-        expr = Twist(expr, *twist)
-    return expr
+# --- printing ----------------------------------------------------------------
 
 
 def _format_twist(t: Weight) -> str:
@@ -617,8 +553,8 @@ def _format_factor(f: Factor, twist: Weight) -> str:
 
 
 def format_expr(e: BundleExpr) -> str:
-    """Canonical printer; parse(format(e)) equals normalize(e)."""
-    factors, twist = normal_factors(e)
+    """Canonical printer: ``parse_expr(format_expr(e)) == e``."""
+    factors, twist = e.factors, e.twist
     if not factors:
         if twist == (0, 0):
             return "O"
@@ -676,14 +612,19 @@ class _Parser:
         return int(m.group())
 
     def parse_expr(self) -> BundleExpr:
-        expr = self.parse_term()
+        # The product is joined once, not tensored term by term, so its cost
+        # is linear in the number of factors.
+        terms = [self.parse_term()]
         self.skip_ws()
         while self.peek() == "*":
             self.pos += 1
             self.skip_ws()
-            expr = Tensor(expr, self.parse_term())
+            terms.append(self.parse_term())
             self.skip_ws()
-        return expr
+        return BundleExpr(
+            tuple([f for t in terms for f in t.factors]),
+            (sum(t.twist[0] for t in terms), sum(t.twist[1] for t in terms)),
+        )
 
     def parse_term(self) -> BundleExpr:
         self.skip_ws()
@@ -708,7 +649,7 @@ class _Parser:
         ch = self.peek()
         if ch == "O":
             self.pos += 1
-            atom: BundleExpr = Line(0, 0)
+            atom = Line(0, 0)
         elif ch == "U":
             self.pos += 1
             atom = Universal()
@@ -778,10 +719,11 @@ class _Parser:
 
 @lru_cache(maxsize=None)
 def parse_expr(text: str) -> BundleExpr:
-    """Parse the CLI grammar; raises ParseError with a position on failure.
+    """Parse the CLI grammar; raises ParseError with a position on failure,
+    and ``Sym``'s BundleError at the Sym it refuses.
 
-    Memoized per text in an unbounded cache: equal texts share one tree,
-    which is safe because expressions are frozen values.  A ``ParseError`` is
+    Memoized per text in an unbounded cache: equal texts share one value,
+    which is safe because expressions are frozen.  A ``ParseError`` is
     not memoized, so malformed text raises again on every call.
     """
     parser = _Parser(text)

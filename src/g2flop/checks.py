@@ -218,7 +218,7 @@ def collection_suite(
         res = hom_v(rs, e, e)
         if res.determined and res.profile == K:
             continue
-        if isinstance(e, Spinor) and not res.determined:
+        if e == Spinor() and not res.determined:
             indeterminate_notes.append(
                 f"self-hom of {format_expr(e)} is indeterminate "
                 "(allowed for the rank-4 extension; Euler characteristic "

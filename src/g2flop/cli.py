@@ -19,7 +19,7 @@ from .checks import run_all
 from .coxring import flag_cox_dim, git_piece, hilbert_table, total_cox_dim
 from .rootdata import IntegrityError, RootSystem, g2
 from .sodengine import replay_mutation_script
-from .totalspace import TOTAL_SPACE_CANONICAL_TWIST, base_canonical_weight, hom_v
+from .totalspace import base_canonical_weight, hom_v, omega_v
 from .weylbott import CohomologyProfile, format_profile, weyl_dim
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _conventions(rs: RootSystem) -> dict:
             "rank2_side": list(base_canonical_weight(rs, "G")),
             "quadric_side": list(base_canonical_weight(rs, "Q")),
         },
-        "total_space_canonical_twist": list(TOTAL_SPACE_CANONICAL_TWIST),
+        "total_space_canonical_twist": list(omega_v(rs)),
     }
 
 
@@ -333,10 +333,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except RecursionError:
-        # Only a user expression can nest deeply enough to get here.
-        print("expression error: expression nested too deeply", file=sys.stderr)
         return EXIT_USAGE
     except IntegrityError as err:
         # Route mismatches and failed internal checks: an engine fault.

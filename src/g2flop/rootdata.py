@@ -46,8 +46,8 @@ class Value:
     arity errors read like a hand-written constructor's.
     It is generated rather than one shared ``__init__(self, *args, **kwargs)``
     looping over the fields, which measured two to three times slower per
-    construction.  A subclass may not define ``__init__`` itself; one without
-    fields keeps ``object.__init__``.
+    construction.  A subclass names at least one field and may not define
+    ``__init__`` itself.
 
     Instances compare equal when they have the same exact type and equal
     fields, hash by their fields, refuse assignment and deletion, and print
@@ -63,11 +63,9 @@ class Value:
             raise TypeError(
                 f"{cls.__qualname__} defines __init__; Value generates it from _fields"
             )
-        # One C-level getter per class: the field value or a tuple of them;
-        # a class without fields reads its own empty _fields.
-        cls._key = attrgetter(*cls._fields or ("_fields",))
-        if cls._fields:
-            cls.__init__ = _generated_init(cls)
+        # One C-level getter per class: the field value or a tuple of them.
+        cls._key = attrgetter(*cls._fields)
+        cls.__init__ = _generated_init(cls)
 
     def __eq__(self, other):
         if type(other) is not type(self):

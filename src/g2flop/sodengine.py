@@ -30,11 +30,10 @@ from .bundles import (
     Twist,
     Universal,
     format_expr,
-    normalize,
     weights,
 )
 from .rootdata import RootSystem, Value, Weight, wneg
-from .totalspace import K, K1, TOTAL_SPACE_CANONICAL_TWIST, ZERO, HomVResult, hom_v
+from .totalspace import K, K1, ZERO, HomVResult, hom_v, omega_v
 from .weylbott import CohomologyProfile, format_profile
 
 
@@ -255,17 +254,18 @@ def apply_move(
         ]
         _require(certs, f"{side} mutation blocked")
         blocks[move.index] = through
-        blocks[j] = normalize(move.result)
+        blocks[j] = move.result
 
     elif isinstance(move, (SerreRotateToFront, SerreRotateToBack)):
         n = move.count
         if not 1 <= n <= len(blocks):
             raise MoveError("rotation count out of range")
+        omega = omega_v(rs)
         if isinstance(move, SerreRotateToFront):
-            tail = [_twist_object(b, TOTAL_SPACE_CANONICAL_TWIST) for b in blocks[-n:]]
+            tail = [_twist_object(b, omega) for b in blocks[-n:]]
             blocks = tail + blocks[:-n]
         else:
-            inverse = wneg(TOTAL_SPACE_CANONICAL_TWIST)
+            inverse = wneg(omega)
             blocks = blocks[n:] + [_twist_object(b, inverse) for b in blocks[:n]]
 
     elif isinstance(move, (MutateSubcatLeft, MutateSubcatRight)):
@@ -293,7 +293,7 @@ def apply_move(
 def _twist_object(block: Block, twist: Weight) -> BundleExpr:
     if isinstance(block, str):
         raise MoveError("only exceptional objects can be Serre-rotated")
-    return normalize(Twist(block, *twist))
+    return Twist(block, *twist)
 
 
 def describe_move(move: Move) -> str:

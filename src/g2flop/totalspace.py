@@ -21,12 +21,15 @@ it comes wholly from the native term, and with the twisted term shifted down
 instead, check-all and the replay still pass.  Only recorded answers tell the
 two placements apart.
 
-``hom_v`` answers each ``(root system, normal form of A' ⊗ B)`` once: pairs
-with equal normal forms share one memoized result, in a cache that is
-unbounded like the Bott caches.  Failures are not memoized, so a failing pair
-raises again on every call.  A' ⊗ B is walked once; both terms reach
-``flag_cohomology`` as ``NormalForm`` nodes, the second with its twist
-shifted, so they share the factor tuple's twist-free memos in ``bundles``.
+``hom_v`` answers each ``(root system, A' ⊗ B)`` once: pairs with equal
+A' ⊗ B share one memoized result, in a cache that is unbounded like the Bott
+caches.  Failures are not memoized, so a failing pair raises again on every
+call.  Both terms reach ``flag_cohomology`` with the factors of A' ⊗ B, the
+second with its twist shifted, so they share the factor tuple's twist-free
+memos in ``bundles``.
+
+N = O(-H-h) is the one literal here: omega_V, which the Serre rotations of
+the replay twist by, is derived from it by ``omega_v``.
 """
 
 from __future__ import annotations
@@ -37,17 +40,13 @@ from .bundles import (
     BundleExpr,
     Dual,
     Factor,
-    NormalForm,
+    Line,
     Tensor,
     det_weight,
     flag_cohomology,
-    normal_factors,
 )
 from .rootdata import RootSystem, Value, Weight, wadd, wneg
 from .weylbott import CohomologyProfile, combine_pieces
-
-#: canonical weight of the ambient total space: omega_V = O(-H-h)
-TOTAL_SPACE_CANONICAL_TWIST: Weight = (-1, -1)
 
 #: the normal bundle of the zero section, N = O(-H-h), which twists the
 #: Koszul term; it equals omega_V = omega_F - N only because omega_F = 2N
@@ -69,24 +68,23 @@ class HomVResult(Value):
 def hom_v(rs: RootSystem, a: BundleExpr, b: BundleExpr) -> HomVResult:
     """hom over the total space from A to B (both pushed from the flag).
 
-    The answer depends only on A' ⊗ B, so it is memoized per ``(rs, normal
-    form of A' ⊗ B)``: pairs whose A' ⊗ B have equal normal forms share one
-    result, in an unbounded memo like ``flag_cohomology``'s.  A failure is not
-    memoized: the next call evaluates again and raises again.
+    The answer depends only on A' ⊗ B, so it is memoized per ``(rs, factors,
+    twist)`` of A' ⊗ B: pairs with equal A' ⊗ B share one result, in an
+    unbounded memo like ``flag_cohomology``'s.  A failure is not memoized: the
+    next call evaluates again and raises again.
     """
-    return _hom_v(rs, *normal_factors(Tensor(Dual(a), b)))
+    pair = Tensor(Dual(a), b)
+    return _hom_v(rs, pair.factors, pair.twist)
 
 
 @lru_cache(maxsize=None)
 def _hom_v(
     rs: RootSystem, factors: tuple[Factor, ...], twist: Weight
 ) -> HomVResult:
-    # Keyed by the flat normal form, never the expression trees, whose hash
-    # recurses once per node; both terms are handed on as normal forms.
-    term0 = NormalForm(factors, twist)
-    term1 = NormalForm(factors, wadd(twist, NORMAL_BUNDLE_TWIST))
-    r0 = flag_cohomology(rs, term0)
-    r1 = flag_cohomology(rs, term1)
+    # Keyed by the flat fields, never the BundleExpr value, whose hash and
+    # equality run in Python.
+    r0 = flag_cohomology(rs, BundleExpr(factors, twist))
+    r1 = flag_cohomology(rs, BundleExpr(factors, wadd(twist, NORMAL_BUNDLE_TWIST)))
     # The E1 pieces are the distinct filtration weights' Bott profiles with
     # their multiplicities, so this is the Euler characteristic of each term.
     chi = sum(m * p.euler(rs) for _, p, m in r0.e1) - sum(
@@ -136,3 +134,8 @@ def total_space_canonical(
     """
     omega = wadd(base_canonical_weight(rs, base), det_weight(rs, fiber_bundle))
     return omega, all(c == 0 for c in omega)
+
+
+def omega_v(rs: RootSystem) -> Weight:
+    """omega_V, the canonical weight of V = Tot(N), derived from N."""
+    return total_space_canonical(rs, "F", Dual(Line(*NORMAL_BUNDLE_TWIST)))[0]

@@ -509,8 +509,8 @@ def test_text_output_matches_golden(capsys, command, golden):
     ids=["coh-long-product", "coh-nested-sym", "homv-long-product"],
 )
 def test_long_expression_is_answered(capsys, argv, same_as, text):
-    # The expression walk loops over tensor factors and Sym^1 prefixes, so
-    # their number is not bounded by the recursion limit.
+    # The parser loops over tensor factors and Sym^1 prefixes, so their
+    # number is not bounded by the recursion limit.
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == text
@@ -518,11 +518,41 @@ def test_long_expression_is_answered(capsys, argv, same_as, text):
 
 
 def test_deeply_nested_expression_is_a_usage_error(capsys):
-    # Sym^m with m >= 2 still recurses into its argument.
+    # Nothing recurses on an expression, so a deep Sym^2 chain is refused by
+    # the rule that refuses a short one, at its second Sym.
     code, out, err = run_cli(capsys, "coh", "Sym^2 " * 1200 + "U")
     assert code == 2
     assert out == ""
-    assert err == "expression error: expression nested too deeply\n"
+    assert err == "error: Sym is only supported on rank-2 irreducible atoms\n"
+
+
+SYM_REFUSAL = "error: Sym is only supported on rank-2 irreducible atoms"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["coh", "Sym^2 O*"], SYM_REFUSAL),
+        (["homv", "Sym^2 Sym^2 U", "X"], SYM_REFUSAL),
+        (["homv", "Sym^3 O", "U*"], SYM_REFUSAL),
+        (["coh", "X*Sym^2 O"], "expression error: unknown atom 'X' (at position 0)"),
+    ],
+    ids=["coh", "homv-source", "homv-line", "earlier-syntax-error"],
+)
+def test_a_sym_refusal_wins_over_a_later_syntax_error(capsys, argv, err):
+    # The parser builds each term as it reads it, so a refused Sym stops it
+    # before it reaches a syntax error further on, and not before one that
+    # comes earlier.
+    assert run_cli(capsys, *argv) == (2, "", err + "\n")
+
+
+def test_a_spinor_product_past_the_bound_is_a_usage_error(capsys):
+    # 13 factors would take minutes through the extension route.
+    code, out, err = run_cli(capsys, "coh", "*".join(["S"] * 13))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a product of 13 S or S' factors has more than the 10 supported\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -545,8 +575,7 @@ def test_an_integer_past_the_digit_limit_is_an_expression_error(
 
 def test_sym_of_sym_chain_is_refused_by_its_rule(capsys):
     # A normal factor holds one Sym power, so Sym^m Sym^n is refused while
-    # the normal form is built: a chain that the walk can still descend gets
-    # the rule's message.
+    # the expression is built.
     code, out, err = run_cli(capsys, "coh", "Sym^2 " * 600 + "U")
     assert (code, out) == (2, "")
     assert err == "error: Sym is only supported on rank-2 irreducible atoms\n"

@@ -25,9 +25,9 @@ from g2flop.totalspace import (
     K,
     K1,
     NORMAL_BUNDLE_TWIST,
-    TOTAL_SPACE_CANONICAL_TWIST,
     base_canonical_weight,
     hom_v,
+    omega_v,
     total_space_canonical,
 )
 from g2flop.weylbott import CohomologyProfile, euler_characteristic
@@ -133,7 +133,7 @@ def test_euler_is_the_signed_bott_sum_of_both_koszul_terms():
         b = Tensor(rng.choice(atoms), rng.choice(atoms))
         pair = Tensor(Dual(a), b)
         chi = euler_characteristic(RS, weights(RS, pair)) - euler_characteristic(
-            RS, weights(RS, Twist(pair, *TOTAL_SPACE_CANONICAL_TWIST))
+            RS, weights(RS, Twist(pair, *NORMAL_BUNDLE_TWIST))
         )
         assert hom_v(RS, a, b).euler == chi
 
@@ -173,7 +173,7 @@ def test_memoized_hom_is_the_fresh_one():
     with_spinor = 0
     for _ in range(150):
         a, b = random_expr(rng, max_rank=8), random_expr(rng, max_rank=8)
-        with_spinor += "Spinor" in repr((a, b))
+        with_spinor += any(f[0] == "S" for f in a.factors + b.factors)
         memoized = hom_v(RS, a, b)
         forget_memos()
         assert hom_v(RS, a, b) == memoized
@@ -242,13 +242,19 @@ def test_base_canonical_weights():
 
 def test_canonical_twist_and_normal_bundle_are_pinned_apart():
     # V is the total space of N = O(-H-h), the dual of O(H+h), so
-    # omega_V = omega_F - N; the two constants agree only because
+    # omega_V = omega_F - N; omega_V and N agree only because
     # omega_F = -2*rho = 2N on G2/B.
-    omega_v = TOTAL_SPACE_CANONICAL_TWIST
-    assert omega_v == total_space_canonical(RS, "F", Line(1, 1))[0]
+    omega = omega_v(RS)
+    assert omega == total_space_canonical(RS, "F", Line(1, 1))[0] == (-1, -1)
     omega_f = base_canonical_weight(RS, "F")
-    assert omega_v == tuple(f - n for f, n in zip(omega_f, NORMAL_BUNDLE_TWIST))
+    assert omega == tuple(f - n for f, n in zip(omega_f, NORMAL_BUNDLE_TWIST))
     assert NORMAL_BUNDLE_TWIST == (-1, -1)
+
+
+def test_omega_v_is_derived_from_the_normal_bundle(monkeypatch):
+    # Another N moves omega_V with it: omega_F - N, here (-2, -2) - (-1, 0).
+    monkeypatch.setattr(totalspace, "NORMAL_BUNDLE_TWIST", (-1, 0))
+    assert omega_v(RS) == (-1, -2)
 
 
 def test_total_space_canonical_weights():

@@ -5,7 +5,9 @@ and deletion, and prints like the dataclass it replaced; the pinned reprs were
 recorded from the dataclass versions.  ``RootSystem`` alone compares by
 identity.  Constructors are generated from ``_fields``, every field
 required; the pinned arity errors were recorded from the hand-written
-constructors they replaced.
+constructors they replaced.  The bundle constructors (``Line`` ... ``Twist``)
+are functions that each build a ``BundleExpr``; a case is named after the
+callable it calls.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ import pickle
 import pytest
 
 from g2flop.bundles import (
+    BundleExpr,
     CohResult,
     Dual,
     IrrP1,
     IrrP2,
     Line,
-    NormalForm,
     Spinor,
     Sym,
     Tensor,
@@ -60,6 +62,8 @@ K = CohomologyProfile(((0, (0, 0), 1),))
 COH = CohResult(True, K, (), "filtration")
 K_TEXT = "CohomologyProfile(entries=((0, (0, 0), 1),))"
 COH_TEXT = f"CohResult(determined=True, profile={K_TEXT}, e1=(), route='filtration')"
+U = "('U', -1, 1, 1, False)"
+U_DUAL = "('U', -1, 1, 1, True)"
 
 #: (factory, repr recorded from the dataclass version)
 CASES = [
@@ -72,21 +76,33 @@ CASES = [
         lambda: CohomologyProfile(((0, (0, 0), 1), (1, (1, 0), 2))),
         "CohomologyProfile(entries=((0, (0, 0), 1), (1, (1, 0), 2)))",
     ),
-    (lambda: Line(0, 1), "Line(a=0, b=1)"),
-    (lambda: Universal(), "Universal()"),
-    (lambda: Spinor(), "Spinor()"),
-    (lambda: IrrP1(-1, 1), "IrrP1(a=-1, b=1)"),
-    (lambda: IrrP2(1, 1), "IrrP2(a=1, b=1)"),
-    (lambda: Dual(Universal()), "Dual(arg=Universal())"),
+    (lambda: Line(0, 1), "BundleExpr(factors=(), twist=(0, 1))"),
+    (lambda: Universal(), f"BundleExpr(factors=({U},), twist=(0, 0))"),
+    (
+        lambda: Spinor(),
+        "BundleExpr(factors=(('S', 0, 0, 1, False),), twist=(0, 0))",
+    ),
+    (
+        lambda: IrrP1(-1, 1),
+        "BundleExpr(factors=(('E', -1, 1, 1, False),), twist=(0, 0))",
+    ),
+    (
+        lambda: IrrP2(1, 1),
+        "BundleExpr(factors=(('F', 1, 1, 1, False),), twist=(0, 0))",
+    ),
+    (lambda: Dual(Universal()), f"BundleExpr(factors=({U_DUAL},), twist=(0, 0))"),
     (
         lambda: Tensor(Universal(), Line(0, 1)),
-        "Tensor(left=Universal(), right=Line(a=0, b=1))",
+        f"BundleExpr(factors=({U},), twist=(0, 1))",
     ),
-    (lambda: Sym(2, Universal()), "Sym(power=2, arg=Universal())"),
-    (lambda: Twist(Universal(), 0, 1), "Twist(arg=Universal(), a=0, b=1)"),
+    (
+        lambda: Sym(2, Universal()),
+        "BundleExpr(factors=(('U', -1, 1, 2, False),), twist=(0, 0))",
+    ),
+    (lambda: Twist(Universal(), 0, 1), f"BundleExpr(factors=({U},), twist=(0, 1))"),
     (
         lambda: Twist(arg=Dual(Universal()), a=0, b=-1),
-        "Twist(arg=Dual(arg=Universal()), a=0, b=-1)",
+        f"BundleExpr(factors=({U_DUAL},), twist=(0, -1))",
     ),
     (lambda: CohResult(True, K, (), "filtration"), COH_TEXT),
     (
@@ -97,11 +113,12 @@ CASES = [
     (lambda: Transpose(1), "Transpose(index=1)"),
     (
         lambda: LeftMutateThrough(1, Universal()),
-        "LeftMutateThrough(index=1, result=Universal())",
+        f"LeftMutateThrough(index=1, result=BundleExpr(factors=({U},), "
+        "twist=(0, 0)))",
     ),
     (
         lambda: RightMutateThrough(2, result=Line(0, 1)),
-        "RightMutateThrough(index=2, result=Line(a=0, b=1))",
+        "RightMutateThrough(index=2, result=BundleExpr(factors=(), twist=(0, 1)))",
     ),
     (lambda: SerreRotateToFront(1), "SerreRotateToFront(count=1)"),
     (lambda: SerreRotateToBack(1), "SerreRotateToBack(count=1)"),
@@ -132,22 +149,21 @@ CASES = [
         "SuiteResult(name='calabi-yau', status='pass', checks=2, details=())",
     ),
     (
-        lambda: NormalForm((("U", -1, 1, 1, False), ("U", -1, 1, 1, True)), (0, 1)),
-        "NormalForm(factors=(('U', -1, 1, 1, False), ('U', -1, 1, 1, True)), "
-        "twist=(0, 1))",
+        lambda: BundleExpr((("U", -1, 1, 1, False), ("U", -1, 1, 1, True)), (0, 1)),
+        f"BundleExpr(factors=({U}, {U_DUAL}), twist=(0, 1))",
     ),
 ]
 #: Positions of cases whose classes were deleted; they stay unused, so that
 #: no remaining case's id changes.
 RETIRED = frozenset({3, 4, 5, 16, 18, 19, 20, 29})
 POSITIONS = [i for i in range(len(CASES) + len(RETIRED)) if i not in RETIRED]
-IDS = [text.split("(", 1)[0] + str(i) for i, (_, text) in zip(POSITIONS, CASES)]
+IDS = [make.__code__.co_names[0] + str(i) for i, (make, _) in zip(POSITIONS, CASES)]
 
 
 def test_every_value_class_is_covered():
     classes = {type(make()) for make, _ in CASES} | {RootSystem}
     assert classes == set(Value.__subclasses__())
-    assert len(classes) == 27
+    assert len(classes) == 18
 
 
 @pytest.mark.parametrize("make, text", CASES, ids=IDS)
@@ -238,26 +254,31 @@ def test_positional_keyword_and_mixed_calls_agree(make, text):
     "call, text",
     [
         (
-            lambda: Twist(Universal(), 0),
-            "Twist.__init__() missing 1 required positional argument: 'b'",
+            lambda: LeftMutateThrough(1),
+            "LeftMutateThrough.__init__() missing 1 required positional "
+            "argument: 'result'",
         ),
         (
-            lambda: Twist(Universal(), 0, 1, 2),
-            "Twist.__init__() takes 4 positional arguments but 5 were given",
+            lambda: Transpose(1, 2),
+            "Transpose.__init__() takes 2 positional arguments but 3 were given",
         ),
         (
-            lambda: Dual(Universal(), x=1),
-            "Dual.__init__() got an unexpected keyword argument 'x'",
+            lambda: BundleExpr((), (0, 0), x=1),
+            "BundleExpr.__init__() got an unexpected keyword argument 'x'",
         ),
         (
-            lambda: Dual(Universal(), arg=Spinor()),
-            "Dual.__init__() got multiple values for argument 'arg'",
+            lambda: BundleExpr((), (0, 0), factors=()),
+            "BundleExpr.__init__() got multiple values for argument 'factors'",
         ),
         (
-            lambda: Dual(),
-            "Dual.__init__() missing 1 required positional argument: 'arg'",
+            lambda: BundleExpr(),
+            "BundleExpr.__init__() missing 2 required positional arguments: "
+            "'factors' and 'twist'",
         ),
-        (lambda: Universal(1), "Universal() takes no arguments"),
+        (
+            lambda: Universal(1),
+            "Universal() takes 0 positional arguments but 1 was given",
+        ),
     ],
     ids=[
         "missing",
@@ -276,10 +297,7 @@ def test_arity_errors_name_the_class(call, text):
 
 def test_generated_constructors_belong_to_their_class():
     for cls in Value.__subclasses__():
-        init = vars(cls).get("__init__")
-        if not cls._fields:
-            assert init is None and cls.__init__ is object.__init__, cls
-            continue
+        init = vars(cls)["__init__"]
         assert init.__qualname__ == f"{cls.__qualname__}.__init__"
         assert init.__module__ == cls.__module__
         assert tuple(inspect.signature(cls).parameters) == cls._fields
