@@ -1,7 +1,7 @@
 """Exact-arithmetic engine for G2 flag-variety cohomology, total-space Ext
 groups, Cox-ring Hilbert series and certified semiorthogonal mutations."""
 
-from .rootdata import RootSystem, Root, WeylElement, build_root_system, g2
+from .rootdata import RootSystem, Root, build_root_system, g2
 from .weylbott import (
     CohomologyProfile,
     dot_normalize,
@@ -34,7 +34,6 @@ from .coxring import flag_cox_dim, git_piece, total_cox_dim
 __all__ = [
     "RootSystem",
     "Root",
-    "WeylElement",
     "build_root_system",
     "g2",
     "CohomologyProfile",

@@ -8,6 +8,8 @@ Atoms
 ``IrrP1(a, b)``     pullback of the irreducible P1-bundle with highest weight (a, b)
 ``IrrP2(a, b)``     pullback of the irreducible P2-bundle with highest weight (a, b)
 
+``IrrP1(a, 0)`` and ``IrrP2(0, b)`` have rank 1 and are the lines they are.
+
 plus ``Dual``, ``Tensor``, ``Sym`` (rank-2 irreducible arguments only) and
 ``Twist``.  All expressions denote bundles on the flag variety; objects living
 on either Grassmannian are represented by their pullbacks, which is harmless
@@ -117,11 +119,12 @@ def Spinor() -> BundleExpr:
 
 
 def IrrP1(a: int, b: int) -> BundleExpr:
-    return BundleExpr((("E", a, b, 1, False),), (0, 0))
+    # A Levi pairing of 0 is a Levi string of one weight: the line O(a, 0).
+    return Line(a, 0) if b == 0 else BundleExpr((("E", a, b, 1, False),), (0, 0))
 
 
 def IrrP2(a: int, b: int) -> BundleExpr:
-    return BundleExpr((("F", a, b, 1, False),), (0, 0))
+    return Line(0, b) if a == 0 else BundleExpr((("F", a, b, 1, False),), (0, 0))
 
 
 def Dual(arg: BundleExpr) -> BundleExpr:

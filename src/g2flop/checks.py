@@ -240,7 +240,7 @@ def representation_suite(rs: RootSystem) -> SuiteResult:
         ("dim V(1,0) = 14", lambda: weyl_dim(rs, (1, 0)) == 14),
         ("Weyl group order 12", lambda: rs.weyl_order == 12),
         ("6 positive roots", lambda: len(rs.positive_roots) == 6),
-        ("longest element length 6", lambda: rs.longest_element.length == 6),
+        ("longest element length 6", lambda: len(rs.longest_element) == 6),
     ]
     return _run_expectations("representation-dimensions", expectations)
 

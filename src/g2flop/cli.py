@@ -75,14 +75,14 @@ def cmd_roots(args, rs: RootSystem) -> int:
             for r in rs.positive_roots
         ],
         "weyl_order": rs.weyl_order,
-        "longest_length": rs.longest_element.length,
+        "longest_length": len(rs.longest_element),
     }
     if args.convention_dump:
         payload["conventions"] = _conventions(rs)
     lines = [
         f"rank {rs.rank}, {len(rs.positive_roots)} positive roots, "
         f"Weyl order {rs.weyl_order}, longest element length "
-        f"{rs.longest_element.length}"
+        f"{len(rs.longest_element)}"
     ]
     for r in rs.positive_roots:
         lines.append(

@@ -5,9 +5,10 @@ fundamental-weight coordinates throughout, so a weight ``(a, b)`` means
 ``a*omega_1 + b*omega_2``.  Roots carry both simple-root and fundamental-weight
 coordinates, and every root has an integer coroot, so that all coroot pairings
 are exact integer dot products.  The pairing of a weight with the i-th simple
-coroot is its i-th coordinate, and is read as such; ``compile_pairings``
-writes each system's Bott kernel, which pairs lam+rho with every positive
-coroot, as straight-line code.  Weyl group elements are reduced words.
+coroot is its i-th coordinate, and is read as such.  A Weyl group element
+is a reduced word: a tuple of simple indices, the leftmost factor first.
+The Bott kernel and its tables are built from these root data in
+``weylbott``.
 
 The engine accepts any finite-type generalized Cartan matrix (A1/A2/B2
 instances serve as independent sanity oracles in the test suite), but the rest
@@ -23,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add, attrgetter, mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Weight = tuple[int, ...]
 
@@ -121,35 +122,6 @@ class Root(Value):
         return sum(self.simple_coords)
 
 
-class WeylElement(Value):
-    """Weyl group element given by a reduced word in the simple reflections.
-
-    ``word[0]`` is the leftmost factor: ``apply`` reflects by the letters from
-    the last to the first.
-    """
-
-    _fields = ("word", "system")
-
-    def __repr__(self):
-        return f"WeylElement(word={self.word!r})"
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def apply(self, w: Weight) -> Weight:
-        for i in reversed(self.word):
-            w = self.system.reflect(i, w)
-        return w
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Matrix on weight coordinates; column j is the image of omega_j."""
-        n = self.system.rank
-        columns = [self.apply(tuple(int(i == j) for i in range(n))) for j in range(n)]
-        return tuple(zip(*columns))
-
-
 class RootSystem(Value):
     """Immutable finite root system; safe to share between threads.
 
@@ -163,14 +135,6 @@ class RootSystem(Value):
     coordinates.  ``weyl_denominator`` is the product of the coroot heights,
     i.e. of the pairings of rho with every positive coroot.  ``weyl_order``
     is counted from root heights, never by walking the group.
-
-    ``_simple_slots`` and ``_chain`` are the recipe that the Bott kernel is
-    compiled from: one ``(slot, i)`` per simple coroot i, its index in
-    ``positive_roots``; then one ``(slot, parent slot, j)`` per non-simple
-    positive coroot, in order of coroot height, saying that this coroot is
-    the parent plus simple coroot j.  ``_coroot_slots`` maps the coordinates
-    of every coroot, positive and negative, to ``(slot, sign)``: the slot of
-    the positive coroot it is plus or minus, and which of the two.
     """
 
     _fields = (
@@ -184,17 +148,14 @@ class RootSystem(Value):
         "weyl_denominator",
         "coroots",
         "_simple_weights",
-        "_simple_slots",
-        "_chain",
-        "_coroot_slots",
     )
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
     @property
-    def longest_element(self) -> WeylElement:
-        # w0 is the unique element sending -rho to the dominant rho.
+    def longest_element(self) -> tuple[int, ...]:
+        # The reduced word of w0, the unique element sending -rho to rho.
         return self.to_dominant(wneg(self.rho))[1]
 
     def reflect(self, i: int, mu: Weight) -> Weight:
@@ -204,8 +165,9 @@ class RootSystem(Value):
         c = mu[i]
         return tuple([m - c * a for m, a in zip(mu, self._simple_weights[i])])
 
-    def to_dominant(self, mu: Weight) -> tuple[Weight, WeylElement]:
-        """Walk mu into the dominant chamber; returns (w(mu), w).
+    def to_dominant(self, mu: Weight) -> tuple[Weight, tuple[int, ...]]:
+        """Walk mu into the dominant chamber; returns (w(mu), w), w as its
+        reduced word with the leftmost factor first.
 
         Each step reflects in a simple root on which mu pairs negatively,
         which removes exactly one positive root from those pairing negatively
@@ -219,7 +181,7 @@ class RootSystem(Value):
                 if c < 0:
                     break
             else:
-                return mu, WeylElement(tuple(reversed(steps)), self)
+                return mu, tuple(reversed(steps))
             mu = self.reflect(i, mu)
             steps.append(i)
             if len(steps) > bound:
@@ -236,51 +198,13 @@ class RootSystem(Value):
         """<mu, beta^v> for every positive root beta, aligned with positive_roots.
 
         The plain dot product with each coroot of ``coroots``: the reference
-        that the compiled Bott kernel is tested against.  A weight of the
-        wrong length raises ``ValueError``.
+        that the compiled Bott kernel of ``weylbott`` is tested against.  A
+        weight of the wrong length raises ``ValueError``.
         """
         return tuple(
             sum(c * m for c, m in zip(self.coroots[r.simple_coords], mu, strict=True))
             for r in self.positive_roots
         )
-
-
-#: What ``compile_pairings`` returns; see there.
-BottKernel = Callable[[Weight], Optional[tuple[tuple[int, ...], tuple[bool, ...]]]]
-
-
-def compile_pairings(rs: RootSystem) -> BottKernel:
-    """The Bott kernel of ``rs``: straight-line code from the height chain.
-
-    ``kernel(lam)`` returns ``None`` when lam is singular, i.e. when some
-    positive coroot pairs to zero with lam+rho, and otherwise
-    ``(pairings, signs)``: the pairings of lam+rho with the positive coroots,
-    as one tuple in the order of ``positive_roots``, and ``signs[k]`` saying
-    whether the k-th is negative.
-
-    The weight is first unpacked into one local per coordinate, so a weight
-    of the wrong length raises ``ValueError`` before anything else runs.
-    Each simple coroot's pairing is its coordinate plus 1, as rho is all
-    ones in fundamental-weight coordinates, and each non-simple coroot's is
-    one addition, its parent's local plus a simple coroot's.  The kernel
-    returns ``None`` right after the first pairing that is zero, the simple
-    ones first, and writes its signs out as one comparison per pairing.
-    """
-    simple = {i: f"p{k}" for k, i in rs._simple_slots}
-    coords = [f"l{i}" for i in range(rs.rank)]
-    lines = [f"[{', '.join(coords)}] = weight"]
-    steps = [(simple[i], f"{coord} + 1") for i, coord in enumerate(coords)]
-    steps += [(f"p{k}", f"p{parent} + {simple[j]}") for k, parent, j in rs._chain]
-    for local, value in steps:
-        lines += [f"{local} = {value}", f"if not {local}: return None"]
-    slots = range(len(rs.positive_roots))
-    lines.append(
-        f"return ({''.join(f'p{k}, ' for k in slots)}), "
-        f"({''.join(f'p{k} < 0, ' for k in slots)})"
-    )
-    namespace: dict[str, object] = {}
-    exec("def kernel(weight):\n    " + "\n    ".join(lines), {}, namespace)
-    return namespace["kernel"]
 
 
 def _validate_gcm(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -392,14 +316,9 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     Positive roots are enumerated by root-string closure, and every root gets
     its coroot as integer coordinates c_j = 2 k_j d_j / (alpha, alpha) in the
     simple coroots (k the simple coordinates, d the symmetrizer); a
-    non-integral one is rejected.  The positive coroots are then chained by
-    coroot height, which for non-simply-laced types differs from root height:
-    each non-simple one is recorded as a lower positive coroot plus one simple
-    coroot, the recipe that the Bott kernel is compiled from on first use,
-    and every coroot, positive or negative, is given the slot of its positive
-    coroot and its sign, the table the Bott kernel reads chamber images
-    through.  The product of the coroot heights
-    is stored as the Weyl denominator.  The Weyl group is never stored or
+    non-integral one is rejected.  The product of the positive coroots'
+    heights, which for non-simply-laced types differ from root heights, is
+    stored as the Weyl denominator.  The Weyl group is never stored or
     walked: its order comes from Macdonald's identity
     |W| = prod over positive roots of (ht + 1) / ht (Macdonald, *The Poincare
     series of a Coxeter group*, Math. Ann. 199, 1972), computed once over the
@@ -454,41 +373,18 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     simple_roots = tuple(make_root(c) for c in simples)
 
     coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
-    coroot_slots: dict[tuple[int, ...], tuple[int, int]] = {}
-    for index, root in enumerate(positive):
+    for root in positive:
         coroot = []
         for j, k in enumerate(root.simple_coords):
             c, r = divmod(2 * k * d[j], root.length_sq)
             if r:
                 raise RootSystemError(f"coroot of {root.simple_coords} is not integral")
             coroot.append(c)
-        coroot, negative = tuple(coroot), wneg(coroot)
-        coroots[root.simple_coords] = coroot
-        coroots[wneg(root.simple_coords)] = negative
-        coroot_slots[coroot] = (index, 1)
-        coroot_slots[negative] = (index, -1)
+        coroots[root.simple_coords] = tuple(coroot)
+        coroots[wneg(root.simple_coords)] = wneg(coroot)
 
-    slot = {coroots[r.simple_coords]: k for k, r in enumerate(positive)}
-    simple_slots: list[tuple[int, int]] = []
-    chain: list[tuple[int, int, int]] = []
-    for coroot in sorted(slot, key=lambda c: (sum(c), c)):
-        k = slot[coroot]
-        if sum(coroot) == 1:
-            simple_slots.append((k, coroot.index(1)))
-            continue
-        for j, c in enumerate(coroot):
-            parent = slot.get(coroot[:j] + (c - 1,) + coroot[j + 1 :])
-            if parent is not None:
-                chain.append((k, parent, j))
-                break
-        else:
-            raise RootSystemError(
-                f"coroot {coroot} is not a lower coroot plus a simple coroot"
-            )
-
-    simple_weights = tuple(r.weight_coords for r in simple_roots)
-    rho = tuple(1 for _ in range(n))
-    weyl_denominator = prod(map(sum, slot))
+    positive_coroots = [coroots[r.simple_coords] for r in positive]
+    weyl_denominator = prod(map(sum, positive_coroots))
 
     return RootSystem(
         rank=n,
@@ -496,14 +392,11 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
         symmetrizer=d,
         simple_roots=simple_roots,
         positive_roots=positive,
-        rho=rho,
-        weyl_order=_weyl_order(positive, slot, weyl_denominator),
+        rho=(1,) * n,
+        weyl_order=_weyl_order(positive, positive_coroots, weyl_denominator),
         weyl_denominator=weyl_denominator,
         coroots=coroots,
-        _simple_weights=simple_weights,
-        _simple_slots=tuple(simple_slots),
-        _chain=tuple(chain),
-        _coroot_slots=coroot_slots,
+        _simple_weights=tuple(r.weight_coords for r in simple_roots),
     )
 
 

@@ -1,11 +1,14 @@
 """Dot-action normal form, Bott cohomology and filtered-bundle determinacy.
 
 Each root system has one compiled kernel, its Bott kernel
-(``rootdata.compile_pairings``), which takes a weight lam to the coroot
-pairings of lam+rho and their signs in one straight-line call.  Bott runs
-through one uncached function, ``_dominant_image``: the signs name the
-weight's chamber, the dominance walk runs once per Weyl chamber, and every
-weight's image is checked.  ``line_cohomology`` caches its profile per
+(``compile_pairings``), which takes a weight lam to the coroot pairings of
+lam+rho and their signs in one straight-line call.  The kernel, the coroot
+table and the chamber table are this module's, built from the root data on
+the system's first weight (see ``_BOTT``).  Bott runs through one uncached
+function, ``_dominant_image``: the signs name the weight's chamber, the
+dominance walk runs once per Weyl chamber, and every weight's image is
+checked.  A Weyl element is its reduced word, a tuple of simple indices with
+the leftmost factor first.  ``line_cohomology`` caches its profile per
 weight, built from ``_dominant_image``'s answer, and every singular weight
 gets one shared zero profile.  ``dot_normalize`` is the same function behind
 a cache of its own, read only by tests and the benchmark's tracer.
@@ -31,17 +34,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
-from .rootdata import (
-    BottKernel,
-    IntegrityError,
-    RootSystem,
-    Value,
-    Weight,
-    WeylElement,
-    compile_pairings,
-)
+from .rootdata import IntegrityError, RootSystem, RootSystemError, Value, Weight, wneg
 
 
 class CohomologyProfile(Value):
@@ -95,65 +90,125 @@ class CohomologyProfile(Value):
 _ZERO = CohomologyProfile(())
 
 
+#: What ``compile_pairings`` returns; see there.
+BottKernel = Callable[[Weight], Optional[tuple[tuple[int, ...], tuple[bool, ...]]]]
+
+
+def compile_pairings(rs: RootSystem) -> BottKernel:
+    """The Bott kernel of ``rs``: straight-line code from its height chain.
+
+    ``kernel(lam)`` returns ``None`` when lam is singular, i.e. when some
+    positive coroot pairs to zero with lam+rho, and otherwise
+    ``(pairings, signs)``: the pairings of lam+rho with the positive coroots,
+    as one tuple in the order of ``positive_roots``, and ``signs[k]`` saying
+    whether the k-th is negative.
+
+    The weight is first unpacked into one local per coordinate, so a weight
+    of the wrong length raises ``ValueError`` before anything else runs.
+    Each simple coroot's pairing is its coordinate plus 1, as rho is all
+    ones in fundamental-weight coordinates, taken by simple index.  The
+    other positive coroots follow in order of coroot height, which for
+    non-simply-laced types differs from root height: each is a lower
+    positive coroot plus a simple one, so its pairing is one addition of
+    two locals, and a coroot that is not is refused with
+    ``RootSystemError``.  The kernel returns ``None`` right after the first
+    pairing that is zero, and writes its signs out as one comparison per
+    pairing.
+    """
+    n = rs.rank
+    positive = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
+    local = {coroot: f"p{k}" for k, coroot in enumerate(positive)}
+    simple = [local[tuple([int(i == j) for j in range(n)])] for i in range(n)]
+    coords = [f"l{i}" for i in range(n)]
+    steps = [(p, f"{coord} + 1") for p, coord in zip(simple, coords)]
+    for coroot in sorted(positive, key=lambda c: (sum(c), c)):
+        if sum(coroot) == 1:
+            continue
+        for j, c in enumerate(coroot):
+            parent = local.get(coroot[:j] + (c - 1,) + coroot[j + 1 :])
+            if parent is not None:
+                steps.append((local[coroot], f"{parent} + {simple[j]}"))
+                break
+        else:
+            raise RootSystemError(
+                f"coroot {coroot} is not a lower coroot plus a simple coroot"
+            )
+    lines = [f"[{', '.join(coords)}] = weight"]
+    for name, value in steps:
+        lines += [f"{name} = {value}", f"if not {name}: return None"]
+    lines.append(
+        f"return ({''.join(f'{p}, ' for p in local.values())}), "
+        f"({''.join(f'{p} < 0, ' for p in local.values())})"
+    )
+    namespace: dict[str, object] = {}
+    exec("def kernel(weight):\n    " + "\n    ".join(lines), {}, namespace)
+    return namespace["kernel"]
+
+
 #: One entry per root system that has met a weight, read through ``_bott``:
-#: its Bott kernel (see ``rootdata.compile_pairings``) and its chamber table.
-#: Compiling is left to the first weight, not done in ``build_root_system``:
-#: it costs about a third of an F4 build, and many systems are built only to
-#: be counted.
+#: its Bott kernel, its coroot table and its chamber table.  They are built
+#: on the first weight, not by ``build_root_system``: compiling costs about
+#: a third of an F4 build, and many systems are built only to be counted.
+#:
+#: The coroot table maps every coroot, positive and negative, to
+#: ``(k, e)``: it is e times the coroot of the k-th positive root.
 #:
 #: The chamber table has one entry per Weyl chamber met so far:
-#: signs -> (w, len(w), slots), where signs[k] says whether mu = lam+rho
-#: pairs negatively with the k-th positive coroot, as the kernel returns it.
-#: The signs fix the chamber of a regular mu and so the one Weyl element w
-#: taking mu into the dominant chamber (Humphreys, *Reflection Groups and
-#: Coxeter Groups*, section 1.12).  Row i of w's matrix is w^-1 alpha_i^v,
-#: which is plus or minus a positive coroot: slots[i] is ``(k, e)`` with
-#: w^-1 alpha_i^v = e beta_k^v, so the i-th coordinate of w(mu) is e times
-#: the k-th coroot pairing of mu.
-_BOTT: dict[RootSystem, tuple[BottKernel, dict]] = {}
+#: signs -> (w, len(w), slots), w a reduced word, where signs[k] says
+#: whether mu = lam+rho pairs negatively with the k-th positive coroot, as
+#: the kernel returns it.  The signs fix the chamber of a regular mu and so
+#: the one Weyl element w taking mu into the dominant chamber (Humphreys,
+#: *Reflection Groups and Coxeter Groups*, section 1.12).  Row i of w's
+#: matrix is w^-1 alpha_i^v, which is plus or minus a positive coroot:
+#: slots[i] is its ``(k, e)`` in the coroot table, so the i-th coordinate of
+#: w(mu) is e times the k-th coroot pairing of mu.
+_BOTT: dict[RootSystem, tuple[BottKernel, dict, dict]] = {}
 
 
-def _bott(rs: RootSystem) -> tuple[BottKernel, dict]:
-    """``(kernel, chambers)`` of ``rs``, compiled on its first call."""
+def _bott(rs: RootSystem) -> tuple[BottKernel, dict, dict]:
+    """``(kernel, coroot table, chambers)`` of ``rs``, built on its first call."""
     entry = _BOTT.get(rs)
     if entry is None:
-        entry = _BOTT[rs] = (compile_pairings(rs), {})
+        table = {}
+        for k, root in enumerate(rs.positive_roots):
+            coroot = rs.coroots[root.simple_coords]
+            table[coroot], table[wneg(coroot)] = (k, 1), (k, -1)
+        entry = _BOTT[rs] = (compile_pairings(rs), table, {})
     return entry
 
 
-def _chamber_slots(rs: RootSystem, w: WeylElement) -> tuple[tuple[int, int], ...]:
+def _chamber_slots(rs: RootSystem, w: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """``(k, e)`` per simple i with w^-1 alpha_i^v = e beta_k^v.
 
     The rows of w's matrix are built in one pass over the word: the matrix
     starts as the identity and each letter j, last to first, multiplies it
     on the left by s_j, which subtracts alpha_j[r] times row j from row r.
-    Each row is then looked up among the coroots; one that is not plus or
+    Each row is then looked up in the coroot table; one that is not plus or
     minus a positive coroot raises ``IntegrityError``.
     """
     n = rs.rank
     rows = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
-    for j in reversed(w.word):
+    for j in reversed(w):
         pivot = rows[j]
         rows = [
             tuple([x - a * y for x, y in zip(row, pivot)])
-            for row, a in zip(rows, rs._simple_weights[j])
+            for row, a in zip(rows, rs.simple_roots[j].weight_coords)
         ]
+    table = _bott(rs)[1]
     slots = []
     for row in rows:
-        slot = rs._coroot_slots.get(row)
+        slot = table.get(row)
         if slot is None:
-            raise IntegrityError(
-                f"row {row} of the matrix of {w.word} is not a coroot"
-            )
+            raise IntegrityError(f"row {row} of the matrix of {w} is not a coroot")
         slots.append(slot)
     return tuple(slots)
 
 
 def _dominant_image(
     rs: RootSystem, lam: Weight
-) -> Optional[tuple[WeylElement, int, Weight]]:
-    """(w, len(w), nu) with w(lam+rho) = nu+rho strictly dominant, or None
-    if lam is singular.
+) -> Optional[tuple[tuple[int, ...], int, Weight]]:
+    """(w, len(w), nu) with w(lam+rho) = nu+rho strictly dominant, w a
+    reduced word, or None if lam is singular.
 
     The system's compiled kernel takes lam to the coroot pairings of
     mu = lam+rho and their signs in one call, or to None when a pairing is
@@ -162,7 +217,7 @@ def _dominant_image(
 
     A regular mu runs the dominance walk only on the first weight of its
     chamber: the walk's word must have one letter per negative pairing, or
-    ``IntegrityError`` is raised, and the element is stored with its length
+    ``IntegrityError`` is raised, and the word is stored with its length
     and slots (see ``_BOTT``).  Every weight, the first included, then
     reads its image from its own pairings, nu_i = e_i * pairings[k_i] - 1,
     the same integers as w's matrix applied to mu, and the image must be
@@ -170,7 +225,7 @@ def _dominant_image(
     element makes a regular weight dominant, so this check verifies the
     stored entry, and the signs it was found by, in full.
     """
-    kernel, chambers = _bott(rs)
+    kernel, _, chambers = _bott(rs)
     found = kernel(lam)
     if found is None:
         return None
@@ -178,13 +233,13 @@ def _dominant_image(
     entry = chambers.get(signs)
     if entry is None:
         w = rs.to_dominant(tuple([c + 1 for c in lam]))[1]
-        if w.length != signs.count(True):
+        if len(w) != signs.count(True):
             raise IntegrityError("dot-normal form length mismatch")
-        entry = chambers[signs] = (w, w.length, _chamber_slots(rs, w))
+        entry = chambers[signs] = (w, len(w), _chamber_slots(rs, w))
     w, length, slots = entry
     nu = tuple([e * pairings[k] - 1 for k, e in slots])
     if nu and min(nu) < 0:
-        raise IntegrityError(f"chamber element {w.word} leaves {lam} non-dominant")
+        raise IntegrityError(f"chamber element {w} leaves {lam} non-dominant")
     return w, length, nu
 
 

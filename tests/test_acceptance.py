@@ -129,7 +129,7 @@ def test_criterion_5_representation_dimensions():
     assert weyl_dim(RS, (1, 0)) == 14
     assert RS.weyl_order == 12
     assert len(RS.positive_roots) == 6
-    assert RS.longest_element.length == 6
+    assert len(RS.longest_element) == 6
     _report(5, "dimension table and Weyl-group facts")
 
 

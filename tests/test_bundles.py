@@ -38,6 +38,7 @@ from g2flop.weylbott import (
     combine_pieces,
     euler_characteristic,
     filtered_cohomology,
+    format_profile,
     line_cohomology,
     weyl_dim,
 )
@@ -113,10 +114,13 @@ def test_sym_rejects_higher_rank():
                 read(RS, e)
             assert str(err.value) == SYM_REFUSAL
     # A factor holds one Sym power of one atom, so a Sym of a product, of a
-    # line or of a Sym is refused as it is built, by the parser too.
+    # line (a rank-1 E or F included) or of a Sym is refused as it is built,
+    # by the parser too.
     for build in [
         lambda: Sym(2, Tensor(Universal(), Universal())),
         lambda: Sym(3, Line(0, 1)),
+        lambda: Sym(2, IrrP1(1, 0)),
+        lambda: parse_expr("Sym^2 F(0,1)"),
         lambda: parse_expr("Sym^2 Sym^3 U"),
         lambda: parse_expr("Sym^2 Sym^3 U'"),
         lambda: parse_expr("Sym^2 O(h)"),
@@ -124,6 +128,34 @@ def test_sym_rejects_higher_rank():
         with pytest.raises(BundleError) as err:
             build()
         assert str(err.value) == SYM_REFUSAL
+
+
+def test_a_rank_one_atom_is_its_line():
+    # E(a,0) and F(0,b) have a Levi string of one weight, so each is the
+    # line O(a,0) or O(0,b), as a value, under duals and under twists.
+    for a in range(-2, 3):
+        assert IrrP1(a, 0) == Line(a, 0) and IrrP2(0, a) == Line(0, a)
+        assert Dual(IrrP1(a, 0)) == Line(-a, 0) == Dual(Line(a, 0))
+        assert Twist(IrrP2(0, a), 1, -1) == Line(1, a - 1)
+    assert parse_expr("E(0,0)") == parse_expr("O")
+    assert parse_expr("F(0,-2)") == parse_expr("O(-2h)")
+    assert parse_expr("E(2,0)'(h)") == parse_expr("O(-2H+h)")
+    assert format_expr(IrrP1(3, 0)) == "O(3H)"
+    assert Sym(1, IrrP1(1, 0)) == Line(1, 0)
+
+
+def test_a_rank_one_atom_adds_no_side_to_a_product():
+    # A rank-1 atom beside an atom of the other parabolic leaves the product
+    # one-sided, so route B settles what the filtration cannot, as it does
+    # for the line spelling.
+    for text, line, answer in [
+        ("F(0,-2)*E(0,1)(-3H-3h)", "O(-2h)*E(0,1)(-3H-3h)", "V(0,4)[-6] + V(1,2)[-6]"),
+        ("E(-2,0)*F(1,0)(-3H-3h)", "O(-2H)*F(1,0)(-3H-3h)", "V(3,0)[-5] + V(2,1)[-6]"),
+    ]:
+        res = flag_cohomology(RS, parse_expr(text))
+        assert res.determined and res.route == "parabolic"
+        assert format_profile(res.profile) == answer
+        assert res == flag_cohomology(RS, parse_expr(line))
 
 
 @pytest.mark.parametrize("depth", [2, 600, 1200])
@@ -337,6 +369,8 @@ def random_one_sided(rng, max_rank=64):
         return Dual(f) if rng.random() < 0.3 else f
 
     e = factor()
+    while not e.factors:  # a rank-1 atom is a line, on neither side
+        e = factor()
     for _ in range(rng.randint(0, 6)):
         f = factor()
         if rank(e) * rank(f) > max_rank:
@@ -670,7 +704,13 @@ def test_route_agreement_on_one_sided_grid():
     from g2flop.weylbott import filtered_cohomology
 
     checked = 0
-    atoms = [Universal(), Dual(Universal()), IrrP1(0, 2), IrrP1(1, 1), IrrP1(2, 0)]
+    atoms = [
+        Universal(),
+        Dual(Universal()),
+        IrrP1(0, 2),
+        IrrP1(1, 1),
+        Tensor(IrrP1(2, 0), Universal()),
+    ]
     for atom in atoms:
         for ta in range(-3, 4):
             for tb in range(-3, 4):

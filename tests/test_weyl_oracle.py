@@ -4,7 +4,9 @@ The oracle group is built here, from the Cartan matrix alone, by
 breadth-first closure of the simple-reflection matrices on weight
 coordinates; the breadth-first depth of an element is its Weyl length.
 ``weyl_elements`` enumerates the group a second way, by its free orbit
-through rho; the other test modules use it as their Weyl group.
+through rho; the other test modules use it as their Weyl group.  A Weyl
+element is its reduced word, leftmost factor first, as the package returns
+it; ``apply_word`` and ``word_matrix`` act with one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2flop.rootdata import G2_CARTAN, WeylElement, build_root_system, wadd
+from g2flop.rootdata import G2_CARTAN, build_root_system, wadd
 from g2flop.weylbott import dot_normalize
 
 CARTANS = {
@@ -75,8 +77,24 @@ def matrix_group(name):
     return lengths
 
 
+def apply_word(rs, word, mu):
+    """w(mu) for the element with reduced word ``word``: the letters reflect
+    from the last to the first."""
+    for i in reversed(word):
+        mu = rs.reflect(i, mu)
+    return mu
+
+
+def word_matrix(rs, word):
+    """The matrix of ``word`` on weight coordinates; column j is the image
+    of omega_j."""
+    n = rs.rank
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return tuple(zip(*(apply_word(rs, word, omega) for omega in basis)))
+
+
 def weyl_elements(rs):
-    """Every Weyl group element once, by increasing length.
+    """The reduced word of every Weyl group element once, by increasing length.
 
     A breadth-first walk over the orbit of rho, which is free because rho is
     regular.  s_i w is longer than w exactly when <w(rho), alpha_i^v> > 0, so
@@ -85,7 +103,7 @@ def weyl_elements(rs):
     """
     level = {rs.rho: ()}
     while level:
-        yield from (WeylElement(word, rs) for word in level.values())
+        yield from level.values()
         nxt = {}
         for mu, word in level.items():
             for i, c in enumerate(mu):
@@ -109,9 +127,9 @@ def test_walk_matches_matrix_group(data):
     w, length, nu = out
     target = wadd(nu, rs.rho)
     assert all(c > 0 for c in target)
-    assert w.apply(mu) == target
-    assert _apply(w.matrix, mu) == target
-    assert group[w.matrix] == w.length == length
+    assert apply_word(rs, w, mu) == target
+    assert _apply(word_matrix(rs, w), mu) == target
+    assert group[word_matrix(rs, w)] == len(w) == length
 
 
 @pytest.mark.parametrize("name", sorted(CARTANS))
@@ -121,7 +139,7 @@ def test_rho_orbit_enumerates_the_matrix_group(name):
     assert rs.weyl_order == len(group)
     elements = list(weyl_elements(rs))
     assert len(elements) == len(group)
-    assert {w.matrix: w.length for w in elements} == group
+    assert {word_matrix(rs, w): len(w) for w in elements} == group
     w0 = rs.longest_element
-    assert w0.length == max(group.values()) == len(rs.positive_roots)
-    assert group[w0.matrix] == w0.length
+    assert len(w0) == max(group.values()) == len(rs.positive_roots)
+    assert group[word_matrix(rs, w0)] == len(w0)
