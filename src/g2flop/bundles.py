@@ -59,8 +59,11 @@ The expression grammar for the CLI::
     twist := signed combination of "h", "H"  |  int "," int
 
 with ``'`` for duals, e.g. ``U*U(h)``, ``O(H-2h)``, ``Sym^2 E(1,1)``, ``U'(-h)``.
-An integer has at most ``MAX_INT_DIGITS`` (640) digits.  A ``ParseError``
-position is a 0-based offset into the whole text.
+An integer has at most ``MAX_INT_DIGITS`` (640) digits, and the integers
+and Sym-scaled highest weights sum in size to less than ``MAX_WEIGHT``
+(10^100), so that every answer prints under any digit limit the
+interpreter accepts.  A ``ParseError`` position is a 0-based offset into
+the whole text.
 """
 
 from __future__ import annotations
@@ -432,6 +435,17 @@ def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProf
 #: 6.5 s.
 MAX_SPINOR_FACTORS = 10
 
+#: The most work the extension route may take on: its 2^(n+1) - 1
+#: evaluations for n S or S' factors, times the expression's distinct
+#: weights, which bound those of every evaluation, since each piece of S
+#: has a subset of its weights.  An expression past it is refused once its
+#: weights are known, before any route runs.  Ten S factors alone, 2047
+#: evaluations on 121 distinct weights (247,687), are inside it; ten S
+#: times E(1,3)*F(3,1), 2047 on 226 (462,622), is not, where the factor
+#: bound alone let each evaluation expand the other factors in full (a cold
+#: coh took 44 s on a 2-core Xeon VM).
+MAX_SPINOR_WORK = 250_000
+
 
 def _spinor_split(e: BundleExpr) -> Optional[tuple[BundleExpr, BundleExpr]]:
     """e with its first S or S' factor replaced by the sub, then by the
@@ -474,7 +488,8 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
     share one evaluation; the memo is unbounded, like the Bott caches.  A
     failure is not memoized: the next call evaluates again and raises again.
     An expression with more than ``MAX_SPINOR_FACTORS`` S or S' factors is
-    refused before anything is evaluated.
+    refused before anything is evaluated, and one whose extension route
+    would pass ``MAX_SPINOR_WORK`` once its weights are known.
     """
     return _evaluate(rs, e.factors, e.twist)
 
@@ -504,7 +519,17 @@ def _evaluate(
             f"{MAX_SPINOR_FACTORS} supported"
         )
     e = BundleExpr(factors, twist)
-    filtered, e1 = filtered_cohomology(rs, weights(rs, e))
+    ws = weights(rs, e)
+    if spinors:
+        evaluations = 2 ** (spinors + 1) - 1
+        if evaluations * len(ws) > MAX_SPINOR_WORK:
+            raise BundleError(
+                f"a product of {spinors} S or S' factors on {len(ws)} distinct "
+                f"weights needs {evaluations} evaluations of them, "
+                f"{evaluations * len(ws)} weights in all, more than the "
+                f"{MAX_SPINOR_WORK} supported"
+            )
+    filtered, e1 = filtered_cohomology(rs, ws)
     # In evaluation order; each profile is None where its route settles nothing.
     routes = (
         ("filtration", filtered),
@@ -577,11 +602,27 @@ _DIGITS_RE = re.compile(r"(\d+)")
 #: same way whatever limit the interpreter runs with.
 MAX_INT_DIGITS = 640
 
+#: An expression's weights stay below 10^MAX_WEIGHT_DIGITS, so that every
+#: answer prints under the 640-digit floor of the interpreter's limit.  The
+#: parser sums the sizes of the integers it reads, and of each Sym-scaled
+#: highest weight, and refuses the integer or the Sym at which the sum
+#: reaches MAX_WEIGHT.  Every weight coordinate is at most that sum plus a
+#: few per factor.  The largest integer an answer prints grows as the sixth
+#: power of the weights: a Weyl dimension is a product of six coroot
+#: pairings, each at most five times the largest coordinate of a dominant
+#: image, itself at most six times that of the weight.  So weights below
+#: 10^100 have dimensions below 10^(600 + 10), and the multiplicities and
+#: sums an answer adds, within the product bounds, stay within the
+#: remaining 30 digits.
+MAX_WEIGHT_DIGITS = 100
+MAX_WEIGHT = 10**MAX_WEIGHT_DIGITS
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.size = 0  # see MAX_WEIGHT
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.pos)
@@ -611,8 +652,19 @@ class _Parser:
             raise ParseError(
                 f"integer with more than {MAX_INT_DIGITS} digits", m.start()
             )
+        value = int(m.group())
+        self.grow(abs(value), m.start())
         self.pos = m.end()
-        return int(m.group())
+        return value
+
+    def grow(self, size: int, position: int) -> None:
+        """Add ``size`` to the expression's size; refused at ``position``
+        once the sum reaches ``MAX_WEIGHT``."""
+        self.size += size
+        if self.size >= MAX_WEIGHT:
+            raise ParseError(
+                f"weights past 10^{MAX_WEIGHT_DIGITS} are not supported", position
+            )
 
     def parse_expr(self) -> BundleExpr:
         # The product is joined once, not tensored term by term, so its cost
@@ -639,6 +691,7 @@ class _Parser:
         return term
 
     def parse_atom(self) -> BundleExpr:
+        start = self.pos
         powers = []
         while self.text.startswith("Sym^", self.pos):
             self.pos += 4
@@ -669,8 +722,11 @@ class _Parser:
             raise self.error("unexpected end of input")
         else:
             raise self.error(f"unknown atom {ch!r}")
-        while powers:
-            atom = Sym(powers.pop(), atom)
+        if powers:
+            while powers:
+                atom = Sym(powers.pop(), atom)
+            for _, a, b, power, _ in atom.factors:
+                self.grow(power * (abs(a) + abs(b)), start)
         return atom
 
     def parse_pair(self) -> Weight:

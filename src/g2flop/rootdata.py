@@ -105,7 +105,7 @@ def wadd(a: Weight, b: Weight) -> Weight:
 
 
 def wneg(w: Weight) -> Weight:
-    return tuple(-c for c in w)
+    return tuple([-c for c in w])
 
 
 def wscale(n: int, w: Weight) -> Weight:
@@ -313,12 +313,17 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
     """Build the root system of a finite-type Cartan matrix.
 
     Rejects non-symmetrizable and non-finite-type input with a diagnostic.
-    Positive roots are enumerated by root-string closure, and every root gets
-    its coroot as integer coordinates c_j = 2 k_j d_j / (alpha, alpha) in the
-    simple coroots (k the simple coordinates, d the symmetrizer); a
-    non-integral one is rejected.  The product of the positive coroots'
-    heights, which for non-simply-laced types differ from root heights, is
-    stored as the Weyl denominator.  The Weyl group is never stored or
+    Positive roots are enumerated by root-string closure and sorted by
+    height, then coordinates; ``simple_roots`` stay in simple-index order.
+    Each root carries its weight coordinates through the closure: those of
+    alpha_i are column i of the Cartan matrix, beta + alpha_i adds that
+    column to those of beta, and the closure reads beta's pairing with
+    alpha_i^v as its i-th coordinate.  Every root gets its coroot as integer
+    coordinates c_j = 2 k_j d_j / (alpha, alpha) in the simple coroots (k
+    the simple coordinates, d the symmetrizer); a non-integral one is
+    rejected.  The product of the positive coroots' heights, which for
+    non-simply-laced types differ from root heights, is stored as the Weyl
+    denominator.  The Weyl group is never stored or
     walked: its order comes from Macdonald's identity
     |W| = prod over positive roots of (ht + 1) / ht (Macdonald, *The Poincare
     series of a Coxeter group*, Math. Ann. 199, 1972), computed once over the
@@ -333,44 +338,39 @@ def build_root_system(cartan: Sequence[Sequence[int]]) -> RootSystem:
             "symmetrized Cartan matrix is not positive definite (not finite type)"
         )
 
-    def weight_coords(simple: tuple[int, ...]) -> Weight:
-        return tuple(sum(rows[r][j] * simple[j] for j in range(n)) for r in range(n))
+    def make_root(simple: tuple[int, ...], wc: Weight) -> Root:
+        return Root(simple, wc, sum(map(mul, map(mul, simple, d), wc)))
 
-    def make_root(simple: tuple[int, ...]) -> Root:
-        wc = weight_coords(simple)
-        return Root(simple, wc, sum(c * d[j] * wc[j] for j, c in enumerate(simple)))
-
-    # Root-string closure over positive roots, by increasing height.
+    # Root-string closure over positive roots, by increasing height:
+    # simple coordinates -> weight coordinates.
+    columns = tuple(zip(*rows))
     simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    known: set[tuple[int, ...]] = set(simples)
-    frontier = list(simples)
+    known: dict[tuple[int, ...], Weight] = dict(zip(simples, columns))
+    frontier = list(known.items())
     while frontier:
         nxt = []
-        for beta in frontier:
+        for beta, wc in frontier:
             for i in range(n):
-                pair = sum(rows[i][j] * beta[j] for j in range(n))
-                down = list(beta)
-                p = 0
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in known:
-                        p += 1
-                    else:
+                # The alpha_i-string through beta reaches p steps down and
+                # p - <beta, alpha_i^v> steps up.
+                p, down = 0, beta
+                while down[i]:
+                    down = down[:i] + (down[i] - 1,) + down[i + 1 :]
+                    if down not in known:
                         break
-                if p - pair > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    up = tuple(up)
+                    p += 1
+                if p > wc[i]:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
                     if up not in known:
-                        known.add(up)
-                        nxt.append(up)
+                        known[up] = wadd(wc, columns[i])
+                        nxt.append((up, known[up]))
         frontier = nxt
         if len(known) > 10_000:
             raise RootSystemError("root closure does not terminate")
     positive = tuple(
-        make_root(c) for c in sorted(known, key=lambda c: (sum(c), c))
+        make_root(c, known[c]) for c in sorted(known, key=lambda c: (sum(c), c))
     )
-    simple_roots = tuple(make_root(c) for c in simples)
+    simple_roots = tuple(make_root(c, wc) for c, wc in zip(simples, columns))
 
     coroots: dict[tuple[int, ...], tuple[int, ...]] = {}
     for root in positive:

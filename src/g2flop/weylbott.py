@@ -3,14 +3,16 @@
 Each root system has one compiled kernel, its Bott kernel
 (``compile_pairings``), which takes a weight lam to the coroot pairings of
 lam+rho and their signs in one straight-line call.  The kernel, the coroot
-table and the chamber table are this module's, built from the root data on
-the system's first weight (see ``_BOTT``).  Bott runs through one uncached
-function, ``_dominant_image``: the signs name the weight's chamber, the
-dominance walk runs once per Weyl chamber, and every weight's image is
-checked.  A Weyl element is its reduced word, a tuple of simple indices with
-the leftmost factor first.  ``line_cohomology`` caches its profile per
-weight, built from ``_dominant_image``'s answer, and every singular weight
-gets one shared zero profile.  ``dot_normalize`` is the same function behind
+table, the slot maps of the simple reflections and the chamber table are
+this module's, built from the root data on the system's first weight (see
+``_BOTT``).  Bott runs through one uncached function, ``_dominant_image``:
+the signs name the weight's chamber, the dominance walk runs once per Weyl
+chamber, its image is checked against the one the slot maps give, and
+every weight's image is checked.  A Weyl element is its reduced word, a
+tuple of simple indices with the leftmost factor first.
+``line_cohomology`` caches its profile per weight, built from
+``_dominant_image``'s answer, and every singular weight gets one shared
+zero profile.  ``dot_normalize`` is the same function behind
 a cache of its own, read only by tests and the benchmark's tracer.
 ``weyl_dim`` multiplies the same kernel's pairings, and a pairing with a
 simple coroot is read as a coordinate of the weight.
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional
 
 from .rootdata import IntegrityError, RootSystem, RootSystemError, Value, Weight, wneg
@@ -146,61 +149,88 @@ def compile_pairings(rs: RootSystem) -> BottKernel:
 
 
 #: One entry per root system that has met a weight, read through ``_bott``:
-#: its Bott kernel, its coroot table and its chamber table.  They are built
-#: on the first weight, not by ``build_root_system``: compiling costs about
-#: a third of an F4 build, and many systems are built only to be counted.
+#: its Bott kernel, its coroot table, its slot maps and its chamber table.
+#: They are built on the first weight, not by ``build_root_system``:
+#: compiling costs about a third of an F4 build, and many systems are built
+#: only to be counted.
 #:
-#: The coroot table maps every coroot, positive and negative, to
+#: The coroot table maps every coroot, positive and negative, to its slot
 #: ``(k, e)``: it is e times the coroot of the k-th positive root.
+#:
+#: The slot maps are one dict per simple reflection s_j, taking the slot of
+#: every coroot gamma to the slot of s_j(gamma) = gamma - <alpha_j, gamma>
+#: alpha_j^v; see ``_slot_maps``.
 #:
 #: The chamber table has one entry per Weyl chamber met so far:
 #: signs -> (w, len(w), slots), w a reduced word, where signs[k] says
 #: whether mu = lam+rho pairs negatively with the k-th positive coroot, as
 #: the kernel returns it.  The signs fix the chamber of a regular mu and so
 #: the one Weyl element w taking mu into the dominant chamber (Humphreys,
-#: *Reflection Groups and Coxeter Groups*, section 1.12).  Row i of w's
-#: matrix is w^-1 alpha_i^v, which is plus or minus a positive coroot:
-#: slots[i] is its ``(k, e)`` in the coroot table, so the i-th coordinate of
-#: w(mu) is e times the k-th coroot pairing of mu.
-_BOTT: dict[RootSystem, tuple[BottKernel, dict, dict]] = {}
+#: *Reflection Groups and Coxeter Groups*, section 1.12).  The i-th
+#: coordinate of w(mu) is <mu, w^-1 alpha_i^v>, and w^-1 alpha_i^v is plus
+#: or minus a positive coroot: slots[i] is its ``(k, e)``, so that
+#: coordinate is e times the k-th coroot pairing of mu.
+_BOTT: dict[RootSystem, tuple[BottKernel, dict, tuple[dict, ...], dict]] = {}
 
 
-def _bott(rs: RootSystem) -> tuple[BottKernel, dict, dict]:
-    """``(kernel, coroot table, chambers)`` of ``rs``, built on its first call."""
+def _bott(rs: RootSystem) -> tuple[BottKernel, dict, tuple[dict, ...], dict]:
+    """``(kernel, coroot table, slot maps, chambers)`` of ``rs``, built on
+    its first call; nothing is stored when a slot map cannot be built."""
     entry = _BOTT.get(rs)
     if entry is None:
-        table = {}
-        for k, root in enumerate(rs.positive_roots):
-            coroot = rs.coroots[root.simple_coords]
-            table[coroot], table[wneg(coroot)] = (k, 1), (k, -1)
-        entry = _BOTT[rs] = (compile_pairings(rs), table, {})
+        table = _coroot_table(rs)
+        entry = (compile_pairings(rs), table, _slot_maps(rs, table), {})
+        _BOTT[rs] = entry
     return entry
+
+
+def _coroot_table(rs: RootSystem) -> dict[Weight, tuple[int, int]]:
+    """Every coroot, positive and negative, mapped to its slot ``(k, e)``."""
+    table = {}
+    for k, root in enumerate(rs.positive_roots):
+        coroot = rs.coroots[root.simple_coords]
+        table[coroot], table[wneg(coroot)] = (k, 1), (k, -1)
+    return table
+
+
+def _slot_maps(rs: RootSystem, table: dict) -> tuple[dict, ...]:
+    """One map per simple reflection s_j: slot of gamma -> slot of s_j(gamma).
+
+    <alpha_j, gamma> is the dot product of alpha_j's weight coordinates with
+    gamma's coordinates in the simple coroots, and s_j changes only the j-th
+    of those.  An image that the coroot table cannot place raises
+    ``IntegrityError``.
+    """
+    maps = []
+    for j, alpha in enumerate(rs.simple_roots):
+        image = {}
+        for coroot, slot in table.items():
+            moved = list(coroot)
+            moved[j] -= sum(map(mul, alpha.weight_coords, coroot))
+            target = table.get(tuple(moved))
+            if target is None:
+                raise IntegrityError(
+                    f"s_{j} sends the coroot {coroot} to {tuple(moved)}, "
+                    "which is not a coroot"
+                )
+            image[slot] = target
+        maps.append(image)
+    return tuple(maps)
 
 
 def _chamber_slots(rs: RootSystem, w: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """``(k, e)`` per simple i with w^-1 alpha_i^v = e beta_k^v.
 
-    The rows of w's matrix are built in one pass over the word: the matrix
-    starts as the identity and each letter j, last to first, multiplies it
-    on the left by s_j, which subtracts alpha_j[r] times row j from row r.
-    Each row is then looked up in the coroot table; one that is not plus or
-    minus a positive coroot raises ``IntegrityError``.
+    w^-1 applies w's letters first to last, so each alpha_i^v starts at its
+    slot in the coroot table and goes through the slot map of each letter in
+    turn: len(w) lookups per simple coroot and no matrix arithmetic.
     """
+    _, table, maps, _ = _bott(rs)
     n = rs.rank
-    rows = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
-    for j in reversed(w):
-        pivot = rows[j]
-        rows = [
-            tuple([x - a * y for x, y in zip(row, pivot)])
-            for row, a in zip(rows, rs.simple_roots[j].weight_coords)
-        ]
-    table = _bott(rs)[1]
-    slots = []
-    for row in rows:
-        slot = table.get(row)
-        if slot is None:
-            raise IntegrityError(f"row {row} of the matrix of {w} is not a coroot")
-        slots.append(slot)
+    slots = [table[tuple([int(i == j) for j in range(n)])] for i in range(n)]
+    for j in w:
+        image = maps[j]
+        slots = [image[slot] for slot in slots]
     return tuple(slots)
 
 
@@ -216,26 +246,35 @@ def _dominant_image(
     or not.  The signs key the system's chamber table.
 
     A regular mu runs the dominance walk only on the first weight of its
-    chamber: the walk's word must have one letter per negative pairing, or
-    ``IntegrityError`` is raised, and the word is stored with its length
-    and slots (see ``_BOTT``).  Every weight, the first included, then
-    reads its image from its own pairings, nu_i = e_i * pairings[k_i] - 1,
-    the same integers as w's matrix applied to mu, and the image must be
-    strictly dominant, or ``IntegrityError`` is raised.  Only one Weyl
-    element makes a regular weight dominant, so this check verifies the
-    stored entry, and the signs it was found by, in full.
+    chamber.  The walk's word must have one letter per negative pairing,
+    and the walk's image w(mu) must be the image that w's slots read from
+    the pairings (see ``_BOTT``); otherwise ``IntegrityError`` is raised and
+    no chamber is stored.  So a slot map that sends a coroot astray is
+    refused at the first weight of a chamber whose word reads it.  The word
+    is then stored with its length and slots.  Every weight, the first
+    included, reads its image from its own pairings,
+    nu_i = e_i * pairings[k_i] - 1, and the image must be strictly
+    dominant, or ``IntegrityError`` is raised.  Only one Weyl element makes
+    a regular weight dominant, so this check verifies the stored entry, and
+    the signs it was found by, in full.
     """
-    kernel, _, chambers = _bott(rs)
+    kernel, _, _, chambers = _bott(rs)
     found = kernel(lam)
     if found is None:
         return None
     pairings, signs = found
     entry = chambers.get(signs)
     if entry is None:
-        w = rs.to_dominant(tuple([c + 1 for c in lam]))[1]
+        top, w = rs.to_dominant(tuple([c + 1 for c in lam]))
         if len(w) != signs.count(True):
             raise IntegrityError("dot-normal form length mismatch")
-        entry = chambers[signs] = (w, len(w), _chamber_slots(rs, w))
+        slots = _chamber_slots(rs, w)
+        image = tuple([e * pairings[k] for k, e in slots])
+        if image != top:
+            raise IntegrityError(
+                f"the slots of {w} send {lam} + rho to {image}, the walk to {top}"
+            )
+        entry = chambers[signs] = (w, len(w), slots)
     w, length, slots = entry
     nu = tuple([e * pairings[k] - 1 for k, e in slots])
     if nu and min(nu) < 0:

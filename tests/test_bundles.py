@@ -931,6 +931,44 @@ def test_a_product_at_the_spinor_bound_is_answered(monkeypatch):
         totalspace.hom_v(RS, parse_expr("S*S"), parse_expr("S*S"))
 
 
+def test_a_product_past_the_spinor_work_budget_is_refused_before_any_route():
+    # Ten S times U*U is inside the factor bound, but each of its 2047
+    # evaluations expands the other factors: 143 distinct weights.  Only
+    # products of weights are memoized: the factors', which the budget
+    # reads, and those of the two pieces of S that it is built from.
+    assert bundles.MAX_SPINOR_WORK == 250_000
+    forget_memos()
+    e = parse_expr("*".join(["S"] * 10) + "*U*U")
+    refusal = (
+        "a product of 10 S or S' factors on 143 distinct weights needs 2047 "
+        "evaluations of them, 292721 weights in all, more than the 250000 supported"
+    )
+    for _ in range(2):
+        with pytest.raises(BundleError) as err:
+            flag_cohomology(RS, e)
+        assert str(err.value) == refusal
+        with pytest.raises(BundleError) as err:
+            totalspace.hom_v(RS, Line(0, 0), e)
+        assert str(err.value) == refusal
+    assert [memo.cache_info().currsize for memo in MEMOS] == [3, 0, 0, 0]
+
+
+def test_a_product_at_the_spinor_work_budget_is_answered(monkeypatch):
+    # S*S'(h): 7 evaluations on its distinct weights, at a budget of exactly
+    # that, is answered, and refused one below it.
+    e = spinor_product(2)
+    work = 7 * len(bundles.weights(RS, e))
+    monkeypatch.setattr(bundles, "MAX_SPINOR_WORK", work)
+    forget_memos()
+    flag_cohomology(RS, e)
+    assert bundles._evaluate.cache_info().currsize == 7
+    monkeypatch.setattr(bundles, "MAX_SPINOR_WORK", work - 1)
+    forget_memos()
+    with pytest.raises(BundleError, match=f"{work} weights in all, more than the"):
+        flag_cohomology(RS, e)
+    assert bundles._evaluate.cache_info().currsize == 0
+
+
 def test_a_changed_weights_dict_cannot_change_a_later_answer():
     for text in ["U*U", "U*U(h)", "S'(-3H)", "Sym^2 E(1,1)'"]:
         e = parse_expr(text)

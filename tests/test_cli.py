@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -555,6 +556,19 @@ def test_a_spinor_product_past_the_bound_is_a_usage_error(capsys):
     )
 
 
+def test_a_spinor_product_past_the_work_budget_is_a_usage_error(capsys):
+    # Inside the factor bound, but each of the 2047 evaluations would expand
+    # E(1,3)*F(3,1) in full: a cold coh took 44 s before the budget.
+    text = "*".join(["S"] * 10) + "*E(1,3)*F(3,1)"
+    code, out, err = run_cli(capsys, "coh", text)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a product of 10 S or S' factors on 226 distinct weights needs "
+        "2047 evaluations of them, 462622 weights in all, more than the 250000 "
+        "supported\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text, position",
     [("O(1,{})", 4), ("O({}h)", 2), ("Sym^{} U", 4)],
@@ -571,6 +585,63 @@ def test_an_integer_past_the_digit_limit_is_an_expression_error(
         "expression error: integer with more than 640 digits "
         f"(at position {position})\n"
     )
+
+
+@pytest.fixture
+def digit_floor():
+    """The interpreter's int/str digit limit at its floor, 640, for one test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+NINES = "9" * 600
+HALF = str(6 * 10**99)
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (["coh", f"O({NINES}h)"], 2),
+        (["coh", "--json", f"U*O({NINES}H)"], 4),
+        (["coh", f"O(h)*Sym^{NINES} U"], 9),
+        (["coh", f"O({HALF}h) * E({HALF},1)"], len(f"O({HALF}h) * E(")),
+        (["coh", f"Sym^3 E({4 * 10**99},1)"], 0),
+        (["homv", "U", f"U'({HALF}H-{HALF}h)"], len(f"U'({HALF}H-")),
+    ],
+    ids=["twist", "json-twist", "sym-power", "sum", "sym-scaled", "homv-target"],
+)
+def test_an_answer_past_the_digit_limit_is_refused_where_it_passes(
+    capsys, digit_floor, argv, position
+):
+    # O(<600 nines>h) has a Weyl dimension of about 3000 digits, which no
+    # digit limit of 640 can print: it is refused as it is parsed, at the
+    # integer, or the Sym, that takes the expression's size past 10^100.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "expression error: weights past 10^100 are not supported "
+        f"(at position {position})\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coh", "O(" + "9" * 100 + "h)"],
+        ["coh", "--json", f"O({HALF}H)*E({10**98},1)"],
+        ["coh", f"Sym^2 E({10**99},1)(-{HALF}H)"],
+        ["homv", "--json", "U*U", f"U'({4 * 10**99}H-{4 * 10**99}h)"],
+    ],
+    ids=["twist", "json-product", "sym-twist", "homv"],
+)
+def test_answers_just_inside_the_weight_bound_print_at_the_digit_limit(
+    capsys, digit_floor, argv
+):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert max(len(d) for d in re.findall(r"\d+", out)) > 400
 
 
 def test_sym_of_sym_chain_is_refused_by_its_rule(capsys):

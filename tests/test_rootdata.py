@@ -49,6 +49,19 @@ E6_CARTAN = [
     [0, 0, 0, 0, -1, 2],
 ]
 
+
+def simply_laced(n, edges):
+    """The Cartan matrix of rank n with -1 on each edge of the Dynkin graph."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        rows[i][j] = rows[j][i] = -1
+    return rows
+
+
+# Bourbaki numbering: the chain 1-3-4-...-n with node 2 on node 4, 0-based.
+E7_CARTAN = simply_laced(7, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)])
+E8_CARTAN = simply_laced(8, [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)])
+
 # Gram matrix of the fundamental weights, computed by hand from the inverse
 # Cartan matrix and the symmetrizer d = (3, 1): (w_i, w_j) = (A^-1)_ij d_i.
 GRAM = ((Fraction(6), Fraction(3)), (Fraction(3), Fraction(2)))
@@ -208,6 +221,85 @@ def test_weyl_order_refuses_disagreeing_root_and_coroot_products(monkeypatch):
     )
     with pytest.raises(IntegrityError, match="differs"):
         build_root_system(rootdata.G2_CARTAN)
+
+
+def reference_closure(cartan):
+    """Positive roots as ``(simple coords, weight coords)`` by height, then
+    coordinates: the root-string closure with every pairing summed afresh
+    from the Cartan matrix, the reference for the build's carried weight
+    coordinates."""
+    n = len(cartan)
+
+    def weight_coords(simple):
+        return tuple(sum(cartan[r][j] * simple[j] for j in range(n)) for r in range(n))
+
+    simples = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    known = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i in range(n):
+                pair = sum(cartan[i][j] * beta[j] for j in range(n))
+                down = list(beta)
+                p = 0
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in known:
+                        break
+                    p += 1
+                up = beta[:i] + (beta[i] + 1,) + beta[i + 1 :]
+                if p - pair > 0 and up not in known:
+                    known.add(up)
+                    nxt.append(up)
+        frontier = nxt
+    ordered = sorted(known, key=lambda c: (sum(c), c))
+    return [(c, weight_coords(c)) for c in ordered], [weight_coords(c) for c in simples]
+
+
+#: Every Cartan matrix the tests build, by name.
+ALL_CARTANS = {
+    "A1": [[2]],
+    "A1xA1": [[2, 0], [0, 2]],
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "C2": [[2, -2], [-1, 2]],
+    "G2": rootdata.G2_CARTAN,
+    "G2 flipped": ((2, -3), (-1, 2)),
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "G2xA1": ((2, -1, 0), (-3, 2, 0), (0, 0, 2)),
+    "A1xG2": ((2, 0, 0), (0, 2, -1), (0, -3, 2)),
+    "E6": E6_CARTAN,
+    "E7": E7_CARTAN,
+    "E8": E8_CARTAN,
+}
+
+
+def test_the_build_matches_the_reference_closure(monkeypatch):
+    # The same roots in the same order, with the same weight coordinates,
+    # for every Cartan matrix of the tests and of the benchmark.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    cartans = dict(ALL_CARTANS, **importlib.import_module("worker").CARTAN)
+    for name, cartan in cartans.items():
+        rs = build_root_system(cartan)
+        positive, simple = reference_closure(cartan)
+        got = [(r.simple_coords, r.weight_coords) for r in rs.positive_roots]
+        assert got == positive, name
+        assert [r.weight_coords for r in rs.simple_roots] == simple, name
+        assert [r.height for r in rs.simple_roots] == [1] * rs.rank, name
+        assert all(type(c) is tuple for pair in got for c in pair), name
+
+
+@pytest.mark.parametrize(
+    "cartan, n_roots, order",
+    [(E7_CARTAN, 63, 2903040), (E8_CARTAN, 120, 696729600)],
+    ids=["E7", "E8"],
+)
+def test_e7_and_e8_build(cartan, n_roots, order):
+    rs = build_root_system(cartan)
+    assert (len(rs.positive_roots), rs.weyl_order) == (n_roots, order)
+    assert len(rs.longest_element) == n_roots
+    assert rs.weyl_denominator == prod(rs.coroot_pairings(rs.rho))
 
 
 @pytest.mark.parametrize(

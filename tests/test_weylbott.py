@@ -32,7 +32,7 @@ from g2flop.weylbott import (
     parabolic_cohomology,
     weyl_dim,
 )
-from tests.test_rootdata import E6_CARTAN
+from tests.test_rootdata import E6_CARTAN, E7_CARTAN, E8_CARTAN
 from tests.test_weyl_oracle import apply_word, word_matrix
 
 RS = g2()
@@ -157,7 +157,7 @@ SLOT_BOXES = dict(CHAMBER_BOXES, E6=(E6_CARTAN, 2))
 
 
 def _chambers_of(rs):
-    return weylbott._bott(rs)[2]
+    return weylbott._bott(rs)[3]
 
 
 @pytest.mark.parametrize("name", sorted(CHAMBER_BOXES))
@@ -226,16 +226,61 @@ def test_a_flipped_slot_sign_is_refused():
         line_cohomology(rs, _same_chamber(rs, key, (-2, 3))[0])
 
 
-def test_a_row_missing_from_the_coroot_table_is_refused():
+def test_a_row_missing_from_the_coroot_table_is_refused(monkeypatch):
     # Negative control: s_0 sends alpha_0^v to its negative, so a coroot
-    # table without that negative coroot cannot place the first row of s_0's
-    # matrix, and the chamber miss raises instead of storing an entry.
+    # table without that negative coroot cannot complete the slot map of
+    # s_0.  The system's first weight raises while the maps are built, and
+    # nothing is stored for it: no kernel entry, so no chamber.
+    def without_minus_alpha_0(rs):
+        table = build_table(rs)
+        del table[wneg(rs.coroots[rs.simple_roots[0].simple_coords])]
+        return table
+
+    build_table = weylbott._coroot_table
+    monkeypatch.setattr(weylbott, "_coroot_table", without_minus_alpha_0)
     rs = build_root_system(G2_CARTAN)
-    del weylbott._bott(rs)[1][wneg(rs.coroots[rs.simple_roots[0].simple_coords])]
-    message = r"row \(-1, 0\) of the matrix of \(0,\) is not a coroot"
+    message = r"s_0 sends the coroot \(1, 0\) to \(-1, 0\), which is not a coroot"
     with pytest.raises(IntegrityError, match=message):
         line_cohomology(rs, (-2, 3))
-    assert not _chambers_of(rs)
+    assert rs not in weylbott._BOTT
+
+
+def test_a_corrupted_slot_map_entry_is_refused_by_the_walk_image():
+    # Negative control: s_0 sends alpha_1^v to alpha_1^v + 3 alpha_0^v.  A
+    # slot map that sends it to alpha_1^v + alpha_0^v instead gives the
+    # chamber of (-2, 3), whose word is (0,), a wrong second slot; the
+    # walk's image disagrees at that chamber's first weight, on both faces
+    # of the kernel, and no chamber is stored.
+    rs = build_root_system(G2_CARTAN)
+    _, table, maps, chambers = weylbott._bott(rs)
+    assert maps[0][table[(0, 1)]] == table[(3, 1)]
+    maps[0][table[(0, 1)]] = table[(1, 1)]
+    for face in (line_cohomology, dot_normalize):
+        with pytest.raises(IntegrityError, match=r"the slots of \(0,\) send"):
+            face(rs, (-2, 3))
+    assert not chambers
+    assert line_cohomology(rs, (0, 0)).degrees() == (0,)
+
+
+def matrix_row_slots(rs, w):
+    """``(k, e)`` per simple i with w^-1 alpha_i^v = e beta_k^v, from w's
+    matrix: the reference for the slot maps.
+
+    The rows of w's matrix are built in one pass over the word: the matrix
+    starts as the identity and each letter j, last to first, multiplies it
+    on the left by s_j, which subtracts alpha_j[r] times row j from row r.
+    Each row is then looked up in the coroot table.
+    """
+    n = rs.rank
+    rows = [tuple([int(i == j) for j in range(n)]) for i in range(n)]
+    for j in reversed(w):
+        pivot = rows[j]
+        rows = [
+            tuple([x - a * y for x, y in zip(row, pivot)])
+            for row, a in zip(rows, rs.simple_roots[j].weight_coords)
+        ]
+    table = weylbott._bott(rs)[1]
+    return tuple(table[row] for row in rows)
 
 
 @pytest.mark.parametrize("name", sorted(SLOT_BOXES))
@@ -249,12 +294,41 @@ def test_stored_slots_reproduce_the_matrix_rows(name):
         line_cohomology(rs, lam)
     chambers = _chambers_of(rs)
     assert len(chambers) > 1
+    if name == "G2":
+        assert len(chambers) == rs.weyl_order
     positive = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
     for signs, (w, length, slots) in chambers.items():
         assert length == len(w) == signs.count(True)
         assert word_matrix(rs, w) == tuple(
             tuple(e * c for c in positive[k]) for k, e in slots
         )
+        assert slots == weylbott._chamber_slots(rs, w) == matrix_row_slots(rs, w)
+
+
+@pytest.mark.parametrize(
+    "cartan, seed", [(E7_CARTAN, 7), (E8_CARTAN, 8)], ids=["E7", "E8"]
+)
+def test_bott_on_e7_and_e8_agrees_with_a_walk_per_weight(cartan, seed):
+    # A seeded sample of weights, nearly each in a chamber of its own: every
+    # regular one takes the walk and the slot maps, and must give what a
+    # direct dominance walk gives.
+    rs = build_root_system(cartan)
+    rng = random.Random(seed)
+    regular = 0
+    for _ in range(500):
+        lam = tuple(rng.randint(-40, 40) for _ in range(rs.rank))
+        mu = tuple(c + 1 for c in lam)
+        out = dot_normalize(rs, lam)
+        if 0 in rs.coroot_pairings(mu):
+            assert out is None and line_cohomology(rs, lam).is_zero
+            continue
+        regular += 1
+        top, w = rs.to_dominant(mu)
+        nu = tuple(c - 1 for c in top)
+        assert out == (w, len(w), nu)
+        assert line_cohomology(rs, lam) == CohomologyProfile(((len(w), nu, 1),))
+    assert regular >= 250
+    assert len(_chambers_of(rs)) >= 250
 
 
 def _benchmark_cartans():
