@@ -27,15 +27,21 @@ power; one decoder, ``_levi_string``, reads a factor's Levi string and holds
 every other refusal of a factor.
 
 Evaluation offers three exact routes.  Route A filters any expression by
-its line-bundle weights and applies per-weight Bott under the degree-gap
-determinacy rule.  Route B applies to one-sided expressions (all non-line
-atoms from a single parabolic): the non-line part is decomposed into
-irreducibles by rank-1 Clebsch-Gordan, the fiber-direction twist is pushed
-down the relevant P1-fibration exactly (Sym / zero / Sym-twist-by-det,
-according to the twist degree), and parabolic Bott finishes the job with no
-spectral ambiguity.  The extension route resolves expressions containing the
-opaque extension S through its two-piece filtration.  Every route that
-determines an answer is cross-checked against the others.
+its line-bundle weights and applies per-weight Bott.  Route B applies to
+one-sided expressions (all non-line atoms from a single parabolic): the
+non-line part is decomposed into irreducibles by rank-1 Clebsch-Gordan, the
+fiber-direction twist is pushed down the relevant P1-fibration exactly (Sym /
+zero / Sym-twist-by-det, according to the twist degree), and parabolic Bott
+finishes the job with no spectral ambiguity.  The extension route resolves
+expressions containing the opaque extension S through its two-piece
+filtration.  Route A and the extension route share one judge,
+``weylbott.combine_pieces``: every differential, and the connecting map of
+S, whose extension class is G-invariant, raises the degree by exactly 1 and
+is a map of G-modules, so by Schur's lemma only an equal label in adjacent
+degrees of two different copies can cancel, and otherwise the union of the
+pieces is the answer.  ``totalspace.hom_v`` needs no judge: its Koszul terms
+split.  Every route that determines an answer is cross-checked against the
+others.
 
 ``flag_cohomology`` answers each ``(root system, expression)`` once: equal
 expressions share one memoized result, in a cache that is unbounded like the

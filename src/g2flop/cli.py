@@ -26,6 +26,17 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
+#: The integer arguments of dim and hilbert stay below 10^MAX_ARGUMENT_DIGITS,
+#: so that every answer prints under the 640-digit floor of the interpreter's
+#: limit, as ``bundles.MAX_WEIGHT`` bounds an expression's weights.  A Weyl
+#: dimension is a product of six pairings, each at most a few times the
+#: largest coordinate, and a Cox or GIT sum adds up to trunc+1 of them along
+#: a diagonal whose coordinates stay below twice the largest argument.  So an
+#: answer is below 64 * 10^(7 * 90), 633 digits; ``main`` refuses the first
+#: argument past the bound.
+MAX_ARGUMENT_DIGITS = 90
+MAX_ARGUMENT = 10**MAX_ARGUMENT_DIGITS
+
 
 def _profile_json(rs: RootSystem, profile: CohomologyProfile) -> list[dict]:
     return [
@@ -121,12 +132,12 @@ def cmd_coh(args, rs: RootSystem) -> int:
                 f"degree {d}: dim {n}" for d, n in sorted(dims.items())
             ) + ")"
     else:
-        pieces = [
-            f"{w}: {format_profile(p)}"
-            for w, p, m in res.e1
-            if not p.is_zero
-            for _ in range(m)
-        ]
+        # One entry per distinct weight, its profile scaled by its multiplicity.
+        pieces = []
+        for w, p, m in res.e1:
+            if not p.is_zero:
+                scaled = CohomologyProfile.of((d, hw, k * m) for d, hw, k in p.entries)
+                pieces.append(f"{w}: {format_profile(scaled)}")
         text = "indeterminate; E1 page: " + "; ".join(pieces)
     payload = {}
     # Text mode never prints the payload, so only --json builds it.
@@ -326,6 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if type(value) is int and abs(value) >= MAX_ARGUMENT:
+            print(
+                f"error: integers past 10^{MAX_ARGUMENT_DIGITS} are not supported "
+                f"(argument {name.replace('_', '-')})",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     try:
         return args.func(args, g2())
     except ParseError as err:

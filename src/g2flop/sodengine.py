@@ -461,11 +461,12 @@ def seed_state(rs: RootSystem) -> tuple[tuple[Block, ...], tuple[Certificate, ..
     return SEED_OBJECTS + ("Phi+",), certs
 
 
-def _states_match(rs: RootSystem, state: tuple[Block, ...]) -> Optional[str]:
+def _states_match(state: tuple[Block, ...]) -> Optional[str]:
     """Compare the final state against the mirror-side pattern.
 
-    Objects are compared as exact weight multisets; the trailing block must
-    be a subcategory in both patterns.
+    Objects are compared as expressions, each its own normal form, so an
+    object with the right weights but the wrong shape, such as S'(-h) for S,
+    is a mismatch; the trailing block must be a subcategory in both patterns.
     """
     if len(state) != len(TARGET_OBJECTS) + 1:
         return f"expected {len(TARGET_OBJECTS) + 1} blocks, found {len(state)}"
@@ -473,7 +474,7 @@ def _states_match(rs: RootSystem, state: tuple[Block, ...]) -> Optional[str]:
         block = state[k]
         if isinstance(block, str):
             return f"block {k} should be an object, found <{block}>"
-        if k_class(rs, block) != k_class(rs, target):
+        if block != target:
             return (
                 f"block {k} is {format_expr(block)} but the mirror pattern has "
                 f"{format_expr(target)}"
@@ -531,4 +532,4 @@ def replay_mutation_script(
         steps.append(
             StepReport(index, description, move_names, tuple(collected), render(state), True)
         )
-    return ReplayReport(tuple(steps), _states_match(rs, state))
+    return ReplayReport(tuple(steps), _states_match(state))

@@ -14,12 +14,16 @@ B the graded hom(i_*A, i_*B) is assembled from
     p1 = H^*(F, A' ⊗ B ⊗ O(-H-h))  shifted up by one (from pi^*(A ⊗ N^∨),
                                    which the resolution puts in degree -1),
 
-combined under the same degree-gap determinacy rule as filtrations (the
-connecting differential is never computed; gaps >= 2 make it irrelevant).
-No check pins this [0, 1] placement yet.  hom(U'(-h), U) = k[-1] does not:
-it comes wholly from the native term, and with the twisted term shifted down
-instead, check-all and the replay still pass.  Only recorded answers tell the
-two placements apart.
+and the two terms split.  Applying RHom_V(-, i_*B) to the resolution gives
+a triangle whose map RHom_F(A, B) -> RHom_F(A ⊗ N^∨, B) is multiplication
+by the tautological section on the zero section, where it vanishes.  So the
+triangle splits: hom_v is determined exactly when both terms are, and its
+profile is their plain union, p1 one degree up, with no judge.  The rule
+holds on V = Tot(N) only; the filtration and extension routes on F judge
+their pieces by ``combine_pieces``.  The test
+``test_the_twisted_koszul_term_sits_one_degree_up`` pins the [0, 1]
+placement: hom(O, O(-H-h)) = k[-7], where a twisted term shifted down would
+give k[-5].
 
 ``hom_v`` answers each ``(root system, A' ⊗ B)`` once: pairs with equal
 A' ⊗ B share one memoized result, in a cache that is unbounded like the Bott
@@ -46,7 +50,7 @@ from .bundles import (
     flag_cohomology,
 )
 from .rootdata import RootSystem, Value, Weight, wadd, wneg
-from .weylbott import CohomologyProfile, combine_pieces
+from .weylbott import CohomologyProfile
 
 #: the normal bundle of the zero section, N = O(-H-h), which twists the
 #: Koszul term; it equals omega_V = omega_F - N only because omega_F = 2N
@@ -92,7 +96,9 @@ def _hom_v(
     )
     profile = None
     if r0.determined and r1.determined:
-        profile = combine_pieces([(r0.profile, 1), (r1.profile.shift(1), 1)])
+        # The Koszul map is zero, so the two terms split: a plain union.
+        twisted = tuple([(d + 1, hw, m) for d, hw, m in r1.profile.entries])
+        profile = CohomologyProfile.of(r0.profile.entries + twisted)
     return HomVResult(profile is not None, profile, r0, r1, chi)
 
 

@@ -77,9 +77,6 @@ class CohomologyProfile(Value):
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({d for d, _, _ in self.entries}))
 
-    def shift(self, by: int) -> "CohomologyProfile":
-        return CohomologyProfile.of((d + by, hw, m) for d, hw, m in self.entries)
-
     def dimensions(self, rs: RootSystem) -> dict[int, int]:
         dims: dict[int, int] = {}
         for d, hw, m in self.entries:
@@ -327,27 +324,34 @@ def combine_pieces(
 ) -> Optional[CohomologyProfile]:
     """Union of exact piece profiles, or None when it is indeterminate.
 
-    Each entry ``(profile, m)`` stands for m equal pieces.  Determined iff
-    (a) all pieces vanish, giving the shared zero profile, (b) exactly one
-    piece is nonzero, which is returned itself, or (c) the occupied degrees
-    of distinct nonzero pieces are pairwise separated by at least 2.  So a
-    nonzero entry with m >= 2, whose copies share their degrees, is
-    indeterminate, exactly as its m copies would be.
+    Each entry ``(profile, m)`` stands for m equal copies of a piece: the E1
+    pieces of a weight filtration, or the sub and quotient of ``S``.  Every
+    differential of the spectral sequence, and the connecting map of the
+    extension, raises the degree by exactly 1 and is a map of G-modules, so
+    by Schur's lemma an entry (d, lam) can only meet an entry (d+1, lam) of
+    a different copy.  The union, each profile scaled by its m, is therefore
+    the answer unless two different copies hold (d, lam) and (d+1, lam) for
+    some d and lam; copies in one degree, and different labels in adjacent
+    degrees, never meet.  All pieces zero give the shared zero profile, and
+    a single nonzero piece with m = 1 is returned itself.
     """
     nonzero = [(p, m) for p, m in pieces if p.entries]
     if not nonzero:
         return _ZERO
     if len(nonzero) == 1 and nonzero[0][1] == 1:
         return nonzero[0][0]
+    # (d, lam) -> the index of the one copy holding it, or -1 for two or more.
+    owner: dict[tuple[int, Weight], int] = {}
     for i, (p, m) in enumerate(nonzero):
-        if m > 1:
+        for d, hw, _ in p.entries:
+            owner[d, hw] = i if m == 1 and owner.get((d, hw), i) == i else -1
+    for (d, hw), i in owner.items():
+        j = owner.get((d + 1, hw))
+        if j is not None and (j != i or i < 0):
             return None
-        for q, _ in nonzero[i + 1 :]:
-            for d1 in p.degrees():
-                for d2 in q.degrees():
-                    if abs(d1 - d2) < 2:
-                        return None
-    return CohomologyProfile.of(e for p, _ in nonzero for e in p.entries)
+    return CohomologyProfile.of(
+        (d, hw, k * m) for p, m in nonzero for d, hw, k in p.entries
+    )
 
 
 #: An E1 piece: a filtration weight, its Bott profile, its multiplicity.
@@ -363,10 +367,12 @@ def filtered_cohomology(
     ``weights`` maps each line-bundle weight to its positive multiplicity, in
     filtration order of first occurrence, as ``bundles.weights`` returns it.
     ``pieces`` is the E1 page, one piece per distinct weight from one Bott
-    call each.  ``combine_pieces`` judges them: the profile is determined
-    when the spectral sequence cannot connect any two of the pieces it
-    stands for (their nonzero degrees are pairwise >= 2 apart), so the union
-    is the answer; a repeated nonzero weight is still indeterminate.
+    call each.  ``combine_pieces`` judges them.  The filtration is by
+    B-submodules, so each differential of its spectral sequence is a map of
+    G-modules raising the degree by 1: the union of the pieces, each scaled
+    by its multiplicity, is the answer unless two different copies hold an
+    equal label in adjacent degrees.  Copies in one degree, and different
+    labels in adjacent degrees, never meet.
     """
     if not weights:
         raise ValueError("empty weight filtration is disallowed")

@@ -146,14 +146,15 @@ def test_a_rank_one_atom_is_its_line():
 
 def test_a_rank_one_atom_adds_no_side_to_a_product():
     # A rank-1 atom beside an atom of the other parabolic leaves the product
-    # one-sided, so route B settles what the filtration cannot, as it does
-    # for the line spelling.
+    # one-sided, so route B applies and gives the answer, as it does for the
+    # line spelling.
     for text, line, answer in [
         ("F(0,-2)*E(0,1)(-3H-3h)", "O(-2h)*E(0,1)(-3H-3h)", "V(0,4)[-6] + V(1,2)[-6]"),
         ("E(-2,0)*F(1,0)(-3H-3h)", "O(-2H)*F(1,0)(-3H-3h)", "V(3,0)[-5] + V(2,1)[-6]"),
     ]:
         res = flag_cohomology(RS, parse_expr(text))
-        assert res.determined and res.route == "parabolic"
+        assert res.determined
+        assert route_b_cohomology(RS, parse_expr(text)) == res.profile
         assert format_profile(res.profile) == answer
         assert res == flag_cohomology(RS, parse_expr(line))
 
@@ -656,6 +657,21 @@ def test_only_the_extension_route_settles_s_dual_minus_h():
     )
 
 
+def test_the_filtration_settles_s_dual_twisted_by_minus_2h_plus_3h():
+    # The E1 page of S'(-2H+3h) has two nonzero pieces, k[-1] and
+    # V(0,1)[-1], both in degree 1: no differential joins one degree to
+    # itself.  The extension route gives the same answer.
+    e = parse_expr("S'(-2H+3h)")
+    res = flag_cohomology(RS, e)
+    assert (res.determined, format_profile(res.profile), res.route) == (
+        True,
+        "k[-1] + V(0,1)[-1]",
+        "filtration",
+    )
+    assert bundles._extension_cohomology(RS, e) == res.profile
+    assert res.profile.euler(RS) == euler_characteristic(RS, weights(RS, e)) == -8
+
+
 def corrupt_extension_quotient(monkeypatch):
     """Shift the extension route's quotient piece of S'(-3H), U(-3H+h), up
     by one degree, and forget memoized answers so the route really runs."""
@@ -666,7 +682,8 @@ def corrupt_extension_quotient(monkeypatch):
         res = real(rs, e)
         if e != quotient:
             return res
-        return bundles.CohResult(True, res.profile.shift(1), res.e1, res.route)
+        shifted = CohomologyProfile.of((d + 1, hw, m) for d, hw, m in res.profile.entries)
+        return bundles.CohResult(True, shifted, res.e1, res.route)
 
     monkeypatch.setattr(bundles, "flag_cohomology", corrupted)
     bundles._evaluate.cache_clear()

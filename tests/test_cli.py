@@ -22,12 +22,13 @@ from g2flop.bundles import (
     flag_cohomology,
     format_expr,
     parse_expr,
+    weights,
 )
 from g2flop.cli import main
 from g2flop.coxring import MAX_TABLE_DEGREE
 from g2flop.rootdata import g2
 from g2flop.totalspace import hom_v
-from g2flop.weylbott import CohomologyProfile
+from g2flop.weylbott import CohomologyProfile, euler_characteristic
 from tests.test_bundles import forget_memos
 
 
@@ -86,9 +87,10 @@ def test_coh_indeterminate_is_reported_not_failed(capsys):
 
 
 def test_coh_indeterminate_e1_listing_groups_equal_weights(capsys):
-    # One entry per filtration weight, equal weights adjacent at their first
-    # occurrence: S*U(h) has (0, 0) twice, from U*U(h) and from U'(-h)*U(h).
-    e1 = ["(-2, 3): k[-1]", "(0, 0): k", "(0, 0): k", "(1, -2): k[-1]"]
+    # One entry per distinct filtration weight, its profile scaled by its
+    # multiplicity: S*U(h) has (0, 0) twice, from U*U(h) and from
+    # U'(-h)*U(h).  Its k^2 meets the k[-1] of (-2, 3), so it stays open.
+    e1 = ["(-2, 3): k[-1]", "(0, 0): k^2", "(1, -2): k[-1]"]
     code, out, _ = run_cli(capsys, "coh", "S*U(h)")
     assert code == 0
     assert out == "indeterminate; E1 page: " + "; ".join(e1) + "\n"
@@ -162,18 +164,19 @@ def test_coh_settled_by_the_extension_route_only(capsys):
 
 
 def test_homv_with_adjacent_determined_terms_is_indeterminate(capsys):
-    # Both Koszul terms are determined, k[-6] and V(1,1)[-6]; shifted by one,
-    # the twisted term sits next to the native one, so the connecting map
-    # could cancel them.
+    # Both Koszul terms are determined, k[-6] and V(1,1)[-6].  The Koszul map
+    # vanishes, so the twisted term sits one degree up beside the native one
+    # and nothing cancels: the pair is settled, whatever the name says.
+    code, out, _ = run_cli(capsys, "homv", "O", "O(-2H-2h)")
+    assert (code, out) == (0, "k[-6] + V(1,1)[-7]\n")
     code, out, _ = run_cli(capsys, "homv", "O", "O(-2H-2h)", "--json")
     payload = json.loads(out)
     assert code == 0
-    assert payload["status"] == "indeterminate"
-    assert (payload["native_term"], payload["twisted_term"], payload["euler"]) == (
-        "k[-6]",
-        "V(1,1)[-6]",
-        -63,
-    )
+    assert (payload["status"], payload["euler"]) == ("pass", -63)
+    assert payload["profile"] == [
+        {"degree": 6, "weight": [0, 0], "mult": 1, "dim": 1},
+        {"degree": 7, "weight": [1, 1], "mult": 1, "dim": 64},
+    ]
 
 
 def test_homv(capsys):
@@ -474,12 +477,22 @@ def test_every_pool_query_matches_bench_reference():
             continue
         exprs = [parse_expr(text) for text in texts]
         if command == "coh":
-            got = oracle.encode_coh(flag_cohomology(rs, *exprs))
+            res = flag_cohomology(rs, *exprs)
+            got = oracle.encode_coh(res)
+            # The reference has no Euler tail for coh; check chi here.
+            chi = euler_characteristic(rs, weights(rs, *exprs))
         else:
-            got = oracle.encode_homv(hom_v(rs, *exprs))
+            res = hom_v(rs, *exprs)
+            got = oracle.encode_homv(res)
+            chi = res.euler
+        if res.determined:
+            assert res.profile.euler(rs) == chi, key
         oracle.compare_answer(verdict, key, expected, got)
     assert (verdict.attempted, malformed) == (3436, 120)
     assert verdict.failed == 0, verdict.problems
+    # 687 parseable answers are indeterminate in the reference; the split
+    # Koszul terms and the equal-label, adjacent-degree rule settle 560.
+    assert verdict.newly_determined == 560
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -642,6 +655,62 @@ def test_answers_just_inside_the_weight_bound_print_at_the_digit_limit(
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert max(len(d) for d in re.findall(r"\d+", out)) > 400
+
+
+BOUND = 10**90
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["dim", "0", NINES], "b"),
+        (["dim", str(BOUND), "0", "--json"], "a"),
+        (["dim", f"-{NINES}", "0"], "a"),
+        (["hilbert", "s", NINES, "0"], "k"),
+        (["hilbert", "r", "0", str(-BOUND)], "l"),
+        (["hilbert", "git", "+", NINES], "n"),
+        (["hilbert", "s", "0", "0", "--trunc", NINES], "trunc"),
+        (["hilbert", "r", "0", "0", "--table", "--table-degree", NINES], "table-degree"),
+    ],
+    ids=[
+        "dim",
+        "dim-at-bound",
+        "dim-negative",
+        "hilbert-s",
+        "hilbert-r",
+        "git",
+        "trunc",
+        "table-degree",
+    ],
+)
+def test_an_argument_past_the_bound_is_refused_at_the_digit_limit(
+    capsys, digit_floor, argv, name
+):
+    # dim 0 <600 nines> has a Weyl dimension of about 3000 digits: refused
+    # before anything is computed, naming the argument.
+    assert run_cli(capsys, *argv) == (
+        2,
+        "",
+        f"error: integers past 10^90 are not supported (argument {name})\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, digits",
+    [
+        (["dim", str(BOUND - 1), str(BOUND - 1)], 541),
+        (["hilbert", "s", str(BOUND - 1), str(BOUND - 1), "--trunc", str(BOUND - 1)], 632),
+        (["hilbert", "git", "-", str(BOUND - 1), "--trunc", str(BOUND - 1), "--json"], 631),
+        (["hilbert", "s", "0", "0", "--trunc", str(10**12)], 84),
+    ],
+    ids=["dim", "hilbert-s", "git-json", "long-trunc"],
+)
+def test_arguments_inside_the_bound_print_at_the_digit_limit(
+    capsys, digit_floor, argv, digits
+):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert max(len(d) for d in re.findall(r"\d+", out)) == digits
 
 
 def test_sym_of_sym_chain_is_refused_by_its_rule(capsys):

@@ -559,17 +559,23 @@ def test_no_answer_reads_the_generic_pairings(monkeypatch):
     rs = build_root_system(rootdata.G2_CARTAN)
     assert [r.name for r in run_all(rs) if not r.ok] == []
     reference = oracle.load("queries.json")
-    # Every 17th query: about 200, from each stratum of the pool.
+    # Every 17th query: about 200, from each stratum of the pool, judged as
+    # the benchmark judges them, so an answer the reference left
+    # indeterminate may now be determined.
+    verdict = oracle.Verdict()
     for key, expected in list(reference.items())[::17]:
         kind, *texts = key.split("\t")
         if expected == oracle.PARSE_ERROR:
             continue
+        verdict.start()
         exprs = [parse_expr(t) for t in texts]
         if kind == "coh":
             got = oracle.encode_coh(flag_cohomology(rs, *exprs))
         else:
             got = oracle.encode_homv(hom_v(rs, *exprs))
-        assert got == expected, key
+        oracle.compare_answer(verdict, key, expected, got)
+    assert verdict.attempted > 190
+    assert verdict.failed == 0, verdict.problems
 
 
 @pytest.mark.parametrize(

@@ -383,6 +383,22 @@ def test_skipped_step_mismatch_strings(skipped, mismatch):
     assert report.mismatch == mismatch
 
 
+def test_a_replay_that_supplies_s_dual_minus_h_mismatches_at_block_3(monkeypatch):
+    # S'(-h) has the weights of S, so step 5 supplying it passes every
+    # certificate of the replay; only the final comparison, by expression,
+    # tells the two apart.
+    s_dual_minus_h = Twist(Dual(Spinor()), 0, -1)
+    assert k_class(RS, s_dual_minus_h) == k_class(RS, Spinor())
+    script = tuple(
+        (i, text, (LeftMutateThrough(3, s_dual_minus_h),) if i == 5 else moves)
+        for i, text, moves in sodengine._script()
+    )
+    monkeypatch.setattr(sodengine, "_script", lambda: script)
+    report = replay_mutation_script(RS)
+    assert all(s.ok for s in report.steps) and len(report.steps) == 12
+    assert report.mismatch == "block 3 is S(h)' but the mirror pattern has S"
+
+
 @pytest.mark.parametrize(
     "skipped, halt",
     [

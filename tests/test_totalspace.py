@@ -18,6 +18,7 @@ from g2flop.bundles import (
     Universal,
     flag_cohomology,
     parse_expr,
+    route_b_cohomology,
     weights,
 )
 from g2flop.rootdata import g2
@@ -138,15 +139,66 @@ def test_euler_is_the_signed_bott_sum_of_both_koszul_terms():
         assert hom_v(RS, a, b).euler == chi
 
 
+def shifted_union(native: CohomologyProfile, twisted: CohomologyProfile):
+    """The native term with the twisted term one degree up, built here so
+    that the tests do not read hom_v's own union."""
+    return CohomologyProfile.of(
+        [*native.entries, *((d + 1, hw, m) for d, hw, m in twisted.entries)]
+    )
+
+
 def test_long_product_keeps_one_e1_piece_per_distinct_weight():
     # U^22 has 4,194,304 filtration weights but 23 distinct ones; the E1
-    # page, and chi read off it, must not expand them.
+    # page, and chi read off it, must not expand them.  U'^22(h) is
+    # one-sided, so route B gives both Koszul terms independently.
     a = parse_expr("*".join(["U"] * 22))
     res = hom_v(RS, a, parse_expr("O(h)"))
-    assert not res.determined
-    assert res.euler == 305242308608
+    pair = Tensor(Dual(a), parse_expr("O(h)"))
+    native = route_b_cohomology(RS, pair)
+    twisted = route_b_cohomology(RS, Twist(pair, *NORMAL_BUNDLE_TWIST))
+    assert native.degrees() == twisted.degrees() == (0,)
+    assert res.determined and res.profile == shifted_union(native, twisted)
+    assert res.euler == res.profile.euler(RS) == 305242308608
     assert len(res.p0.e1) == 23
     assert sum(m for _, _, m in res.p0.e1) == 2**22
+
+
+def test_hom_v_splits_the_koszul_terms():
+    # The Koszul map vanishes on the zero section, so hom_v is the plain
+    # union of its terms, the twisted one a degree up, even where an equal
+    # label sits in adjacent degrees of the two: V(2,3) and V(3,1) here.
+    res = hom_v(RS, Spinor(), parse_expr("S*S(3H+3h)"))
+    assert res.p0.determined and res.p1.determined
+    native = {(d, hw) for d, hw, _ in res.p0.profile.entries}
+    meets = sorted(
+        (d, hw) for d, hw, _ in res.p1.profile.entries if (d, hw) in native
+    )
+    assert meets == [(0, (2, 3)), (0, (3, 1))]
+    assert res.determined
+    assert res.profile == shifted_union(res.p0.profile, res.p1.profile)
+    assert res.profile.euler(RS) == res.euler == 143048
+
+
+def test_hom_v_of_two_lines_in_adjacent_degrees_is_their_union():
+    # The native term k[-6] and the twisted term V(1,1)[-6] one degree up.
+    res = hom_v(RS, Line(0, 0), Line(-2, -2))
+    assert (res.p0.profile, res.p1.profile) == (
+        CohomologyProfile(((6, (0, 0), 1),)),
+        CohomologyProfile(((6, (1, 1), 1),)),
+    )
+    assert res.profile == CohomologyProfile(((6, (0, 0), 1), (7, (1, 1), 1)))
+    assert res.profile.euler(RS) == res.euler == -63
+
+
+def test_the_twisted_koszul_term_sits_one_degree_up():
+    # hom_V(O, O(-H-h)) has a zero native term, O(-H-h) being singular, and
+    # the twisted term H^*(O(-2H-2h)) = k[-6].  The resolution puts that
+    # term one degree up, k[-7]; the other placement would give k[-5].
+    res = hom_v(RS, Line(0, 0), Line(-1, -1))
+    assert res.p0.profile.is_zero
+    assert res.p1.profile == CohomologyProfile(((6, (0, 0), 1),))
+    assert res.profile == CohomologyProfile(((7, (0, 0), 1),))
+    assert res.euler == -1
 
 
 def test_hom_with_spinor_resolves_extension():

@@ -591,9 +591,11 @@ def test_filtered_euler_matches_signed_sum():
             assert profile.euler(RS) == chi
 
 
-# combine_pieces on its own.  The indeterminate cases are negative controls: a
-# sharper determinacy rule must still refuse them or say why it need not.
+# combine_pieces on its own, one test per rule.  The indeterminate cases are
+# negative controls: an entry (d, lam) meeting an entry (d+1, lam) of another
+# copy must stay refused.
 K0 = CohomologyProfile(((0, (0, 0), 1),))
+K01 = CohomologyProfile(((0, (0, 0), 1), (1, (0, 0), 1)))
 V1 = CohomologyProfile(((1, (0, 1), 1),))
 V2 = CohomologyProfile(((2, (1, 0), 1),))
 
@@ -609,13 +611,47 @@ def test_combine_pieces_returns_a_single_nonzero_piece_itself():
 
 
 def test_combine_pieces_refuses_a_piece_of_multiplicity_two():
-    assert combine_pieces([(V1, 2)]) is None
-    assert combine_pieces([(CohomologyProfile(()), 1), (K0, 2)]) is None
+    # k + k[-1] taken twice: the k of one copy meets the k[-1] of the other.
+    assert combine_pieces([(K01, 2)]) is None
+    assert combine_pieces([(CohomologyProfile(()), 1), (K01, 2)]) is None
+    # A piece in one degree is only scaled: (V1, 2) is V1 doubled.
+    assert combine_pieces([(V1, 2)]) == CohomologyProfile(((1, (0, 1), 2),))
+
+
+def test_combine_pieces_unites_copies_in_one_degree():
+    # Every differential raises the degree by exactly 1, so copies that
+    # share their degree never meet, whatever their labels.
+    assert combine_pieces([(K0, 1), (K0, 2)]) == CohomologyProfile(((0, (0, 0), 3),))
+    assert combine_pieces([(K0, 2), (V1, 3), (V2, 1)]) == CohomologyProfile(
+        ((0, (0, 0), 2), (1, (0, 1), 3), (2, (1, 0), 1))
+    )
 
 
 def test_combine_pieces_refuses_adjacent_degrees():
-    assert combine_pieces([(K0, 1), (V1, 1)]) is None
-    assert combine_pieces([(V1, 1), (V2, 1)]) is None
+    # Equal labels in adjacent degrees of two copies: k and k[-1] may cancel.
+    k1 = CohomologyProfile(((1, (0, 0), 1),))
+    assert combine_pieces([(K0, 1), (k1, 1)]) is None
+    assert combine_pieces([(k1, 1), (V2, 1), (K0, 1)]) is None
+    assert combine_pieces([(K01, 1), (K0, 1)]) is None
+
+
+def test_combine_pieces_unites_different_labels_in_adjacent_degrees():
+    # The differentials are G-module maps, so by Schur's lemma k cannot meet
+    # V(0,1) one degree up, nor V(0,1) meet V(1,0).
+    assert combine_pieces([(K0, 1), (V1, 1)]) == CohomologyProfile(
+        ((0, (0, 0), 1), (1, (0, 1), 1))
+    )
+    assert combine_pieces([(V1, 1), (V2, 1)]) == CohomologyProfile(
+        ((1, (0, 1), 1), (2, (1, 0), 1))
+    )
+
+
+def test_combine_pieces_lets_one_copy_hold_adjacent_degrees():
+    # A piece's own entries are its exact cohomology: only another copy can
+    # cancel them, and V(1,0)[-2] carries another label.
+    assert combine_pieces([(K01, 1), (V2, 1)]) == CohomologyProfile(
+        ((0, (0, 0), 1), (1, (0, 0), 1), (2, (1, 0), 1))
+    )
 
 
 def test_combine_pieces_unites_degrees_two_apart():
