@@ -514,6 +514,20 @@ def test_text_output_matches_golden(capsys, command, golden):
 
 
 @pytest.mark.parametrize(
+    "command, golden",
+    [("sod-replay", "sod_replay.json"), ("check-all", "check_all.json")],
+)
+def test_json_output_matches_golden(capsys, command, golden):
+    # Serialized as the CLI prints it; check-all's timestamp key is removed.
+    code, out, _ = run_cli(capsys, command, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    if payload.pop("timestamp", None) is not None:
+        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
     "argv, same_as, text",
     [
         (["coh", "*".join(["O"] * 5000)], ["coh", "O"], "k  (degree 0: dim 1)\n"),
