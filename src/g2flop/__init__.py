@@ -7,7 +7,6 @@ from .weylbott import (
     dot_normalize,
     filtered_cohomology,
     line_cohomology,
-    parabolic_cohomology,
     weyl_dim,
 )
 from .bundles import (
@@ -40,7 +39,6 @@ __all__ = [
     "dot_normalize",
     "filtered_cohomology",
     "line_cohomology",
-    "parabolic_cohomology",
     "weyl_dim",
     "BundleExpr",
     "Dual",

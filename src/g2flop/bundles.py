@@ -31,8 +31,11 @@ its line-bundle weights and applies per-weight Bott.  Route B applies to
 one-sided expressions (all non-line atoms from a single parabolic): the
 non-line part is decomposed into irreducibles by rank-1 Clebsch-Gordan, the
 fiber-direction twist is pushed down the relevant P1-fibration exactly (Sym /
-zero / Sym-twist-by-det, according to the twist degree), and parabolic Bott
-finishes the job with no spectral ambiguity.  The extension route resolves
+zero / Sym-twist-by-det, according to the twist degree), and Bott's theorem
+finishes the job with no spectral ambiguity: each summand that
+``levi_tensor`` returns is Levi-dominant, and the irreducible bundle of a
+Levi-dominant highest weight lam on G/P has the cohomology of O(lam) on the
+flag variety, its ``line_cohomology``.  The extension route resolves
 expressions containing the opaque extension S through its two-piece
 filtration.  Route A and the extension route share one judge,
 ``weylbott.combine_pieces``: every differential, and the connecting map of
@@ -80,11 +83,12 @@ from typing import Optional
 
 from .rootdata import IntegrityError, RootSystem, Value, Weight, wadd, wneg, wscale
 from .weylbott import (
+    ZERO,
     CohomologyProfile,
     combine_pieces,
     filtered_cohomology,
     format_profile,
-    parabolic_cohomology,
+    line_cohomology,
 )
 
 
@@ -410,7 +414,7 @@ def _pushforward_profile(
     return [
         (d + shift, w, m)
         for summand in levi_tensor(rs, i, hw, partner)
-        for d, w, m in parabolic_cohomology(rs, i, summand).entries
+        for d, w, m in line_cohomology(rs, summand).entries
     ]
 
 
@@ -423,7 +427,7 @@ def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProf
     if opaque:
         # S-side pullbacks: only the fiber-degree -1 vanishing needs no
         # knowledge of S itself.
-        return CohomologyProfile.zero() if e.twist[i] == -1 else None
+        return ZERO if e.twist[i] == -1 else None
     return CohomologyProfile.of(
         (d, w, m * mult)
         for hw, mult in summands
@@ -474,13 +478,17 @@ def _spinor_split(e: BundleExpr) -> Optional[tuple[BundleExpr, BundleExpr]]:
 class CohResult(Value):
     """Cohomology of a bundle expression on the flag variety.
 
-    ``determined`` results carry the exact profile; indeterminate ones carry
-    the E1 page of the weight filtration.  Both carry ``e1``, one ``(weight,
-    profile, multiplicity)`` entry per distinct filtration weight.  ``route``
-    names the strategy that settled the answer.
+    A determined result carries the exact profile; an indeterminate one has
+    profile None and is read off its E1 page.  Both carry ``e1``, one
+    ``(weight, profile, multiplicity)`` entry per distinct filtration weight.
+    ``route`` names the strategy that settled the answer.
     """
 
-    _fields = ("determined", "profile", "e1", "route")
+    _fields = ("profile", "e1", "route")
+
+    @property
+    def determined(self) -> bool:
+        return self.profile is not None
 
 
 def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
@@ -554,7 +562,7 @@ def _evaluate(
                 f"{settled_by} gave {format_profile(answer)}, "
                 f"{route} gave {format_profile(profile)}"
             )
-    return CohResult(answer is not None, answer, e1, settled_by)
+    return CohResult(answer, e1, settled_by)
 
 
 # --- printing ----------------------------------------------------------------

@@ -15,7 +15,10 @@ for m <= trunc.  Its partial sums are a polynomial of degree at most
 |Phi+|+1 in the truncation, so ``_diagonal_sum`` sums a short series term by
 term and extrapolates a long one exactly, under a finite-difference
 certificate.  ``git_piece_via_parabolic`` stays a term-by-term sum: it is the
-independent route that the Hilbert suite compares against.
+Bott sum, one ``line_cohomology`` section space per term, that the Hilbert
+suite compares the extrapolated pieces against.  It is not independent of
+them: each of its sections is a Weyl module, whose dimension is ``weyl_dim``,
+the same function every term of ``_diagonal_sum`` reads.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from math import comb
 
 from .rootdata import IntegrityError, RootSystem
-from .weylbott import parabolic_cohomology, weyl_dim
+from .weylbott import line_cohomology, weyl_dim
 
 
 #: The largest degree ``hilbert_table`` tabulates: a table has up to
@@ -117,12 +120,14 @@ def git_piece(rs: RootSystem, side: str, n: int, trunc: int) -> int:
 
 
 def git_piece_via_parabolic(rs: RootSystem, side: str, n: int, trunc: int) -> int:
-    """Independent route for the +/- GIT pieces through parabolic Bott.
+    """The +/- GIT pieces as term-by-term Bott sums.
 
     The plus piece is the degree-n part of the Cox ring of the total space of
     the dual rank-2 bundle on the Grassmannian side: sections of the
     irreducible (m+n, m) bundles.  The minus piece mirrors through the quadric
-    side.  Each term enters as a degree-0 parabolic cohomology dimension.
+    side.  Each highest weight is Levi-dominant, so each term is the degree-0
+    dimension of its ``line_cohomology``, and a term with cohomology in any
+    other degree raises ``IntegrityError``.
     """
     if n < 0:
         raise ValueError("GIT piece index must be non-negative")
@@ -130,15 +135,15 @@ def git_piece_via_parabolic(rs: RootSystem, side: str, n: int, trunc: int) -> in
     total = 0
     for m in range(trunc + 1):
         if side == "+":
-            profile = parabolic_cohomology(rs, 1, (m + n, m))
+            profile = line_cohomology(rs, (m + n, m))
         elif side == "-":
-            profile = parabolic_cohomology(rs, 0, (m, m + n))
+            profile = line_cohomology(rs, (m, m + n))
         else:
             raise ValueError("parabolic route exists for sides '+' and '-' only")
         dims = profile.dimensions(rs)
         if set(dims) - {0}:
             raise IntegrityError(
-                f"parabolic Bott put sections in degrees {sorted(dims)}, not only 0"
+                f"Bott put sections in degrees {sorted(dims)}, not only 0"
             )
         total += dims.get(0, 0)
     return total

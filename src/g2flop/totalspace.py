@@ -56,17 +56,19 @@ from .weylbott import CohomologyProfile
 #: Koszul term; it equals omega_V = omega_F - N only because omega_F = 2N
 NORMAL_BUNDLE_TWIST: Weight = (-1, -1)
 
-#: the graded Homs that certificates require: 0, k and k[-1]; an exceptional
-#: object has self-Hom exactly K
-ZERO = CohomologyProfile.zero()
-K = CohomologyProfile(((0, (0, 0), 1),))
-K1 = CohomologyProfile(((1, (0, 0), 1),))
-
 
 class HomVResult(Value):
-    """Graded Hom over the total space between two zero-section bundles."""
+    """Graded Hom over the total space between two zero-section bundles.
 
-    _fields = ("determined", "profile", "p0", "p1", "euler")
+    ``profile`` is None when either Koszul term, ``p0`` or ``p1``, is
+    indeterminate.
+    """
+
+    _fields = ("profile", "p0", "p1", "euler")
+
+    @property
+    def determined(self) -> bool:
+        return self.profile is not None
 
 
 def hom_v(rs: RootSystem, a: BundleExpr, b: BundleExpr) -> HomVResult:
@@ -99,7 +101,7 @@ def _hom_v(
         # The Koszul map is zero, so the two terms split: a plain union.
         twisted = tuple([(d + 1, hw, m) for d, hw, m in r1.profile.entries])
         profile = CohomologyProfile.of(r0.profile.entries + twisted)
-    return HomVResult(profile is not None, profile, r0, r1, chi)
+    return HomVResult(profile, r0, r1, chi)
 
 
 # --- canonical bundles of total spaces ---------------------------------------

@@ -56,10 +56,6 @@ class CohomologyProfile(Value):
     __hash__ = Value.__hash__
 
     @staticmethod
-    def zero() -> "CohomologyProfile":
-        return _ZERO
-
-    @staticmethod
     def of(entries: Iterable[tuple[int, Weight, int]]) -> "CohomologyProfile":
         merged: dict[tuple[int, Weight], int] = {}
         for deg, hw, mult in entries:
@@ -87,7 +83,12 @@ class CohomologyProfile(Value):
         return sum((-1) ** d * n for d, n in self.dimensions(rs).items())
 
 
-_ZERO = CohomologyProfile(())
+#: the graded Homs that certificates require: 0, k and k[-1]; an exceptional
+#: object has self-Hom exactly K, and every singular weight's Bott profile is
+#: the one shared ZERO
+ZERO = CohomologyProfile(())
+K = CohomologyProfile(((0, (0, 0), 1),))
+K1 = CohomologyProfile(((1, (0, 0), 1),))
 
 
 #: What ``compile_pairings`` returns; see there.
@@ -295,7 +296,7 @@ def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
     """
     image = _dominant_image(rs, lam)
     if image is None:
-        return _ZERO
+        return ZERO
     return CohomologyProfile(((image[1], image[2], 1),))
 
 
@@ -337,7 +338,7 @@ def combine_pieces(
     """
     nonzero = [(p, m) for p, m in pieces if p.entries]
     if not nonzero:
-        return _ZERO
+        return ZERO
     if len(nonzero) == 1 and nonzero[0][1] == 1:
         return nonzero[0][0]
     # (d, lam) -> the index of the one copy holding it, or -1 for two or more.
@@ -388,19 +389,6 @@ def euler_characteristic(rs: RootSystem, weights: Mapping[Weight, int]) -> int:
     """Signed Bott dimension sum over a weight multiset, each weight counted
     with its multiplicity; filtration-independent, always exact."""
     return sum(m * line_cohomology(rs, w).euler(rs) for w, m in weights.items())
-
-
-def parabolic_cohomology(rs: RootSystem, i: int, lam: Weight) -> CohomologyProfile:
-    """Bott cohomology of the irreducible equivariant bundle E_lam on G/P,
-    for the parabolic P whose Levi has the one simple root alpha_i.
-
-    Agrees with line_cohomology on the flag variety but enters through the
-    Levi highest weight, so results are certified exact with no filtration
-    ambiguity.  Requires lam to be Levi-dominant: lam[i] >= 0.
-    """
-    if lam[i] < 0:
-        raise ValueError(f"{lam} is not dominant for the Levi root alpha_{i}")
-    return line_cohomology(rs, lam)
 
 
 def format_profile(profile: CohomologyProfile) -> str:

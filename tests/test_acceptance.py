@@ -30,8 +30,9 @@ from g2flop.sodengine import (
     TARGET_OBJECTS,
     replay_mutation_script,
 )
-from g2flop.totalspace import K, hom_v, total_space_canonical
-from g2flop.weylbott import CohomologyProfile, weyl_dim
+from g2flop.totalspace import hom_v, total_space_canonical
+from g2flop.weylbott import K, CohomologyProfile, weyl_dim
+from tests.test_sodengine import replay_skipping
 
 RS = g2()
 
@@ -71,7 +72,7 @@ def test_criterion_2_ext_suite():
     _report(2, "all graded-Hom profiles over the total space exact")
 
 
-def test_criterion_3_replay_and_negative_controls():
+def test_criterion_3_replay_and_negative_controls(monkeypatch):
     started = time.perf_counter()
     report = replay_mutation_script(RS)
     elapsed = time.perf_counter() - started
@@ -89,7 +90,7 @@ def test_criterion_3_replay_and_negative_controls():
     first_bad = [s for s in flipped.steps if not s.ok][0]
     assert first_bad.index == 1  # seed exceptionality is Bott-dependent
 
-    skipped = replay_mutation_script(RS, skip_steps={10})
+    skipped = replay_skipping(monkeypatch, 10)
     assert not skipped.passed and skipped.mismatch is not None
     _report(
         3,

@@ -34,6 +34,7 @@ from g2flop.bundles import (
 from g2flop.rootdata import IntegrityError, Value, g2, wneg
 from g2flop.sodengine import k_class
 from g2flop.weylbott import (
+    ZERO,
     CohomologyProfile,
     combine_pieces,
     euler_characteristic,
@@ -652,7 +653,7 @@ def test_only_the_extension_route_settles_s_dual_minus_h():
     res = flag_cohomology(RS, e)
     assert (res.determined, res.profile, res.route) == (
         True,
-        CohomologyProfile.zero(),
+        ZERO,
         "extension",
     )
 
@@ -683,7 +684,7 @@ def corrupt_extension_quotient(monkeypatch):
         if e != quotient:
             return res
         shifted = CohomologyProfile.of((d + 1, hw, m) for d, hw, m in res.profile.entries)
-        return bundles.CohResult(True, shifted, res.e1, res.route)
+        return bundles.CohResult(shifted, res.e1, res.route)
 
     monkeypatch.setattr(bundles, "flag_cohomology", corrupted)
     bundles._evaluate.cache_clear()
@@ -828,7 +829,7 @@ def test_memo_stores_no_failure(monkeypatch):
         with pytest.raises(BundleError, match="rank-2 irreducible"):
             flag_cohomology(RS, parse_expr("Sym^2 S"))
     monkeypatch.setattr(
-        bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
+        bundles, "route_b_cohomology", lambda rs, e: ZERO
     )
     memo.cache_clear()
     for _ in range(2):

@@ -28,7 +28,7 @@ from g2flop.cli import main
 from g2flop.coxring import MAX_TABLE_DEGREE
 from g2flop.rootdata import g2
 from g2flop.totalspace import hom_v
-from g2flop.weylbott import CohomologyProfile, euler_characteristic
+from g2flop.weylbott import ZERO, CohomologyProfile, euler_characteristic
 from tests.test_bundles import forget_memos
 
 
@@ -113,7 +113,7 @@ def test_coh_parse_error_exits_2(capsys):
 def test_route_mismatch_exits_1_without_traceback(capsys, monkeypatch):
     # Corrupt route B: U(h) has H^0 = k by both routes, route B now says 0.
     monkeypatch.setattr(
-        bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
+        bundles, "route_b_cohomology", lambda rs, e: ZERO
     )
     # U(h) may already be memoized from an earlier test; forget it, so the
     # corrupted route really runs.
@@ -129,7 +129,7 @@ def test_route_mismatch_exits_1_without_traceback(capsys, monkeypatch):
 def test_homv_route_mismatch_exits_1_without_traceback(capsys, monkeypatch):
     # The same corrupted route B, reached through hom_v's native term U(h).
     monkeypatch.setattr(
-        bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
+        bundles, "route_b_cohomology", lambda rs, e: ZERO
     )
     bundles._evaluate.cache_clear()
     totalspace._hom_v.cache_clear()

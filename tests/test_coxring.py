@@ -106,8 +106,8 @@ def test_parabolic_route_rejects_sections_outside_degree_zero(monkeypatch):
     # The degree-0 check is an explicit raise, so it also holds under -O.
     monkeypatch.setattr(
         coxring,
-        "parabolic_cohomology",
-        lambda rs, i, lam: CohomologyProfile(((1, lam, 1),)),
+        "line_cohomology",
+        lambda rs, lam: CohomologyProfile(((1, lam, 1),)),
     )
     with pytest.raises(IntegrityError, match="degrees"):
         git_piece_via_parabolic(RS, "+", 1, 2)

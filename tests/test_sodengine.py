@@ -43,6 +43,17 @@ U = Universal()
 U_DUAL_MINUS_H = Twist(Dual(U), 0, -1)
 
 
+def replay_skipping(monkeypatch, skipped: int):
+    """The replay with script step ``skipped`` given no moves: a negative
+    control whose state must fail a later certificate or the final match."""
+    script = tuple(
+        (i, text, () if i == skipped else moves)
+        for i, text, moves in sodengine._script()
+    )
+    monkeypatch.setattr(sodengine, "_script", lambda: script)
+    return replay_mutation_script(RS)
+
+
 def test_k_class_examples():
     assert k_class(RS, Spinor()) == Counter(
         {(-1, 1): 1, (0, -1): 1, (0, 0): 1, (1, -2): 1}
@@ -139,7 +150,6 @@ def test_structural_move_errors():
 def test_replay_passes_with_pinned_convention():
     report = replay_mutation_script(RS)
     assert report.passed
-    assert report.final_matches
     assert [s.index for s in report.steps] == list(range(1, 13))
     assert all(s.ok for s in report.steps)
     assert all(c.passed for s in report.steps for c in s.certificates)
@@ -195,11 +205,11 @@ def test_replay_suite_counts_the_steps_that_ran():
     assert passed.details[0].startswith("12 steps, ")
 
 
-def test_replay_with_skipped_transposition_reports_mismatch():
-    report = replay_mutation_script(RS, skip_steps={10})
+def test_replay_with_skipped_transposition_reports_mismatch(monkeypatch):
+    report = replay_skipping(monkeypatch, 10)
     assert not report.passed
     assert all(s.ok for s in report.steps)  # no certificate failure
-    assert not report.final_matches
+    assert report.steps[9].index == 10 and report.steps[9].moves == ()
     assert report.mismatch is not None
     assert report.conclusion is None
 
@@ -219,18 +229,18 @@ def test_report_json_round_trip():
 #: once step 3 is skipped), a run that ends on the wrong state, and a seed
 #: that fails its exceptionality certificates.
 ENDINGS = {
-    "pass": lambda: replay_mutation_script(RS),
-    "halt": lambda: replay_mutation_script(RS, skip_steps={3}),
-    "mismatch": lambda: replay_mutation_script(RS, skip_steps={10}),
-    "seed-failure": lambda: replay_mutation_script(g2_flipped()),
+    "pass": lambda monkeypatch: replay_mutation_script(RS),
+    "halt": lambda monkeypatch: replay_skipping(monkeypatch, 3),
+    "mismatch": lambda monkeypatch: replay_skipping(monkeypatch, 10),
+    "seed-failure": lambda monkeypatch: replay_mutation_script(g2_flipped()),
 }
 
 
 @pytest.mark.parametrize("ending", ENDINGS)
-def test_report_derives_its_final_state_and_verdict(ending):
-    report = ENDINGS[ending]()
+def test_report_derives_its_final_state_and_verdict(monkeypatch, ending):
+    report = ENDINGS[ending](monkeypatch)
     assert report.final_state == report.steps[-1].state
-    assert report.passed is report.final_matches is (report.mismatch is None)
+    assert report.passed is (report.mismatch is None)
     assert report.passed is (ending == "pass")
     assert report.conclusion == (CONCLUSION if report.passed else None)
     payload = report.to_json()
@@ -377,8 +387,8 @@ def test_flipped_convention_mismatch_string():
         (12, "block 0 is O(-h) but the mirror pattern has O(-3h)"),
     ],
 )
-def test_skipped_step_mismatch_strings(skipped, mismatch):
-    report = replay_mutation_script(RS, skip_steps={skipped})
+def test_skipped_step_mismatch_strings(monkeypatch, skipped, mismatch):
+    report = replay_skipping(monkeypatch, skipped)
     assert not report.passed
     assert report.mismatch == mismatch
 
@@ -415,14 +425,14 @@ def test_a_replay_that_supplies_s_dual_minus_h_mismatches_at_block_3(monkeypatch
         (12, None),
     ],
 )
-def test_every_single_skipped_step_fails_without_raising(skipped, halt):
+def test_every_single_skipped_step_fails_without_raising(monkeypatch, skipped, halt):
     # A structurally impossible move (MoveError) halts the replay just like a
     # failed certificate; a replay that runs through fails on the final state.
-    report = replay_mutation_script(RS, skip_steps={skipped})
+    report = replay_skipping(monkeypatch, skipped)
     assert not report.passed and report.conclusion is None
     failed = [s.index for s in report.steps if not s.ok]
     if halt is None:
-        assert failed == [] and not report.final_matches
+        assert failed == [] and report.mismatch.startswith("block 0 is ")
     else:
         assert failed == [halt] and report.steps[-1].index == halt
         assert report.mismatch.startswith(f"halted at step {halt}: ")

@@ -23,15 +23,13 @@ from g2flop.bundles import (
 )
 from g2flop.rootdata import g2
 from g2flop.totalspace import (
-    K,
-    K1,
     NORMAL_BUNDLE_TWIST,
     base_canonical_weight,
     hom_v,
     omega_v,
     total_space_canonical,
 )
-from g2flop.weylbott import CohomologyProfile, euler_characteristic
+from g2flop.weylbott import K, K1, ZERO, CohomologyProfile, euler_characteristic
 from tests.test_bundles import forget_memos, random_expr
 
 RS = g2()
@@ -270,7 +268,7 @@ def test_both_terms_share_the_twist_free_parts():
 def test_hom_memo_stores_no_failure(monkeypatch):
     memo = totalspace._hom_v
     monkeypatch.setattr(
-        bundles, "route_b_cohomology", lambda rs, e: CohomologyProfile.zero()
+        bundles, "route_b_cohomology", lambda rs, e: ZERO
     )
     memo.cache_clear()
     bundles._evaluate.cache_clear()

@@ -57,9 +57,9 @@ from g2flop.totalspace import HomVResult
 from g2flop.weylbott import CohomologyProfile
 
 K = CohomologyProfile(((0, (0, 0), 1),))
-COH = CohResult(True, K, (), "filtration")
+COH = CohResult(K, (), "filtration")
 K_TEXT = "CohomologyProfile(entries=((0, (0, 0), 1),))"
-COH_TEXT = f"CohResult(determined=True, profile={K_TEXT}, e1=(), route='filtration')"
+COH_TEXT = f"CohResult(profile={K_TEXT}, e1=(), route='filtration')"
 U = "('U', -1, 1, 1, False)"
 U_DUAL = "('U', -1, 1, 1, True)"
 
@@ -101,7 +101,7 @@ CASES = [
         lambda: Twist(arg=Dual(Universal()), a=0, b=-1),
         f"BundleExpr(factors=({U_DUAL},), twist=(0, -1))",
     ),
-    (lambda: CohResult(True, K, (), "filtration"), COH_TEXT),
+    (lambda: CohResult(K, (), "filtration"), COH_TEXT),
     (
         lambda: Certificate("ExtDim", "hom(U, U)", "k", "k", True),
         "Certificate(kind='ExtDim', description='hom(U, U)', required='k', "
@@ -137,9 +137,8 @@ CASES = [
         "ReplayReport(steps=(), mismatch='halted at step 4')",
     ),
     (
-        lambda: HomVResult(True, K, COH, COH, 1),
-        f"HomVResult(determined=True, profile={K_TEXT}, p0={COH_TEXT}, "
-        f"p1={COH_TEXT}, euler=1)",
+        lambda: HomVResult(K, COH, COH, 1),
+        f"HomVResult(profile={K_TEXT}, p0={COH_TEXT}, p1={COH_TEXT}, euler=1)",
     ),
     (
         lambda: SuiteResult("calabi-yau", "pass", 2, ()),
@@ -161,6 +160,16 @@ def test_every_value_class_is_covered():
     classes = {type(make()) for make, _ in CASES} | {RootSystem}
     assert classes == set(Value.__subclasses__())
     assert len(classes) == 17
+
+
+def test_determined_is_read_off_the_profile():
+    # A result is determined exactly when it has a profile, so no class
+    # stores the flag beside it.
+    assert all("determined" not in cls._fields for cls in Value.__subclasses__())
+    undetermined = CohResult(None, (), "none")
+    assert (COH.determined, undetermined.determined) == (True, False)
+    assert HomVResult(None, COH, undetermined, 1).determined is False
+    assert HomVResult(K, COH, COH, 1).determined is True
 
 
 @pytest.mark.parametrize("make, text", CASES, ids=IDS)

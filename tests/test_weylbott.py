@@ -22,6 +22,7 @@ from g2flop.rootdata import (
     wneg,
 )
 from g2flop.weylbott import (
+    ZERO,
     CohomologyProfile,
     combine_pieces,
     compile_pairings,
@@ -29,7 +30,6 @@ from g2flop.weylbott import (
     euler_characteristic,
     filtered_cohomology,
     line_cohomology,
-    parabolic_cohomology,
     weyl_dim,
 )
 from tests.test_rootdata import E6_CARTAN, E7_CARTAN, E8_CARTAN
@@ -511,7 +511,7 @@ def test_singular_weights_share_one_outcome_and_one_zero_profile():
     rs = build_root_system(RS.cartan)
     assert dot_normalize(rs, (-1, 0)) is dot_normalize(rs, (-2, 1)) is None
     assert line_cohomology(rs, (-1, 0)) is line_cohomology(rs, (-2, 1))
-    assert line_cohomology(rs, (-1, 0)) is CohomologyProfile.zero()
+    assert line_cohomology(rs, (-1, 0)) is ZERO
 
 
 def test_weyl_dim_pinned_values():
@@ -602,7 +602,7 @@ V2 = CohomologyProfile(((2, (1, 0), 1),))
 
 def test_combine_pieces_of_zero_pieces_is_the_shared_zero():
     pieces = [(CohomologyProfile(()), 1), (CohomologyProfile(()), 3)]
-    assert combine_pieces(pieces) is CohomologyProfile.zero()
+    assert combine_pieces(pieces) is ZERO
 
 
 def test_combine_pieces_returns_a_single_nonzero_piece_itself():
@@ -661,22 +661,19 @@ def test_combine_pieces_unites_degrees_two_apart():
 
 
 def test_parabolic_p1_sections():
+    # The P1-irreducible bundle of Levi highest weight (m+k, m) pulls back
+    # to the line O(m+k, m), whose sections are its Weyl module.
     for m, k in product(range(0, 4), range(0, 4)):
-        prof = parabolic_cohomology(RS, 1, (m + k, m))
+        prof = line_cohomology(RS, (m + k, m))
         assert prof == CohomologyProfile(((0, (m + k, m), 1),))
 
 
 def test_parabolic_p1_wall():
-    assert parabolic_cohomology(RS, 1, (-1, 2)).is_zero
+    assert line_cohomology(RS, (-1, 2)).is_zero
 
 
 def test_parabolic_p2_trivial():
-    assert parabolic_cohomology(RS, 0, (0, 0)) == CohomologyProfile(((0, (0, 0), 1),))
-
-
-def test_parabolic_rejects_non_levi_dominant():
-    with pytest.raises(ValueError):
-        parabolic_cohomology(RS, 1, (0, -1))
+    assert line_cohomology(RS, (0, 0)) == CohomologyProfile(((0, (0, 0), 1),))
 
 
 def test_serre_duality_degree_flip():
@@ -700,6 +697,6 @@ def test_route_a_route_b_on_parabolic_strings():
                 (a - j * alpha2[0], b - j * alpha2[1]) for j in range(0, b + 1)
             ]
             profile, _ = filtered_cohomology(RS, Counter(string))
-            exact = parabolic_cohomology(RS, 1, (a, b))
+            exact = line_cohomology(RS, (a, b))
             if profile is not None:
                 assert profile == exact
