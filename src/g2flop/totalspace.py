@@ -23,7 +23,10 @@ holds on V = Tot(N) only; the filtration and extension routes on F judge
 their pieces by ``combine_pieces``.  The test
 ``test_the_twisted_koszul_term_sits_one_degree_up`` pins the [0, 1]
 placement: hom(O, O(-H-h)) = k[-7], where a twisted term shifted down would
-give k[-5].
+give k[-5].  ``test_serre_duality_holds_over_the_pool`` checks the placement
+against Serre duality on V, Ext^n(A, B) = Ext^(7-n)(B, A ⊗ omega_V), over
+the benchmark's query pool; with the twisted term one degree down, the
+identity breaks.
 
 ``hom_v`` answers each ``(root system, A' ⊗ B)`` once: pairs with equal
 A' ⊗ B share one memoized result, in a cache that is unbounded like the Bott

@@ -386,9 +386,28 @@ def filtered_cohomology(
 
 
 def euler_characteristic(rs: RootSystem, weights: Mapping[Weight, int]) -> int:
-    """Signed Bott dimension sum over a weight multiset, each weight counted
-    with its multiplicity; filtration-independent, always exact."""
-    return sum(m * line_cohomology(rs, w).euler(rs) for w, m in weights.items())
+    """Euler characteristic of a bundle with the given weight multiset, each
+    weight counted with its multiplicity; filtration-independent.
+
+    Each weight w adds m times the Weyl polynomial
+    chi(O(w)) = prod <w+rho, beta^v> / prod <rho, beta^v> over the positive
+    roots beta, which holds for every weight, dominant or not: it follows
+    from Bott's theorem and the sign of the Weyl numerator, and equally from
+    Hirzebruch-Riemann-Roch.  The numerator is read from
+    ``RootSystem.coroot_pairings`` and the denominator is
+    ``weyl_denominator``: no dominance walk, chamber table, Bott kernel or
+    cache, so this polices ``line_cohomology`` rather than restating it.  A
+    quotient that is not an integer raises ``IntegrityError``.
+    """
+    total = 0
+    for w, m in weights.items():
+        # rho is all ones in fundamental-weight coordinates.
+        numerator = prod(rs.coroot_pairings(tuple([c + 1 for c in w])))
+        chi, rem = divmod(numerator, rs.weyl_denominator)
+        if rem:
+            raise IntegrityError(f"the Weyl polynomial at {w} is not an integer")
+        total += m * chi
+    return total
 
 
 def format_profile(profile: CohomologyProfile) -> str:

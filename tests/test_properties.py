@@ -10,6 +10,9 @@ from __future__ import annotations
 import random
 from itertools import product
 
+import pytest
+
+from g2flop import weylbott
 from g2flop.bundles import (
     Dual,
     IrrP1,
@@ -29,6 +32,7 @@ from g2flop.weylbott import (
     filtered_cohomology,
     line_cohomology,
 )
+from tests.test_bundles import forget_memos
 from tests.test_rootdata import negative_root
 from tests.test_weyl_oracle import apply_word, weyl_elements
 
@@ -194,6 +198,29 @@ def test_flag_cohomology_never_contradicts_euler():
             assert res.profile.euler(RS) == chi
         cases += 1
     _record("euler-consistency", cases)
+
+
+def test_euler_catches_a_chamber_length_one_too_long(monkeypatch):
+    # Negative control: once the walk's checks have passed for the chamber
+    # of (-2,3), its stored length is made one too long, so line_cohomology
+    # puts every weight of that chamber one degree up.  Every route reads the
+    # same chamber, so only chi, which reads none, can see it.
+    assert line_cohomology(RS, (-2, 3)).degrees() == (1,)
+    chambers = weylbott._bott(RS)[3]
+    (key, (w, length, slots)), = (
+        (key, entry) for key, entry in chambers.items() if entry[0] == (0,)
+    )
+    monkeypatch.setitem(chambers, key, (w, length + 1, slots))
+    line_cohomology.cache_clear()
+    forget_memos()
+    try:
+        with pytest.raises(AssertionError):
+            test_flag_cohomology_never_contradicts_euler()
+    finally:
+        monkeypatch.undo()
+        line_cohomology.cache_clear()
+        forget_memos()
+    assert line_cohomology(RS, (-2, 3)).degrees() == (1,)
 
 
 def test_tally_meets_thousand_case_floor():

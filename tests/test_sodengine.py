@@ -13,6 +13,8 @@ from g2flop.bundles import (
     Spinor,
     Twist,
     Universal,
+    format_expr,
+    parse_expr,
     weights,
 )
 from g2flop.checks import replay_suite
@@ -36,6 +38,8 @@ from g2flop.sodengine import (
     replay_mutation_script,
     seed_state,
 )
+from g2flop.totalspace import hom_v
+from g2flop.weylbott import K, ZERO
 
 RS = g2()
 
@@ -212,6 +216,33 @@ def test_replay_with_skipped_transposition_reports_mismatch(monkeypatch):
     assert report.steps[9].index == 10 and report.steps[9].moves == ()
     assert report.mismatch is not None
     assert report.conclusion is None
+
+
+def test_every_replay_state_is_an_exceptional_sequence():
+    # Each of the 12 states, its six objects in order: wherever hom_v is
+    # determined, every backward Hom is 0 and every self-Hom is k.  The open
+    # Homs all involve S: hom(U(h)', S) at steps 5-7 and hom(S, S) from
+    # step 5 on.
+    report = replay_mutation_script(RS)
+    assert len(report.steps) == 12
+    homs, open_homs = 0, []
+    for step in report.steps:
+        objects = [parse_expr(block) for block in step.state if block[0] != "<"]
+        assert len(objects) == 6
+        for j, later in enumerate(objects):
+            for i, earlier in enumerate(objects[: j + 1]):
+                homs += 1
+                profile = hom_v(RS, later, earlier).profile
+                if profile is None:
+                    open_homs.append(
+                        (step.index, format_expr(later), format_expr(earlier))
+                    )
+                else:
+                    assert profile == (K if i == j else ZERO)
+    assert homs == 12 * 21
+    assert sorted(open_homs) == sorted(
+        [(i, "U(h)'", "S") for i in (5, 6, 7)] + [(i, "S", "S") for i in range(5, 13)]
+    )
 
 
 def test_report_json_round_trip():

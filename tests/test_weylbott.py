@@ -578,6 +578,36 @@ def test_filtered_rejects_non_positive_multiplicities(mult):
         filtered_cohomology(RS, {(0, 0): 1, (1, 1): mult})
 
 
+@pytest.mark.parametrize("name", sorted(CHAMBER_BOXES))
+def test_euler_polynomial_equals_bott_chi(name):
+    # The Weyl polynomial reads no chamber, walk or cache; Bott's chi reads
+    # all three.  G2 on the box [-12,12]^2, B3 and F4 on 3000 random weights.
+    rs = build_root_system(CHAMBER_BOXES[name][0])
+    if name == "G2":
+        sample = list(product(range(-12, 13), repeat=2))
+    else:
+        rng = random.Random(17)
+        sample = [
+            tuple(rng.randint(-10, 10) for _ in range(rs.rank)) for _ in range(3000)
+        ]
+    for lam in sample:
+        assert euler_characteristic(rs, {lam: 1}) == line_cohomology(rs, lam).euler(rs)
+    counted = Counter(sample[:50] + sample[:20])
+    assert euler_characteristic(rs, counted) == sum(
+        m * line_cohomology(rs, lam).euler(rs) for lam, m in counted.items()
+    )
+
+
+def test_a_weyl_polynomial_with_a_remainder_is_refused():
+    # Negative control: a denominator seven times too large leaves a
+    # remainder at O, whose numerator is the true denominator.
+    fields = {name: getattr(RS, name) for name in RS._fields}
+    fields["weyl_denominator"] *= 7
+    bad = type(RS)(**fields)
+    with pytest.raises(IntegrityError, match="not an integer"):
+        euler_characteristic(bad, {(0, 0): 1})
+
+
 def test_filtered_euler_matches_signed_sum():
     rng = random.Random(11)
     for _ in range(100):
