@@ -137,11 +137,13 @@ def test_euler_is_the_signed_bott_sum_of_both_koszul_terms():
         assert hom_v(RS, a, b).euler == chi
 
 
-def shifted_union(native: CohomologyProfile, twisted: CohomologyProfile):
-    """The native term with the twisted term one degree up, built here so
-    that the tests do not read hom_v's own union."""
+def shifted_union(
+    native: CohomologyProfile, twisted: CohomologyProfile, shift: int = 1
+):
+    """The native term with the twisted term ``shift`` degrees up, built here
+    so that the tests do not read hom_v's own union."""
     return CohomologyProfile.of(
-        [*native.entries, *((d + 1, hw, m) for d, hw, m in twisted.entries)]
+        [*native.entries, *((d + shift, hw, m) for d, hw, m in twisted.entries)]
     )
 
 
@@ -209,10 +211,9 @@ def _serre_partner(profile, top):
 
 def _twisted_term_one_degree_down(res):
     """The hom_v profile rebuilt from p0 and p1 with p1 one degree down."""
-    if not (res.p0.determined and res.p1.determined):
-        return None
-    down = tuple((d - 1, hw, m) for d, hw, m in res.p1.profile.entries)
-    return CohomologyProfile.of(res.p0.profile.entries + down)
+    if res.p0.determined and res.p1.determined:
+        return shifted_union(res.p0.profile, res.p1.profile, shift=-1)
+    return None
 
 
 def test_serre_duality_holds_over_the_pool():
