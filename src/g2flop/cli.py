@@ -2,16 +2,19 @@
 
 Exit codes: 0 = all checks pass / query answered; 1 = a verification failed,
 including two routes disagreeing or another internal check failing;
-2 = usage or expression-parse error.  Indeterminate cohomology in a query
-context is a distinct reported status, not a failure.
+2 = usage or expression-parse error; 141 = stdout was closed before the
+answer was written, as ``g2flop ... | head -c 1`` may do.  Indeterminate
+cohomology in a query context is a distinct reported status, not a failure.
 """
 
 from __future__ import annotations
 
-import argparse
+import gc
 import json
+import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import Optional
 
 from .bundles import ParseError, flag_cohomology, format_expr, parse_expr
@@ -25,6 +28,8 @@ from .weylbott import CohomologyProfile, format_profile, weyl_dim
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
+#: 128 + SIGPIPE, what a shell reports for a filter whose reader went away.
+EXIT_BROKEN_PIPE = 141
 
 #: The integer arguments of dim and hilbert stay below 10^MAX_ARGUMENT_DIGITS,
 #: so that every answer prints under the 640-digit floor of the interpreter's
@@ -266,77 +271,234 @@ def cmd_check_all(args, rs: RootSystem) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="g2flop",
-        description=(
-            "Exact verification engine for equivariant cohomology, total-space "
-            "Ext groups, Cox-ring Hilbert series and semiorthogonal mutations "
-            "on the G2 flag variety."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+DESCRIPTION = (
+    "Exact verification engine for equivariant cohomology, total-space Ext groups,\n"
+    "Cox-ring Hilbert series and semiorthogonal mutations on the G2 flag variety."
+)
 
-    p = sub.add_parser("roots", help="root system summary")
-    p.add_argument("--json", action="store_true")
-    p.add_argument(
-        "--convention-dump",
-        action="store_true",
-        help="dump the pinned conventions (Cartan matrix, rho, orientation)",
-    )
-    p.set_defaults(func=cmd_roots)
+#: The command table that ``parse_args`` reads.  A command is either
+#: ``(help, handler, positionals, options)`` or ``(help, {name: command})``,
+#: a group such as hilbert's three kinds.  A positional is a name with its
+#: type: ``int``, ``str`` or a tuple of choices.  An option maps its name to
+#: its default: ``False`` for a flag, an int for an option taking an integer.
+HILBERT_OPTIONS = {"trunc": 10, "json": False, "table": False, "table-degree": 5}
+COMMANDS = {
+    "roots": (
+        "root system summary",
+        cmd_roots,
+        (),
+        {"json": False, "convention-dump": False},
+    ),
+    "dim": (
+        "irreducible representation dimension",
+        cmd_dim,
+        (("a", int), ("b", int)),
+        {"json": False},
+    ),
+    "coh": (
+        "cohomology of a bundle expression",
+        cmd_coh,
+        (("expr", str),),
+        {"json": False},
+    ),
+    "homv": (
+        "graded Hom over the total space",
+        cmd_homv,
+        (("source", str), ("target", str)),
+        {"json": False},
+    ),
+    "hilbert": (
+        "Cox ring graded dimensions",
+        {
+            "r": (
+                "flag Cox ring piece",
+                cmd_hilbert,
+                (("k", int), ("l", int)),
+                HILBERT_OPTIONS,
+            ),
+            "s": (
+                "total-space Cox ring piece",
+                cmd_hilbert,
+                (("k", int), ("l", int)),
+                HILBERT_OPTIONS,
+            ),
+            "git": (
+                "GIT weight piece",
+                cmd_hilbert,
+                (("side", ("+", "-", "0")), ("n", int)),
+                HILBERT_OPTIONS,
+            ),
+        },
+    ),
+    "sod-replay": (
+        "replay the certified mutation script",
+        cmd_sod_replay,
+        (),
+        {"json": False},
+    ),
+    "check-all": ("run every verification suite", cmd_check_all, (), {"json": False}),
+}
+OPTION_HELP = {
+    "help": "show this help message and exit",
+    "convention-dump": "dump the pinned conventions (Cartan matrix, rho, orientation)",
+    "table": "emit the full table",
+}
 
-    p = sub.add_parser("dim", help="irreducible representation dimension")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dim)
 
-    p = sub.add_parser("coh", help="cohomology of a bundle expression")
-    p.add_argument("expr")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_coh)
+def _option_label(name: str, default) -> str:
+    """``--json`` for a flag, ``--trunc TRUNC`` for an option with a value."""
+    if default is False:
+        return f"--{name}"
+    return f"--{name} {name.upper().replace('-', '_')}"
 
-    p = sub.add_parser("homv", help="graded Hom over the total space")
-    p.add_argument("source")
-    p.add_argument("target")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_homv)
 
-    p = sub.add_parser("hilbert", help="Cox ring graded dimensions")
-    hsub = p.add_subparsers(dest="kind", required=True)
-    pr = hsub.add_parser("r", help="flag Cox ring piece")
-    pr.add_argument("k", type=int)
-    pr.add_argument("l", type=int)
-    ps = hsub.add_parser("s", help="total-space Cox ring piece")
-    ps.add_argument("k", type=int)
-    ps.add_argument("l", type=int)
-    pg = hsub.add_parser("git", help="GIT weight piece")
-    pg.add_argument("side", choices=["+", "-", "0"])
-    pg.add_argument("n", type=int)
-    for sp in (pr, ps, pg):
-        sp.add_argument("--trunc", type=int, default=10)
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--table", action="store_true", help="emit the full table")
-        sp.add_argument("--table-degree", type=int, default=5)
-    pr.set_defaults(func=cmd_hilbert)
-    ps.set_defaults(func=cmd_hilbert)
-    pg.set_defaults(func=cmd_hilbert)
+class _Level:
+    """One level of the command table while ``parse_args`` walks it: the
+    top, a group, or a command with its own positionals and options."""
 
-    p = sub.add_parser("sod-replay", help="replay the certified mutation script")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_sod_replay)
+    def __init__(self, prog: str, entry: tuple, dest: str):
+        self.prog, self.help = prog, entry[0]
+        if type(entry[1]) is dict:
+            self.group = entry[1]
+            self.positionals = ((dest, tuple(self.group)),)
+            self.options = {}
+        else:
+            self.group = None
+            self.handler, self.positionals, self.options = entry[1:]
 
-    p = sub.add_parser("check-all", help="run every verification suite")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_all)
+    def usage(self) -> str:
+        parts = [self.prog, "[-h]"]
+        parts += [f"[{_option_label(n, d)}]" for n, d in self.options.items()]
+        for name, kind in self.positionals:
+            parts.append("{" + ",".join(kind) + "}" if type(kind) is tuple else name)
+        if self.group is not None:
+            parts.append("...")
+        return "usage: " + " ".join(parts)
 
-    return parser
+    def help_text(self) -> str:
+        if self.group is not None:
+            title = "commands:"
+            rows = [(name, entry[0]) for name, entry in self.group.items()]
+        else:
+            title = "options:"
+            rows = [("-h, --help", OPTION_HELP["help"])]
+            rows += [
+                (_option_label(n, d), OPTION_HELP.get(n, ""))
+                for n, d in self.options.items()
+            ]
+        width = max(len(left) for left, _ in rows)
+        lines = [self.usage(), "", self.help, "", title]
+        lines += [f"  {left:<{width}}  {text}".rstrip() for left, text in rows]
+        return "\n".join(lines)
+
+    def error(self, message: str):
+        print(self.usage(), file=sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+
+    def option(self, arg: str) -> Optional[tuple[Optional[str], Optional[str]]]:
+        """``(name, explicit value)`` when ``arg`` is an option, as argparse
+        reads one: an exact name or a unique prefix of one, with an optional
+        ``=value``; the name is ``None`` for an unknown option.  ``None``
+        when ``arg`` is a positional: ``-``, a negative integer or a text with
+        a space in it."""
+        if not arg.startswith("-") or arg == "-":
+            return None
+        flag, eq, value = arg.partition("=")
+        explicit = value if eq else None
+        if flag == "-h":
+            return "help", explicit
+        if flag.startswith("--"):
+            names = ("help", *self.options)
+            if flag[2:] in names:
+                return flag[2:], explicit
+            matches = [n for n in names if n.startswith(flag[2:])]
+            if len(matches) > 1:
+                could = ", ".join("--" + n for n in matches)
+                self.error(f"ambiguous option: {flag} could match {could}")
+            if matches:
+                return matches[0], explicit
+        if arg[1:].isdecimal() or " " in arg:
+            return None
+        return None, explicit
+
+    def convert(self, name: str, kind, text: str):
+        if type(kind) is tuple:
+            if text not in kind:
+                choices = ", ".join(map(repr, kind))
+                self.error(
+                    f"argument {name}: invalid choice: {text!r} (choose from {choices})"
+                )
+            return text
+        try:
+            return kind(text)
+        except ValueError:
+            self.error(f"argument {name}: invalid {kind.__name__} value: {text!r}")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Parse a command line against ``COMMANDS``, as argparse would.
+
+    Options may come before, between or after the positionals; ``--`` makes
+    every later argument a positional; a negative integer is a positional or
+    an option's value.  ``-h`` or ``--help`` prints help and exits 0, and a
+    usage error prints a usage line and an error line to stderr and exits 2.
+    The result holds ``command``, a group's ``kind``, every positional and
+    every option (dashes as underscores) and ``func``, the handler.
+    """
+    level = _Level("g2flop", (DESCRIPTION, COMMANDS), "command")
+    values: dict[str, object] = {}
+    filled = 0
+    positional_only = False
+    args = iter(argv)
+    for arg in args:
+        if not positional_only and arg == "--":
+            positional_only = True
+            continue
+        option = None if positional_only else level.option(arg)
+        if option is not None:
+            name, explicit = option
+            if name is None:
+                level.error(f"unrecognized arguments: {arg}")
+            if name == "help":
+                print(level.help_text())
+                raise SystemExit(EXIT_OK)
+            default = level.options[name]
+            if default is False:
+                if explicit is not None:
+                    level.error(
+                        f"argument --{name}: ignored explicit argument {explicit!r}"
+                    )
+                values[name.replace("-", "_")] = True
+                continue
+            if explicit is None:
+                explicit = next(args, None)
+                if explicit in (None, "--") or level.option(explicit) is not None:
+                    level.error(f"argument --{name}: expected one argument")
+            values[name.replace("-", "_")] = level.convert(f"--{name}", int, explicit)
+            continue
+        if filled == len(level.positionals):
+            level.error(f"unrecognized arguments: {arg}")
+        name, kind = level.positionals[filled]
+        values[name] = level.convert(name, kind, arg)
+        filled += 1
+        if level.group is not None:
+            level = _Level(f"{level.prog} {arg}", level.group[arg], "kind")
+            filled = 0
+            if level.group is None:
+                values.update((n, None) for n, _ in level.positionals)
+                values.update(
+                    (n.replace("-", "_"), d) for n, d in level.options.items()
+                )
+                values["func"] = level.handler
+    if filled < len(level.positionals):
+        missing = ", ".join(name for name, _ in level.positionals[filled:])
+        level.error(f"the following arguments are required: {missing}")
+    return SimpleNamespace(**values)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     for name, value in vars(args).items():
         if type(value) is int and abs(value) >= MAX_ARGUMENT:
             print(
@@ -359,5 +521,30 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VERIFICATION_FAILED
 
 
+def run(argv: Optional[list[str]] = None) -> int:
+    """The console entry point: ``main``, then stdout flushed and the heap
+    frozen.
+
+    ``gc.freeze`` moves every object alive after ``main`` to the permanent
+    generation, so the collections at interpreter exit no longer walk the
+    import-time heap; ``main`` does not freeze, since tests call it
+    in-process.  A reader that closes stdout early (``g2flop ... | head``)
+    ends the process with ``EXIT_BROKEN_PIPE``, not with 1, which means a
+    verification failed.
+    """
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout once more at exit: point it at
+        # os.devnull so that flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_BROKEN_PIPE
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

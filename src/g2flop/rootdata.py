@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add, attrgetter, mul
+from types import FunctionType
 from typing import Iterable, Sequence
 
 Weight = tuple[int, ...]
@@ -88,14 +89,34 @@ class Value:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _generated_init(cls: type[Value]):
-    """``def __init__(self, f1, ..., fn)`` setting each field in order."""
-    fields = cls._fields
-    body = "".join(f"\n    object.__setattr__(self, {f!r}, {f})" for f in fields)
+@lru_cache(maxsize=None)
+def _init_template(arity: int) -> FunctionType:
+    """``def __init__(self, f0, ..., fn)`` setting each field in order,
+    compiled once per arity; ``_generated_init`` renames a copy per class."""
+    names = [f"f{i}" for i in range(arity)]
+    body = "".join(f"\n    object.__setattr__(self, {f!r}, {f})" for f in names)
     namespace: dict[str, object] = {}
-    exec(f"def __init__(self, {', '.join(fields)}):{body}", {}, namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    exec(f"def __init__(self, {', '.join(names)}):{body}", {}, namespace)
+    return namespace["__init__"]
+
+
+def _generated_init(cls: type[Value]):
+    """The arity's template with the class's field names: as parameter
+    names, so keyword calls and arity errors name them, and as the attribute
+    names that the body sets."""
+    fields = cls._fields
+    template = _init_template(len(fields))
+    rename = {f"f{i}": f for i, f in enumerate(fields)}
+    code = template.__code__
+    code = code.replace(
+        co_varnames=("self", *fields),
+        co_consts=tuple(rename.get(c, c) for c in code.co_consts),
+    )
+    qualname = f"{cls.__qualname__}.__init__"
+    if hasattr(code, "co_qualname"):  # Python 3.11 and later
+        code = code.replace(co_qualname=qualname)
+    init = FunctionType(code, template.__globals__)
+    init.__qualname__ = qualname
     init.__module__ = cls.__module__
     return init
 

@@ -393,14 +393,206 @@ def test_hilbert_git_zero_side_refuses_a_nonzero_degree(capsys):
     assert err == "error: the weight-0 GIT piece has degree 0 only, not 5\n"
 
 
-def test_hilbert_git_rejects_a_bad_side_through_argparse(capsys):
-    # argparse's choices refuse the side before cmd_hilbert runs.
+def test_hilbert_git_rejects_a_bad_side_before_the_command_runs(capsys):
+    # The parser's choices refuse the side before cmd_hilbert runs.
     with pytest.raises(SystemExit) as exc:
         main(["hilbert", "git", "x", "1"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice: 'x'" in captured.err
+
+
+def hilbert_args(kind, positionals, **options):
+    """What ``hilbert <kind>`` parses to, in argparse's key order."""
+    defaults = {"trunc": 10, "json": False, "table": False, "table_degree": 5}
+    return {"command": "hilbert", "kind": kind, **positionals, **defaults, **options}
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (["roots"], {"command": "roots", "json": False, "convention_dump": False}),
+        (
+            ["roots", "--convention-dump", "--json"],
+            {"command": "roots", "json": True, "convention_dump": True},
+        ),
+        (
+            ["roots", "--conv", "--js"],
+            {"command": "roots", "json": True, "convention_dump": True},
+        ),
+        (["dim", "1", "0"], {"command": "dim", "a": 1, "b": 0, "json": False}),
+        (["dim", "-1", "0"], {"command": "dim", "a": -1, "b": 0, "json": False}),
+        (["dim", "1", "--json", "2"], {"command": "dim", "a": 1, "b": 2, "json": True}),
+        (
+            ["dim", "--json", "-3", "-4"],
+            {"command": "dim", "a": -3, "b": -4, "json": True},
+        ),
+        (["coh", "U*U(h)"], {"command": "coh", "expr": "U*U(h)", "json": False}),
+        (["coh", "--json", "--", "-x"], {"command": "coh", "expr": "-x", "json": True}),
+        (["coh", "--", "--json"], {"command": "coh", "expr": "--json", "json": False}),
+        (["coh", "-H -h"], {"command": "coh", "expr": "-H -h", "json": False}),
+        (
+            ["homv", "U", "O(h)", "--json"],
+            {"command": "homv", "source": "U", "target": "O(h)", "json": True},
+        ),
+        (["hilbert", "r", "0", "1"], hilbert_args("r", {"k": 0, "l": 1})),
+        (
+            ["hilbert", "s", "0", "0", "--trunc", "1"],
+            hilbert_args("s", {"k": 0, "l": 0}, trunc=1),
+        ),
+        (
+            ["hilbert", "git", "-", "3", "--trunc=-5", "--json"],
+            hilbert_args("git", {"side": "-", "n": 3}, trunc=-5, json=True),
+        ),
+        (
+            ["hilbert", "git", "0", "0", "--trunc", "-5"],
+            hilbert_args("git", {"side": "0", "n": 0}, trunc=-5),
+        ),
+        (
+            ["hilbert", "r", "0", "0", "--table", "--table-degree", "1"],
+            hilbert_args("r", {"k": 0, "l": 0}, table=True, table_degree=1),
+        ),
+        (
+            ["hilbert", "r", "0", "0", "--table-d=7", "--tr", "3", "--table"],
+            hilbert_args("r", {"k": 0, "l": 0}, trunc=3, table=True, table_degree=7),
+        ),
+        (["sod-replay", "--json"], {"command": "sod-replay", "json": True}),
+        (["check-all"], {"command": "check-all", "json": False}),
+    ],
+    ids=lambda v: " ".join(v) if type(v) is list else "",
+)
+def test_the_parser_reads_every_accepted_form(argv, parsed):
+    args = vars(cli.parse_args(argv))
+    handler = args.pop("func")
+    assert args == parsed
+    assert list(args) == list(parsed)
+    assert handler is getattr(cli, "cmd_" + parsed["command"].replace("-", "_"))
+
+
+@pytest.mark.parametrize(
+    "argv, prog, message",
+    [
+        ([], "g2flop", "the following arguments are required: command"),
+        (
+            ["foo"],
+            "g2flop",
+            "argument command: invalid choice: 'foo' (choose from 'roots', 'dim', "
+            "'coh', 'homv', 'hilbert', 'sod-replay', 'check-all')",
+        ),
+        (["--json", "check-all"], "g2flop", "unrecognized arguments: --json"),
+        (["dim", "1", "2", "--foo"], "g2flop dim", "unrecognized arguments: --foo"),
+        (["coh", "-2h"], "g2flop coh", "unrecognized arguments: -2h"),
+        (["dim", "1"], "g2flop dim", "the following arguments are required: b"),
+        (
+            ["homv"],
+            "g2flop homv",
+            "the following arguments are required: source, target",
+        ),
+        (["dim", "1", "2", "3"], "g2flop dim", "unrecognized arguments: 3"),
+        (["dim", "x", "1"], "g2flop dim", "argument a: invalid int value: 'x'"),
+        (
+            ["hilbert", "s", "0", "0", "--trunc", "1.5"],
+            "g2flop hilbert s",
+            "argument --trunc: invalid int value: '1.5'",
+        ),
+        (
+            ["hilbert", "git", "x", "1"],
+            "g2flop hilbert git",
+            "argument side: invalid choice: 'x' (choose from '+', '-', '0')",
+        ),
+        (
+            ["hilbert", "q"],
+            "g2flop hilbert",
+            "argument kind: invalid choice: 'q' (choose from 'r', 's', 'git')",
+        ),
+        (["hilbert"], "g2flop hilbert", "the following arguments are required: kind"),
+        (
+            ["hilbert", "r", "0", "0", "--trunc"],
+            "g2flop hilbert r",
+            "argument --trunc: expected one argument",
+        ),
+        (
+            ["hilbert", "r", "0", "0", "--trunc", "--json"],
+            "g2flop hilbert r",
+            "argument --trunc: expected one argument",
+        ),
+        (
+            ["hilbert", "r", "0", "0", "--t", "3"],
+            "g2flop hilbert r",
+            "ambiguous option: --t could match --trunc, --table, --table-degree",
+        ),
+        (
+            ["hilbert", "r", "0", "0", "--json=1"],
+            "g2flop hilbert r",
+            "argument --json: ignored explicit argument '1'",
+        ),
+        (
+            ["dim", "1", "7" * 5000],
+            "g2flop dim",
+            f"argument b: invalid int value: '{'7' * 5000}'",
+        ),
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "option-before-command",
+        "unknown-option",
+        "unknown-short-option",
+        "missing-positional",
+        "missing-positionals",
+        "extra-positional",
+        "non-integer",
+        "non-integer-option",
+        "bad-choice",
+        "bad-kind",
+        "no-kind",
+        "no-option-value",
+        "option-as-option-value",
+        "ambiguous-prefix",
+        "flag-with-value",
+        "past-the-digit-limit",
+    ],
+)
+def test_usage_errors_exit_2_with_a_usage_and_an_error_line(
+    capsys, argv, prog, message
+):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: {prog} [-h]")
+    assert error == f"{prog}: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-h"],
+        ["--help"],
+        *[[name, "-h"] for name in cli.COMMANDS],
+        *[["hilbert", kind, "--help"] for kind in ("r", "s", "git")],
+        ["dim", "--he"],
+    ],
+    ids=" ".join,
+)
+def test_help_exits_0_with_the_usage_and_the_help_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    prog = " ".join(["g2flop", *argv[:-1]])
+    assert out.startswith(f"usage: {prog} [-h]")
+    entry = (cli.DESCRIPTION, cli.COMMANDS)
+    for name in argv[:-1]:
+        entry = entry[1][name]
+    assert f"\n\n{entry[0]}\n\n" in out
+    if type(entry[1]) is dict:
+        for name, sub in entry[1].items():
+            assert re.search(rf"^  {re.escape(name)} +{re.escape(sub[0])}$", out, re.M)
 
 
 def test_hilbert_table_json(capsys):
@@ -810,7 +1002,7 @@ def captured_main(argv):
 @settings(max_examples=200, deadline=None)
 def test_fuzzed_expressions_get_a_meaningful_exit(command, as_json, texts):
     # "--" hands a text that starts with "-" to the expression parser, not
-    # to argparse.  Smaller bounds keep every in-bound input cheap.  The
+    # to the argument parser.  Smaller bounds keep every in-bound input cheap.  The
     # second run may read what the first one memoized, and must print the
     # same bytes.
     argv = [command, *(["--json"] if as_json else []), "--"]
@@ -849,20 +1041,68 @@ def test_entry_point_subprocess():
     assert result.stdout.strip() == "14"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def test_cli_import_skips_dataclasses_inspect_fractions_decimal():
     # Import cost is paid by every cold check-all and sod-replay process;
-    # these modules cost about 15 ms there and the package needs none of them.
-    src = Path(__file__).resolve().parents[1] / "src"
+    # these modules cost about 20 ms there and the package needs none of them.
+    skipped = ("dataclasses", "inspect", "fractions", "decimal", "argparse", "gettext")
     code = (
         "import g2flop.cli, sys; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'fractions', 'decimal') "
-        "if m in sys.modules))"
+        f"print(' '.join(m for m in {skipped!r} if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_the_console_entry_freezes_the_heap_after_main():
+    # Frozen objects are skipped by the collections at interpreter exit.
+    code = (
+        "import gc, sys, g2flop.cli as cli; "
+        "code = cli.run(['dim', '1', '0']); "
+        "print(code, gc.get_freeze_count() > 0)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "14\n0 True\n"
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert '\n[project.scripts]\ng2flop = "g2flop.cli:run"\n' in pyproject
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "r", "0", "0", "--table", "--table-degree", "100", "--json"],
+        ["dim", "1", "0"],
+    ],
+    ids=["while-main-prints", "at-the-final-flush"],
+)
+def test_a_closed_stdout_exits_141_without_a_traceback(argv):
+    # The reader is gone before anything is written, as with "| head -c 1"
+    # once head has its byte: a long answer fails inside main's print, a
+    # short one at run's flush.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "g2flop.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")

@@ -39,6 +39,7 @@ from g2flop.rootdata import (
     Root,
     RootSystem,
     Value,
+    _init_template,
     build_root_system,
 )
 from g2flop.sodengine import (
@@ -304,9 +305,25 @@ def test_generated_constructors_belong_to_their_class():
     for cls in Value.__subclasses__():
         init = vars(cls)["__init__"]
         assert init.__qualname__ == f"{cls.__qualname__}.__init__"
+        # The code object carries its own qualified name from Python 3.11.
+        qualname = getattr(init.__code__, "co_qualname", init.__qualname__)
+        assert qualname == init.__qualname__
         assert init.__module__ == cls.__module__
         assert tuple(inspect.signature(cls).parameters) == cls._fields
         assert init.__defaults__ is None
+
+
+def test_one_constructor_template_is_compiled_per_arity():
+    # Each class renames a copy of its arity's template: the same bytecode,
+    # its own parameter names and the attribute names the body sets.
+    arities = {len(cls._fields) for cls in Value.__subclasses__()}
+    assert arities == {1, 2, 3, 4, 5, 6, 10}
+    for cls in Value.__subclasses__():
+        code = vars(cls)["__init__"].__code__
+        template = _init_template(len(cls._fields)).__code__
+        assert code.co_code == template.co_code
+        assert code.co_varnames == ("self", *cls._fields)
+        assert [c for c in code.co_consts if c is not None] == list(cls._fields)
 
 
 @pytest.mark.parametrize(
