@@ -1,19 +1,22 @@
 """Dot-action normal form, Bott cohomology and filtered-bundle determinacy.
 
 Each root system has one compiled kernel, its Bott kernel
-(``compile_pairings``), which takes a weight lam to the coroot pairings of
-lam+rho and their signs in one straight-line call.  The kernel, the coroot
-table, the slot maps of the simple reflections and the chamber table are
-this module's, built from the root data on the system's first weight (see
-``_BOTT``).  Bott runs through one uncached function, ``_dominant_image``:
-the signs name the weight's chamber, the dominance walk runs once per Weyl
-chamber, its image is checked against the one the slot maps give, and
-every weight's image is checked.  A Weyl element is its reduced word, a
-tuple of simple indices with the leftmost factor first.
-``line_cohomology`` caches its profile per weight, built from
-``_dominant_image``'s answer, and every singular weight gets one shared
-zero profile.  ``dot_normalize`` is the same function behind
-a cache of its own, read only by tests and the benchmark's tracer.
+(``compile_pairings``), which takes a weight lam in one straight-line call
+to ``(w, len(w), nu, pairings)``: w the reduced word with
+w(lam+rho) = nu+rho strictly dominant and the coroot pairings of lam+rho,
+or to None when lam is singular.  The kernel, the coroot table, the slot
+maps of the simple reflections and the chamber table are this module's,
+built from the root data on the system's first weight (see ``_BOTT``).
+Inside the kernel the signs of the pairings name the weight's chamber and
+the chamber's slots read nu off the pairings; the dominance walk runs only
+on the first weight of a chamber (``_first_weight``), where its image is
+checked against the one the slot maps give, and every weight's image is
+checked for strict dominance.  A Weyl element is its reduced word, a tuple
+of simple indices with the leftmost factor first.
+``line_cohomology`` caches its profile per weight, built from the kernel's
+answer, and every singular weight gets one shared zero profile.
+``dot_normalize`` caches ``_dominant_image``, the same call without the
+pairings, and is read only by tests and the benchmark's tracer.
 ``weyl_dim`` multiplies the same kernel's pairings, and a pairing with a
 simple coroot is read as a coordinate of the weight.
 
@@ -34,7 +37,8 @@ scope.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
 from math import prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional
@@ -92,17 +96,21 @@ K1 = CohomologyProfile(((1, (0, 0), 1),))
 
 
 #: What ``compile_pairings`` returns; see there.
-BottKernel = Callable[[Weight], Optional[tuple[tuple[int, ...], tuple[bool, ...]]]]
+BottKernel = Callable[
+    [Weight], Optional[tuple[tuple[int, ...], int, Weight, tuple[int, ...]]]
+]
 
 
-def compile_pairings(rs: RootSystem) -> BottKernel:
+def compile_pairings(
+    rs: RootSystem, chambers: dict, first: Callable[..., tuple]
+) -> BottKernel:
     """The Bott kernel of ``rs``: straight-line code from its height chain.
 
     ``kernel(lam)`` returns ``None`` when lam is singular, i.e. when some
-    positive coroot pairs to zero with lam+rho, and otherwise
-    ``(pairings, signs)``: the pairings of lam+rho with the positive coroots,
-    as one tuple in the order of ``positive_roots``, and ``signs[k]`` saying
-    whether the k-th is negative.
+    positive coroot pairs to zero with mu = lam+rho, and otherwise
+    ``(w, len(w), nu, pairings)``: w the reduced word with w(mu) = nu+rho
+    strictly dominant, and the pairings of mu with the positive coroots, as
+    one tuple in the order of ``positive_roots``.
 
     The weight is first unpacked into one local per coordinate, so a weight
     of the wrong length raises ``ValueError`` before anything else runs.
@@ -113,8 +121,14 @@ def compile_pairings(rs: RootSystem) -> BottKernel:
     positive coroot plus a simple one, so its pairing is one addition of
     two locals, and a coroot that is not is refused with
     ``RootSystemError``.  The kernel returns ``None`` right after the first
-    pairing that is zero, and writes its signs out as one comparison per
-    pairing.
+    pairing that is zero.
+
+    The signs of the pairings, one comparison each, key ``chambers`` (see
+    ``_BOTT``).  A chamber not met before is found by
+    ``first(lam, pairings, signs)``, which stores and returns its entry.
+    The entry's slots are unpacked into locals and give
+    nu_i = e_i * pairings[k_i] - 1; a negative nu_i raises
+    ``IntegrityError``.
     """
     n = rs.rank
     positive = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
@@ -137,12 +151,19 @@ def compile_pairings(rs: RootSystem) -> BottKernel:
     lines = [f"[{', '.join(coords)}] = weight"]
     for name, value in steps:
         lines += [f"{name} = {value}", f"if not {name}: return None"]
-    lines.append(
-        f"return ({''.join(f'{p}, ' for p in local.values())}), "
-        f"({''.join(f'{p} < 0, ' for p in local.values())})"
-    )
-    namespace: dict[str, object] = {}
-    exec("def kernel(weight):\n    " + "\n    ".join(lines), {}, namespace)
+    nu = [f"n{i}" for i in range(n)]
+    lines += [
+        f"pairings = ({''.join(f'{p}, ' for p in local.values())})",
+        f"signs = ({''.join(f'{p} < 0, ' for p in local.values())})",
+        f"w, length, {''.join(f'k{i}, e{i}, ' for i in range(n))}= "
+        "chambers.get(signs) or first(weight, pairings, signs)",
+        *(f"n{i} = e{i} * pairings[k{i}] - 1" for i in range(n)),
+        f"if {' or '.join(f'{v} < 0' for v in nu) or 'False'}: "
+        "raise IntegrityError(f'chamber element {w} leaves {weight} non-dominant')",
+        f"return w, length, ({''.join(f'{v}, ' for v in nu)}), pairings",
+    ]
+    namespace = {"chambers": chambers, "first": first, "IntegrityError": IntegrityError}
+    exec("def kernel(weight):\n    " + "\n    ".join(lines), namespace)
     return namespace["kernel"]
 
 
@@ -160,14 +181,15 @@ def compile_pairings(rs: RootSystem) -> BottKernel:
 #: alpha_j^v; see ``_slot_maps``.
 #:
 #: The chamber table has one entry per Weyl chamber met so far:
-#: signs -> (w, len(w), slots), w a reduced word, where signs[k] says
-#: whether mu = lam+rho pairs negatively with the k-th positive coroot, as
-#: the kernel returns it.  The signs fix the chamber of a regular mu and so
-#: the one Weyl element w taking mu into the dominant chamber (Humphreys,
+#: signs -> (w, len(w), k_0, e_0, ..., k_{n-1}, e_{n-1}), w a reduced word,
+#: where signs[k] says whether mu = lam+rho pairs negatively with the k-th
+#: positive coroot.  The signs fix the chamber of a regular mu and so the one
+#: Weyl element w taking mu into the dominant chamber (Humphreys,
 #: *Reflection Groups and Coxeter Groups*, section 1.12).  The i-th
 #: coordinate of w(mu) is <mu, w^-1 alpha_i^v>, and w^-1 alpha_i^v is plus
-#: or minus a positive coroot: slots[i] is its ``(k, e)``, so that
-#: coordinate is e times the k-th coroot pairing of mu.
+#: or minus a positive coroot: ``(k_i, e_i)`` is its slot, so that
+#: coordinate is e_i times the k_i-th coroot pairing of mu.  The kernel reads
+#: the table and ``_first_weight`` fills it.
 _BOTT: dict[RootSystem, tuple[BottKernel, dict, tuple[dict, ...], dict]] = {}
 
 
@@ -177,8 +199,10 @@ def _bott(rs: RootSystem) -> tuple[BottKernel, dict, tuple[dict, ...], dict]:
     entry = _BOTT.get(rs)
     if entry is None:
         table = _coroot_table(rs)
-        entry = (compile_pairings(rs), table, _slot_maps(rs, table), {})
-        _BOTT[rs] = entry
+        maps = _slot_maps(rs, table)
+        chambers: dict = {}
+        kernel = compile_pairings(rs, chambers, partial(_first_weight, rs))
+        entry = _BOTT[rs] = (kernel, table, maps, chambers)
     return entry
 
 
@@ -224,60 +248,58 @@ def _chamber_slots(rs: RootSystem, w: tuple[int, ...]) -> tuple[tuple[int, int],
     turn: len(w) lookups per simple coroot and no matrix arithmetic.
     """
     _, table, maps, _ = _bott(rs)
-    n = rs.rank
-    slots = [table[tuple([int(i == j) for j in range(n)])] for i in range(n)]
-    for j in w:
-        image = maps[j]
-        slots = [image[slot] for slot in slots]
+    slots = []
+    for alpha in rs.simple_roots:
+        slot = table[rs.coroots[alpha.simple_coords]]
+        for j in w:
+            slot = maps[j][slot]
+        slots.append(slot)
     return tuple(slots)
+
+
+def _first_weight(
+    rs: RootSystem, lam: Weight, pairings: tuple[int, ...], signs: tuple[bool, ...]
+) -> tuple:
+    """The chamber entry of the first weight lam met in its chamber, stored
+    under ``signs``; the kernel calls this with lam's pairings and signs.
+
+    The dominance walk runs on mu = lam+rho.  Its word must have one letter
+    per negative pairing, and its image w(mu) must be the image that w's
+    slots read from the pairings (see ``_BOTT``); otherwise
+    ``IntegrityError`` is raised and no chamber is stored.  So a slot map
+    that sends a coroot astray is refused at the first weight of a chamber
+    whose word reads it.
+    """
+    top, w = rs.to_dominant(tuple([c + 1 for c in lam]))
+    if len(w) != signs.count(True):
+        raise IntegrityError("dot-normal form length mismatch")
+    slots = _chamber_slots(rs, w)
+    image = tuple([e * pairings[k] for k, e in slots])
+    if image != top:
+        raise IntegrityError(
+            f"the slots of {w} send {lam} + rho to {image}, the walk to {top}"
+        )
+    entry = _bott(rs)[3][signs] = (w, len(w), *chain.from_iterable(slots))
+    return entry
 
 
 def _dominant_image(
     rs: RootSystem, lam: Weight
 ) -> Optional[tuple[tuple[int, ...], int, Weight]]:
     """(w, len(w), nu) with w(lam+rho) = nu+rho strictly dominant, w a
-    reduced word, or None if lam is singular.
+    reduced word, or None if lam is singular: the system's kernel, in one
+    call, without its pairings.
 
-    The system's compiled kernel takes lam to the coroot pairings of
-    mu = lam+rho and their signs in one call, or to None when a pairing is
-    zero; a weight of the wrong length raises ``ValueError`` there, singular
-    or not.  The signs key the system's chamber table.
-
-    A regular mu runs the dominance walk only on the first weight of its
-    chamber.  The walk's word must have one letter per negative pairing,
-    and the walk's image w(mu) must be the image that w's slots read from
-    the pairings (see ``_BOTT``); otherwise ``IntegrityError`` is raised and
-    no chamber is stored.  So a slot map that sends a coroot astray is
-    refused at the first weight of a chamber whose word reads it.  The word
-    is then stored with its length and slots.  Every weight, the first
-    included, reads its image from its own pairings,
-    nu_i = e_i * pairings[k_i] - 1, and the image must be strictly
+    A weight of the wrong length raises ``ValueError``, singular or not.  A
+    regular weight runs the dominance walk only when it is the first of its
+    chamber (``_first_weight``).  Every weight, the first included, reads
+    its image from its own pairings, and the image must be strictly
     dominant, or ``IntegrityError`` is raised.  Only one Weyl element makes
     a regular weight dominant, so this check verifies the stored entry, and
     the signs it was found by, in full.
     """
-    kernel, _, _, chambers = _bott(rs)
-    found = kernel(lam)
-    if found is None:
-        return None
-    pairings, signs = found
-    entry = chambers.get(signs)
-    if entry is None:
-        top, w = rs.to_dominant(tuple([c + 1 for c in lam]))
-        if len(w) != signs.count(True):
-            raise IntegrityError("dot-normal form length mismatch")
-        slots = _chamber_slots(rs, w)
-        image = tuple([e * pairings[k] for k, e in slots])
-        if image != top:
-            raise IntegrityError(
-                f"the slots of {w} send {lam} + rho to {image}, the walk to {top}"
-            )
-        entry = chambers[signs] = (w, len(w), slots)
-    w, length, slots = entry
-    nu = tuple([e * pairings[k] - 1 for k, e in slots])
-    if nu and min(nu) < 0:
-        raise IntegrityError(f"chamber element {w} leaves {lam} non-dominant")
-    return w, length, nu
+    image = _bott(rs)[0](lam)
+    return image if image is None else image[:3]
 
 
 #: ``_dominant_image`` behind a cache of its own: ``(w, len(w), nu)``, or None
@@ -289,12 +311,12 @@ dot_normalize = lru_cache(maxsize=None)(_dominant_image)
 def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
     """Bott cohomology of the line bundle O(lam) on the full flag variety.
 
-    Reads ``_dominant_image`` directly, not through ``dot_normalize``, so a
-    miss passes through this one cache only.  A singular weight gets the
-    shared zero profile; a regular one its Weyl module in degree len(w), the
-    length stored with its chamber.
+    Calls the Bott kernel directly, not through ``dot_normalize``, so a miss
+    passes through this one cache only.  A singular weight gets the shared
+    zero profile; a regular one its Weyl module in degree len(w), the length
+    stored with its chamber.
     """
-    image = _dominant_image(rs, lam)
+    image = _bott(rs)[0](lam)
     if image is None:
         return ZERO
     return CohomologyProfile(((image[1], image[2], 1),))
@@ -305,16 +327,18 @@ def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam (Weyl formula).
 
     The numerator is the product of the Bott kernel's pairings of lam+rho.
-    Raises ``ValueError`` when lam is not dominant, and ``IntegrityError``
-    when the kernel calls the dominant lam singular (lam+rho is regular) or
-    the Weyl quotient is not an integer; all three checks run on every miss.
+    The kernel runs first, so a weight of the wrong length raises its
+    ``ValueError``.  Raises ``ValueError`` when lam is not dominant, and
+    ``IntegrityError`` when the kernel calls the dominant lam singular
+    (lam+rho is regular) or the Weyl quotient is not an integer; all three
+    checks run on every miss.
     """
+    found = _bott(rs)[0](lam)
     if lam and min(lam) < 0:
         raise ValueError(f"{lam} is not dominant")
-    found = _bott(rs)[0](lam)
     if found is None:
         raise IntegrityError(f"the Bott kernel calls the dominant {lam} singular")
-    dim, rem = divmod(prod(found[0]), rs.weyl_denominator)
+    dim, rem = divmod(prod(found[3]), rs.weyl_denominator)
     if rem:
         raise IntegrityError("Weyl dimension did not come out integral")
     return dim

@@ -187,39 +187,55 @@ def test_pushforward_route_satisfies_euler():
 
 
 def test_flag_cohomology_never_contradicts_euler():
+    # Every line bundle with weight in [-6, 6]^2 comes first: together they
+    # meet each of the twelve G2 chambers, read off the reference pairings'
+    # signs, so a wrong length stored for any chamber contradicts chi on a
+    # determined answer before any other route can disagree.
     cases = 0
+    chambers = set()
     rng = random.Random(113)
     pool = [U, Dual(U), Spinor(), IrrP1(1, 1), Line(0, 0)]
-    for _ in range(150):
-        e = Twist(rng.choice(pool), rng.randint(-3, 3), rng.randint(-3, 3))
+    lines = [Line(a, b) for a, b in product(range(-6, 7), repeat=2)]
+    for e in lines + [
+        Twist(rng.choice(pool), rng.randint(-3, 3), rng.randint(-3, 3))
+        for _ in range(150)
+    ]:
         res = flag_cohomology(RS, e)
         chi = euler_characteristic(RS, weights(RS, e))
         if res.determined:
-            assert res.profile.euler(RS) == chi
+            euler = res.profile.euler(RS)
+            assert euler == chi, f"{e}: the profile's Euler number {euler}, chi {chi}"
+            for w in weights(RS, e):
+                pairings = RS.coroot_pairings(tuple(c + 1 for c in w))
+                if 0 not in pairings:
+                    chambers.add(tuple(p < 0 for p in pairings))
         cases += 1
+    assert len(chambers) == RS.weyl_order, f"{len(chambers)} chambers reached"
     _record("euler-consistency", cases)
 
 
 def test_euler_catches_a_chamber_length_one_too_long(monkeypatch):
-    # Negative control: once the walk's checks have passed for the chamber
-    # of (-2,3), its stored length is made one too long, so line_cohomology
-    # puts every weight of that chamber one degree up.  Every route reads the
-    # same chamber, so only chi, which reads none, can see it.
-    assert line_cohomology(RS, (-2, 3)).degrees() == (1,)
+    # Negative control, for each of the twelve chambers in turn: once the
+    # walk's checks have passed for it, its stored length is made one too
+    # long, so line_cohomology puts every weight of that chamber one degree
+    # up.  A line bundle has one route, which reads that chamber, so only
+    # chi, which reads none, can see it; the Euler test's line bundles come
+    # before any mixed bundle whose parabolic route could disagree.
+    for lam in product(range(-8, 9), repeat=2):
+        line_cohomology(RS, lam)
     chambers = weylbott._bott(RS)[3]
-    (key, (w, length, slots)), = (
-        (key, entry) for key, entry in chambers.items() if entry[0] == (0,)
-    )
-    monkeypatch.setitem(chambers, key, (w, length + 1, slots))
-    line_cohomology.cache_clear()
-    forget_memos()
-    try:
-        with pytest.raises(AssertionError):
-            test_flag_cohomology_never_contradicts_euler()
-    finally:
-        monkeypatch.undo()
+    assert len(chambers) == RS.weyl_order
+    for key, (w, length, *slots) in list(chambers.items()):
+        monkeypatch.setitem(chambers, key, (w, length + 1, *slots))
         line_cohomology.cache_clear()
         forget_memos()
+        try:
+            with pytest.raises(AssertionError, match="Euler number"):
+                test_flag_cohomology_never_contradicts_euler()
+        finally:
+            monkeypatch.undo()
+            line_cohomology.cache_clear()
+            forget_memos()
     assert line_cohomology(RS, (-2, 3)).degrees() == (1,)
 
 

@@ -6,7 +6,7 @@ import importlib
 import random
 import sys
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 from math import prod
 from pathlib import Path
 
@@ -109,9 +109,13 @@ def test_full_flag_of_sl3_oracle():
             assert line_cohomology(a2, dual).dimensions(a2) == {3: dim}
 
 
-def _all_negative_kernel(rs):
-    # A G2 kernel that reports every pairing negative, whatever the weight.
-    return lambda lam: ((-1,) * 6, (True,) * 6)
+def _all_negative_kernel(rs, chambers, first):
+    # The compiled kernel, reporting every pairing negative to the first
+    # weight of each chamber, whatever the weight.
+    def all_negative(lam, pairings, signs):
+        return first(lam, pairings, (True,) * len(signs))
+
+    return compile_pairings(rs, chambers, all_negative)
 
 
 def test_dot_normalize_rejects_a_length_mismatch(monkeypatch):
@@ -119,6 +123,7 @@ def test_dot_normalize_rejects_a_length_mismatch(monkeypatch):
     monkeypatch.setattr(weylbott, "compile_pairings", _all_negative_kernel)
     with pytest.raises(RuntimeError, match="length mismatch"):
         dot_normalize(rs, (-2, 3))
+    assert not _chambers_of(rs)
 
 
 def test_line_cohomology_rejects_a_length_mismatch(monkeypatch):
@@ -128,22 +133,21 @@ def test_line_cohomology_rejects_a_length_mismatch(monkeypatch):
     monkeypatch.setattr(weylbott, "compile_pairings", _all_negative_kernel)
     with pytest.raises(IntegrityError, match="length mismatch"):
         line_cohomology(rs, (-2, 3))
+    assert not _chambers_of(rs)
 
 
 @pytest.mark.parametrize("lam", [(-1, 5, 7), (2,), (0, 0, 0)])
 def test_a_weight_of_the_wrong_length_is_refused_even_when_singular(lam):
     # (-1, 5, 7) has a zero coordinate in lam+rho, which used to be reported
-    # singular and cache the zero profile before any length check.
+    # singular and cache the zero profile before any length check.  It is not
+    # dominant either, and weyl_dim runs the kernel before that check.
     rs = g2()
-    cached = line_cohomology.cache_info().currsize, dot_normalize.cache_info().currsize
-    with pytest.raises(ValueError, match="values to unpack"):
-        line_cohomology(rs, lam)
-    with pytest.raises(ValueError, match="values to unpack"):
-        dot_normalize(rs, lam)
-    assert (
-        line_cohomology.cache_info().currsize,
-        dot_normalize.cache_info().currsize,
-    ) == cached
+    faces = (line_cohomology, dot_normalize, weyl_dim)
+    cached = [face.cache_info().currsize for face in faces]
+    for face in faces:
+        with pytest.raises(ValueError, match="values to unpack"):
+            face(rs, lam)
+    assert [face.cache_info().currsize for face in faces] == cached
 
 
 CHAMBER_BOXES = {
@@ -203,9 +207,10 @@ def test_a_corrupted_chamber_entry_is_refused():
     # the chamber out of the dominant chamber, on both faces of the kernel.
     rs = build_root_system(G2_CARTAN)
     assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
-    (key, (w, _, _)), = _chambers_of(rs).items()
+    (key, (w, *_)), = _chambers_of(rs).items()
     assert w == (0,)
-    _chambers_of(rs)[key] = ((1,), 1, weylbott._chamber_slots(rs, (1,)))
+    slots = chain.from_iterable(weylbott._chamber_slots(rs, (1,)))
+    _chambers_of(rs)[key] = ((1,), 1, *slots)
     same = _same_chamber(rs, key, (-2, 3))
     assert len(same) >= 2
     with pytest.raises(IntegrityError, match="non-dominant"):
@@ -219,9 +224,8 @@ def test_a_flipped_slot_sign_is_refused():
     # a negative image coordinate on the next weight of its chamber.
     rs = build_root_system(G2_CARTAN)
     assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
-    (key, (w, length, slots)), = _chambers_of(rs).items()
-    (k, e), rest = slots[0], slots[1:]
-    _chambers_of(rs)[key] = (w, length, ((k, -e),) + rest)
+    (key, (w, length, k, e, *rest)), = _chambers_of(rs).items()
+    _chambers_of(rs)[key] = (w, length, k, -e, *rest)
     with pytest.raises(IntegrityError, match="non-dominant"):
         line_cohomology(rs, _same_chamber(rs, key, (-2, 3))[0])
 
@@ -286,7 +290,7 @@ def matrix_row_slots(rs, w):
 @pytest.mark.parametrize("name", sorted(SLOT_BOXES))
 def test_stored_slots_reproduce_the_matrix_rows(name):
     # Row i of w's matrix is w^-1 alpha_i^v, and the chamber entry stores it
-    # as (k, e): e times the k-th positive coroot.  word_matrix, which
+    # flat as k, e: e times the k-th positive coroot.  word_matrix, which
     # applies the word to each fundamental weight, is the reference.
     cartan, half = SLOT_BOXES[name]
     rs = build_root_system(cartan)
@@ -297,7 +301,8 @@ def test_stored_slots_reproduce_the_matrix_rows(name):
     if name == "G2":
         assert len(chambers) == rs.weyl_order
     positive = [rs.coroots[r.simple_coords] for r in rs.positive_roots]
-    for signs, (w, length, slots) in chambers.items():
+    for signs, (w, length, *flat) in chambers.items():
+        slots = tuple(zip(flat[::2], flat[1::2]))
         assert length == len(w) == signs.count(True)
         assert word_matrix(rs, w) == tuple(
             tuple(e * c for c in positive[k]) for k, e in slots
@@ -341,10 +346,12 @@ def _benchmark_cartans():
         sys.path.remove(bench)
 
 
-#: The benchmark's types, plus G2 and E6: (cartan, half-width of the box).
+#: The benchmark's types, plus A1, G2 and E6: (cartan, half-width of the
+#: box).
 KERNEL_DEFINITION_BOXES = {
     **{name: (c, 2 if len(c) <= 4 else 1) for name, c in _benchmark_cartans().items()},
     **SLOT_BOXES,
+    "A1": ([[2]], 6),
 }
 
 
@@ -352,23 +359,26 @@ KERNEL_DEFINITION_BOXES = {
 def test_the_compiled_kernel_matches_its_definition(name):
     # The reference: the pairings of lam+rho are the dot products with the
     # positive coroots in the order of positive_roots; lam is singular
-    # exactly when one of them is 0; the signs say which are negative.  The
-    # kernel is compiled on a system's first weight, not by the build, and
-    # weyl_dim reads its pairings on a dominant box.
+    # exactly when one of them is 0; otherwise a direct dominance walk gives
+    # w and w(lam+rho) = nu+rho.  The kernel is compiled on a system's first
+    # weight, not by the build, and weyl_dim reads its pairings on a
+    # dominant box.
     cartan, half = KERNEL_DEFINITION_BOXES[name]
     rs = build_root_system(cartan)
     assert rs not in weylbott._BOTT
-    kernel = compile_pairings(rs)
+    kernel = weylbott._bott(rs)[0]
     singular = 0
     for lam in product(range(-half, half + 1), repeat=rs.rank):
-        pairings = rs.coroot_pairings(tuple(c + 1 for c in lam))
+        mu = tuple(c + 1 for c in lam)
+        pairings = rs.coroot_pairings(mu)
         found = kernel(lam)
         if 0 in pairings:
             singular += 1
             assert found is None, lam
-        else:
-            assert found == (pairings, tuple(p < 0 for p in pairings)), lam
-            assert type(found[0]) is type(found[1]) is tuple
+            continue
+        top, w = rs.to_dominant(mu)
+        assert found == (w, len(w), tuple(c - 1 for c in top), pairings), lam
+        assert type(found[2]) is type(found[3]) is tuple
     assert 0 < singular < (2 * half + 1) ** rs.rank
     for lam in product(range(half + 1), repeat=rs.rank):
         expected = prod(rs.coroot_pairings(tuple(c + 1 for c in lam)))
@@ -380,17 +390,11 @@ def test_a_kernel_with_one_sign_flipped_is_refused(monkeypatch):
     # Negative control: one wrong sign changes the count of negative
     # pairings, so the walk of the chamber's first weight is one letter off,
     # on both faces of the kernel, and no chamber is stored.
-    def flipped(rs):
-        kernel = compile_pairings(rs)
+    def flipped(rs, chambers, first):
+        def flip(lam, pairings, signs):
+            return first(lam, pairings, (not signs[0],) + signs[1:])
 
-        def flip(lam):
-            found = kernel(lam)
-            if found is None:
-                return None
-            pairings, signs = found
-            return pairings, (not signs[0],) + signs[1:]
-
-        return flip
+        return compile_pairings(rs, chambers, flip)
 
     rs = build_root_system(G2_CARTAN)
     monkeypatch.setattr(weylbott, "compile_pairings", flipped)
@@ -406,7 +410,7 @@ def test_weyl_dim_refuses_a_kernel_that_calls_a_dominant_weight_singular(monkeyp
     # Negative control: lam+rho is regular for a dominant lam, so a kernel
     # that returns None there is an engine bug, never a zero dimension.
     rs = build_root_system(G2_CARTAN)
-    monkeypatch.setattr(weylbott, "compile_pairings", lambda rs: lambda lam: None)
+    monkeypatch.setattr(weylbott, "compile_pairings", lambda *_: lambda lam: None)
     with pytest.raises(IntegrityError, match=r"calls the dominant \(0, 1\) singular"):
         weyl_dim(rs, (0, 1))
 
