@@ -276,11 +276,12 @@ DESCRIPTION = (
     "Cox-ring Hilbert series and semiorthogonal mutations on the G2 flag variety."
 )
 
-#: The command table that ``parse_args`` reads.  A command is either
-#: ``(help, handler, positionals, options)`` or ``(help, {name: command})``,
-#: a group such as hilbert's three kinds.  A positional is a name with its
-#: type: ``int``, ``str`` or a tuple of choices.  An option maps its name to
-#: its default: ``False`` for a flag, an int for an option taking an integer.
+#: The command table that both ``_plain_args`` and ``build_parser`` read.  A
+#: command is either ``(help, handler, positionals, options)`` or
+#: ``(help, {name: command})``, a group such as hilbert's three kinds.  A
+#: positional is a name with its type: ``int``, ``str`` or a tuple of
+#: choices.  An option maps its name to its default: ``False`` for a flag, an
+#: int for an option taking an integer.
 HILBERT_OPTIONS = {"trunc": 10, "json": False, "table": False, "table-degree": 5}
 COMMANDS = {
     "roots": (
@@ -339,162 +340,110 @@ COMMANDS = {
     "check-all": ("run every verification suite", cmd_check_all, (), {"json": False}),
 }
 OPTION_HELP = {
-    "help": "show this help message and exit",
+    "json": "print the answer as JSON",
     "convention-dump": "dump the pinned conventions (Cartan matrix, rho, orientation)",
+    "trunc": "the s and git sums stop at diagonal twist TRUNC",
     "table": "emit the full table",
+    "table-degree": "largest degree in the table, at most 100",
 }
 
 
-def _option_label(name: str, default) -> str:
-    """``--json`` for a flag, ``--trunc TRUNC`` for an option with a value."""
-    if default is False:
-        return f"--{name}"
-    return f"--{name} {name.upper().replace('-', '_')}"
+def _plain_args(argv: list[str]) -> Optional[dict]:
+    """What argparse makes of ``argv``, as a dict in its key order with
+    ``func``, when ``argv`` has only plain forms; ``None`` for any other.
 
-
-class _Level:
-    """One level of the command table while ``parse_args`` walks it: the
-    top, a group, or a command with its own positionals and options."""
-
-    def __init__(self, prog: str, entry: tuple, dest: str):
-        self.prog, self.help = prog, entry[0]
-        if type(entry[1]) is dict:
-            self.group = entry[1]
-            self.positionals = ((dest, tuple(self.group)),)
-            self.options = {}
-        else:
-            self.group = None
-            self.handler, self.positionals, self.options = entry[1:]
-
-    def usage(self) -> str:
-        parts = [self.prog, "[-h]"]
-        parts += [f"[{_option_label(n, d)}]" for n, d in self.options.items()]
-        for name, kind in self.positionals:
-            parts.append("{" + ",".join(kind) + "}" if type(kind) is tuple else name)
-        if self.group is not None:
-            parts.append("...")
-        return "usage: " + " ".join(parts)
-
-    def help_text(self) -> str:
-        if self.group is not None:
-            title = "commands:"
-            rows = [(name, entry[0]) for name, entry in self.group.items()]
-        else:
-            title = "options:"
-            rows = [("-h, --help", OPTION_HELP["help"])]
-            rows += [
-                (_option_label(n, d), OPTION_HELP.get(n, ""))
-                for n, d in self.options.items()
-            ]
-        width = max(len(left) for left, _ in rows)
-        lines = [self.usage(), "", self.help, "", title]
-        lines += [f"  {left:<{width}}  {text}".rstrip() for left, text in rows]
-        return "\n".join(lines)
-
-    def error(self, message: str):
-        print(self.usage(), file=sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-    def option(self, arg: str) -> Optional[tuple[Optional[str], Optional[str]]]:
-        """``(name, explicit value)`` when ``arg`` is an option, as argparse
-        reads one: an exact name or a unique prefix of one, with an optional
-        ``=value``; the name is ``None`` for an unknown option.  ``None``
-        when ``arg`` is a positional: ``-``, a negative integer or a text with
-        a space in it."""
-        if not arg.startswith("-") or arg == "-":
-            return None
-        flag, eq, value = arg.partition("=")
-        explicit = value if eq else None
-        if flag == "-h":
-            return "help", explicit
-        if flag.startswith("--"):
-            names = ("help", *self.options)
-            if flag[2:] in names:
-                return flag[2:], explicit
-            matches = [n for n in names if n.startswith(flag[2:])]
-            if len(matches) > 1:
-                could = ", ".join("--" + n for n in matches)
-                self.error(f"ambiguous option: {flag} could match {could}")
-            if matches:
-                return matches[0], explicit
-        if arg[1:].isdecimal() or " " in arg:
-            return None
-        return None, explicit
-
-    def convert(self, name: str, kind, text: str):
-        if type(kind) is tuple:
-            if text not in kind:
-                choices = ", ".join(map(repr, kind))
-                self.error(
-                    f"argument {name}: invalid choice: {text!r} (choose from {choices})"
-                )
-            return text
-        try:
-            return kind(text)
-        except ValueError:
-            self.error(f"argument {name}: invalid {kind.__name__} value: {text!r}")
-
-
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """Parse a command line against ``COMMANDS``, as argparse would.
-
-    Options may come before, between or after the positionals; ``--`` makes
-    every later argument a positional; a negative integer is a positional or
-    an option's value.  ``-h`` or ``--help`` prints help and exits 0, and a
-    usage error prints a usage line and an error line to stderr and exits 2.
-    The result holds ``command``, a group's ``kind``, every positional and
-    every option (dashes as underscores) and ``func``, the handler.
+    The plain forms are the command and a group's kind, positionals that do
+    not start with ``-`` or are one of their choices, and exact long options,
+    as ``--opt N``, ``--opt=N`` or a bare flag, with ``int()`` reading N.
+    Help, prefixes, ``--``, values that start with ``-`` and every usage
+    error are left to ``build_parser``.
     """
-    level = _Level("g2flop", (DESCRIPTION, COMMANDS), "command")
-    values: dict[str, object] = {}
+    values = {}
+    entry, dest, i = (DESCRIPTION, COMMANDS), "command", 0
+    while type(entry[1]) is dict:
+        if i == len(argv) or argv[i] not in entry[1]:
+            return None
+        values[dest] = argv[i]
+        entry, dest, i = entry[1][argv[i]], "kind", i + 1
+    _, handler, positionals, options = entry
+    values.update((name, None) for name, _ in positionals)
+    values.update((name.replace("-", "_"), d) for name, d in options.items())
+    values["func"] = handler
     filled = 0
-    positional_only = False
-    args = iter(argv)
-    for arg in args:
-        if not positional_only and arg == "--":
-            positional_only = True
-            continue
-        option = None if positional_only else level.option(arg)
-        if option is not None:
-            name, explicit = option
-            if name is None:
-                level.error(f"unrecognized arguments: {arg}")
-            if name == "help":
-                print(level.help_text())
-                raise SystemExit(EXIT_OK)
-            default = level.options[name]
-            if default is False:
-                if explicit is not None:
-                    level.error(
-                        f"argument --{name}: ignored explicit argument {explicit!r}"
-                    )
-                values[name.replace("-", "_")] = True
-                continue
-            if explicit is None:
-                explicit = next(args, None)
-                if explicit in (None, "--") or level.option(explicit) is not None:
-                    level.error(f"argument --{name}: expected one argument")
-            values[name.replace("-", "_")] = level.convert(f"--{name}", int, explicit)
-            continue
-        if filled == len(level.positionals):
-            level.error(f"unrecognized arguments: {arg}")
-        name, kind = level.positionals[filled]
-        values[name] = level.convert(name, kind, arg)
-        filled += 1
-        if level.group is not None:
-            level = _Level(f"{level.prog} {arg}", level.group[arg], "kind")
-            filled = 0
-            if level.group is None:
-                values.update((n, None) for n, _ in level.positionals)
-                values.update(
-                    (n.replace("-", "_"), d) for n, d in level.options.items()
-                )
-                values["func"] = level.handler
-    if filled < len(level.positionals):
-        missing = ", ".join(name for name, _ in level.positionals[filled:])
-        level.error(f"the following arguments are required: {missing}")
-    return SimpleNamespace(**values)
+    args = iter(argv[i:])
+    try:
+        for arg in args:
+            name, eq, text = arg.partition("=")
+            if name.startswith("--") and name[2:] in options:
+                name = name[2:]
+                if options[name] is not False:
+                    # A missing value reads as "-", which declines.
+                    text = text if eq else next(args, "-")
+                    value = None if text.startswith("-") else int(text)
+                else:
+                    value = None if eq else True
+            elif filled < len(positionals):
+                name, kind = positionals[filled]
+                filled += 1
+                if type(kind) is tuple:
+                    value = arg if arg in kind else None
+                else:
+                    value = None if arg.startswith("-") else kind(arg)
+            else:
+                return None
+            if value is None:
+                return None
+            values[name.replace("-", "_")] = value
+    except ValueError:
+        return None
+    return values if filled == len(positionals) else None
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for the argvs that
+    ``_plain_args`` leaves: its help, its usage errors and the forms that
+    only argparse reads.  argparse is imported here, so a plain argv never
+    loads it."""
+    import argparse
+
+    def add(parser, entry, dest):
+        if type(entry[1]) is dict:
+            group = parser.add_subparsers(dest=dest, required=True)
+            for name, sub in entry[1].items():
+                sub_parser = group.add_parser(name, help=sub[0], description=sub[0])
+                add(sub_parser, sub, "kind")
+            return
+        handler, positionals, options = entry[1:]
+        for name, kind in positionals:
+            if type(kind) is tuple:
+                parser.add_argument(name, choices=kind)
+            else:
+                parser.add_argument(name, type=kind)
+        for name, default in options.items():
+            how = {"action": "store_true"}
+            if default is not False:
+                how = {"type": int, "default": default}
+            parser.add_argument(f"--{name}", help=OPTION_HELP[name], **how)
+        parser.set_defaults(func=handler)
+
+    parser = argparse.ArgumentParser(
+        prog="g2flop",
+        description=DESCRIPTION,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    add(parser, (DESCRIPTION, COMMANDS), "command")
+    return parser
+
+
+def parse_args(argv: list[str]):
+    """The namespace of ``argv``: read by ``_plain_args`` when it can be,
+    by ``build_parser`` otherwise, which prints help or a usage error and
+    exits 0 or 2.  It holds ``command``, a group's ``kind``, every positional
+    and every option (dashes as underscores) and ``func``, the handler."""
+    plain = _plain_args(argv)
+    if plain is None:
+        return build_parser().parse_args(argv)
+    return SimpleNamespace(**plain)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

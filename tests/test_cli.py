@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2flop import bundles, cli, totalspace
@@ -470,6 +472,111 @@ def test_the_parser_reads_every_accepted_form(argv, parsed):
     assert handler is getattr(cli, "cmd_" + parsed["command"].replace("-", "_"))
 
 
+def table_leaves(entry=(cli.DESCRIPTION, cli.COMMANDS), path=()):
+    """Each command of ``cli.COMMANDS`` with its path: ``("dim",)``,
+    ``("hilbert", "git")``."""
+    if type(entry[1]) is dict:
+        for name, sub in entry[1].items():
+            yield from table_leaves(sub, (*path, name))
+    else:
+        yield path, entry
+
+
+TABLE_LEAVES = list(table_leaves())
+PLAIN_VALUES = {int: ["0", "2", "7"], str: ["U", "O(h)"]}
+#: The table's names, choices and options, and the tokens where the plain
+#: reader and argparse could part: a dash, negative and underscored
+#: integers, a leading space, a float, ``--``, help, prefixes and values
+#: given with ``=``.
+TABLE_TOKENS = [
+    *sorted({name for path, _ in TABLE_LEAVES for name in path}),
+    *sorted({f"--{name}" for _, entry in TABLE_LEAVES for name in entry[3]}),
+    *[
+        choice
+        for _, entry in TABLE_LEAVES
+        for _, kind in entry[2]
+        if type(kind) is tuple
+        for choice in kind
+    ],
+    *["0", "2", "U", "--trunc=3"],
+    *["-", "-1", "-1_000", "1_0", " 3", "1.5", "--", "-h", "--conv", "--tr"],
+    *["--json=1", "--trunc=-5"],
+]
+
+
+@st.composite
+def table_argvs(draw):
+    """A command's path, then tokens: half of them the command's own options
+    and values, so that about one argv in fifteen is plain."""
+    path, entry = draw(st.sampled_from(TABLE_LEAVES))
+    own = [f"--{name}" for name in entry[3]]
+    for _, kind in entry[2]:
+        own += kind if type(kind) is tuple else PLAIN_VALUES[kind]
+    word = st.sampled_from(own) | st.sampled_from(TABLE_TOKENS)
+    return [*path, *draw(st.lists(word, max_size=6))]
+
+
+@functools.cache
+def argparse_parser():
+    return cli.build_parser()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(table_argvs())
+@example(["hilbert", "r", "0", "0", "--trunc", "-1_000"])
+@example(["dim", "-1_000", "0"])
+def test_the_plain_reader_agrees_with_argparse(argv):
+    plain = cli._plain_args(argv)
+    if plain is None:
+        return
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            parsed = vars(argparse_parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"argparse refuses {argv}: {err.getvalue()}")
+    # Equal items in equal order: the key order and the handler too.
+    assert list(plain.items()) == list(parsed.items())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--json", "check-all"],
+        ["hilbert", "--json", "r", "0", "0"],
+        ["hilbert", "q", "0", "0"],
+        ["roots", "--conv"],
+        ["roots", "--json=1"],
+        ["roots", "--json="],
+        ["dim", "-1", "0"],
+        ["dim", "1"],
+        ["dim", "1", "2", "3"],
+        ["dim", "x", "1"],
+        ["dim", "1.5", "1"],
+        ["coh", "-"],
+        ["coh", "-2h"],
+        ["coh", "-H -h"],
+        ["coh", "--", "U"],
+        ["coh", "U", "-h"],
+        ["hilbert", "git", "x", "1"],
+        ["hilbert", "git", "+", "-"],
+        ["hilbert", "r", "0", "0", "--tr", "3"],
+        ["hilbert", "r", "0", "0", "--trunc"],
+        ["hilbert", "r", "0", "0", "--trunc", "--json"],
+        ["hilbert", "r", "0", "0", "--trunc", "-5"],
+        ["hilbert", "r", "0", "0", "--trunc=-5"],
+        ["hilbert", "r", "0", "0", "--trunc="],
+        # int() reads -1_000, but argparse takes it for an option.
+        ["hilbert", "r", "0", "0", "--trunc", "-1_000"],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_the_plain_reader_leaves_every_other_form_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
 @pytest.mark.parametrize(
     "argv, prog, message",
     [
@@ -481,15 +588,15 @@ def test_the_parser_reads_every_accepted_form(argv, parsed):
             "'coh', 'homv', 'hilbert', 'sod-replay', 'check-all')",
         ),
         (["--json", "check-all"], "g2flop", "unrecognized arguments: --json"),
-        (["dim", "1", "2", "--foo"], "g2flop dim", "unrecognized arguments: --foo"),
-        (["coh", "-2h"], "g2flop coh", "unrecognized arguments: -2h"),
+        (["dim", "1", "2", "--foo"], "g2flop", "unrecognized arguments: --foo"),
+        (["coh", "-2h"], "g2flop coh", "the following arguments are required: expr"),
         (["dim", "1"], "g2flop dim", "the following arguments are required: b"),
         (
             ["homv"],
             "g2flop homv",
             "the following arguments are required: source, target",
         ),
-        (["dim", "1", "2", "3"], "g2flop dim", "unrecognized arguments: 3"),
+        (["dim", "1", "2", "3"], "g2flop", "unrecognized arguments: 3"),
         (["dim", "x", "1"], "g2flop dim", "argument a: invalid int value: 'x'"),
         (
             ["hilbert", "s", "0", "0", "--trunc", "1.5"],
@@ -514,6 +621,11 @@ def test_the_parser_reads_every_accepted_form(argv, parsed):
         ),
         (
             ["hilbert", "r", "0", "0", "--trunc", "--json"],
+            "g2flop hilbert r",
+            "argument --trunc: expected one argument",
+        ),
+        (
+            ["hilbert", "r", "0", "0", "--trunc", "-1_000"],
             "g2flop hilbert r",
             "argument --trunc: expected one argument",
         ),
@@ -549,21 +661,26 @@ def test_the_parser_reads_every_accepted_form(argv, parsed):
         "no-kind",
         "no-option-value",
         "option-as-option-value",
+        "underscored-negative-option-value",
         "ambiguous-prefix",
         "flag-with-value",
         "past-the-digit-limit",
     ],
 )
 def test_usage_errors_exit_2_with_a_usage_and_an_error_line(
-    capsys, argv, prog, message
+    capsys, monkeypatch, argv, prog, message
 ):
+    # argparse wraps a long usage onto indented lines, to the terminal's
+    # width; 80 is its width without a terminal.
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    usage, error = err.splitlines()
+    usage, *wrapped, error = err.splitlines()
     assert usage.startswith(f"usage: {prog} [-h]")
+    assert all(line.startswith(" ") for line in wrapped)
     assert error == f"{prog}: error: {message}"
 
 
@@ -578,7 +695,8 @@ def test_usage_errors_exit_2_with_a_usage_and_an_error_line(
     ],
     ids=" ".join,
 )
-def test_help_exits_0_with_the_usage_and_the_help_text(capsys, argv):
+def test_help_exits_0_with_the_usage_and_the_help_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
@@ -591,8 +709,17 @@ def test_help_exits_0_with_the_usage_and_the_help_text(capsys, argv):
         entry = entry[1][name]
     assert f"\n\n{entry[0]}\n\n" in out
     if type(entry[1]) is dict:
+        # argparse lists a group's names 4 spaces in, under "{r,s,git}".
         for name, sub in entry[1].items():
-            assert re.search(rf"^  {re.escape(name)} +{re.escape(sub[0])}$", out, re.M)
+            row = rf"^    {re.escape(name)} +{re.escape(sub[0])}$"
+            assert re.search(row, out, re.M)
+        return
+    # Every option has a help row; argparse puts the text on the next line
+    # when the option is long, and wraps it.
+    for name in entry[3]:
+        row = rf"^  --{re.escape(name)}(?: [A-Z_]+)?(?: {{2,}}|\n {{3,}})\S"
+        assert re.search(row, out, re.M), name
+        assert " ".join(cli.OPTION_HELP[name].split()) in " ".join(out.split())
 
 
 def test_hilbert_table_json(capsys):
@@ -1060,6 +1187,52 @@ def test_cli_import_skips_dataclasses_inspect_fractions_decimal():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_the_plain_forms_never_load_argparse():
+    # The certify workload's cold check-all and sod-replay processes, and
+    # every README example, are read without argparse; a form that only
+    # argparse reads loads it and is still refused in one line.
+    readme = (SRC.parent / "README.md").read_text()
+    examples = [
+        shlex.split(line) for line in re.findall(r"^g2flop (.+?) +#", readme, re.M)
+    ]
+    assert examples
+    argvs = [
+        ["check-all", "--json"],
+        ["sod-replay", "--json"],
+        ["homv", "U", "O(h)", "--json"],
+        ["hilbert", "git", "-", "3", "--trunc", "1000000000000", "--json"],
+        *examples,
+    ]
+    code = (
+        "import contextlib, io, sys, g2flop.cli as cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        print(cli.main(argv), file=sys.stderr)\n"
+        "print(' '.join(m for m in ('argparse', 'gettext') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (result.returncode, result.stderr) == (0, "0\n" * len(argvs))
+    assert result.stdout == "\n"
+    code = (
+        "import sys, g2flop.cli as cli; "
+        "code = cli.main(['dim', '-1', '0']); "
+        "print(code, 'argparse' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (result.returncode, result.stdout) == (0, "2 True\n")
+    assert result.stderr == "error: (-1, 0) is not dominant\n"
 
 
 def test_the_console_entry_freezes_the_heap_after_main():
