@@ -53,11 +53,14 @@ in C, never by the ``BundleExpr`` value.  Each evaluation is split into a
 part that depends only on the factor tuple and a part that depends on the
 twist; the first is memoized per ``(root system, factors)`` in caches of the
 same kind: route A's product of weight multisets and route B's one-sided
-shape.  A new twist of known
-factors therefore only shifts weights and pushes forward.  These memos hold
-tuples, never a dict a caller could change.  ``parse_expr`` likewise parses
-each text once and hands every caller the same frozen value.  Failures are
-not memoized, so a failing input raises again on every call.
+shape.  A new twist of known factors therefore only shifts weights and
+pushes forward.  Route B's pushforward is memoized as well, per summand and
+fiber degree, with the twist's base part already added to the summand's
+highest weight, so a summand that repeats across expressions is pushed
+forward once.  These memos hold tuples, never a dict a caller could
+change.  ``parse_expr`` likewise parses each text once and hands every
+caller the same frozen value.  Failures are not memoized, so a failing
+input raises again on every call.
 
 The expression grammar for the CLI::
 
@@ -384,25 +387,25 @@ def _one_sided_shape(
     return i, tuple(summands.items()), opaque
 
 
-def _pushforward_profile(
-    rs: RootSystem, i: int, hw: Weight, twist: Weight
-) -> list[tuple[int, Weight, int]]:
-    """Exact cohomology of (pullback of E_hw) tensor O(twist), for the Levi
-    index i, as unmerged ``(degree, weight, multiplicity)`` entries.
+@lru_cache(maxsize=None)
+def _pushforward(
+    rs: RootSystem, i: int, hw: Weight, fiber: int
+) -> tuple[tuple[int, Weight, int], ...]:
+    """Exact cohomology of (pullback of E_hw) tensor the line of weight
+    ``fiber`` in coordinate i and 0 elsewhere, for the Levi index i, as
+    unmerged ``(degree, weight, multiplicity)`` entries.
 
-    Splits the twist into the base direction (absorbed into the highest
-    weight) and the fiber direction f = twist[i], then pushes down the
-    rank-1 fibration: f >= 0 tensors with the rank-(f+1) symmetric power of
-    the dual fiber bundle, f = -1 kills everything, f <= -2 lands in
-    relative degree 1 tensored with Sym^(-f-2) of the fiber bundle twisted
-    by its determinant (equivalently, the fiber-direction dot-reflection of
-    the twist).
+    The caller adds a twist's base part to ``hw``, so the memo, per ``(rs,
+    i, hw, fiber)`` and unbounded like the Bott caches, is keyed by all that
+    the answer depends on.  Pushes down the rank-1 fibration: fiber >= 0
+    tensors with the rank-(fiber+1) symmetric power of the dual fiber
+    bundle, fiber = -1 kills everything, fiber <= -2 lands in relative
+    degree 1 tensored with Sym^(-fiber-2) of the fiber bundle twisted by its
+    determinant (equivalently, the fiber-direction dot-reflection of the
+    twist).
     """
-    base_twist = tuple(0 if k == i else twist[k] for k in range(rs.rank))
-    fiber = twist[i]
-    hw = wadd(hw, base_twist)
     if fiber == -1:
-        return []
+        return ()
     fiber_weight = tuple(fiber if k == i else 0 for k in range(rs.rank))
     if fiber >= 0:
         partner = fiber_weight
@@ -411,27 +414,33 @@ def _pushforward_profile(
         shifted = rs.reflect(i, wadd(fiber_weight, rs.rho))
         partner = tuple(c - 1 for c in shifted)
         shift = 1
-    return [
+    return tuple(
         (d + shift, w, m)
         for summand in levi_tensor(rs, i, hw, partner)
         for d, w, m in line_cohomology(rs, summand).entries
-    ]
+    )
 
 
 def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProfile]:
-    """Exact one-sided evaluation; None when the shape does not apply."""
+    """Exact one-sided evaluation; None when the shape does not apply.  The
+    twist splits once into its fiber degree, twist[i], and its base part,
+    which shifts each summand's highest weight before the memoized
+    pushforward reads it."""
     shape = _one_sided_shape(rs, e.factors)
     if shape is None:
         return None
     i, summands, opaque = shape
+    twist = e.twist
+    fiber = twist[i]
     if opaque:
         # S-side pullbacks: only the fiber-degree -1 vanishing needs no
         # knowledge of S itself.
-        return ZERO if e.twist[i] == -1 else None
+        return ZERO if fiber == -1 else None
+    base = tuple([0 if k == i else t for k, t in enumerate(twist)])
     return CohomologyProfile.of(
         (d, w, m * mult)
         for hw, mult in summands
-        for d, w, m in _pushforward_profile(rs, i, hw, e.twist)
+        for d, w, m in _pushforward(rs, i, wadd(hw, base), fiber)
     )
 
 

@@ -183,11 +183,15 @@ def cmd_homv(args, rs: RootSystem) -> int:
 
 
 def cmd_hilbert(args, rs: RootSystem) -> int:
-    trunc = args.trunc
+    # The r sum takes no --trunc; its table reports the default truncation.
+    trunc = getattr(args, "trunc", DEFAULT_TRUNC)
     if trunc < 0:
         print("error: truncation must be non-negative", file=sys.stderr)
         return EXIT_USAGE
-    if args.table_degree < 0:
+    table_degree = args.table_degree
+    if table_degree is None:
+        table_degree = DEFAULT_TABLE_DEGREE
+    if table_degree < 0:
         print("error: table degree must be non-negative", file=sys.stderr)
         return EXIT_USAGE
     if args.kind == "r":
@@ -211,7 +215,7 @@ def cmd_hilbert(args, rs: RootSystem) -> int:
         "inputs": inputs,
         "status": "pass",
         "value": value,
-        "table": hilbert_table(rs, args.kind, trunc, args.table_degree)
+        "table": hilbert_table(rs, args.kind, trunc, table_degree)
         if args.table
         else None,
     }
@@ -281,8 +285,13 @@ DESCRIPTION = (
 #: ``(help, {name: command})``, a group such as hilbert's three kinds.  A
 #: positional is a name with its type: ``int``, ``str`` or a tuple of
 #: choices.  An option maps its name to its default: ``False`` for a flag, an
-#: int for an option taking an integer.
-HILBERT_OPTIONS = {"trunc": 10, "json": False, "table": False, "table-degree": 5}
+#: int or None for an option taking an integer.  Only the s and git sums are
+#: truncated, so r has no ``--trunc``; ``--table-degree`` defaults to None,
+#: so that ``parse_args`` can refuse it without ``--table``.
+DEFAULT_TRUNC = 10
+DEFAULT_TABLE_DEGREE = 5
+HILBERT_OPTIONS = {"json": False, "table": False, "table-degree": None}
+TRUNCATED_OPTIONS = {"trunc": DEFAULT_TRUNC, **HILBERT_OPTIONS}
 COMMANDS = {
     "roots": (
         "root system summary",
@@ -321,13 +330,13 @@ COMMANDS = {
                 "total-space Cox ring piece",
                 cmd_hilbert,
                 (("k", int), ("l", int)),
-                HILBERT_OPTIONS,
+                TRUNCATED_OPTIONS,
             ),
             "git": (
                 "GIT weight piece",
                 cmd_hilbert,
                 (("side", ("+", "-", "0")), ("n", int)),
-                HILBERT_OPTIONS,
+                TRUNCATED_OPTIONS,
             ),
         },
     ),
@@ -342,9 +351,12 @@ COMMANDS = {
 OPTION_HELP = {
     "json": "print the answer as JSON",
     "convention-dump": "dump the pinned conventions (Cartan matrix, rho, orientation)",
-    "trunc": "the s and git sums stop at diagonal twist TRUNC",
+    "trunc": f"the sum stops at diagonal twist TRUNC ({DEFAULT_TRUNC} by default)",
     "table": "emit the full table",
-    "table-degree": "largest degree in the table, at most 100",
+    "table-degree": (
+        f"with --table: largest degree in the table "
+        f"({DEFAULT_TABLE_DEGREE} by default, at most 100)"
+    ),
 }
 
 
@@ -439,11 +451,19 @@ def parse_args(argv: list[str]):
     """The namespace of ``argv``: read by ``_plain_args`` when it can be,
     by ``build_parser`` otherwise, which prints help or a usage error and
     exits 0 or 2.  It holds ``command``, a group's ``kind``, every positional
-    and every option (dashes as underscores) and ``func``, the handler."""
+    and every option (dashes as underscores) and ``func``, the handler.
+    ``--table-degree`` without ``--table``, which would be ignored, is a
+    usage error too."""
     plain = _plain_args(argv)
     if plain is None:
-        return build_parser().parse_args(argv)
-    return SimpleNamespace(**plain)
+        args = build_parser().parse_args(argv)
+    else:
+        args = SimpleNamespace(**plain)
+    if getattr(args, "table_degree", None) is not None and not args.table:
+        build_parser().error(
+            "argument --table-degree: only allowed with argument --table"
+        )
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -33,7 +33,8 @@ A' ⊗ B share one memoized result, in a cache that is unbounded like the Bott
 caches.  Failures are not memoized, so a failing pair raises again on every
 call.  Both terms reach ``flag_cohomology`` with the factors of A' ⊗ B, the
 second with its twist shifted, so they share the factor tuple's twist-free
-memos in ``bundles``.
+memos in ``bundles``, and route B's pushforward memo, per summand and fiber
+degree, wherever their summands meet.
 
 N = O(-H-h) is the one literal here: omega_V, which the Serre rotations of
 the replay twist by, is derived from it by ``omega_v``.

@@ -31,7 +31,7 @@ from g2flop.bundles import (
     route_b_cohomology,
     weights,
 )
-from g2flop.rootdata import IntegrityError, Value, g2, wneg
+from g2flop.rootdata import IntegrityError, Value, g2, wadd, wneg
 from g2flop.sodengine import k_class
 from g2flop.weylbott import (
     ZERO,
@@ -338,12 +338,16 @@ def tuple_summands(e):
 
 
 def tuple_route_b(e):
-    """Route B as a union over tuple_summands, one pushforward per summand."""
+    """Route B as a union over tuple_summands, one pushforward per summand,
+    each computed afresh: the memo under test is not read."""
     (i, _, _), twist = one_sided_shape(e)
+    base = tuple(0 if k == i else t for k, t in enumerate(twist))
     return CohomologyProfile.of(
         entry
         for hw in tuple_summands(e)
-        for entry in bundles._pushforward_profile(RS, i, hw, twist)
+        for entry in bundles._pushforward.__wrapped__(
+            RS, i, wadd(hw, base), twist[i]
+        )
     )
 
 
@@ -745,10 +749,11 @@ def test_route_agreement_on_one_sided_grid():
 # --- the flag_cohomology memo -----------------------------------------------
 
 #: Every process-wide memo of the expression layers but parse_expr's: the
-#: twist-free parts of an evaluation, then the answers.
+#: twist-free parts of an evaluation, route B's pushforward, then the answers.
 MEMOS = (
     bundles._product_weights,
     bundles._one_sided_shape,
+    bundles._pushforward,
     bundles._evaluate,
     totalspace._hom_v,
 )
@@ -793,6 +798,14 @@ def test_a_memo_hit_runs_no_python_level_value_comparison(monkeypatch):
             totalspace.hom_v(RS, e, Twist(e, 0, 1))
 
     queries()
+    calls = count_value_comparisons(monkeypatch)
+    for _ in range(80):
+        queries()
+    assert calls == Counter()
+
+
+def count_value_comparisons(monkeypatch):
+    """A Counter of the Value.__eq__ and Value.__hash__ calls from now on."""
     calls = Counter()
 
     def counting(name):
@@ -806,9 +819,7 @@ def test_a_memo_hit_runs_no_python_level_value_comparison(monkeypatch):
 
     for name in ("__eq__", "__hash__"):
         monkeypatch.setattr(Value, name, counting(name))
-    for _ in range(80):
-        queries()
-    assert calls == Counter()
+    return calls
 
 
 def test_memo_keeps_the_factor_order():
@@ -932,7 +943,7 @@ def test_a_product_past_the_spinor_bound_is_refused_before_evaluation():
         with pytest.raises(BundleError) as err:
             totalspace.hom_v(RS, spinor_product(5), spinor_product(6, ""))
         assert str(err.value) == refusal
-    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0, 0]
+    assert [memo.cache_info().currsize for memo in MEMOS] == [0, 0, 0, 0, 0]
 
 
 def test_a_product_at_the_spinor_bound_is_answered(monkeypatch):
@@ -968,7 +979,7 @@ def test_a_product_past_the_spinor_work_budget_is_refused_before_any_route():
         with pytest.raises(BundleError) as err:
             totalspace.hom_v(RS, Line(0, 0), e)
         assert str(err.value) == refusal
-    assert [memo.cache_info().currsize for memo in MEMOS] == [3, 0, 0, 0]
+    assert [memo.cache_info().currsize for memo in MEMOS] == [3, 0, 0, 0, 0]
 
 
 def test_a_product_at_the_spinor_work_budget_is_answered(monkeypatch):
@@ -1000,6 +1011,83 @@ def test_a_changed_weights_dict_cannot_change_a_later_answer():
         assert weights(RS, e) is not weights(RS, e)
         forget_memos()
         assert flag_cohomology(RS, e) == answer
+
+
+# --- route B's pushforward memo ---------------------------------------------
+
+
+def test_memoized_route_b_is_a_fresh_recomputation():
+    # Random one-sided expressions, twice: the second pass reads warm entries,
+    # and both equal a recomputation that never reads the memo.
+    rng = random.Random(61)
+    exprs = [random_one_sided(rng) for _ in range(120)]
+    forget_memos()
+    for _ in range(2):
+        hits = bundles._pushforward.cache_info().hits
+        for e in exprs:
+            assert route_b_cohomology(RS, e) == tuple_route_b(e)
+    assert bundles._pushforward.cache_info().hits > hits
+    # Levi-dominant summands and fiber degrees on both sides, directly.
+    for _ in range(300):
+        i = rng.choice((0, 1))
+        hw = [rng.randint(-4, 4), rng.randint(-4, 4)]
+        hw[i] = rng.randint(0, 4)
+        key = (RS, i, tuple(hw), rng.randint(-5, 5))
+        entries = bundles._pushforward(*key)
+        assert type(entries) is tuple
+        assert entries == bundles._pushforward.__wrapped__(*key)
+        assert bundles._pushforward(*key) is entries
+
+
+def test_twists_that_differ_in_the_base_direction_share_one_pushforward():
+    # E(1,1) and E(0,1), twisted by -H+h and by h, land on one summand
+    # (0,1) of fiber degree 1: U(H+h) too, from (-1,1).  Only a new fiber
+    # degree is a new entry.
+    memo = bundles._pushforward
+    forget_memos()
+    answers = {
+        route_b_cohomology(RS, parse_expr(text))
+        for text in ["E(1,1)(-H+h)", "E(0,1)(h)", "U(H+h)"]
+    }
+    assert len(answers) == 1
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (2, 1)
+    route_b_cohomology(RS, parse_expr("E(0,1)(H+2h)"))
+    assert (memo.cache_info().hits, memo.cache_info().misses) == (2, 2)
+
+
+def test_a_failed_pushforward_is_not_memoized(monkeypatch):
+    memo = bundles._pushforward
+    forget_memos()
+    for _ in range(2):
+        with pytest.raises(BundleError, match="Levi-dominant"):
+            memo(RS, 1, (0, -1), 1)
+    # The wrong sum of highest weights of test_levi_tensor_rank_check_raises,
+    # reached through route B once its shape is memoized.
+    e = parse_expr("E(0,1)(h)")
+    route_b_cohomology(RS, e)
+    memo.cache_clear()
+    monkeypatch.setattr(bundles, "wadd", lambda a, b: a)
+    for _ in range(2):
+        with pytest.raises(IntegrityError, match="rank"):
+            route_b_cohomology(RS, e)
+    assert memo.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert route_b_cohomology(RS, e) == tuple_route_b(e)
+
+
+def test_a_pushforward_memo_hit_runs_no_python_level_value_comparison(monkeypatch):
+    # The key is ints, int tuples and the identity-hashed root system, so a
+    # hit hashes and compares it in C.
+    exprs = [random_one_sided(random.Random(seed)) for seed in range(20)]
+    for e in exprs:
+        route_b_cohomology(RS, e)
+    before = bundles._pushforward.cache_info()
+    calls = count_value_comparisons(monkeypatch)
+    for e in exprs:
+        route_b_cohomology(RS, e)
+    after = bundles._pushforward.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    assert calls == Counter()
 
 
 # --- the parse_expr memo ----------------------------------------------------

@@ -243,13 +243,12 @@ def test_hilbert_values(capsys):
     [
         (["s", "0", "0", "--trunc", "-5"], "truncation must be non-negative"),
         (["git", "+", "2", "--trunc", "-3"], "truncation must be non-negative"),
-        (["r", "0", "1", "--trunc", "-1"], "truncation must be non-negative"),
         (
             ["s", "0", "0", "--table", "--table-degree", "-1"],
             "table degree must be non-negative",
         ),
     ],
-    ids=["s-trunc", "git-trunc", "r-trunc", "table-degree"],
+    ids=["s-trunc", "git-trunc", "table-degree"],
 )
 def test_hilbert_negative_bounds_are_usage_errors(capsys, argv, message):
     # These used to print 0 (or an empty table) and exit 0.
@@ -406,8 +405,11 @@ def test_hilbert_git_rejects_a_bad_side_before_the_command_runs(capsys):
 
 
 def hilbert_args(kind, positionals, **options):
-    """What ``hilbert <kind>`` parses to, in argparse's key order."""
-    defaults = {"trunc": 10, "json": False, "table": False, "table_degree": 5}
+    """What ``hilbert <kind>`` parses to, in argparse's key order: the r sum
+    has no truncation."""
+    defaults = {"trunc": 10, "json": False, "table": False, "table_degree": None}
+    if kind == "r":
+        del defaults["trunc"]
     return {"command": "hilbert", "kind": kind, **positionals, **defaults, **options}
 
 
@@ -456,8 +458,12 @@ def hilbert_args(kind, positionals, **options):
             hilbert_args("r", {"k": 0, "l": 0}, table=True, table_degree=1),
         ),
         (
-            ["hilbert", "r", "0", "0", "--table-d=7", "--tr", "3", "--table"],
-            hilbert_args("r", {"k": 0, "l": 0}, trunc=3, table=True, table_degree=7),
+            ["hilbert", "s", "0", "0", "--table-d=7", "--tr", "3", "--table"],
+            hilbert_args("s", {"k": 0, "l": 0}, trunc=3, table=True, table_degree=7),
+        ),
+        (
+            ["hilbert", "r", "0", "0", "--table-degree=3", "--table"],
+            hilbert_args("r", {"k": 0, "l": 0}, table=True, table_degree=3),
         ),
         (["sod-replay", "--json"], {"command": "sod-replay", "json": True}),
         (["check-all"], {"command": "check-all", "json": False}),
@@ -524,6 +530,8 @@ def argparse_parser():
 @settings(max_examples=1000, deadline=None)
 @given(table_argvs())
 @example(["hilbert", "r", "0", "0", "--trunc", "-1_000"])
+@example(["hilbert", "s", "0", "0", "--trunc", "-1_000"])
+@example(["hilbert", "r", "0", "0", "--table-degree", "3"])
 @example(["dim", "-1_000", "0"])
 def test_the_plain_reader_agrees_with_argparse(argv):
     plain = cli._plain_args(argv)
@@ -570,11 +578,24 @@ def test_the_plain_reader_agrees_with_argparse(argv):
         ["hilbert", "r", "0", "0", "--trunc="],
         # int() reads -1_000, but argparse takes it for an option.
         ["hilbert", "r", "0", "0", "--trunc", "-1_000"],
+        ["hilbert", "s", "0", "0", "--tr", "3"],
+        ["hilbert", "s", "0", "0", "--trunc"],
+        ["hilbert", "s", "0", "0", "--trunc", "--json"],
+        ["hilbert", "s", "0", "0", "--trunc", "-5"],
+        ["hilbert", "s", "0", "0", "--trunc=-5"],
+        ["hilbert", "s", "0", "0", "--trunc="],
+        ["hilbert", "s", "0", "0", "--trunc", "-1_000"],
     ],
     ids=lambda argv: " ".join(argv) or "no-arguments",
 )
 def test_the_plain_reader_leaves_every_other_form_to_argparse(argv):
     assert cli._plain_args(argv) is None
+
+
+#: The r sum is not truncated, and a table degree without a table would be
+#: ignored: both are refused, not read and dropped.
+UNKNOWN_TRUNC = "unrecognized arguments: --trunc %s"
+NO_TABLE = "argument --table-degree: only allowed with argument --table"
 
 
 @pytest.mark.parametrize(
@@ -615,23 +636,23 @@ def test_the_plain_reader_leaves_every_other_form_to_argparse(argv):
         ),
         (["hilbert"], "g2flop hilbert", "the following arguments are required: kind"),
         (
-            ["hilbert", "r", "0", "0", "--trunc"],
-            "g2flop hilbert r",
+            ["hilbert", "s", "0", "0", "--trunc"],
+            "g2flop hilbert s",
             "argument --trunc: expected one argument",
         ),
         (
-            ["hilbert", "r", "0", "0", "--trunc", "--json"],
-            "g2flop hilbert r",
+            ["hilbert", "s", "0", "0", "--trunc", "--json"],
+            "g2flop hilbert s",
             "argument --trunc: expected one argument",
         ),
         (
-            ["hilbert", "r", "0", "0", "--trunc", "-1_000"],
-            "g2flop hilbert r",
+            ["hilbert", "s", "0", "0", "--trunc", "-1_000"],
+            "g2flop hilbert s",
             "argument --trunc: expected one argument",
         ),
         (
-            ["hilbert", "r", "0", "0", "--t", "3"],
-            "g2flop hilbert r",
+            ["hilbert", "s", "0", "0", "--t", "3"],
+            "g2flop hilbert s",
             "ambiguous option: --t could match --trunc, --table, --table-degree",
         ),
         (
@@ -644,6 +665,11 @@ def test_the_plain_reader_leaves_every_other_form_to_argparse(argv):
             "g2flop dim",
             f"argument b: invalid int value: '{'7' * 5000}'",
         ),
+        (["hilbert", "r", "1", "1", "--trunc", "5"], "g2flop", UNKNOWN_TRUNC % "5"),
+        (["hilbert", "r", "1", "1", "--trunc", "0"], "g2flop", UNKNOWN_TRUNC % "0"),
+        (["hilbert", "r", "0", "1", "--trunc", "-1"], "g2flop", UNKNOWN_TRUNC % "-1"),
+        (["hilbert", "r", "1", "1", "--table-degree", "3"], "g2flop", NO_TABLE),
+        (["hilbert", "git", "+", "2", "--table-degree=3"], "g2flop", NO_TABLE),
     ],
     ids=[
         "no-command",
@@ -665,6 +691,11 @@ def test_the_plain_reader_leaves_every_other_form_to_argparse(argv):
         "ambiguous-prefix",
         "flag-with-value",
         "past-the-digit-limit",
+        "trunc-on-r",
+        "zero-trunc-on-r",
+        "negative-trunc-on-r",
+        "table-degree-without-table",
+        "table-degree-without-table-on-git",
     ],
 )
 def test_usage_errors_exit_2_with_a_usage_and_an_error_line(

@@ -239,6 +239,32 @@ def test_euler_catches_a_chamber_length_one_too_long(monkeypatch):
     assert line_cohomology(RS, (-2, 3)).degrees() == (1,)
 
 
+def test_forget_memos_lets_a_corrupted_chamber_reach_route_b(monkeypatch):
+    # Negative control for the control above: with every chamber one too
+    # long, a warm route B pushforward still hands out the old answer, so a
+    # corruption run must forget that memo too; once forgotten, route B
+    # reads the corrupted chambers and moves every degree up by one.
+    for lam in product(range(-8, 9), repeat=2):
+        line_cohomology(RS, lam)
+    e = Twist(Tensor(U, U), 0, 1)
+    warm = route_b_cohomology(RS, e)
+    assert not warm.is_zero
+    chambers = weylbott._bott(RS)[3]
+    for key, (w, length, *slots) in list(chambers.items()):
+        monkeypatch.setitem(chambers, key, (w, length + 1, *slots))
+    line_cohomology.cache_clear()
+    try:
+        assert route_b_cohomology(RS, e) == warm
+        forget_memos()
+        shifted = [(d + 1, w, m) for d, w, m in warm.entries]
+        assert list(route_b_cohomology(RS, e).entries) == shifted
+    finally:
+        monkeypatch.undo()
+        line_cohomology.cache_clear()
+        forget_memos()
+    assert route_b_cohomology(RS, e) == warm
+
+
 def test_tally_meets_thousand_case_floor():
     total = sum(CASE_TALLY.values())
     assert total >= 1000, CASE_TALLY
