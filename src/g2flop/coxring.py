@@ -14,11 +14,16 @@ Each truncated series sums the flag pieces along a diagonal line (k+m, l+m)
 for m <= trunc.  Its partial sums are a polynomial of degree at most
 |Phi+|+1 in the truncation, so ``_diagonal_sum`` sums a short series term by
 term and extrapolates a long one exactly, under a finite-difference
-certificate.  ``git_piece_via_parabolic`` stays a term-by-term sum: it is the
-Bott sum, one ``line_cohomology`` section space per term, that the Hilbert
-suite compares the extrapolated pieces against.  It is not independent of
-them: each of its sections is a Weyl module, whose dimension is ``weyl_dim``,
-the same function every term of ``_diagonal_sum`` reads.
+certificate.  ``bott_diagonal_sum`` is the one term-by-term Bott sum along
+such a line, one ``line_cohomology`` section space per term; the Hilbert
+suite compares both the total-space pieces and, through
+``git_piece_via_parabolic``, the GIT pieces against it.  It is not
+independent of them: each of its sections is a Weyl module, whose dimension
+is ``weyl_dim``, the same function every term of ``_diagonal_sum`` reads.
+
+Every refusal of a Hilbert query lives here: a negative bidegree, GIT degree,
+truncation or table degree, or a table degree past ``MAX_TABLE_DEGREE``,
+raises ``ValueError``, whose message the CLI prints as it is.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ def total_cox_dim(rs: RootSystem, k: int, l: int, trunc: int) -> int:
     past it under the certificate of ``_diagonal_sum``.
     """
     if k < 0 or l < 0:
-        raise ValueError("bidegrees of the total-space Cox ring are non-negative")
+        raise ValueError("total-space bidegrees must be non-negative")
     return _diagonal_sum(rs, k, l, trunc)
 
 
@@ -107,7 +112,7 @@ def git_piece(rs: RootSystem, side: str, n: int, trunc: int) -> int:
     ``_diagonal_sum``.
     """
     if n < 0:
-        raise ValueError("GIT piece index must be non-negative")
+        raise ValueError("GIT degree must be non-negative")
     if side == "+":
         return _diagonal_sum(rs, n, 0, trunc)
     if side == "-":
@@ -119,28 +124,17 @@ def git_piece(rs: RootSystem, side: str, n: int, trunc: int) -> int:
     raise ValueError(f"unknown side {side!r}; expected '+', '-' or '0'")
 
 
-def git_piece_via_parabolic(rs: RootSystem, side: str, n: int, trunc: int) -> int:
-    """The +/- GIT pieces as term-by-term Bott sums.
+def bott_diagonal_sum(rs: RootSystem, k: int, l: int, trunc: int) -> int:
+    """Sum of the section spaces of the (k+m, l+m) line bundles, m <= trunc.
 
-    The plus piece is the degree-n part of the Cox ring of the total space of
-    the dual rank-2 bundle on the Grassmannian side: sections of the
-    irreducible (m+n, m) bundles.  The minus piece mirrors through the quadric
-    side.  Each highest weight is Levi-dominant, so each term is the degree-0
-    dimension of its ``line_cohomology``, and a term with cohomology in any
-    other degree raises ``IntegrityError``.
+    Term by term: each term is the degree-0 dimension of one
+    ``line_cohomology``, and a term with cohomology in any other degree
+    raises ``IntegrityError``.
     """
-    if n < 0:
-        raise ValueError("GIT piece index must be non-negative")
     _check_trunc(trunc)
     total = 0
     for m in range(trunc + 1):
-        if side == "+":
-            profile = line_cohomology(rs, (m + n, m))
-        elif side == "-":
-            profile = line_cohomology(rs, (m, m + n))
-        else:
-            raise ValueError("parabolic route exists for sides '+' and '-' only")
-        dims = profile.dimensions(rs)
+        dims = line_cohomology(rs, (k + m, l + m)).dimensions(rs)
         if set(dims) - {0}:
             raise IntegrityError(
                 f"Bott put sections in degrees {sorted(dims)}, not only 0"
@@ -149,23 +143,46 @@ def git_piece_via_parabolic(rs: RootSystem, side: str, n: int, trunc: int) -> in
     return total
 
 
+def git_piece_via_parabolic(rs: RootSystem, side: str, n: int, trunc: int) -> int:
+    """The +/- GIT pieces as term-by-term Bott sums.
+
+    The plus piece is the degree-n part of the Cox ring of the total space of
+    the dual rank-2 bundle on the Grassmannian side: sections of the
+    irreducible (m+n, m) bundles.  The minus piece mirrors through the quadric
+    side, along (m, m+n).  Each highest weight is Levi-dominant, so
+    ``bott_diagonal_sum`` sums them.
+    """
+    if n < 0:
+        raise ValueError("GIT degree must be non-negative")
+    if side == "+":
+        return bott_diagonal_sum(rs, n, 0, trunc)
+    if side == "-":
+        return bott_diagonal_sum(rs, 0, n, trunc)
+    raise ValueError("parabolic route exists for sides '+' and '-' only")
+
+
 def hilbert_table(
-    rs: RootSystem, kind: str, trunc: int, max_degree: int
+    rs: RootSystem, kind: str, trunc: int | None, max_degree: int
 ) -> dict:
     """JSON-ready table of graded dimensions.
 
-    kind "r": flag Cox ring over bidegrees up to max_degree;
+    kind "r": flag Cox ring over bidegrees up to max_degree, not truncated,
+    so its table reports no truncation whatever trunc is;
     kind "s": total-space Cox ring (truncated at trunc);
     kind "git": the three GIT series up to degree max_degree.
 
-    A max_degree above ``MAX_TABLE_DEGREE`` raises ``ValueError``.
+    A max_degree below 0 or above ``MAX_TABLE_DEGREE`` raises ``ValueError``,
+    and so does a negative trunc, through the first entry of an s or git
+    table.
     """
-    _check_trunc(trunc)
+    if max_degree < 0:
+        raise ValueError("table degree must be non-negative")
     if max_degree > MAX_TABLE_DEGREE:
         raise ValueError(
             f"table degree {max_degree} is above the supported {MAX_TABLE_DEGREE}"
         )
     if kind == "r":
+        trunc = None
         entries = [
             {"degree": [k, l], "dim": flag_cox_dim(rs, k, l)}
             for k in range(max_degree + 1)

@@ -765,6 +765,19 @@ def forget_memos():
         memo.cache_clear()
 
 
+def test_memos_lists_every_memo_of_the_expression_layers():
+    # A memo added to bundles or totalspace must join MEMOS, or forget_memos
+    # leaves it warm.  Only the memos a module defines count: the Bott caches
+    # it imports from weylbott have a module of their own.
+    defined = {
+        obj
+        for module in (bundles, totalspace)
+        for obj in vars(module).values()
+        if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
+    }
+    assert defined == {*MEMOS, bundles.parse_expr}
+
+
 def test_memoized_answer_is_the_fresh_one_and_normal_forms_share_it():
     memo = bundles._evaluate
     rng = random.Random(43)

@@ -247,8 +247,10 @@ def test_hilbert_values(capsys):
             ["s", "0", "0", "--table", "--table-degree", "-1"],
             "table degree must be non-negative",
         ),
+        (["s", "-1", "0"], "total-space bidegrees must be non-negative"),
+        (["git", "+", "-2"], "GIT degree must be non-negative"),
     ],
-    ids=["s-trunc", "git-trunc", "table-degree"],
+    ids=["s-trunc", "git-trunc", "table-degree", "s-bidegree", "git-degree"],
 )
 def test_hilbert_negative_bounds_are_usage_errors(capsys, argv, message):
     # These used to print 0 (or an empty table) and exit 0.

@@ -113,6 +113,23 @@ def test_parabolic_route_rejects_sections_outside_degree_zero(monkeypatch):
         git_piece_via_parabolic(RS, "+", 1, 2)
 
 
+def test_sections_outside_degree_zero_fail_check_all(monkeypatch, capsys):
+    # Negative control: the Hilbert suite reads the one Bott sum of coxring,
+    # so a Bott term in degree 1 ends check-all as a verification failure,
+    # one stderr line, not a traceback.
+    monkeypatch.setattr(
+        coxring,
+        "line_cohomology",
+        lambda rs, lam: CohomologyProfile(((1, lam, 1),)),
+    )
+    assert cli.main(["check-all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failed: Bott put sections in degrees [1], not only 0\n"
+    )
+
+
 def test_bad_side_rejected():
     with pytest.raises(ValueError):
         git_piece(RS, "x", 0, 0)
@@ -142,14 +159,29 @@ def test_hilbert_table_shapes():
         lambda: git_piece(RS, "0", 0, -1),
         lambda: git_piece_via_parabolic(RS, "+", 0, -1),
         lambda: hilbert_table(RS, "s", -5, 2),
-        lambda: hilbert_table(RS, "r", -1, 2),
     ],
-    ids=["total", "git", "git-zero", "git-parabolic", "table-s", "table-r"],
+    ids=["total", "git", "git-zero", "git-parabolic", "table-s"],
 )
 def test_negative_truncation_rejected(call):
     # A negative truncation used to sum an empty range and answer 0.
     with pytest.raises(ValueError, match="truncation must be non-negative"):
         call()
+
+
+def test_the_r_table_has_no_truncation(capsys):
+    # The r sum is not truncated: its table says so whatever trunc it is
+    # handed, and the CLI, which gives r no --trunc, prints null.
+    for trunc in (None, 0, -1):
+        assert hilbert_table(RS, "r", trunc, 2)["truncation"] is None
+    assert cli.main(["hilbert", "r", "0", "0", "--table", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["table"]["truncation"] is None
+    assert hilbert_table(RS, "s", 3, 1)["truncation"] == 3
+
+
+@pytest.mark.parametrize("kind", ["r", "s", "git"])
+def test_hilbert_table_refuses_a_negative_degree(kind):
+    with pytest.raises(ValueError, match="^table degree must be non-negative$"):
+        hilbert_table(RS, kind, 3, -1)
 
 
 def test_total_cox_dim_equals_the_explicit_sum():
