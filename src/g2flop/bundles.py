@@ -126,28 +126,48 @@ def Line(a: int, b: int) -> BundleExpr:
     return BundleExpr((), (a, b))
 
 
+#: The normal factors of U and S.
+_UNIVERSAL: tuple[Factor, ...] = (("U", -1, 1, 1, False),)
+_SPINOR: tuple[Factor, ...] = (("S", 0, 0, 1, False),)
+
+#: An expression's fields as the parser carries them: ``(factors, a, b)``,
+#: the twist unpacked.
+Term = tuple[tuple[Factor, ...], int, int]
+
+
 def Universal() -> BundleExpr:
-    return BundleExpr((("U", -1, 1, 1, False),), (0, 0))
+    return BundleExpr(_UNIVERSAL, (0, 0))
 
 
 def Spinor() -> BundleExpr:
-    return BundleExpr((("S", 0, 0, 1, False),), (0, 0))
+    return BundleExpr(_SPINOR, (0, 0))
+
+
+def _irreducible(kind: str, a: int, b: int) -> Term:
+    """``E(a, b)`` or ``F(a, b)``: a Levi pairing of 0 is a Levi string of
+    one weight, the line O(a, 0) or O(0, b)."""
+    if (b if kind == "E" else a) == 0:
+        return (), a, b
+    return ((kind, a, b, 1, False),), 0, 0
 
 
 def IrrP1(a: int, b: int) -> BundleExpr:
-    # A Levi pairing of 0 is a Levi string of one weight: the line O(a, 0).
-    return Line(a, 0) if b == 0 else BundleExpr((("E", a, b, 1, False),), (0, 0))
+    factors, x, y = _irreducible("E", a, b)
+    return BundleExpr(factors, (x, y))
 
 
 def IrrP2(a: int, b: int) -> BundleExpr:
-    return Line(0, b) if a == 0 else BundleExpr((("F", a, b, 1, False),), (0, 0))
+    factors, x, y = _irreducible("F", a, b)
+    return BundleExpr(factors, (x, y))
+
+
+def _dual_factors(factors: tuple[Factor, ...]) -> tuple[Factor, ...]:
+    return tuple([(k, x, y, p, not d) for k, x, y, p, d in factors])
 
 
 def Dual(arg: BundleExpr) -> BundleExpr:
     a, b = arg.twist
-    return BundleExpr(
-        tuple([(k, x, y, p, not d) for k, x, y, p, d in arg.factors]), (-a, -b)
-    )
+    return BundleExpr(_dual_factors(arg.factors), (-a, -b))
 
 
 def Tensor(left: BundleExpr, right: BundleExpr) -> BundleExpr:
@@ -160,6 +180,15 @@ def Twist(arg: BundleExpr, a: int, b: int) -> BundleExpr:
     return BundleExpr(arg.factors, (x + a, y + b))
 
 
+def _sym(power: int, factors: tuple[Factor, ...], x: int, y: int) -> Term:
+    """Sym^power, power >= 2, of ``(factors, x, y)``: one factor without a
+    Sym power, its twist raised to the power."""
+    if len(factors) != 1 or factors[0][3] != 1:
+        raise BundleError("Sym is only supported on rank-2 irreducible atoms")
+    kind, a, b, _, dual = factors[0]
+    return ((kind, a, b, power, dual),), power * x, power * y
+
+
 def Sym(power: int, arg: BundleExpr) -> BundleExpr:
     """Sym^power of one factor under a twist, which it raises to the power;
     Sym^1 is the identity.  A factor holds one Sym power, so Sym of a line,
@@ -169,12 +198,8 @@ def Sym(power: int, arg: BundleExpr) -> BundleExpr:
         raise BundleError("Sym power must be >= 1")
     if power == 1:
         return arg
-    factors = arg.factors
-    if len(factors) != 1 or factors[0][3] != 1:
-        raise BundleError("Sym is only supported on rank-2 irreducible atoms")
-    kind, a, b, _, dual = factors[0]
-    x, y = arg.twist
-    return BundleExpr(((kind, a, b, power, dual),), (power * x, power * y))
+    factors, x, y = _sym(power, arg.factors, *arg.twist)
+    return BundleExpr(factors, (x, y))
 
 
 #: the defining filtration of S: sub U, quotient U'(-h)
@@ -642,6 +667,10 @@ MAX_WEIGHT = 10**MAX_WEIGHT_DIGITS
 
 
 class _Parser:
+    """Reader of the grammar in the module docstring.  Atoms and terms are
+    carried as a plain ``Term``; ``parse_expr`` builds the one
+    ``BundleExpr`` of the text."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -692,28 +721,29 @@ class _Parser:
     def parse_expr(self) -> BundleExpr:
         # The product is joined once, not tensored term by term, so its cost
         # is linear in the number of factors.
-        terms = [self.parse_term()]
+        factors, a, b = self.parse_term()
+        factors = list(factors)
         self.skip_ws()
         while self.peek() == "*":
             self.pos += 1
             self.skip_ws()
-            terms.append(self.parse_term())
+            more, x, y = self.parse_term()
+            factors += more
+            a += x
+            b += y
             self.skip_ws()
-        return BundleExpr(
-            tuple([f for t in terms for f in t.factors]),
-            (sum(t.twist[0] for t in terms), sum(t.twist[1] for t in terms)),
-        )
+        return BundleExpr(tuple(factors), (a, b))
 
-    def parse_term(self) -> BundleExpr:
+    def parse_term(self) -> Term:
         self.skip_ws()
-        term = self.parse_twist(self.parse_atom())
+        factors, a, b = self.parse_twist(*self.parse_atom())
         if self.peek() == "'":
             self.pos += 1
             # a twist after the dual twists the dual: U'(-h) is (U dual)(-h)
-            term = self.parse_twist(Dual(term))
-        return term
+            factors, a, b = self.parse_twist(_dual_factors(factors), -a, -b)
+        return factors, a, b
 
-    def parse_atom(self) -> BundleExpr:
+    def parse_atom(self) -> Term:
         start = self.pos
         powers = []
         while self.text.startswith("Sym^", self.pos):
@@ -728,27 +758,29 @@ class _Parser:
         ch = self.peek()
         if ch == "O":
             self.pos += 1
-            atom = Line(0, 0)
+            atom: Term = ((), 0, 0)
         elif ch == "U":
             self.pos += 1
-            atom = Universal()
+            atom = (_UNIVERSAL, 0, 0)
         elif ch == "S":
             self.pos += 1
-            atom = Spinor()
+            atom = (_SPINOR, 0, 0)
         elif ch in ("E", "F"):
             self.pos += 1
             self.expect("(")
             a, b = self.parse_pair()
             self.expect(")")
-            atom = IrrP1(a, b) if ch == "E" else IrrP2(a, b)
+            atom = _irreducible(ch, a, b)
         elif ch == "":
             raise self.error("unexpected end of input")
         else:
             raise self.error(f"unknown atom {ch!r}")
         if powers:
             while powers:
-                atom = Sym(powers.pop(), atom)
-            for _, a, b, power, _ in atom.factors:
+                power = powers.pop()
+                if power > 1:
+                    atom = _sym(power, *atom)
+            for _, a, b, power, _ in atom[0]:
                 self.grow(power * (abs(a) + abs(b)), start)
         return atom
 
@@ -759,11 +791,12 @@ class _Parser:
         self.skip_ws()
         return (a, self.parse_int())
 
-    def parse_twist(self, atom: BundleExpr) -> BundleExpr:
-        """``atom`` under an optional ``"(" twist ")"``.  The twist runs to
-        the next ``)``, and is a pair exactly when that stretch holds a comma."""
+    def parse_twist(self, factors: tuple[Factor, ...], x: int, y: int) -> Term:
+        """``(factors, x, y)`` under an optional ``"(" twist ")"``.  The twist
+        runs to the next ``)``, and is a pair exactly when that stretch holds
+        a comma."""
         if self.peek() != "(":
-            return atom
+            return factors, x, y
         self.pos += 1
         text, start = self.text, self.pos
         end = text.find(")", start)
@@ -796,7 +829,7 @@ class _Parser:
                 self.pos += 1
                 self.skip_ws()
         self.expect(")")
-        return Twist(atom, a, b)
+        return factors, x + a, y + b
 
 
 @lru_cache(maxsize=None)

@@ -54,7 +54,7 @@ from .bundles import (
     flag_cohomology,
 )
 from .rootdata import RootSystem, Value, Weight, wadd, wneg
-from .weylbott import CohomologyProfile
+from .weylbott import CohomologyProfile, Piece, weyl_dim
 
 #: the normal bundle of the zero section, N = O(-H-h), which twists the
 #: Koszul term; it equals omega_V = omega_F - N only because omega_F = 2N
@@ -97,15 +97,23 @@ def _hom_v(
     r1 = flag_cohomology(rs, BundleExpr(factors, wadd(twist, NORMAL_BUNDLE_TWIST)))
     # The E1 pieces are the distinct filtration weights' Bott profiles with
     # their multiplicities, so this is the Euler characteristic of each term.
-    chi = sum(m * p.euler(rs) for _, p, m in r0.e1) - sum(
-        m * p.euler(rs) for _, p, m in r1.e1
-    )
+    chi = _e1_euler(rs, r0.e1) - _e1_euler(rs, r1.e1)
     profile = None
     if r0.determined and r1.determined:
         # The Koszul map is zero, so the two terms split: a plain union.
         twisted = tuple([(d + 1, hw, m) for d, hw, m in r1.profile.entries])
         profile = CohomologyProfile.of(r0.profile.entries + twisted)
     return HomVResult(profile, r0, r1, chi)
+
+
+def _e1_euler(rs: RootSystem, e1: tuple[Piece, ...]) -> int:
+    """The Euler characteristic of an E1 page: each entry (d, hw, k) of a
+    piece of multiplicity m adds (-1)^d m k dim V(hw)."""
+    return sum(
+        (-m * k if d & 1 else m * k) * weyl_dim(rs, hw)
+        for _, p, m in e1
+        for d, hw, k in p.entries
+    )
 
 
 # --- canonical bundles of total spaces ---------------------------------------

@@ -18,7 +18,10 @@ answer, and every singular weight gets one shared zero profile.
 ``dot_normalize`` caches ``_dominant_image``, the same call without the
 pairings, and is read only by tests and the benchmark's tracer.
 ``weyl_dim`` multiplies the same kernel's pairings, and a pairing with a
-simple coroot is read as a coordinate of the weight.
+simple coroot is read as a coordinate of the weight.  The three caches are
+kept per root system and keyed by the weight alone (``_per_system``): a
+key is then plain ints, which the cyclic garbage collector untracks, so a
+new weight leaves no tracked key behind for full collections to walk.
 
 Filtered bundles are evaluated over the weight multiset: one Bott call and
 one E1 piece per distinct weight, carrying its multiplicity.
@@ -37,7 +40,8 @@ scope.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from collections import namedtuple
+from functools import lru_cache, partial, wraps
 from itertools import chain
 from math import prod
 from operator import mul
@@ -171,7 +175,10 @@ def compile_pairings(
 #: its Bott kernel, its coroot table, its slot maps and its chamber table.
 #: They are built on the first weight, not by ``build_root_system``:
 #: compiling costs about a third of an F4 build, and many systems are built
-#: only to be counted.
+#: only to be counted.  The answers are not kept here but in the Bott
+#: caches, one per system and face (``_per_system``), which ``cache_clear``
+#: empties while this table stays: a test that corrupts a chamber entry
+#: clears them so that the next weight reads it.
 #:
 #: The coroot table maps every coroot, positive and negative, to its slot
 #: ``(k, e)``: it is e times the coroot of the k-th positive root.
@@ -302,12 +309,55 @@ def _dominant_image(
     return image if image is None else image[:3]
 
 
+#: What a per-system memo's ``cache_info()`` returns, summed over systems.
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+def _per_system(f: Callable) -> Callable:
+    """``f(rs, lam)`` memoized in one ``lru_cache`` per root system, keyed
+    by the weight alone.
+
+    A key that held the system could never be untracked by the cyclic
+    garbage collector, so every new answer would leave a tracked tuple
+    behind and a batch of new weights would pay for full collections; a
+    weight is plain ints, which the collector untracks.  Systems are told
+    apart by identity, as ``RootSystem`` hashes.  ``cache_info()`` sums the
+    hits, misses and sizes over the systems, with the fields of an
+    ``lru_cache``'s own, and ``cache_clear()`` drops every system's cache.
+    A failure is not memoized.
+    """
+    caches: dict[RootSystem, Callable] = {}
+
+    @wraps(f)
+    def memo(rs: RootSystem, lam: Weight):
+        try:
+            cache = caches[rs]
+        except KeyError:
+            # One atomic call, so that threads meeting a new system share
+            # one cache.
+            cache = caches.setdefault(rs, lru_cache(maxsize=None)(partial(f, rs)))
+        return cache(lam)
+
+    def cache_info() -> _CacheInfo:
+        infos = [cache.cache_info() for cache in list(caches.values())]
+        return _CacheInfo(
+            sum(i.hits for i in infos),
+            sum(i.misses for i in infos),
+            None,
+            sum(i.currsize for i in infos),
+        )
+
+    memo.cache_info = cache_info
+    memo.cache_clear = caches.clear
+    return memo
+
+
 #: ``_dominant_image`` behind a cache of its own: ``(w, len(w), nu)``, or None
 #: for a singular weight.
-dot_normalize = lru_cache(maxsize=None)(_dominant_image)
+dot_normalize = _per_system(_dominant_image)
 
 
-@lru_cache(maxsize=None)
+@_per_system
 def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
     """Bott cohomology of the line bundle O(lam) on the full flag variety.
 
@@ -322,7 +372,7 @@ def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
     return CohomologyProfile(((image[1], image[2], 1),))
 
 
-@lru_cache(maxsize=None)
+@_per_system
 def weyl_dim(rs: RootSystem, lam: Weight) -> int:
     """Dimension of the irreducible with highest weight lam (Weyl formula).
 

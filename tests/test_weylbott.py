@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import random
 import sys
@@ -516,6 +517,94 @@ def test_singular_weights_share_one_outcome_and_one_zero_profile():
     assert dot_normalize(rs, (-1, 0)) is dot_normalize(rs, (-2, 1)) is None
     assert line_cohomology(rs, (-1, 0)) is line_cohomology(rs, (-2, 1))
     assert line_cohomology(rs, (-1, 0)) is ZERO
+
+
+def _left_tracked(face, rs, weights):
+    """The objects that ``face`` leaves tracked by the cyclic garbage
+    collector on ``weights``, new to it, once a full collection has run,
+    apart from its answers and what they hold."""
+    gc.collect()
+    before = gc.get_objects()
+    known = {id(o) for o in before}
+    answers = [face(rs, lam) for lam in weights]
+    gc.collect()
+    parts, stack = set(), list(answers)
+    while stack:
+        o = stack.pop()
+        if id(o) not in known and id(o) not in parts:
+            parts.add(id(o))
+            stack.extend(gc.get_referents(o))
+    after = gc.get_objects()
+    mine = (before, known, answers, parts, stack, after)
+    known |= parts | {id(o) for o in mine}
+    return [o for o in after if id(o) not in known]
+
+
+@pytest.mark.parametrize(
+    "face",
+    [line_cohomology, dot_normalize, weyl_dim],
+    ids=["line_cohomology", "dot_normalize", "weyl_dim"],
+)
+def test_a_bott_miss_leaves_no_tracked_key(face):
+    # Each root system has its own Bott memos, keyed by the weight alone.
+    # A key is then plain ints, which the collector untracks, so a singular
+    # weight leaves no tracked object behind and a regular one only its
+    # answer.  A key that held the system could never be untracked, and a
+    # batch of new weights would pay for full collections.  The weights are
+    # built before the first collection, which untracks them.  The one other
+    # object a batch may leave is the memo's own table: the collector
+    # untracks a dict while all it holds is untracked, and a new tracked
+    # answer tracks it again.
+    rs = build_root_system(G2_CARTAN)
+    singular = [(-1, b) for b in range(600)]
+    dominant = list(product(range(25), repeat=2))
+    face(rs, dominant[0])
+    batches = [dominant[1:]] if face is weyl_dim else [singular, dominant[1:]]
+    for weights in batches:
+        left = _left_tracked(face, rs, weights)
+        assert len(left) <= 1 and all(type(o) is dict for o in left), left[:3]
+
+
+def test_each_root_system_keeps_its_own_bott_answers_and_counts():
+    # RootSystem hashes by identity, so two systems built from one Cartan
+    # matrix keep separate answers and counts.  cache_info() sums the counts
+    # over the systems, so hits plus misses is every call, which the
+    # benchmark tracer's line_cohomology crosscheck compares with the calls
+    # it counts itself.
+    first, second = build_root_system(G2_CARTAN), build_root_system(G2_CARTAN)
+    for face in (line_cohomology, dot_normalize, weyl_dim):
+        start = face.cache_info()
+        answer = face(first, (2, 1))
+        assert face(first, (2, 1)) is answer
+        assert face.cache_info()[:2] == (start.hits + 1, start.misses + 1)
+        assert face(second, (2, 1)) == answer
+        assert face(second, (1, 2)) != answer
+        hits, misses, maxsize, currsize = face.cache_info()
+        assert (hits, misses) == (start.hits + 1, start.misses + 3)
+        assert (maxsize, currsize) == (None, start.currsize + 3)
+    assert line_cohomology(first, (-2, 3)) is not line_cohomology(second, (-2, 3))
+
+
+def test_cache_clear_lets_a_corrupted_chamber_reach_line_cohomology(monkeypatch):
+    # The chamber-corruption controls of the property suite rely on this:
+    # a warm memo hands out the old answer, and after cache_clear(), which
+    # drops every system's cache, line_cohomology reads the chamber again.
+    rs = build_root_system(G2_CARTAN)
+    other = build_root_system(G2_CARTAN)
+    assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
+    assert line_cohomology(other, (-2, 3)).degrees() == (1,)
+    ((key, (w, length, *slots)),) = _chambers_of(rs).items()
+    monkeypatch.setitem(_chambers_of(rs), key, (w, length + 1, *slots))
+    try:
+        assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
+        line_cohomology.cache_clear()
+        assert line_cohomology.cache_info() == (0, 0, None, 0)
+        assert line_cohomology(rs, (-2, 3)).degrees() == (2,)
+        assert line_cohomology(other, (-2, 3)).degrees() == (1,)
+    finally:
+        monkeypatch.undo()
+        line_cohomology.cache_clear()
+    assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
 
 
 def test_weyl_dim_pinned_values():
