@@ -48,7 +48,7 @@ others.
 
 ``flag_cohomology`` answers each ``(root system, expression)`` once: equal
 expressions share one memoized result, in a cache that is unbounded like the
-Bott caches.  Every memo is keyed by the flat fields, which hash and compare
+Bott memos.  Every memo is keyed by the flat fields, which hash and compare
 in C, never by the ``BundleExpr`` value.  Each evaluation is split into a
 part that depends only on the factor tuple and a part that depends on the
 twist; the first is memoized per ``(root system, factors)`` in caches of the
@@ -421,7 +421,7 @@ def _pushforward(
     unmerged ``(degree, weight, multiplicity)`` entries.
 
     The caller adds a twist's base part to ``hw``, so the memo, per ``(rs,
-    i, hw, fiber)`` and unbounded like the Bott caches, is keyed by all that
+    i, hw, fiber)`` and unbounded like the Bott memos, is keyed by all that
     the answer depends on.  Pushes down the rank-1 fibration: fiber >= 0
     tensors with the rank-(fiber+1) symmetric power of the dual fiber
     bundle, fiber = -1 kills everything, fiber <= -2 lands in relative
@@ -533,7 +533,7 @@ def flag_cohomology(rs: RootSystem, e: BundleExpr) -> CohResult:
     determine an answer must agree exactly.
 
     Answers are memoized per ``(rs, factors, twist)``, so equal expressions
-    share one evaluation; the memo is unbounded, like the Bott caches.  A
+    share one evaluation; the memo is unbounded, like the Bott memos.  A
     failure is not memoized: the next call evaluates again and raises again.
     An expression with more than ``MAX_SPINOR_FACTORS`` S or S' factors is
     refused before anything is evaluated, and one whose extension route

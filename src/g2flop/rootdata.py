@@ -147,7 +147,7 @@ class RootSystem(Value):
     """Immutable finite root system; safe to share between threads.
 
     Unlike the other value classes it compares and hashes by identity: it is
-    the first key of every ``lru_cache``, so its hash must be cheap, and its
+    the first key of every memo, so its hash must be cheap, and its
     ``coroots`` field is a dict, which has no hash.
 
     ``coroots`` maps the simple coordinates of every root, positive and

@@ -13,15 +13,17 @@ on the first weight of a chamber (``_first_weight``), where its image is
 checked against the one the slot maps give, and every weight's image is
 checked for strict dominance.  A Weyl element is its reduced word, a tuple
 of simple indices with the leftmost factor first.
-``line_cohomology`` caches its profile per weight, built from the kernel's
-answer, and every singular weight gets one shared zero profile.
-``dot_normalize`` caches ``_dominant_image``, the same call without the
-pairings, and is read only by tests and the benchmark's tracer.
-``weyl_dim`` multiplies the same kernel's pairings, and a pairing with a
-simple coroot is read as a coordinate of the weight.  The three caches are
-kept per root system and keyed by the weight alone (``_per_system``): a
-key is then plain ints, which the cyclic garbage collector untracks, so a
-new weight leaves no tracked key behind for full collections to walk.
+``line_cohomology`` builds a weight's profile from the kernel's answer,
+and every singular weight gets one shared zero profile.
+``dot_normalize`` is the same call without the pairings, and is read only
+by tests and the benchmark's tracer.  ``weyl_dim`` multiplies the same
+kernel's pairings, and a pairing with a simple coroot is read as a
+coordinate of the weight.  The three are memoized in one plain dict per
+root system, with the kernel bound once per system (``_per_system``).  A
+key is the weight alone, plain ints, which the cyclic garbage collector
+untracks, so a new weight leaves no tracked key behind for full
+collections to walk.  Singular answers are not stored: the kernel's early
+exit gives them again as fast as a lookup.
 
 Filtered bundles are evaluated over the weight multiset: one Bott call and
 one E1 piece per distinct weight, carrying its multiplicity.
@@ -41,7 +43,7 @@ scope.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, partial, wraps
+from functools import partial
 from itertools import chain
 from math import prod
 from operator import mul
@@ -176,9 +178,10 @@ def compile_pairings(
 #: They are built on the first weight, not by ``build_root_system``:
 #: compiling costs about a third of an F4 build, and many systems are built
 #: only to be counted.  The answers are not kept here but in the Bott
-#: caches, one per system and face (``_per_system``), which ``cache_clear``
-#: empties while this table stays: a test that corrupts a chamber entry
-#: clears them so that the next weight reads it.
+#: memos, one plain dict per system and face, each made with the system's
+#: kernel bound (``_per_system``).  ``cache_clear`` drops them while this
+#: table stays: a test that corrupts a chamber entry clears them so that
+#: the next regular weight reads it.
 #:
 #: The coroot table maps every coroot, positive and negative, to its slot
 #: ``(k, e)``: it is e times the coroot of the k-th positive root.
@@ -290,12 +293,85 @@ def _first_weight(
     return entry
 
 
-def _dominant_image(
-    rs: RootSystem, lam: Weight
-) -> Optional[tuple[tuple[int, ...], int, Weight]]:
-    """(w, len(w), nu) with w(lam+rho) = nu+rho strictly dominant, w a
-    reduced word, or None if lam is singular: the system's kernel, in one
-    call, without its pairings.
+#: What a Bott memo's ``cache_info()`` returns.
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+def _per_system(singular: object = None) -> Callable:
+    """A Bott face memoized in one plain dict per root system, keyed by the
+    weight alone; the decorated function binds the face to a system.
+
+    Given ``rs`` and its Bott kernel, the decorated function returns the
+    face of ``rs``: the function of one weight that computes an answer.  It
+    runs once per system, when the system's memo is made, so a miss calls
+    the bound face and nothing else.  The decorated name becomes
+    ``face(rs, lam)``.  A memo made before its ``_BOTT`` entry is replaced
+    keeps the old kernel until ``cache_clear()``.
+
+    A key that held the system could never be untracked by the cyclic
+    garbage collector, so every new answer would leave a tracked tuple
+    behind and a batch of new weights would pay for full collections; a
+    weight is plain ints, which the collector untracks.  Systems are told
+    apart by identity, as ``RootSystem`` hashes.
+
+    Only regular answers are stored.  The answer to a singular weight,
+    ``singular``, is not: the kernel's early exit gives it no slower than a
+    lookup would.  No face answers None to a regular weight, so a lookup
+    that finds None is a miss.  A failure is not stored either.  Each call
+    counts as one hit or one miss, a recomputed singular weight as a miss,
+    so hits plus misses is the number of calls.  ``cache_info()`` gives them
+    with the fields of an ``lru_cache``'s own, the size summed over the
+    systems, and ``cache_clear()`` drops every system's dict and the counts.
+    The counts are plain ints: threads calling at once may lose a count,
+    never an answer.
+    """
+
+    def per_system(bind: Callable) -> Callable:
+        memos: dict[RootSystem, tuple[dict, Callable]] = {}
+        hits = misses = 0
+
+        def memo(rs: RootSystem, lam: Weight):
+            nonlocal hits, misses
+            try:
+                answers, face = memos[rs]
+            except KeyError:
+                # One atomic call, so that threads meeting a new system
+                # share one memo.
+                answers, face = memos.setdefault(rs, ({}, bind(rs, _bott(rs)[0])))
+            answer = answers.get(lam)
+            if answer is None:
+                misses += 1
+                answer = face(lam)
+                if answer is not singular:
+                    answers[lam] = answer
+                return answer
+            hits += 1
+            return answer
+
+        def cache_info() -> _CacheInfo:
+            sizes = [len(answers) for answers, _ in list(memos.values())]
+            return _CacheInfo(hits, misses, None, sum(sizes))
+
+        def cache_clear() -> None:
+            nonlocal hits, misses
+            memos.clear()
+            hits = misses = 0
+
+        memo.__name__ = memo.__qualname__ = bind.__name__
+        memo.__doc__ = bind.__doc__
+        memo.cache_info = cache_info
+        memo.cache_clear = cache_clear
+        return memo
+
+    return per_system
+
+
+@_per_system()
+def dot_normalize(rs: RootSystem, kernel: BottKernel) -> Callable:
+    """``dot_normalize(rs, lam)``: (w, len(w), nu) with w(lam+rho) = nu+rho
+    strictly dominant, w a reduced word, or None if lam is singular; the
+    system's kernel, in one call, without its pairings.  Read only by tests
+    and the benchmark's tracer.
 
     A weight of the wrong length raises ``ValueError``, singular or not.  A
     regular weight runs the dominance walk only when it is the first of its
@@ -303,95 +379,63 @@ def _dominant_image(
     its image from its own pairings, and the image must be strictly
     dominant, or ``IntegrityError`` is raised.  Only one Weyl element makes
     a regular weight dominant, so this check verifies the stored entry, and
-    the signs it was found by, in full.
+    the signs it was found by, in full.  None is not memoized.
     """
-    image = _bott(rs)[0](lam)
-    return image if image is None else image[:3]
+
+    def image(lam: Weight) -> Optional[tuple[tuple[int, ...], int, Weight]]:
+        found = kernel(lam)
+        return found if found is None else found[:3]
+
+    return image
 
 
-#: What a per-system memo's ``cache_info()`` returns, summed over systems.
-_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
-
-
-def _per_system(f: Callable) -> Callable:
-    """``f(rs, lam)`` memoized in one ``lru_cache`` per root system, keyed
-    by the weight alone.
-
-    A key that held the system could never be untracked by the cyclic
-    garbage collector, so every new answer would leave a tracked tuple
-    behind and a batch of new weights would pay for full collections; a
-    weight is plain ints, which the collector untracks.  Systems are told
-    apart by identity, as ``RootSystem`` hashes.  ``cache_info()`` sums the
-    hits, misses and sizes over the systems, with the fields of an
-    ``lru_cache``'s own, and ``cache_clear()`` drops every system's cache.
-    A failure is not memoized.
-    """
-    caches: dict[RootSystem, Callable] = {}
-
-    @wraps(f)
-    def memo(rs: RootSystem, lam: Weight):
-        try:
-            cache = caches[rs]
-        except KeyError:
-            # One atomic call, so that threads meeting a new system share
-            # one cache.
-            cache = caches.setdefault(rs, lru_cache(maxsize=None)(partial(f, rs)))
-        return cache(lam)
-
-    def cache_info() -> _CacheInfo:
-        infos = [cache.cache_info() for cache in list(caches.values())]
-        return _CacheInfo(
-            sum(i.hits for i in infos),
-            sum(i.misses for i in infos),
-            None,
-            sum(i.currsize for i in infos),
-        )
-
-    memo.cache_info = cache_info
-    memo.cache_clear = caches.clear
-    return memo
-
-
-#: ``_dominant_image`` behind a cache of its own: ``(w, len(w), nu)``, or None
-#: for a singular weight.
-dot_normalize = _per_system(_dominant_image)
-
-
-@_per_system
-def line_cohomology(rs: RootSystem, lam: Weight) -> CohomologyProfile:
-    """Bott cohomology of the line bundle O(lam) on the full flag variety.
+@_per_system(singular=ZERO)
+def line_cohomology(rs: RootSystem, kernel: BottKernel) -> Callable:
+    """``line_cohomology(rs, lam)``: Bott cohomology of the line bundle
+    O(lam) on the full flag variety.
 
     Calls the Bott kernel directly, not through ``dot_normalize``, so a miss
-    passes through this one cache only.  A singular weight gets the shared
-    zero profile; a regular one its Weyl module in degree len(w), the length
-    stored with its chamber.
+    passes through this one memo only.  A singular weight gets the shared
+    zero profile, which is not memoized; a regular one its Weyl module in
+    degree len(w), the length stored with its chamber.
     """
-    image = _bott(rs)[0](lam)
-    if image is None:
-        return ZERO
-    return CohomologyProfile(((image[1], image[2], 1),))
+
+    def profile(lam: Weight) -> CohomologyProfile:
+        image = kernel(lam)
+        if image is None:
+            return ZERO
+        return CohomologyProfile(((image[1], image[2], 1),))
+
+    return profile
 
 
-@_per_system
-def weyl_dim(rs: RootSystem, lam: Weight) -> int:
-    """Dimension of the irreducible with highest weight lam (Weyl formula).
+@_per_system()
+def weyl_dim(rs: RootSystem, kernel: BottKernel) -> Callable:
+    """``weyl_dim(rs, lam)``: dimension of the irreducible with highest
+    weight lam (Weyl formula).
 
     The numerator is the product of the Bott kernel's pairings of lam+rho.
     The kernel runs first, so a weight of the wrong length raises its
     ``ValueError``.  Raises ``ValueError`` when lam is not dominant, and
     ``IntegrityError`` when the kernel calls the dominant lam singular
     (lam+rho is regular) or the Weyl quotient is not an integer; all three
-    checks run on every miss.
+    checks run on every miss.  A dominant weight is never singular, so
+    every answer is memoized.
     """
-    found = _bott(rs)[0](lam)
-    if lam and min(lam) < 0:
-        raise ValueError(f"{lam} is not dominant")
-    if found is None:
-        raise IntegrityError(f"the Bott kernel calls the dominant {lam} singular")
-    dim, rem = divmod(prod(found[3]), rs.weyl_denominator)
-    if rem:
-        raise IntegrityError("Weyl dimension did not come out integral")
-    return dim
+    denominator = rs.weyl_denominator
+
+    def dimension(lam: Weight) -> int:
+        found = kernel(lam)
+        if lam and min(lam) < 0:
+            raise ValueError(f"{lam} is not dominant")
+        if found is None:
+            raise IntegrityError(f"the Bott kernel calls the dominant {lam} singular")
+        dim, rem = divmod(prod(found[3]), denominator)
+        if rem:
+            raise IntegrityError("Weyl dimension did not come out integral")
+        return dim
+
+    return dimension
 
 
 def combine_pieces(

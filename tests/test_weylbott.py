@@ -356,30 +356,38 @@ KERNEL_DEFINITION_BOXES = {
 }
 
 
+def kernel_definition(rs, lam):
+    """What the Bott kernel must answer at lam, by its definition.
+
+    The pairings of lam+rho are the dot products with the positive coroots
+    in the order of positive_roots; lam is singular exactly when one of
+    them is 0, and gets None; otherwise a direct dominance walk gives w and
+    w(lam+rho) = nu+rho, and the answer is (w, len(w), nu, pairings).
+    """
+    mu = tuple(c + 1 for c in lam)
+    pairings = rs.coroot_pairings(mu)
+    if 0 in pairings:
+        return None
+    top, w = rs.to_dominant(mu)
+    return w, len(w), tuple(c - 1 for c in top), pairings
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_DEFINITION_BOXES))
 def test_the_compiled_kernel_matches_its_definition(name):
-    # The reference: the pairings of lam+rho are the dot products with the
-    # positive coroots in the order of positive_roots; lam is singular
-    # exactly when one of them is 0; otherwise a direct dominance walk gives
-    # w and w(lam+rho) = nu+rho.  The kernel is compiled on a system's first
-    # weight, not by the build, and weyl_dim reads its pairings on a
-    # dominant box.
+    # The kernel is compiled on a system's first weight, not by the build,
+    # and weyl_dim reads its pairings on a dominant box.
     cartan, half = KERNEL_DEFINITION_BOXES[name]
     rs = build_root_system(cartan)
     assert rs not in weylbott._BOTT
     kernel = weylbott._bott(rs)[0]
     singular = 0
     for lam in product(range(-half, half + 1), repeat=rs.rank):
-        mu = tuple(c + 1 for c in lam)
-        pairings = rs.coroot_pairings(mu)
         found = kernel(lam)
-        if 0 in pairings:
+        assert found == kernel_definition(rs, lam), lam
+        if found is None:
             singular += 1
-            assert found is None, lam
-            continue
-        top, w = rs.to_dominant(mu)
-        assert found == (w, len(w), tuple(c - 1 for c in top), pairings), lam
-        assert type(found[2]) is type(found[3]) is tuple
+        else:
+            assert type(found[2]) is type(found[3]) is tuple
     assert 0 < singular < (2 * half + 1) ** rs.rank
     for lam in product(range(half + 1), repeat=rs.rank):
         expected = prod(rs.coroot_pairings(tuple(c + 1 for c in lam)))
@@ -605,6 +613,155 @@ def test_cache_clear_lets_a_corrupted_chamber_reach_line_cohomology(monkeypatch)
         monkeypatch.undo()
         line_cohomology.cache_clear()
     assert line_cohomology(rs, (-2, 3)).degrees() == (1,)
+
+
+FACES = (line_cohomology, dot_normalize, weyl_dim)
+B2_CARTAN = ((2, -1), (-2, 2))
+
+
+def face_definition(face, rs, lam):
+    """What ``face(rs, lam)`` must answer by the kernel's definition, or
+    ValueError when it must refuse lam."""
+    if len(lam) != rs.rank or (face is weyl_dim and min(lam) < 0):
+        return ValueError
+    found = kernel_definition(rs, lam)
+    if face is weyl_dim:
+        return prod(found[3]) // rs.weyl_denominator
+    if face is dot_normalize:
+        return None if found is None else found[:3]
+    return ZERO if found is None else CohomologyProfile(((found[1], found[2], 1),))
+
+
+def bott_stream(rng, boxes, calls, refusals):
+    """``calls`` random calls ``(face, rs, lam)`` over ``boxes``, pairs
+    (rs, half-width of its box), about half of them repeats of an earlier
+    call.  With ``refusals`` about one weight in ten has the wrong length
+    and weyl_dim meets non-dominant weights; without, weyl_dim's weights are
+    dominant."""
+    stream = []
+    while len(stream) < calls:
+        if stream and rng.random() < 0.5:
+            stream.append(rng.choice(stream))
+            continue
+        face = rng.choice(FACES)
+        rs, half = rng.choice(boxes)
+        lam = tuple(rng.randint(-half, half) for _ in range(rs.rank))
+        if refusals and rng.random() < 0.1:
+            lam += (0,)
+        elif face is weyl_dim and not refusals:
+            lam = tuple(map(abs, lam))
+        stream.append((face, rs, lam))
+    return stream
+
+
+def test_a_singular_weight_is_recomputed_as_a_miss_and_not_stored():
+    # The kernel's early exit answers a singular weight no slower than a
+    # lookup, so the memo stores no singular answer: every call hands out
+    # the shared ZERO, or None, and counts as one miss.
+    rs = build_root_system(G2_CARTAN)
+    for face, answer in ((line_cohomology, ZERO), (dot_normalize, None)):
+        start = face.cache_info()
+        for k in range(1, 4):
+            assert face(rs, (-1, 4)) is answer
+            assert face(rs, (-4, 2)) is answer
+            assert face.cache_info() == (
+                start.hits, start.misses + 2 * k, None, start.currsize
+            )
+
+
+def test_a_repeated_regular_weight_is_one_stored_answer():
+    rs = build_root_system(G2_CARTAN)
+    for face, lam in ((line_cohomology, (-5, 2)), (dot_normalize, (-5, 2)),
+                      (weyl_dim, (40, 50))):
+        start = face.cache_info()
+        answer = face(rs, lam)
+        assert face.cache_info() == (
+            start.hits, start.misses + 1, None, start.currsize + 1
+        )
+        for k in range(1, 4):
+            assert face(rs, lam) is answer
+            assert face.cache_info() == (
+                start.hits + k, start.misses + 1, None, start.currsize + 1
+            )
+
+
+@pytest.mark.parametrize(
+    "face, lam",
+    [(line_cohomology, (2,)), (dot_normalize, (-1, 5, 7)), (weyl_dim, (0, 0, 0)),
+     (weyl_dim, (-1, 2))],
+    ids=["line_cohomology-length", "dot_normalize-length", "weyl_dim-length",
+         "weyl_dim-not-dominant"],
+)
+def test_a_refused_weight_is_a_miss_and_is_not_stored(face, lam):
+    rs = build_root_system(G2_CARTAN)
+    face(rs, (1, 1))
+    start = face.cache_info()
+    for k in range(1, 4):
+        with pytest.raises(ValueError):
+            face(rs, lam)
+        assert face.cache_info() == (start.hits, start.misses + k, None, start.currsize)
+
+
+def test_hits_and_misses_follow_a_model_memo_over_a_mixed_stream_on_two_systems():
+    # The model: a call is a hit exactly when an earlier call stored an
+    # answer for the same face, system and weight, and only a regular
+    # answer is stored.  So hits plus misses is every call.  G2 and B2 have
+    # one rank and meet the same weights, so a memo that shared its answers
+    # between systems would count hits where the model counts misses.
+    boxes = [(build_root_system(G2_CARTAN), 3), (build_root_system(B2_CARTAN), 3)]
+    stream = bott_stream(random.Random(36), boxes, 1500, refusals=True)
+    start = {face: face.cache_info() for face in FACES}
+    stored, hits, misses = set(), Counter(), Counter()
+    for face, rs, lam in stream:
+        if (face, rs, lam) in stored:
+            hits[face] += 1
+        else:
+            misses[face] += 1
+        expected = face_definition(face, rs, lam)
+        if expected is ValueError:
+            with pytest.raises(ValueError):
+                face(rs, lam)
+            continue
+        answer = face(rs, lam)
+        assert answer == expected, (face.__name__, rs.cartan, lam)
+        if expected is None or expected is ZERO:
+            assert answer is expected
+        else:
+            stored.add((face, rs, lam))
+    for face in FACES:
+        info, before = face.cache_info(), start[face]
+        counted = (info.hits - before.hits, info.misses - before.misses)
+        assert sum(counted) == hits[face] + misses[face]
+        assert counted == (hits[face], misses[face]), face.__name__
+        new = sum(1 for f, _, _ in stored if f is face)
+        assert info.currsize - before.currsize == new, face.__name__
+        assert hits[face] and misses[face]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memoized_answers_agree_with_the_kernel_definition_over_interleaved_streams(
+    seed,
+):
+    # From cleared memos, a seeded stream interleaves the three faces over
+    # weight boxes of five systems, about half of its calls repeats: every
+    # answer, a hit's as well as a miss's, is the one the definition of the
+    # kernel gives, checked as test_the_compiled_kernel_matches_its_definition
+    # checks the kernel itself.
+    for face in FACES:
+        face.cache_clear()
+    cartans = {"A2": ((2, -1), (-1, 2)), "B2": B2_CARTAN, "G2": G2_CARTAN,
+               "B3": CHAMBER_BOXES["B3"][0], "F4": CHAMBER_BOXES["F4"][0]}
+    half = {"A2": 4, "B2": 4, "G2": 5, "B3": 3, "F4": 2}
+    boxes = [(build_root_system(c), half[name]) for name, c in cartans.items()]
+    reference = {}
+    for face, rs, lam in bott_stream(random.Random(seed), boxes, 3000, refusals=False):
+        key = (face, rs, lam)
+        if key not in reference:
+            reference[key] = face_definition(face, rs, lam)
+        assert face(rs, lam) == reference[key], (face.__name__, rs.cartan, lam)
+    for face in FACES:
+        info = face.cache_info()
+        assert info.hits and info.misses and info.currsize
 
 
 def test_weyl_dim_pinned_values():
