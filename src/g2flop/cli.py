@@ -50,13 +50,6 @@ def _profile_json(rs: RootSystem, profile: CohomologyProfile) -> list[dict]:
     ]
 
 
-def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
 def _conventions(rs: RootSystem) -> dict:
     return {
         "cartan": [list(row) for row in rs.cartan],
@@ -76,9 +69,14 @@ def _conventions(rs: RootSystem) -> dict:
     }
 
 
-def cmd_roots(args, rs: RootSystem) -> int:
+# Each handler returns its answer as ``(payload, text)``: the JSON document,
+# without the ``command`` key that ``main`` adds, and its text rendering.
+# Handlers print nothing; ``main`` prints one of the two and reads the exit
+# code from the payload's ``status``.
+
+
+def cmd_roots(args, rs: RootSystem) -> tuple[dict, str]:
     payload = {
-        "command": "roots",
         "inputs": {},
         "status": "pass",
         "rank": rs.rank,
@@ -109,80 +107,59 @@ def cmd_roots(args, rs: RootSystem) -> int:
         lines.append("conventions:")
         for key, value in conventions.items():
             lines.append(f"  {key}: {value}")
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines)
 
 
-def cmd_dim(args, rs: RootSystem) -> int:
+def cmd_dim(args, rs: RootSystem) -> tuple[dict, str]:
     lam = (args.a, args.b)
     value = weyl_dim(rs, lam)
-    payload = {
-        "command": "dim",
-        "inputs": {"weight": list(lam)},
-        "status": "pass",
-        "value": value,
-    }
-    _emit(payload, args.json, str(value))
-    return EXIT_OK
+    payload = {"inputs": {"weight": list(lam)}, "status": "pass", "value": value}
+    return payload, str(value)
 
 
-def cmd_coh(args, rs: RootSystem) -> int:
+def cmd_coh(args, rs: RootSystem) -> tuple[dict, str]:
     expr = parse_expr(args.expr)
     res = flag_cohomology(rs, expr)
+    payload = {"inputs": {"expr": format_expr(expr)}}
     if res.determined:
-        dims = res.profile.dimensions(rs)
+        payload.update(
+            status="pass", profile=_profile_json(rs, res.profile), route=res.route
+        )
         text = format_profile(res.profile)
         if not res.profile.is_zero:
+            dims = res.profile.dimensions(rs)
             text += "  (" + ", ".join(
                 f"degree {d}: dim {n}" for d, n in sorted(dims.items())
             ) + ")"
-    else:
-        # One entry per distinct weight, its profile scaled by its multiplicity.
-        pieces = []
-        for w, p, m in res.e1:
-            if not p.is_zero:
-                scaled = CohomologyProfile.of((d, hw, k * m) for d, hw, k in p.entries)
-                pieces.append(f"{w}: {format_profile(scaled)}")
-        text = "indeterminate; E1 page: " + "; ".join(pieces)
-    payload = {}
-    # Text mode never prints the payload, so only --json builds it.
-    if args.json:
-        payload = {"command": "coh", "inputs": {"expr": format_expr(expr)}}
-        if res.determined:
-            payload.update(
-                status="pass", profile=_profile_json(rs, res.profile), route=res.route
-            )
-        else:
-            payload.update(status="indeterminate", e1=pieces)
-    _emit(payload, args.json, text)
-    return EXIT_OK
+        return payload, text
+    # One entry per distinct weight, its profile scaled by its multiplicity.
+    pieces = []
+    for w, p, m in res.e1:
+        if not p.is_zero:
+            scaled = CohomologyProfile.of((d, hw, k * m) for d, hw, k in p.entries)
+            pieces.append(f"{w}: {format_profile(scaled)}")
+    payload.update(status="indeterminate", e1=pieces)
+    return payload, "indeterminate; E1 page: " + "; ".join(pieces)
 
 
-def cmd_homv(args, rs: RootSystem) -> int:
+def cmd_homv(args, rs: RootSystem) -> tuple[dict, str]:
     a = parse_expr(args.source)
     b = parse_expr(args.target)
     res = hom_v(rs, a, b)
+    inputs = {"source": format_expr(a), "target": format_expr(b)}
+    payload = {"inputs": inputs, "euler": res.euler}
     if res.determined:
-        text = format_profile(res.profile)
-    else:
-        text = f"indeterminate (Euler characteristic {res.euler})"
-    payload = {}
-    if args.json:
-        inputs = {"source": format_expr(a), "target": format_expr(b)}
-        payload = {"command": "homv", "inputs": inputs, "euler": res.euler}
-        if res.determined:
-            payload.update(status="pass", profile=_profile_json(rs, res.profile))
-        else:
-            payload.update(
-                status="indeterminate",
-                native_term=format_profile(res.p0.profile) if res.p0.determined else None,
-                twisted_term=format_profile(res.p1.profile) if res.p1.determined else None,
-            )
-    _emit(payload, args.json, text)
-    return EXIT_OK
+        payload.update(status="pass", profile=_profile_json(rs, res.profile))
+        return payload, format_profile(res.profile)
+    payload.update(
+        status="indeterminate",
+        native_term=format_profile(res.p0.profile) if res.p0.determined else None,
+        twisted_term=format_profile(res.p1.profile) if res.p1.determined else None,
+    )
+    return payload, f"indeterminate (Euler characteristic {res.euler})"
 
 
-def cmd_hilbert(args, rs: RootSystem) -> int:
+def cmd_hilbert(args, rs: RootSystem) -> tuple[dict, str]:
     # The r sum takes no --trunc, so its table reports no truncation.  Every
     # bad bound is refused by coxring, with the ValueError main prints.
     trunc = getattr(args, "trunc", None)
@@ -199,7 +176,6 @@ def cmd_hilbert(args, rs: RootSystem) -> int:
         value = git_piece(rs, args.side, args.n, trunc)
         inputs = {"kind": "git", "side": args.side, "degree": args.n, "trunc": trunc}
     payload = {
-        "command": "hilbert",
         "inputs": inputs,
         "status": "pass",
         "value": value,
@@ -210,15 +186,13 @@ def cmd_hilbert(args, rs: RootSystem) -> int:
     text = str(value)
     if args.table:
         text += "\n" + json.dumps(payload["table"], sort_keys=True)
-    _emit(payload, args.json, text)
-    return EXIT_OK
+    return payload, text
 
 
-def cmd_sod_replay(args, rs: RootSystem) -> int:
+def cmd_sod_replay(args, rs: RootSystem) -> tuple[dict, str]:
     report = replay_mutation_script(rs)
-    payload = {"command": "sod-replay", "inputs": {}}
-    payload.update(report.to_json())
-    payload["status"] = "pass" if report.passed else "fail"
+    payload = report.to_json()
+    payload.update(inputs={}, status="pass" if report.passed else "fail")
     lines = []
     for step in report.steps:
         flag = "PASS" if step.ok else "FAIL"
@@ -235,16 +209,14 @@ def cmd_sod_replay(args, rs: RootSystem) -> int:
         lines.append(report.conclusion)
     else:
         lines.append(f"FAILED: {report.mismatch}")
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+    return payload, "\n".join(lines)
 
 
-def cmd_check_all(args, rs: RootSystem) -> int:
+def cmd_check_all(args, rs: RootSystem) -> tuple[dict, str]:
     started = time.time()
     suites = run_all(rs)
     all_ok = all(s.ok for s in suites)
     payload = {
-        "command": "check-all",
         "inputs": {},
         "status": "pass" if all_ok else "fail",
         "suites": [s.to_json() for s in suites],
@@ -259,8 +231,7 @@ def cmd_check_all(args, rs: RootSystem) -> int:
     lines.append(
         "ALL CHECKS PASSED" if all_ok else "VERIFICATION FAILURES PRESENT"
     )
-    _emit(payload, args.json, "\n".join(lines))
-    return EXIT_OK if all_ok else EXIT_VERIFICATION_FAILED
+    return payload, "\n".join(lines)
 
 
 DESCRIPTION = (
@@ -465,7 +436,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
             return EXIT_USAGE
     try:
-        return args.func(args, g2())
+        payload, text = args.func(args, g2())
+        payload["command"] = args.command
+        print(json.dumps(payload, indent=2, sort_keys=True) if args.json else text)
     except ParseError as err:
         print(f"expression error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -476,6 +449,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         # Route mismatches and failed internal checks: an engine fault.
         print(f"verification failed: {err}", file=sys.stderr)
         return EXIT_VERIFICATION_FAILED
+    return EXIT_VERIFICATION_FAILED if payload["status"] == "fail" else EXIT_OK
 
 
 def run(argv: Optional[list[str]] = None) -> int:

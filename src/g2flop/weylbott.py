@@ -57,14 +57,6 @@ class CohomologyProfile(Value):
 
     _fields = ("entries",)
 
-    def __eq__(self, other):
-        # Hot: the certificates compare profiles; skip the generic key lookup.
-        if type(other) is not CohomologyProfile:
-            return NotImplemented
-        return self.entries == other.entries
-
-    __hash__ = Value.__hash__
-
     @staticmethod
     def of(entries: Iterable[tuple[int, Weight, int]]) -> "CohomologyProfile":
         merged: dict[tuple[int, Weight], int] = {}

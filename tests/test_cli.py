@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from g2flop import bundles, cli, totalspace
+from g2flop import bundles, checks, cli, totalspace
 from g2flop.bundles import (
     ParseError,
     RouteMismatchError,
@@ -28,7 +28,8 @@ from g2flop.bundles import (
 )
 from g2flop.cli import main
 from g2flop.coxring import MAX_TABLE_DEGREE
-from g2flop.rootdata import g2
+from g2flop.rootdata import g2, g2_flipped
+from g2flop.sodengine import replay_mutation_script
 from g2flop.totalspace import hom_v
 from g2flop.weylbott import ZERO, CohomologyProfile, euler_characteristic
 from tests.test_bundles import forget_memos
@@ -198,20 +199,13 @@ def test_homv_json(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, walks, profiles",
-    [
-        (["coh", "U(h)"], 0, 0),
-        (["homv", "U", "O"], 0, 0),
-        (["coh", "U(h)", "--json"], 1, 1),
-        (["homv", "U", "O", "--json"], 2, 1),
-    ],
-    ids=["coh-text", "homv-text", "coh-json", "homv-json"],
+    "argv, walks",
+    [(["coh", "U(h)", "--json"], 1), (["homv", "U", "O", "--json"], 2)],
+    ids=["coh", "homv"],
 )
-def test_the_inputs_echo_is_built_only_for_json(
-    capsys, monkeypatch, argv, walks, profiles
+def test_the_json_answer_formats_each_input_and_builds_its_profile_once(
+    capsys, monkeypatch, argv, walks
 ):
-    # Text mode prints neither the inputs echo nor the JSON profile, so it
-    # builds neither.
     printed, built = [], []
 
     def counting(e):
@@ -226,7 +220,7 @@ def test_the_inputs_echo_is_built_only_for_json(
     monkeypatch.setattr(cli, "format_expr", counting)
     monkeypatch.setattr(cli, "_profile_json", counting_profile)
     code, _, _ = run_cli(capsys, *argv)
-    assert (code, len(printed), len(built)) == (0, walks, profiles)
+    assert (code, len(printed), len(built)) == (0, walks, 1)
 
 
 def test_hilbert_values(capsys):
@@ -807,6 +801,64 @@ def test_check_all_and_sod_replay_match_bench_reference(capsys):
     assert code == 0
     oracle.sod_replay_payload(verdict, out, oracle.load("sod_replay.json"))
     assert verdict.failed == 0, verdict.problems
+
+
+def leaf_argv(path, entry):
+    """A plain argv of a leaf of ``cli.COMMANDS``: the first choice or the
+    first plain value of each positional."""
+    values = [
+        kind[0] if type(kind) is tuple else PLAIN_VALUES[kind][0]
+        for _, kind in entry[2]
+    ]
+    return [*path, *values]
+
+
+#: Every leaf of the command table, two indeterminate queries, and the two
+#: commands that can fail, which replay the mutation script on the flipped G2.
+ANSWER_CASES = [
+    *[(leaf_argv(path, entry), "pass") for path, entry in TABLE_LEAVES],
+    (["coh", "S'*S"], "indeterminate"),
+    (["homv", "S", "S"], "indeterminate"),
+    (["sod-replay"], "fail"),
+    (["check-all"], "fail"),
+]
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv, status",
+    ANSWER_CASES,
+    ids=[f"{' '.join(argv)}-{status}" for argv, status in ANSWER_CASES],
+)
+def test_every_command_returns_its_answer_and_main_alone_prints_it(
+    capsys, monkeypatch, argv, status, as_json
+):
+    if status == "fail":
+
+        def flipped(rs):
+            return replay_mutation_script(g2_flipped())
+
+        monkeypatch.setattr(cli, "replay_mutation_script", flipped)
+        monkeypatch.setattr(checks, "replay_mutation_script", flipped)
+    argv = [*argv, "--json"] if as_json else argv
+    args = cli.parse_args(argv)
+    answer = args.func(args, g2())
+    assert capsys.readouterr() == ("", "")
+    assert type(answer) is tuple and len(answer) == 2
+    payload, text = answer
+    assert (type(payload), type(text), payload["status"]) == (dict, str, status)
+    assert "command" not in payload
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1 if status == "fail" else 0, "")
+    if as_json:
+        # One document, the handler's payload with the command added.
+        printed = json.loads(out)
+        if "timestamp" in payload:
+            payload["timestamp"] = printed["timestamp"]
+        payload["command"] = argv[0]
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        assert out == text + "\n"
 
 
 def test_every_pool_query_matches_bench_reference():
