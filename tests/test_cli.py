@@ -917,6 +917,22 @@ def test_text_output_matches_golden(capsys, command, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_e1_pages_match_golden(capsys):
+    # The benchmark's oracle writes "?" for every indeterminate answer, so
+    # only this golden pins an E1 page: its pieces, and their order, the
+    # filtration order of first occurrence.  Each query line is followed by
+    # the CLI's text answer.  The memos are cleared first, so that the pages
+    # are computed here rather than recalled from an earlier test.
+    lines = (GOLDEN / "e1_pages.txt").read_text().splitlines()
+    assert lines and len(lines) % 2 == 0
+    forget_memos()
+    for query, expected in zip(lines[::2], lines[1::2]):
+        assert expected.startswith("indeterminate; E1 page: "), query
+        code, out, _ = run_cli(capsys, *query.split(" ", 1))
+        assert code == 0
+        assert out == expected + "\n", query
+
+
 @pytest.mark.parametrize(
     "command, golden",
     [("sod-replay", "sod_replay.json"), ("check-all", "check_all.json")],
