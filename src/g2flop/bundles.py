@@ -46,6 +46,12 @@ pieces is the answer.  ``totalspace.hom_v`` needs no judge: its Koszul terms
 split.  Every route that determines an answer is cross-checked against the
 others.
 
+The module is wired to G2, so every highest weight, twist and filtration
+weight is a rank-2 pair ``(a, b)``.  The per-weight loops of route A and
+route B therefore add and scale the two ints unpacked, not through the
+rank-generic ``rootdata`` helpers: on a long string or product, a generic
+tuple built per weight cost more than the rest of the loop.
+
 ``flag_cohomology`` answers each ``(root system, expression)`` once: equal
 expressions share one memoized result, in a cache that is unbounded like the
 Bott memos.  Every memo is keyed by the flat fields, which hash and compare
@@ -82,7 +88,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Optional
+from itertools import repeat
+from typing import Iterable, Optional
 
 from .rootdata import IntegrityError, RootSystem, Value, Weight, wadd, wneg, wscale
 from .weylbott import (
@@ -266,13 +273,16 @@ Pairs = tuple[tuple[Weight, int], ...]
 
 
 def _convolve(left: Pairs, right: Pairs) -> dict[Weight, int]:
-    # Keys come out in the order of first occurrence in the expanded product
-    # (left-major), because both inputs keep first-occurrence order.
+    """The product of two weight multisets, every pair of weights added as
+    two ints.  Keys come out in the order of first occurrence in the
+    expanded product (left-major), because both inputs keep first-occurrence
+    order.  The distinct-weight bound is checked once per row."""
     out: dict[Weight, int] = {}
-    for lw, lm in left:
-        for rw, rm in right:
-            w = wadd(lw, rw)
-            out[w] = out.get(w, 0) + lm * rm
+    get = out.get
+    for (a, b), lm in left:
+        for (c, d), rm in right:
+            w = (a + c, b + d)
+            out[w] = get(w, 0) + lm * rm
         if len(out) > MAX_PRODUCT_WEIGHTS:
             raise BundleError(
                 f"a product of {len(left)} by {len(right)} distinct weights has "
@@ -291,9 +301,10 @@ def weights(rs: RootSystem, e: BundleExpr) -> dict[Weight, int]:
     plain dict maps each weight to its multiplicity; the multiplicities sum
     to the rank.  Keys are in a stable order: that of their first occurrence
     in the filtration (sub before quotient, left factor before right).
+    The shift adds the twist's two ints to each pair.
     """
-    twist = e.twist
-    return {wadd(w, twist): m for w, m in _product_weights(rs, e.factors)}
+    x, y = e.twist
+    return {(a + x, b + y): m for (a, b), m in _product_weights(rs, e.factors)}
 
 
 @lru_cache(maxsize=None)
@@ -318,9 +329,14 @@ def _product_weights(rs: RootSystem, factors: tuple[Factor, ...]) -> Pairs:
 
 
 def _factor_weights(rs: RootSystem, f: Factor) -> Pairs:
-    """Weights of one normal factor, in filtration order: the Levi string of
-    its highest weight, negated for a dual; for S or S', the weights of the
-    pieces of its defining filtration."""
+    """Weights of one normal factor, in filtration order: the Levi string
+    hw - j*alpha_i, j < length, of its highest weight, negated for a dual;
+    for S or S', the weights of the pieces of its defining filtration.
+
+    A string is an arithmetic progression in each coordinate of the rank-2
+    pairs, so it is built as one ``range`` per coordinate (``repeat`` where
+    alpha_i's coordinate is 0), zipped into pairs in C: a long ``Sym^m``
+    string costs no Python-level step per weight."""
     string = _levi_string(f)
     if string is None:
         out: dict[Weight, int] = {}
@@ -328,10 +344,19 @@ def _factor_weights(rs: RootSystem, f: Factor) -> Pairs:
             for w, m in weights(rs, piece).items():
                 out[w] = out.get(w, 0) + m
         return tuple(out.items())
-    i, hw, length = string
-    alpha = rs.simple_roots[i].weight_coords
-    ws = (tuple([h - j * a for h, a in zip(hw, alpha)]) for j in range(length))
-    return tuple((wneg(w) if f[4] else w, 1) for w in ws)
+    i, (a, b), length = string
+    x, y = rs.simple_roots[i].weight_coords
+    if f[4]:
+        a, b = -a, -b
+    else:
+        x, y = -x, -y
+    ws = zip(_progression(a, x, length), _progression(b, y, length))
+    return tuple(zip(ws, repeat(1)))
+
+
+def _progression(start: int, step: int, length: int) -> Iterable[int]:
+    """``start + j*step`` for j < length."""
+    return range(start, start + length * step, step) if step else repeat(start, length)
 
 
 def det_weight(rs: RootSystem, e: BundleExpr) -> Weight:
@@ -345,15 +370,15 @@ def levi_tensor(rs: RootSystem, i: int, lam: Weight, mu: Weight) -> tuple[Weight
 
     Labels m = lam[i], n = mu[i]; the summands have highest weights
     lam + mu - j*alpha_i for j = 0..min(m, n).  Total rank is preserved.
+    The weights are rank-2 pairs: one sum of lam and mu, then each summand
+    is two int subtractions.
     """
     m, n = lam[i], mu[i]
     if m < 0 or n < 0:
         raise BundleError("both weights must be Levi-dominant")
-    total = wadd(lam, mu)
-    alpha = rs.simple_roots[i].weight_coords
-    out = tuple(
-        tuple([t - j * a for t, a in zip(total, alpha)]) for j in range(min(m, n) + 1)
-    )
+    x, y = wadd(lam, mu)
+    a, b = rs.simple_roots[i].weight_coords
+    out = tuple([(x - j * a, y - j * b) for j in range(min(m, n) + 1)])
     if sum(w[i] + 1 for w in out) != (m + 1) * (n + 1):
         raise IntegrityError(f"Clebsch-Gordan of {lam} and {mu} does not preserve rank")
     return out
@@ -455,17 +480,16 @@ def route_b_cohomology(rs: RootSystem, e: BundleExpr) -> Optional[CohomologyProf
     if shape is None:
         return None
     i, summands, opaque = shape
-    twist = e.twist
-    fiber = twist[i]
+    fiber = e.twist[i]
     if opaque:
         # S-side pullbacks: only the fiber-degree -1 vanishing needs no
         # knowledge of S itself.
         return ZERO if fiber == -1 else None
-    base = tuple([0 if k == i else t for k, t in enumerate(twist)])
+    x, y = (e.twist[0], 0) if i else (0, e.twist[1])
     return CohomologyProfile.of(
         (d, w, m * mult)
-        for hw, mult in summands
-        for d, w, m in _pushforward(rs, i, wadd(hw, base), fiber)
+        for (a, b), mult in summands
+        for d, w, m in _pushforward(rs, i, (a + x, b + y), fiber)
     )
 
 

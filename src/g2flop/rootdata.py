@@ -50,10 +50,11 @@ class Value:
     looping over the fields, which measured two to three times slower per
     construction.  A subclass names at least one field and may not define
     ``__init__`` itself.  Records are not ``dataclasses``: importing that
-    module imports ``inspect``, about 7 ms cumulative under ``python -X
-    importtime`` on a 2-core Xeon VM with Python 3.11, against about 24 ms
-    for all of ``import g2flop``, and every cold ``g2flop check-all``
-    process would pay it.
+    module imports ``inspect``, 8-13 ms cumulative under ``python -X
+    importtime`` on a 2-core Xeon VM with Python 3.11, also after ``import
+    g2flop``, against 5-7 ms for all of ``import g2flop`` with its bytecode
+    written.  It would more than double the package's import, and every
+    cold ``g2flop check-all`` process would pay it.
 
     Instances compare equal when they have the same exact type and equal
     fields, hash by their fields, refuse assignment and deletion, and print

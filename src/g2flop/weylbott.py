@@ -484,15 +484,18 @@ def filtered_cohomology(
     by its multiplicity, is the answer unless two different copies hold an
     equal label in adjacent degrees.  Copies in one degree, and different
     labels in adjacent degrees, never meet.
+
+    The multiplicities are checked before any Bott call, so the page is
+    built in one comprehension.  ``combine_pieces`` reads it through a
+    generator: a list there would hold a second entry per weight at once.
     """
     if not weights:
         raise ValueError("empty weight filtration is disallowed")
-    pieces: list[Piece] = []
-    for w, m in weights.items():
-        if m < 1:
-            raise ValueError(f"weight {w} has multiplicity {m}; it must be positive")
-        pieces.append((w, line_cohomology(rs, w), m))
-    return combine_pieces((p, m) for _, p, m in pieces), tuple(pieces)
+    if min(weights.values()) < 1:
+        w, m = next((w, m) for w, m in weights.items() if m < 1)
+        raise ValueError(f"weight {w} has multiplicity {m}; it must be positive")
+    pieces = tuple([(w, line_cohomology(rs, w), m) for w, m in weights.items()])
+    return combine_pieces((p, m) for _, p, m in pieces), pieces
 
 
 def euler_characteristic(rs: RootSystem, weights: Mapping[Weight, int]) -> int:

@@ -31,7 +31,15 @@ from g2flop.bundles import (
     route_b_cohomology,
     weights,
 )
-from g2flop.rootdata import IntegrityError, Value, g2, wadd, wneg
+from g2flop.rootdata import (
+    IntegrityError,
+    Value,
+    build_root_system,
+    g2,
+    g2_flipped,
+    wadd,
+    wneg,
+)
 from g2flop.sodengine import k_class
 from g2flop.weylbott import (
     ZERO,
@@ -551,6 +559,146 @@ def test_filtration_pieces_are_the_weights_expanded_by_multiplicity():
         assert profile == combine_pieces([(line_cohomology(RS, w), 1) for w in ref])
         chi = sum(line_cohomology(RS, w).euler(RS) for w in ref)
         assert euler_characteristic(RS, ws) == chi
+
+
+# --- pair arithmetic against the per-weight formulas ------------------------
+#
+# Route A and route B add and scale rank-2 pairs unpacked.  The references
+# below are the rank-generic formulas, one tuple per weight through wadd and
+# wneg; the program must match them weight for weight and in key order.
+
+
+def ref_factor_weights(rs, f):
+    string = bundles._levi_string(f)
+    if string is None:
+        out = {}
+        for piece in bundles._spinor_split(BundleExpr((f,), (0, 0))):
+            for w, m in ref_weights(rs, piece).items():
+                out[w] = out.get(w, 0) + m
+        return tuple(out.items())
+    i, hw, length = string
+    alpha = rs.simple_roots[i].weight_coords
+    ws = (tuple([h - j * a for h, a in zip(hw, alpha)]) for j in range(length))
+    return tuple((wneg(w) if f[4] else w, 1) for w in ws)
+
+
+def ref_convolve(left, right):
+    out = {}
+    for lw, lm in left:
+        for rw, rm in right:
+            w = wadd(lw, rw)
+            out[w] = out.get(w, 0) + lm * rm
+    return out
+
+
+def ref_weights(rs, e):
+    product = (((0,) * rs.rank, 1),)
+    if e.factors:
+        product = ref_factor_weights(rs, e.factors[0])
+    for f in e.factors[1:]:
+        product = tuple(ref_convolve(product, ref_factor_weights(rs, f)).items())
+    return {wadd(w, e.twist): m for w, m in product}
+
+
+def ref_levi_tensor(rs, i, lam, mu):
+    total = wadd(lam, mu)
+    alpha = rs.simple_roots[i].weight_coords
+    return tuple(
+        tuple([t - j * a for t, a in zip(total, alpha)])
+        for j in range(min(lam[i], mu[i]) + 1)
+    )
+
+
+def ref_route_b(rs, e):
+    shape = bundles._one_sided_shape.__wrapped__(rs, e.factors)
+    if shape is None:
+        return None
+    i, summands, opaque = shape
+    twist = e.twist
+    fiber = twist[i]
+    if opaque:
+        return ZERO if fiber == -1 else None
+    base = tuple([0 if k == i else t for k, t in enumerate(twist)])
+    return CohomologyProfile.of(
+        (d, w, m * mult)
+        for hw, mult in summands
+        for d, w, m in bundles._pushforward.__wrapped__(rs, i, wadd(hw, base), fiber)
+    )
+
+
+def random_pair_text(rng):
+    """A random expression text: duals, Sym^m up to 300, E and F on both
+    Levi indices and of Levi pairing 0, S, negative twists, and products
+    whose only long string is one Sym."""
+
+    def atom(short):
+        kind = rng.choice("OUSEFY")
+        a, b = rng.randint(-3, 3), rng.randint(0, 4)
+        if kind == "Y":
+            m = rng.randint(2, 6) if short else rng.randint(2, 300)
+            arg = rng.choice(["U", f"E({a},1)", f"F(1,{a})"])
+            text = f"Sym^{m} {arg}"
+        elif kind == "E":
+            text = f"E({a},{b})"
+        elif kind == "F":
+            text = f"F({b},{a})"
+        else:
+            text = kind
+        if rng.random() < 0.3:
+            text += f"({rng.randint(-4, 4)},{rng.randint(-4, 4)})"
+        if rng.random() < 0.4:
+            text += "'"
+            if rng.random() < 0.5:
+                text += f"({rng.randint(-4, 4)},{rng.randint(-4, 4)})"
+        return text
+
+    atoms = [atom(short=False)] + [atom(short=True) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(atoms)
+    return "*".join(atoms)
+
+
+def check_pair_arithmetic(rs, e):
+    strings = [ref_factor_weights(rs, f) for f in e.factors]
+    assert [bundles._factor_weights(rs, f) for f in e.factors] == strings
+    product = strings[0] if strings else None
+    for right in strings[1:]:
+        got = bundles._convolve(product, right)
+        assert list(got.items()) == list(ref_convolve(product, right).items())
+        product = tuple(got.items())
+    assert list(weights(rs, e).items()) == list(ref_weights(rs, e).items())
+    assert route_b_cohomology(rs, e) == ref_route_b(rs, e)
+
+
+@pytest.mark.parametrize(
+    "rs",
+    # A1 x A1 has simple roots with a zero coordinate, which G2's lack.
+    [RS, g2_flipped(), build_root_system(((2, 0), (0, 2)))],
+    ids=["G2", "G2 flipped", "A1xA1"],
+)
+def test_pair_arithmetic_matches_the_per_weight_formulas(rs):
+    rng = random.Random(53)
+    texts = ["O", "O(-3H+2h)", "O*O(-1,-1)", "E(2,0)'(-h)", "F(0,3)*O(H)"]
+    texts += [random_pair_text(rng) for _ in range(300)]
+    for text in texts:
+        check_pair_arithmetic(rs, parse_expr(text))
+    for _ in range(300):
+        i = rng.choice((0, 1))
+        lam, mu = [[rng.randint(-5, 5), rng.randint(-5, 5)] for _ in range(2)]
+        lam[i], mu[i] = abs(lam[i]), abs(mu[i])
+        lam, mu = tuple(lam), tuple(mu)
+        assert levi_tensor(rs, i, lam, mu) == ref_levi_tensor(rs, i, lam, mu)
+
+
+def test_pair_arithmetic_matches_the_per_weight_formulas_on_the_query_pool():
+    from bench import oracle
+
+    texts = {}
+    for key, expected in oracle.load("queries.json").items():
+        if expected != oracle.PARSE_ERROR:
+            texts.update(dict.fromkeys(key.split("\t")[1:]))
+    for text in texts:
+        check_pair_arithmetic(RS, parse_expr(text))
+    assert len(texts) > 1000
 
 
 # --- evaluation -------------------------------------------------------------
